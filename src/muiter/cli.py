@@ -13,7 +13,6 @@ import sys
 from typing import Dict, List, Optional, Tuple
 
 from . import __version__
-from ._kernel import KERNEL_IMPL
 from .checks import run_checks
 from .dsl import (
     AlgDecl,
@@ -107,7 +106,6 @@ class Runner:
         reports: List[dict] = []
         payload = {
             "version": __version__,
-            "kernel": KERNEL_IMPL,
             "reports": reports,
         }
         for stmt in self.script.statements:

@@ -111,15 +111,14 @@ class IterationState:
     # -- stage computation ----------------------------------------------
 
     def stage(self, i) -> StageRecord:
-        key = self.backend.key(i)
-        rec = self.stages.get(key)
+        rec = self.stages.get(i)
         if rec is not None:
             return rec
         if len(self.stages) >= self.budget:
             raise BudgetExceeded(
                 f"stage budget {self.budget} exhausted", self.profile()
             )
-        basis = self._dedup(self.backend.predecessor_basis(i))
+        basis = tuple(dict.fromkeys(self.backend.predecessor_basis(i)))
         for j in basis:
             self.stage(j)
         if len(self.stages) >= self.budget:
@@ -128,7 +127,7 @@ class IterationState:
             )
         objects = {}
         for j in basis:
-            obj = self._apply_object(self.stages[self.backend.key(j)].carrier)
+            obj = self._apply_object(self.stages[j].carrier)
             objects[j] = obj
         edges = []
         arrows = {}
@@ -142,18 +141,8 @@ class IterationState:
         diagram = Diagram(basis, edges, objects, arrows)
         cocone = subdiagram_colimit(diagram)
         rec = StageRecord(index=i, basis=basis, cocone=cocone)
-        self.stages[key] = rec
+        self.stages[i] = rec
         return rec
-
-    def _dedup(self, family) -> tuple:
-        seen = set()
-        out = []
-        for j in family:
-            k = self.backend.key(j)
-            if k not in seen:
-                seen.add(k)
-                out.append(j)
-        return tuple(out)
 
     def _apply_object(self, x: FiniteSet) -> FiniteSet:
         out = eval_functor(self.functor, (x,))
@@ -174,11 +163,9 @@ class IterationState:
 
     def connect(self, j, i) -> FiniteFn:
         """Stage map for laxly ordered indices j and i."""
-        kj, ki = self.backend.key(j), self.backend.key(i)
-        if kj == ki:
+        if j == i:
             return FiniteFn.identity(self.stage(j).carrier)
-        memo_key = (kj, ki)
-        got = self._connects.get(memo_key)
+        got = self._connects.get((j, i))
         if got is not None:
             return got
         src = self.stage(j)
@@ -200,27 +187,25 @@ class IterationState:
         if any(v is None for v in table):
             raise IntegrityError("stage has a class with no layer representative")
         out = FiniteFn(src.carrier, dst.carrier, table)
-        self._connects[memo_key] = out
+        self._connects[(j, i)] = out
         return out
 
     def leg(self, j, i) -> FiniteFn:
         """Fresh-layer injection F(stage j) -> stage i for j strictly below i."""
-        kj, ki = self.backend.key(j), self.backend.key(i)
-        memo_key = (kj, ki)
-        got = self._legs.get(memo_key)
+        got = self._legs.get((j, i))
         if got is not None:
             return got
         dst = self.stage(i)
         direct = dst.cocone.legs.get(j)
         if direct is not None:
-            self._legs[memo_key] = direct
+            self._legs[(j, i)] = direct
             return direct
         for b in dst.basis:
             if self.backend.leq(j, b):
                 out = self._apply_mor(self.connect(j, b)).then(
                     dst.cocone.legs[b]
                 )
-                self._legs[memo_key] = out
+                self._legs[(j, i)] = out
                 return out
         raise IntegrityError(
             f"predecessor basis of {self.backend.render(i)} has no bound "
@@ -310,8 +295,7 @@ def catamorphism(state: IterationState, alg: AlgebraSpec, i) -> FiniteFn:
     done: Dict = {}
 
     def fold(idx) -> FiniteFn:
-        key = state.backend.key(idx)
-        got = done.get(key)
+        got = done.get(idx)
         if got is not None:
             return got
         rec = state.stage(idx)
@@ -332,7 +316,7 @@ def catamorphism(state: IterationState, alg: AlgebraSpec, i) -> FiniteFn:
         if any(v is None for v in table):
             raise IntegrityError("stage has a class with no layer representative")
         out = FiniteFn(rec.carrier, alg.carrier, table)
-        done[key] = out
+        done[idx] = out
         return out
 
     return fold(i)

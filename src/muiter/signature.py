@@ -75,43 +75,43 @@ def signature_sum(parts: Sequence[Signature]) -> Signature:
     return Signature(FiniteSet(len(arities), labels=labels), arities)
 
 
+# every tree ever built, keyed by (op, children); children are interned
+# first, so one lookup per node makes structural equality identity
+_INTERNED: dict = {}
+
+
 class WTree:
     """A finitely branching well-founded tree over some signature.
 
     Nodes carry the operation index; the children tuple must match the
-    operation's arity.  Structural equality, with the hash cached since
-    trees are shared heavily.
+    operation's arity.  Trees are hash-consed: building a tree equal to an
+    existing one returns that same object, so equality and hashing are
+    identity, and shared subtrees (a successor is join(t, t)) cost nothing
+    extra.  The height is computed once, at construction.
     """
 
-    __slots__ = ("op", "children", "_hash")
+    __slots__ = ("op", "children", "_height")
 
-    def __init__(self, op: int, children: Sequence["WTree"] = ()):
+    def __new__(cls, op: int, children: Sequence["WTree"] = ()):
         children = tuple(children)
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "children", children)
-        object.__setattr__(self, "_hash", hash((op, children)))
+        key = (op, children)
+        tree = _INTERNED.get(key)
+        if tree is None:
+            tree = object.__new__(cls)
+            object.__setattr__(tree, "op", op)
+            object.__setattr__(tree, "children", children)
+            object.__setattr__(
+                tree, "_height", 1 + max((c._height for c in children), default=-1)
+            )
+            _INTERNED[key] = tree
+        return tree
 
     def __setattr__(self, name, value):
         raise AttributeError("WTree is immutable")
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            isinstance(other, WTree)
-            and self._hash == other._hash
-            and self.op == other.op
-            and self.children == other.children
-        )
-
-    def __hash__(self):
-        return self._hash
-
     def height(self) -> int:
         """0 for leaves, else one more than the tallest child."""
-        if not self.children:
-            return 0
-        return 1 + max(c.height() for c in self.children)
+        return self._height
 
     def node_count(self) -> int:
         return 1 + sum(c.node_count() for c in self.children)

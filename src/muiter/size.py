@@ -8,7 +8,10 @@ its comparison is the mutually recursive rule pair
     s <= t  iff  every child of s is < t
     s <  t  iff  s is <= some child of t
 
-decided by the shared kernel.  predecessor_basis is the finiteness
+Every arity is a finite set, so every tree is finite, and induction on
+height(s) + height(t) turns the pair into height(s) <= height(t) and
+height(s) < height(t); the backend compares the heights that trees cache
+at construction.  predecessor_basis is the finiteness
 interface: a finite family of indices such that anything strictly below i
 is laxly below some family member, which is what lets colimits over the
 unbounded down-set of i be computed over finitely many stages.
@@ -17,17 +20,11 @@ unbounded down-set of i be computed over finitely many stages.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
-from ._kernel import TreeArena
 from .errors import ShapeMismatch
 from .finset import FiniteSet
 from .signature import Signature, WTree
-
-# one arena for every tree comparison in the process: ids and memo results
-# are shared across backends, which is sound because comparison only ever
-# looks at tree structure
-_ARENA = TreeArena()
 
 
 class NatBackend:
@@ -55,9 +52,6 @@ class NatBackend:
             return ()
         return (i - 1,)
 
-    def key(self, i: int):
-        return i
-
     def render(self, i: int) -> str:
         return str(i)
 
@@ -78,9 +72,9 @@ class PlumpBackend:
 
     name = "plump"
 
-    __slots__ = ("base", "extended", "bottom_op", "join_op", "_arena")
+    __slots__ = ("base", "extended", "bottom_op", "join_op")
 
-    def __init__(self, base: Signature, arena: Optional[TreeArena] = None):
+    def __init__(self, base: Signature):
         labels = [base.op_label(op) for op in base.ops]
         labels += ["bot", "join"]
         ops = FiniteSet(base.ops.size + 2, labels=labels)
@@ -89,13 +83,12 @@ class PlumpBackend:
         self.extended = Signature(ops, arities)
         self.bottom_op = base.ops.size
         self.join_op = base.ops.size + 1
-        self._arena = arena if arena is not None else _ARENA
 
     def lt(self, i: WTree, j: WTree) -> bool:
-        return self._arena.lt(i, j)
+        return i.height() < j.height()
 
     def leq(self, i: WTree, j: WTree) -> bool:
-        return self._arena.leq(i, j)
+        return i.height() <= j.height()
 
     def bottom(self) -> WTree:
         return WTree(self.bottom_op)
@@ -108,9 +101,6 @@ class PlumpBackend:
 
     def predecessor_basis(self, i: WTree) -> tuple:
         return i.children
-
-    def key(self, i: WTree):
-        return i.sort_key()
 
     def render(self, i: WTree) -> str:
         # join(t, t) is the successor by construction; folding that pattern
@@ -154,11 +144,6 @@ class PlumpBackend:
 def kappa_sigma(sig: Signature) -> PlumpBackend:
     """The tree-order backend attached to a signature."""
     return PlumpBackend(sig)
-
-
-def plump_compare(s: WTree, t: WTree) -> Tuple[bool, bool]:
-    """Decide (strict, lax) for two trees in one call."""
-    return _ARENA.lt(s, t), _ARENA.leq(s, t)
 
 
 def height(i) -> int:

@@ -36,6 +36,7 @@ from muiter.iteration import (
 )
 from muiter.signature import Signature
 from muiter.size import height, kappa_sigma, nat_backend, successor_tower
+from test_size import PlumpRule
 
 BIN = Signature.of(0, 2, labels=["leaf", "node"])
 POLY = Sum((Constant(FiniteSet(1)), Product((Identity(), Identity()))))
@@ -51,7 +52,7 @@ def verdict(label, failures):
 
 
 def test_order_laws_on_ten_thousand_sampled_trees():
-    backend = kappa_sigma(BIN)
+    backend, rule = kappa_sigma(BIN), PlumpRule()
     rng = random.Random(7)
     trees = backend.sample_indices(rng, 10_000, 4)
     failures = []
@@ -60,6 +61,11 @@ def test_order_laws_on_ten_thousand_sampled_trees():
             failures.append(("lax not reflexive", backend.render(t)))
     for _ in range(10_000):
         a, b, c = (rng.choice(trees) for _ in range(3))
+        got = (backend.lt(a, b), backend.leq(a, b))
+        if got != (rule.lt(a, b), rule.leq(a, b)):
+            failures.append(("order disagrees with the plump rule", a, b))
+        if got != (height(a) < height(b), height(a) <= height(b)):
+            failures.append(("order disagrees with height", a, b))
         j = backend.join(a, b)
         if not (backend.lt(a, j) and backend.lt(b, j)):
             failures.append(("join not an upper bound", a, b))

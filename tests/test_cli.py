@@ -1,5 +1,7 @@
 import io
 import json
+import subprocess
+import sys
 from importlib.resources import files
 
 import jsonschema
@@ -92,7 +94,6 @@ def test_every_command_kind_reports_and_validates(tmp_path, capsys):
     assert code == 0
     assert err == ""
     assert payload["version"] == muiter.__version__
-    assert payload["kernel"] in ("compiled", "pure")
     kinds = [r["command"] for r in payload["reports"]]
     assert kinds == ["iterate", "mu", "free", "cata", "cata", "nu", "check"]
 
@@ -205,6 +206,22 @@ def test_budget_stop_aborts_remaining_commands(tmp_path, capsys):
     assert len(payload["reports"]) == 1
     report = payload["reports"][0]
     assert [s["size"] for s in report["stages"]] == [0, 1, 2, 5, 26, 677]
+    assert report["error"]["type"] == "budget-exceeded"
+
+
+def test_deep_plump_chain_stops_at_the_budget_in_bounded_time(tmp_path):
+    # the successor tower shares every level, so 200 stages stay cheap
+    path = tmp_path / "chain.mi"
+    path.write_text("F = 1 + X\nmu F size plump budget 200\n")
+    done = subprocess.run(
+        [sys.executable, "-m", "muiter", str(path), "--format", "json"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert done.returncode == 2
+    report = json.loads(done.stdout)["reports"][0]
+    assert len(report["stages"]) == 200
     assert report["error"]["type"] == "budget-exceeded"
 
 

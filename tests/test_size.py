@@ -1,93 +1,87 @@
 import itertools
 import random
+import time
 
 import pytest
 
 from muiter.errors import ShapeMismatch
 
-from muiter._kernel import KERNEL_IMPL, TreeArena
-from muiter._plump_py import PlumpKernel as PurePlumpKernel
 from muiter.signature import Signature, WTree, wtype_enumerate
 from muiter.size import (
     NatBackend,
-    PlumpBackend,
     filtered_sample_check,
     height,
     kappa_sigma,
     nat_backend,
-    plump_compare,
     successor_tower,
 )
 
 BIN = Signature.of(0, 2, labels=["leaf", "node"])
 
 
-def kernels():
-    factories = [("pure", PurePlumpKernel)]
-    if KERNEL_IMPL == "compiled":
-        from muiter._plumpcore import PlumpKernel as CompiledPlumpKernel
+class PlumpRule:
+    """The paper's order, straight from its mutually recursive definition.
 
-        factories.append(("compiled", CompiledPlumpKernel))
-    return factories
+    s <= t iff every child of s is < t; s < t iff s <= some child of t.
+    Memoised on the pair, so shared subtrees are compared once.  It does
+    not use heights, which makes it an oracle for the height comparison.
+    """
+
+    def __init__(self):
+        self._lt = {}
+        self._leq = {}
+
+    def lt(self, s, t):
+        if (s, t) not in self._lt:
+            self._lt[(s, t)] = any(self.leq(s, c) for c in t.children)
+        return self._lt[(s, t)]
+
+    def leq(self, s, t):
+        if (s, t) not in self._leq:
+            self._leq[(s, t)] = all(self.lt(c, t) for c in s.children)
+        return self._leq[(s, t)]
 
 
-def backends_for(sig):
-    return [
-        pytest.param(PlumpBackend(sig, arena=TreeArena(factory)), id=name)
-        for name, factory in kernels()
-    ]
+def assert_order_agrees(backend, rule, s, t):
+    assert backend.lt(s, t) == rule.lt(s, t) == (s.height() < t.height())
+    assert backend.leq(s, t) == rule.leq(s, t) == (s.height() <= t.height())
 
 
 def all_extended_trees(backend, depth):
     return wtype_enumerate(backend.extended, depth)
 
 
-# -- the order agrees with tree height, exhaustively ------------------------
+# -- the order agrees with the rule and with tree height, exhaustively -------
 
 
-@pytest.mark.parametrize("backend", backends_for(Signature.of()))
-def test_plump_order_is_height_order_empty_base(backend):
+def test_plump_order_is_height_order_empty_base():
+    backend, rule = kappa_sigma(Signature.of()), PlumpRule()
     trees = all_extended_trees(backend, 4)
     assert len(trees) == 26
     for s, t in itertools.product(trees, repeat=2):
-        assert backend.lt(s, t) == (s.height() < t.height())
-        assert backend.leq(s, t) == (s.height() <= t.height())
+        assert_order_agrees(backend, rule, s, t)
 
 
-@pytest.mark.parametrize("backend", backends_for(BIN))
-def test_plump_order_is_height_order_binary_base(backend):
+def test_plump_order_is_height_order_binary_base():
     # extended signature has two nullary and two binary ops, so the tree
     # counts run 0, 2, 10, 202; all pairs at the last depth stay cheap
+    backend, rule = kappa_sigma(BIN), PlumpRule()
     trees = all_extended_trees(backend, 3)
     assert len(trees) == 202
     for s, t in itertools.product(trees, repeat=2):
-        assert backend.lt(s, t) == (s.height() < t.height())
-        assert backend.leq(s, t) == (s.height() <= t.height())
-
-
-def test_compiled_and_pure_kernels_agree():
-    if KERNEL_IMPL != "compiled":
-        pytest.skip("compiled kernel not built")
-    from muiter._plumpcore import PlumpKernel as CompiledPlumpKernel
-
-    rng = random.Random(11)
-    compiled = PlumpBackend(BIN, arena=TreeArena(CompiledPlumpKernel))
-    pure = PlumpBackend(BIN, arena=TreeArena(PurePlumpKernel))
-    samples = compiled.sample_indices(rng, 80, 4)
-    for s, t in zip(samples, samples[1:]):
-        assert compiled.lt(s, t) == pure.lt(s, t)
-        assert compiled.leq(s, t) == pure.leq(s, t)
+        assert_order_agrees(backend, rule, s, t)
 
 
 # -- laws beyond the exhaustive bound ----------------------------------------
 
 
-@pytest.mark.parametrize("backend", backends_for(BIN))
-def test_order_laws_on_random_deep_trees(backend):
+def test_order_laws_on_random_deep_trees():
+    backend, rule = kappa_sigma(BIN), PlumpRule()
     rng = random.Random(7)
     trees = backend.sample_indices(rng, 60, 6)
     for _ in range(400):
         a, b, c = (trees[rng.randrange(len(trees))] for _ in range(3))
+        assert_order_agrees(backend, rule, a, b)
         assert not backend.lt(a, a)
         assert backend.leq(a, a)
         if backend.lt(a, b):
@@ -102,8 +96,8 @@ def test_order_laws_on_random_deep_trees(backend):
         assert backend.leq(a, b) or backend.leq(b, a)
 
 
-@pytest.mark.parametrize("backend", backends_for(Signature.of()))
-def test_children_sit_strictly_below(backend):
+def test_children_sit_strictly_below():
+    backend = kappa_sigma(Signature.of())
     rng = random.Random(3)
     for tree in backend.sample_indices(rng, 50, 5):
         for child in tree.children:
@@ -153,9 +147,10 @@ def test_key_distinguishes_distinct_trees():
     backend = kappa_sigma(Signature.of())
     bot = backend.bottom()
     one = backend.succ(bot)
-    assert backend.key(bot) != backend.key(one)
-    assert backend.key(backend.join(bot, one)) != backend.key(backend.join(one, bot))
-    assert backend.key(one) == backend.key(backend.join(bot, bot))
+    assert bot is not one
+    assert backend.join(bot, one) is not backend.join(one, bot)
+    assert one is backend.join(bot, bot)
+    assert len({bot, one, backend.join(bot, one), backend.join(one, bot)}) == 4
 
 
 def test_nat_backend():
@@ -188,11 +183,14 @@ def test_height_helper():
 
 
 def test_plump_compare_shared_arena():
+    # trees built by hand and by the backend come from one intern table
+    backend = kappa_sigma(Signature.of())
     bot = WTree(0)
     one = WTree(1, (bot, bot))
-    assert plump_compare(bot, one) == (True, True)
-    assert plump_compare(one, bot) == (False, False)
-    assert plump_compare(one, one) == (False, True)
+    assert bot is backend.bottom() and one is backend.succ(bot)
+    assert (backend.lt(bot, one), backend.leq(bot, one)) == (True, True)
+    assert (backend.lt(one, bot), backend.leq(one, bot)) == (False, False)
+    assert (backend.lt(one, one), backend.leq(one, one)) == (False, True)
 
 
 # -- bounds for finite families ----------------------------------------------
@@ -231,11 +229,26 @@ def test_filtered_sample_check_rejects_wrong_width():
         filtered_sample_check(backend, [(1, (backend.bottom(),))])
 
 
-# -- arena bookkeeping ---------------------------------------------------------
-def test_arena_interns_shared_subtrees():
-    arena = TreeArena(PurePlumpKernel)
-    bot = WTree(0)
-    one = WTree(1, (bot, bot))
-    arena.intern(one)
-    arena.intern(WTree(1, (bot, bot)))
-    assert len(arena) == 2  # bot and one, no duplicates
+# -- hash-consing ---------------------------------------------------------------
+
+
+def test_wtree_interns_equal_trees():
+    b = WTree(0)
+    assert WTree(0) is b
+    assert WTree(1, (b, b)) is WTree(1, (b, b))
+    assert WTree(1, [b, b]) is WTree(1, (b, b))
+    assert WTree(1, (b, b)) is not WTree(2, (b, b))
+
+
+def test_deep_successor_towers_are_shared_and_compare_at_once():
+    # each level is join(t, t): unfolded, the top tree has 2**201 - 1 nodes
+    backend = kappa_sigma(Signature.of())
+    start = time.perf_counter()
+    first = successor_tower(backend, 201)[-1]
+    second = successor_tower(backend, 201)[-1]
+    assert first is second
+    below = first.children[0]
+    assert backend.lt(below, first) and not backend.lt(first, first)
+    assert backend.leq(first, second) and not backend.leq(first, below)
+    assert height(first) == 200
+    assert time.perf_counter() - start < 1.0
