@@ -22,9 +22,8 @@ from .errors import (
 from .finset import (
     FiniteFn,
     FiniteSet,
-    Relation,
     cartesian,
-    quotient,
+    quotient_pairs,
     tagged_sum,
 )
 
@@ -155,23 +154,36 @@ def subdiagram_colimit(d: Diagram) -> Cocone:
 
 
 def _colimit_of(d: Diagram) -> Cocone:
-    layout = tagged_sum([d.objects[i] for i in d.indices])
     pos = {idx: tag for tag, idx in enumerate(d.indices)}
-    pairs = []
-    for (j, i), f in d.arrows.items():
-        tj, ti = pos[j], pos[i]
-        for x in range(d.objects[j].size):
-            pairs.append((layout.encode(tj, x), layout.encode(ti, f.table[x])))
-    classes, proj = quotient(layout.set, Relation(layout.set, pairs))
-    legs = {}
-    for idx in d.indices:
-        t = pos[idx]
-        legs[idx] = FiniteFn(
-            d.objects[idx],
-            classes,
-            [proj.table[layout.encode(t, x)] for x in range(d.objects[idx].size)],
-        )
-    return Cocone(d, classes, legs, layout)
+    arrows = [(pos[j], pos[i], f) for (j, i), f in d.arrows.items()]
+    apex, legs, layout = _glue([d.objects[i] for i in d.indices], arrows)
+    return Cocone(d, apex, dict(zip(d.indices, legs)), layout)
+
+
+def _glue(objects: Sequence[FiniteSet], arrows) -> tuple:
+    """Sum the objects, identify x with h(x) for every arrow (src, dst, h).
+
+    Returns (apex, legs, layout): the legs, one per object, are the slices
+    of the quotient map at each object's block of the sum.  Without arrows
+    the quotient is the identity, so the apex is the sum itself.
+    """
+    layout = tagged_sum(objects)
+    offsets = layout.offsets
+    if arrows:
+        pairs = []
+        for src, dst, h in arrows:
+            start, off = offsets[src], offsets[dst]
+            targets = [off + v for v in h.table]
+            pairs.extend(zip(range(start, start + h.dom.size), targets))
+        apex, proj = quotient_pairs(layout.set, pairs)
+        table = proj.table
+    else:
+        apex, table = layout.set, range(layout.set.size)
+    legs = [
+        FiniteFn(o, apex, table[off : off + o.size])
+        for o, off in zip(objects, offsets)
+    ]
+    return apex, legs, layout
 
 
 def connecting_map(d: Diagram, j: Hashable, i: Hashable) -> FiniteFn:
@@ -226,29 +238,9 @@ def finite_cat_colimit(
                 f"arrow {src}->{dst} is {h.dom.size}->{h.cod.size}, "
                 f"objects are {objects[src].size}->{objects[dst].size}"
             )
-    layout = tagged_sum(list(objects))
-    pairs = []
-    for src, dst, h in arrows:
-        for x in range(objects[src].size):
-            pairs.append((layout.encode(src, x), layout.encode(dst, h.table[x])))
-    classes, proj = quotient(layout.set, Relation(layout.set, pairs))
-    legs = {}
-    for idx in indices:
-        legs[idx] = FiniteFn(
-            objects[idx],
-            classes,
-            [
-                proj.table[layout.encode(idx, x)]
-                for x in range(objects[idx].size)
-            ],
-        )
-    shape = Diagram(
-        indices,
-        [],
-        {i: objects[i] for i in indices},
-        {},
-    )
-    return Cocone(shape, classes, legs, layout)
+    apex, legs, layout = _glue(objects, arrows)
+    shape = Diagram(indices, [], {i: objects[i] for i in indices}, {})
+    return Cocone(shape, apex, dict(zip(indices, legs)), layout)
 
 
 def canonical_product_map(

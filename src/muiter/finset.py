@@ -75,11 +75,11 @@ class FiniteFn:
             raise ShapeMismatch(
                 f"table of length {len(table)} for domain of size {dom.size}"
             )
-        for v in table:
-            if not 0 <= v < cod.size:
-                raise ShapeMismatch(
-                    f"table value {v} outside codomain of size {cod.size}"
-                )
+        if table and (min(table) < 0 or max(table) >= cod.size):
+            bad = next(v for v in table if not 0 <= v < cod.size)
+            raise ShapeMismatch(
+                f"table value {bad} outside codomain of size {cod.size}"
+            )
         object.__setattr__(self, "dom", dom)
         object.__setattr__(self, "cod", cod)
         object.__setattr__(self, "table", table)
@@ -174,32 +174,6 @@ class Relation:
         return f"Relation({self.base.size}, {sorted(self.pairs)})"
 
 
-class _UnionFind:
-    """Array-based union-find with path compression."""
-
-    __slots__ = ("parent",)
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        root = x
-        while p[root] != root:
-            root = p[root]
-        while p[x] != root:
-            p[x], x = root, p[x]
-        return root
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # keep the smaller index as root so representatives are minimal
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-
 def quotient(base: FiniteSet, rel: Relation) -> tuple:
     """Quotient base by the equivalence closure of rel.
 
@@ -208,17 +182,41 @@ def quotient(base: FiniteSet, rel: Relation) -> tuple:
     """
     if rel.base != base:
         raise ShapeMismatch("relation base does not match the set")
-    uf = _UnionFind(base.size)
-    for a, b in rel.pairs:
-        uf.union(a, b)
-    roots = {}
+    return quotient_pairs(base, rel.pairs)
+
+
+def quotient_pairs(base: FiniteSet, pairs: Iterable[tuple]) -> tuple:
+    """quotient() for pairs already known to lie in base, unchecked.
+
+    Union-find keeps the smaller index as the root, so every element's
+    parent is at most the element and each root is its class's least
+    member; one ascending pass then numbers the classes.
+    """
+    parent = list(range(base.size))
+
+    def find(x: int) -> int:
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra < rb:
+            parent[rb] = ra
+        elif rb < ra:
+            parent[ra] = rb
     proj = [0] * base.size
-    for x in range(base.size):
-        r = uf.find(x)
-        if r not in roots:
-            roots[r] = len(roots)
-        proj[x] = roots[r]
-    classes = FiniteSet(len(roots))
+    count = 0
+    for x, p in enumerate(parent):
+        if p == x:
+            proj[x] = count
+            count += 1
+        else:
+            proj[x] = proj[p]
+    classes = FiniteSet(count)
     return classes, FiniteFn(base, classes, proj)
 
 
@@ -361,3 +359,38 @@ class TaggedSum:
 
 def tagged_sum(parts: Sequence[FiniteSet]) -> TaggedSum:
     return TaggedSum(parts)
+
+
+def sum_table(fns: Sequence[FiniteFn]) -> list:
+    """Table of the sum of maps: block k is fns[k] shifted by its offset.
+
+    The layout is TaggedSum's on both sides, so the blocks concatenate.
+    """
+    table: list = []
+    offset = 0
+    for f in fns:
+        table.extend([offset + v for v in f.table])
+        offset += f.cod.size
+    return table
+
+
+def radix_table(columns: Sequence[Sequence[int]]) -> list:
+    """Table indexed by mixed-radix digits, the first least significant.
+
+    Digit k ranges over the positions of columns[k]; the entry at digits
+    (d_0, d_1, ...) is the sum of columns[k][d_k].
+    """
+    table = [0]
+    for col in columns:
+        table = [hi + lo for hi in col for lo in table]
+    return table
+
+
+def product_table(fns: Sequence[FiniteFn]) -> list:
+    """Table of the product of maps in Cartesian's mixed-radix layout."""
+    columns = []
+    weight = 1
+    for f in fns:
+        columns.append([weight * v for v in f.table])
+        weight *= f.cod.size
+    return radix_table(columns)

@@ -25,6 +25,9 @@ from .finset import (
     FiniteSet,
     cartesian,
     exponential,
+    product_table,
+    radix_table,
+    sum_table,
     tagged_sum,
 )
 from .signature import (
@@ -271,22 +274,12 @@ def eval_functor_mor(e: FunctorExpr, fns: Tuple[FiniteFn, ...]):
         mors = [eval_functor_mor(p, fns) for p in e.parts]
         dom = tagged_sum([m.dom for m in mors])
         cod = tagged_sum([m.cod for m in mors])
-        table = []
-        for idx in range(dom.set.size):
-            tag, x = dom.decode(idx)
-            table.append(cod.encode(tag, mors[tag].table[x]))
-        return FiniteFn(dom.set, cod.set, table)
+        return FiniteFn(dom.set, cod.set, sum_table(mors))
     if isinstance(e, Product):
         mors = [eval_functor_mor(p, fns) for p in e.parts]
         dom = cartesian([m.dom for m in mors])
         cod = cartesian([m.cod for m in mors])
-        table = []
-        for idx in range(dom.set.size):
-            comps = dom.decode(idx)
-            table.append(
-                cod.encode(tuple(m.table[c] for m, c in zip(mors, comps)))
-            )
-        return FiniteFn(dom.set, cod.set, table)
+        return FiniteFn(dom.set, cod.set, product_table(mors))
     if isinstance(e, Compose):
         vals = tuple(eval_functor_mor(g, fns) for g in e.inner)
         return eval_functor_mor(e.outer, vals)
@@ -307,33 +300,30 @@ def eval_functor_mor(e: FunctorExpr, fns: Tuple[FiniteFn, ...]):
 
 
 def _sym_cocone(g: Groupoid, base: FiniteSet) -> Cocone:
-    """Colimit of the exponentials along the symmetry reindexings."""
+    """Colimit of the exponentials along the symmetry reindexings.
+
+    The reindexing along sigma sends a table t to u with u[sigma(k)] = t[k],
+    so digit k of t moves to weight |base| ** sigma(k) in u.
+    """
     exps = [exponential(base, a) for a in g.arities]
+    digits = range(base.size)
     arrows = []
     for src, dst, sigma in g.arrows:
-        sigma_inv = sigma.inverse()
-        exp_s, exp_d = exps[src], exps[dst]
-        table = []
-        for enc in range(exp_s.set.size):
-            t = exp_s.decode(enc)
-            u = tuple(t[sigma_inv.table[j]] for j in range(g.arities[dst].size))
-            table.append(exp_d.encode(u))
-        arrows.append((src, dst, FiniteFn(exp_s.set, exp_d.set, table)))
+        columns = [[v * base.size ** s for v in digits] for s in sigma.table]
+        table = radix_table(columns)
+        arrows.append((src, dst, FiniteFn(exps[src].set, exps[dst].set, table)))
     return finite_cat_colimit([e.set for e in exps], arrows)
 
 
 def _sym_map(g: Groupoid, f: FiniteFn) -> FiniteFn:
     src_cocone = _sym_cocone(g, f.dom)
     dst_cocone = _sym_cocone(g, f.cod)
-    src_exps = [exponential(f.dom, a) for a in g.arities]
-    dst_exps = [exponential(f.cod, a) for a in g.arities]
     table = [None] * src_cocone.apex.size
-    for obj in range(len(g.arities)):
-        for enc in range(src_exps[obj].set.size):
-            t = src_exps[obj].decode(enc)
-            u = tuple(f.table[v] for v in t)
-            cls = src_cocone.class_of(obj, enc)
-            target = dst_cocone.class_of(obj, dst_exps[obj].encode(u))
+    for obj, arity in enumerate(g.arities):
+        mapped = product_table([f] * arity.size)
+        dst_leg = dst_cocone.legs[obj].table
+        for cls, u in zip(src_cocone.legs[obj].table, mapped):
+            target = dst_leg[u]
             if table[cls] is None:
                 table[cls] = target
             elif table[cls] != target:

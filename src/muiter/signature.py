@@ -11,7 +11,15 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from .errors import ShapeMismatch
-from .finset import Exponential, FiniteFn, FiniteSet, TaggedSum, exponential
+from .finset import (
+    Exponential,
+    FiniteFn,
+    FiniteSet,
+    TaggedSum,
+    exponential,
+    product_table,
+    sum_table,
+)
 
 
 class Signature:
@@ -113,13 +121,45 @@ class WTree:
         """0 for leaves, else one more than the tallest child."""
         return self._height
 
+    def _distinct_nodes(self) -> list:
+        """Each distinct node of the shared DAG once, children first."""
+        order: list = []
+        seen = set()
+        stack = [(self, False)]
+        while stack:
+            node, expanded = stack.pop()
+            if expanded:
+                order.append(node)
+            elif node not in seen:
+                seen.add(node)
+                stack.append((node, True))
+                stack.extend((c, False) for c in node.children)
+        return order
+
     def node_count(self) -> int:
-        return 1 + sum(c.node_count() for c in self.children)
+        """Nodes of the tree, counting a shared subtree once per occurrence."""
+        counts: dict = {}
+        for node in self._distinct_nodes():
+            counts[node] = 1 + sum(counts[c] for c in node.children)
+        return counts[self]
 
     def sort_key(self):
-        return (self.op, tuple(c.sort_key() for c in self.children))
+        """(op, children's keys): orders trees by op, then children in turn.
+
+        Keys are built once per distinct node, so a shared subtree's key is
+        one shared tuple.
+        """
+        keys: dict = {}
+        for node in self._distinct_nodes():
+            keys[node] = (node.op, tuple(keys[c] for c in node.children))
+        return keys[self]
 
     def render(self, sig: Optional[Signature] = None) -> str:
+        """The tree written out in full, shared subtrees repeated.
+
+        Its length grows with node_count(), exponential in the depth of a
+        shared DAG such as a successor tower, so it is walked as a tree.
+        """
         name = sig.op_label(self.op) if sig is not None else str(self.op)
         if not self.children:
             return name
@@ -185,11 +225,11 @@ def container_map(sig: Signature, f: FiniteFn) -> FiniteFn:
     """Apply f to every argument position, preserving the op tag."""
     src = ContainerLayout(sig, f.dom)
     dst = ContainerLayout(sig, f.cod)
-    table = []
-    for idx in range(src.set.size):
-        op, args = src.decode(idx)
-        table.append(dst.encode(op, tuple(f.table[a] for a in args)))
-    return FiniteFn(src.set, dst.set, table)
+    blocks = [
+        FiniteFn(s.set, d.set, product_table([f] * a.size))
+        for s, d, a in zip(src._exps, dst._exps, sig.arities)
+    ]
+    return FiniteFn(src.set, dst.set, sum_table(blocks))
 
 
 def wtype_enumerate(sig: Signature, depth: int) -> list:

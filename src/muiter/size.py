@@ -104,13 +104,18 @@ class PlumpBackend:
 
     def render(self, i: WTree) -> str:
         # join(t, t) is the successor by construction; folding that pattern
-        # keeps tower indices readable (and linear instead of doubling)
-        if i.op == self.join_op and i.children[0] == i.children[1]:
-            return f"succ({self.render(i.children[0])})"
+        # keeps tower indices readable (and linear instead of doubling).
+        # The tower is peeled in a loop, so its depth costs no recursion.
+        depth = 0
+        while i.op == self.join_op and i.children[0] == i.children[1]:
+            i = i.children[0]
+            depth += 1
         if i.children:
             inner = ", ".join(self.render(c) for c in i.children)
-            return f"{self._op_label(i.op)}({inner})"
-        return self._op_label(i.op)
+            base = f"{self._op_label(i.op)}({inner})"
+        else:
+            base = self._op_label(i.op)
+        return "succ(" * depth + base + ")" * depth
 
     def _op_label(self, op: int) -> str:
         labels = self.extended.ops.labels

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import subprocess
@@ -223,6 +224,66 @@ def test_deep_plump_chain_stops_at_the_budget_in_bounded_time(tmp_path):
     report = json.loads(done.stdout)["reports"][0]
     assert len(report["stages"]) == 200
     assert report["error"]["type"] == "budget-exceeded"
+
+
+def test_plump_chain_deeper_than_the_recursion_limit_stops_at_the_budget(tmp_path):
+    # stage 999's index is a tower of 999 successors; rendering it for the
+    # profile must not recurse once per level
+    path = tmp_path / "chain.mi"
+    path.write_text("F = 1 + X\nmu F size plump budget 1000\n")
+    done = subprocess.run(
+        [sys.executable, "-m", "muiter", str(path), "--format", "json"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert done.returncode == 2, done.stderr
+    report = json.loads(done.stdout)["reports"][0]
+    assert report["error"]["type"] == "budget-exceeded"
+    assert len(report["stages"]) == 1000
+    assert report["stages"][-1]["index"] == "succ(" * 999 + "bot" + ")" * 999
+
+
+# sha256 of the --format json output, taken before functor maps and colimits
+# were built block by block; any change here is a change of behaviour
+PINNED_JSON = {
+    "cata-nat": (
+        "F = 1 + X*X\nalg lparity : F 2 = 1 0 1 1 0\ncata F lparity stage 4\n",
+        0,
+        "75cc87339a6675ccc1b27bf6c668549dc014b0293abe6724a4d9b329263f7f45",
+    ),
+    "cata-plump": (
+        "F = 1 + X*X\nalg lparity : F 2 = 1 0 1 1 0\n"
+        "cata F lparity stage 4 size plump\n",
+        0,
+        "d2b7f5aab757528adb511b42af0bfbc12d5f503f3fc34ef42bcf1673ba37a2c3",
+    ),
+    "nu-budget-5": (
+        "F = 1 + X*X\nnu F budget 5\n",
+        2,
+        "f52d302cf97baa67f27d6c0b65f7d15f410cff6fd6664c3642dde6a6735041e0",
+    ),
+    "iterate-sym": (
+        "P = 6 + sym<swap2> X\niterate P depth 4\n",
+        0,
+        "1a127364029e34d9b3cf91b82933471a406fa6dc2ab302a51dd59d694c57a68c",
+    ),
+    "nested-mu": (
+        "L = mu Y. 1 + X*Y\nG = compose(L, 2)\nmu G\n",
+        2,
+        "f7df0db4565e7ed17fe8267393b6a22ed874340fdc353e776c4a7b50c1728975",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "script, exit_code, digest", PINNED_JSON.values(), ids=PINNED_JSON.keys()
+)
+def test_json_output_bytes_are_pinned(tmp_path, capsys, script, exit_code, digest):
+    code, out, err = run_cli(tmp_path, capsys, script, "--format", "json")
+    assert code == exit_code
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_missing_file_is_a_usage_error(capsys):

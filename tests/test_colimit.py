@@ -18,7 +18,7 @@ from muiter.errors import (
     NoSuchIndex,
     ShapeMismatch,
 )
-from muiter.finset import FiniteFn, FiniteSet
+from muiter.finset import FiniteFn, FiniteSet, Relation, TaggedSum, quotient
 
 
 def fn(a: int, b: int, table) -> FiniteFn:
@@ -136,6 +136,26 @@ def run_engine(sizes, edges, tables):
     return diagram, cocone, legs
 
 
+def relation_colimit(objects, arrows):
+    """Apex size and legs through TaggedSum.encode and a Relation quotient."""
+    layout = TaggedSum(objects)
+    pairs = [
+        (layout.encode(src, x), layout.encode(dst, h(x)))
+        for src, dst, h in arrows
+        for x in range(h.dom.size)
+    ]
+    classes, proj = quotient(layout.set, Relation(layout.set, pairs))
+    legs = [
+        tuple(proj(layout.encode(k, x)) for x in range(o.size))
+        for k, o in enumerate(objects)
+    ]
+    return classes.size, legs
+
+
+def random_fn(rng, a: int, b: int) -> FiniteFn:
+    return fn(a, b, [rng.randrange(b) for _ in range(a)])
+
+
 def assert_cocone_laws(diagram, cocone):
     for (j, i) in diagram.edges:
         assert diagram.arrows[(j, i)].then(cocone.legs[i]) == cocone.legs[j]
@@ -154,6 +174,52 @@ def test_single_object_diagrams():
         assert cocone.apex.size == n
         assert legs == [tuple(range(n))]
         assert_cocone_laws(diagram, cocone)
+
+
+def test_finite_cat_colimit_legs_match_the_relation_quotient():
+    rng = random.Random(11)
+    for _ in range(400):
+        objects = [FiniteSet(rng.randrange(5)) for _ in range(rng.randrange(5))]
+        arrows = []
+        for _ in range(rng.randrange(5) if objects else 0):
+            src, dst = rng.randrange(len(objects)), rng.randrange(len(objects))
+            a, b = objects[src].size, objects[dst].size
+            if b or not a:
+                arrows.append((src, dst, random_fn(rng, a, b)))
+        cocone = finite_cat_colimit(objects, arrows)
+        count, legs = relation_colimit(objects, arrows)
+        assert cocone.apex.size == count
+        assert [cocone.legs[k].table for k in range(len(objects))] == legs
+
+
+def random_directed_diagram(rng):
+    """A chain with all its composites, or a cospan onto one top index."""
+    n = rng.randrange(5)
+    sizes = [rng.randrange(5)] + [rng.randrange(1, 5) for _ in range(n)]
+    objects = {k: FiniteSet(m) for k, m in enumerate(sizes)}
+    arrows = {}
+    if rng.random() < 0.5:
+        for k in range(n):
+            arrows[(k, k + 1)] = random_fn(rng, sizes[k], sizes[k + 1])
+        for j in range(n + 1):
+            for i in range(j + 2, n + 1):
+                arrows[(j, i)] = arrows[(j, i - 1)].then(arrows[(i - 1, i)])
+    else:
+        for k in range(n):
+            arrows[(k, n)] = random_fn(rng, sizes[k], sizes[n])
+    return Diagram(tuple(range(n + 1)), list(arrows), objects, arrows)
+
+
+def test_subdiagram_colimit_legs_match_the_relation_quotient():
+    rng = random.Random(12)
+    for _ in range(400):
+        d = random_directed_diagram(rng)
+        cocone = subdiagram_colimit(d)
+        objects = [d.objects[i] for i in d.indices]
+        arrows = [(j, i, f) for (j, i), f in d.arrows.items()]
+        count, legs = relation_colimit(objects, arrows)
+        assert cocone.apex.size == count
+        assert [cocone.legs[i].table for i in d.indices] == legs
 
 
 def test_two_index_chains_exhaustive():

@@ -48,7 +48,14 @@ def test_finite_fn_validation():
     with pytest.raises(ShapeMismatch):
         FiniteFn(a, b, (0,))
     with pytest.raises(ShapeMismatch):
-        FiniteFn(a, b, (0, 3))
+        FiniteFn(a, b, ())
+    # a value equal to the codomain size, or negative; the first one is named
+    cases = [((0, 3), 3), ((3, 0), 3), ((-1, 0), -1), ((0, -5), -5), ((-1, 3), -1)]
+    for table, first_bad in cases:
+        with pytest.raises(ShapeMismatch, match=f"table value {first_bad} outside"):
+            FiniteFn(a, b, table)
+    with pytest.raises(ShapeMismatch):
+        FiniteFn(FiniteSet(1), FiniteSet(0), (0,))
     fn = FiniteFn(a, b, (2, 0))
     assert fn(0) == 2 and fn(1) == 0
     assert fn.to_json() == {"size": 3, "table": [2, 0]}

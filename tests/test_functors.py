@@ -10,7 +10,15 @@ from muiter.errors import (
     NonInvertibleGroupoidArrow,
     ShapeMismatch,
 )
-from muiter.finset import FiniteFn, FiniteSet, exponential
+from muiter.finset import (
+    Cartesian,
+    FiniteFn,
+    FiniteSet,
+    Relation,
+    TaggedSum,
+    exponential,
+    quotient,
+)
 from muiter.functors import (
     BUILTIN_GROUPOIDS,
     ColimOver,
@@ -123,6 +131,83 @@ def test_morphism_respects_block_layout():
     # block 0 is the constant summand, then the four pairs in mixed radix
     assert got.table[0] == 0
     assert got.table[1:] == (1 + 3, 1 + 2, 1 + 1, 1 + 0)
+
+
+# -- block tables against a per-element reference ---------------------------------
+
+
+def reference_sym_cocone(g, base):
+    """The orbit quotient of the exponentials, reindexed element by element."""
+    exps = [exponential(base, a) for a in g.arities]
+    layout = TaggedSum([e.set for e in exps])
+    pairs = []
+    for src, dst, sigma in g.arrows:
+        for enc in range(exps[src].set.size):
+            u = [None] * g.arities[dst].size
+            for k, v in enumerate(exps[src].decode(enc)):
+                u[sigma(k)] = v
+            pairs.append(
+                (layout.encode(src, enc), layout.encode(dst, exps[dst].encode(u)))
+            )
+    _, proj = quotient(layout.set, Relation(layout.set, pairs))
+    return exps, layout, proj
+
+
+def reference_mor(e, fns):
+    """F(f) one element at a time, through the layouts' decode and encode."""
+    if isinstance(e, Identity):
+        return fns[0]
+    if isinstance(e, Constant):
+        return FiniteFn.identity(e.value)
+    if isinstance(e, Compose):
+        return reference_mor(e.outer, tuple(reference_mor(g, fns) for g in e.inner))
+    if isinstance(e, Sum):
+        mors = [reference_mor(p, fns) for p in e.parts]
+        dom = TaggedSum([m.dom for m in mors])
+        cod = TaggedSum([m.cod for m in mors])
+        table = []
+        for idx in range(dom.set.size):
+            tag, x = dom.decode(idx)
+            table.append(cod.encode(tag, mors[tag](x)))
+        return FiniteFn(dom.set, cod.set, table)
+    if isinstance(e, Product):
+        mors = [reference_mor(p, fns) for p in e.parts]
+        dom = Cartesian([m.dom for m in mors])
+        cod = Cartesian([m.cod for m in mors])
+        table = [
+            cod.encode([m(c) for m, c in zip(mors, dom.decode(idx))])
+            for idx in range(dom.set.size)
+        ]
+        return FiniteFn(dom.set, cod.set, table)
+    f = fns[0]
+    if isinstance(e, Container):
+        src = [exponential(f.dom, a) for a in e.sig.arities]
+        dst = [exponential(f.cod, a) for a in e.sig.arities]
+        dom = TaggedSum([x.set for x in src])
+        cod = TaggedSum([x.set for x in dst])
+        table = []
+        for idx in range(dom.set.size):
+            op, enc = dom.decode(idx)
+            args = [f(a) for a in src[op].decode(enc)]
+            table.append(cod.encode(op, dst[op].encode(args)))
+        return FiniteFn(dom.set, cod.set, table)
+    if isinstance(e, SymContainer):
+        src_exps, src_layout, src_proj = reference_sym_cocone(e.groupoid, f.dom)
+        dst_exps, dst_layout, dst_proj = reference_sym_cocone(e.groupoid, f.cod)
+        table = [None] * src_proj.cod.size
+        for idx in range(src_layout.set.size):
+            obj, enc = src_layout.decode(idx)
+            u = dst_exps[obj].encode([f(v) for v in src_exps[obj].decode(enc)])
+            table[src_proj(idx)] = dst_proj(dst_layout.encode(obj, u))
+        return FiniteFn(src_proj.cod, dst_proj.cod, table)
+    raise NotImplementedError(type(e).__name__)
+
+
+@pytest.mark.parametrize("expr", BATTERY, ids=lambda e: type(e).__name__)
+def test_block_tables_match_the_per_element_reference(expr):
+    for a, b in itertools.product(range(4), repeat=2):
+        for f in all_functions(a, b):
+            assert eval_functor_mor(expr, (f,)) == reference_mor(expr, (f,))
 
 
 # -- symmetric containers against an orbit oracle --------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -65,6 +66,20 @@ def test_wtree_sort_key_orders_by_op_then_children():
     a = WTree(1, (leaf, leaf))
     b = WTree(1, (leaf, a))
     assert leaf.sort_key() < a.sort_key() < b.sort_key()
+
+
+def test_node_count_and_sort_key_are_linear_in_a_shared_tower():
+    # each level is node(t, t): unfolded, the top tree has 2**201 - 1 nodes
+    leaf = WTree(0)
+    tower = leaf
+    for _ in range(200):
+        tower = WTree(1, (tower, tower))
+    start = time.perf_counter()
+    assert tower.node_count() == 2**201 - 1
+    key = tower.sort_key()
+    assert time.perf_counter() - start < 1.0
+    assert key[0] == 1 and key[1][0] is key[1][1]
+    assert tower.children[0].node_count() == 2**200 - 1
 
 
 def test_validate_tree():
