@@ -328,8 +328,68 @@ def render_text(payload: dict) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+_LEAF_TYPES = (str, int, float, bool, type(None))
+
+
+class _OutsidePayloadTypes(Exception):
+    """A value the writer does not cover; the stdlib encoder renders it."""
+
+
 def render_json(payload: dict) -> str:
+    """``json.dumps(payload, sort_keys=True, indent=2)`` plus a newline.
+
+    Byte for byte the same text, but the stdlib falls back to its
+    pure-Python encoder under ``indent`` and walks a fold table one entry
+    at a time.  Here every list of plain ints is one C encoder call whose
+    items are then split onto lines, and every other leaf is its own
+    ``json.dumps``.  A payload holding any value outside the types written
+    below goes to the stdlib call itself.
+    """
+    out: list = []
+    try:
+        _write_json(payload, "\n", out)
+    except _OutsidePayloadTypes:
+        pass
+    else:
+        out.append("\n")
+        return "".join(out)
+    # outside the handler, so the stdlib's own errors raise unchained
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _write_json(value, newline: str, out: list) -> None:
+    """Append value's indented JSON; newline is "\\n" plus its indent."""
+    kind = type(value)
+    inner = newline + "  "
+    if kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        if any(type(k) is not str for k in value):
+            raise _OutsidePayloadTypes
+        sep = "{" + inner
+        for key in sorted(value):
+            out.append(sep + json.dumps(key) + ": ")
+            _write_json(value[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+        elif set(map(type, value)) == {int}:
+            body = json.dumps(value)[1:-1].replace(", ", "," + inner)
+            out.extend(("[" + inner, body, newline + "]"))
+        else:
+            sep = "[" + inner
+            for item in value:
+                out.append(sep)
+                _write_json(item, inner, out)
+                sep = "," + inner
+            out.append(newline + "]")
+    elif kind in _LEAF_TYPES:
+        out.append(json.dumps(value))
+    else:
+        raise _OutsidePayloadTypes
 
 
 # -- entry point -------------------------------------------------------------

@@ -98,7 +98,7 @@ class WTree:
     extra.  The height is computed once, at construction.
     """
 
-    __slots__ = ("op", "children", "_height")
+    __slots__ = ("op", "children", "_height", "_sort_key")
 
     def __new__(cls, op: int, children: Sequence["WTree"] = ()):
         children = tuple(children)
@@ -111,6 +111,7 @@ class WTree:
             object.__setattr__(
                 tree, "_height", 1 + max((c._height for c in children), default=-1)
             )
+            object.__setattr__(tree, "_sort_key", None)
             _INTERNED[key] = tree
         return tree
 
@@ -146,13 +147,16 @@ class WTree:
     def sort_key(self):
         """(op, children's keys): orders trees by op, then children in turn.
 
-        Keys are built once per distinct node, so a shared subtree's key is
-        one shared tuple.
+        The key is built once per interned node and kept on it, so every
+        call returns the same tuple and a shared subtree's key is one shared
+        tuple; comparing keys of equal trees stops at identity.
         """
-        keys: dict = {}
-        for node in self._distinct_nodes():
-            keys[node] = (node.op, tuple(keys[c] for c in node.children))
-        return keys[self]
+        if self._sort_key is None:
+            for node in self._distinct_nodes():
+                if node._sort_key is None:
+                    key = (node.op, tuple(c._sort_key for c in node.children))
+                    object.__setattr__(node, "_sort_key", key)
+        return self._sort_key
 
     def render(self, sig: Optional[Signature] = None) -> str:
         """The tree written out in full, shared subtrees repeated.
@@ -170,17 +174,19 @@ class WTree:
 
 
 def validate_tree(sig: Signature, tree: WTree) -> None:
-    """Check that every node's children count matches its op arity."""
-    if tree.op not in sig.ops:
-        raise ShapeMismatch(f"operation {tree.op} outside signature {sig!r}")
-    want = sig.arities[tree.op].size
-    if len(tree.children) != want:
-        raise ShapeMismatch(
-            f"op {sig.op_label(tree.op)} expects {want} children, "
-            f"got {len(tree.children)}"
-        )
-    for c in tree.children:
-        validate_tree(sig, c)
+    """Check that every node's children count matches its op arity.
+
+    Each distinct node of the shared DAG is checked once, children first.
+    """
+    for node in tree._distinct_nodes():
+        if node.op not in sig.ops:
+            raise ShapeMismatch(f"operation {node.op} outside signature {sig!r}")
+        want = sig.arities[node.op].size
+        if len(node.children) != want:
+            raise ShapeMismatch(
+                f"op {sig.op_label(node.op)} expects {want} children, "
+                f"got {len(node.children)}"
+            )
 
 
 class ContainerLayout:

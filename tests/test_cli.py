@@ -1,6 +1,9 @@
+import collections
+import enum
 import hashlib
 import io
 import json
+import random
 import subprocess
 import sys
 from importlib.resources import files
@@ -9,7 +12,7 @@ import jsonschema
 import pytest
 
 import muiter
-from muiter.cli import main
+from muiter.cli import _write_json, main, render_json
 from muiter.dsl import format_script, parse_script
 from muiter.finset import FiniteFn, FiniteSet
 from muiter.functors import Constant, Identity, Product, Sum
@@ -244,8 +247,9 @@ def test_plump_chain_deeper_than_the_recursion_limit_stops_at_the_budget(tmp_pat
     assert report["stages"][-1]["index"] == "succ(" * 999 + "bot" + ")" * 999
 
 
-# sha256 of the --format json output, taken before functor maps and colimits
-# were built block by block; any change here is a change of behaviour
+# sha256 of the --format json output, each taken from the commit before the
+# change it guards (block-built tables, then the C-encoder render_json); any
+# change here is a change of behaviour
 PINNED_JSON = {
     "cata-nat": (
         "F = 1 + X*X\nalg lparity : F 2 = 1 0 1 1 0\ncata F lparity stage 4\n",
@@ -273,6 +277,27 @@ PINNED_JSON = {
         2,
         "f7df0db4565e7ed17fe8267393b6a22ed874340fdc353e776c4a7b50c1728975",
     ),
+    # the fold workload's table size: 458,330 entries, 5,959,057 bytes
+    "cata-stage-6": (
+        "F = 1 + X*X\nalg lparity : F 2 = 1 0 1 1 0\ncata F lparity stage 6\n",
+        0,
+        "7bd05ad7fb47c8e3468bf262496906db25eb68d5c278cade336b209a3904931a",
+    ),
+    "mu-sym-plump": (
+        "G = 2 + sym<swap2> 3\nmu G size plump budget 6\n",
+        0,
+        "857ee6d3dde9129010b9c31a1d655da84877ad99a796129d31b4a049123df213",
+    ),
+    "free-named-sig": (
+        "sig Pt = a:0 | b:0\nG = Pt + 2*Pt\nfree G 3 budget 6\n",
+        0,
+        "1d5a262d216f4821344555518a0d960ce7180b43664075bdd42c10da099755ec",
+    ),
+    "check-plump": (
+        "check size plump samples 12 depth 3 seed 7\n",
+        0,
+        "8d4f8c2db36aac3ed010c568e89948fc3e66cc95dfa465e77fc8f4f07f41365e",
+    ),
 }
 
 
@@ -284,6 +309,80 @@ def test_json_output_bytes_are_pinned(tmp_path, capsys, script, exit_code, diges
     assert code == exit_code
     assert err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def stdlib_json(payload) -> str:
+    """The reference rendering render_json must match byte for byte."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+TRICKY_TEXT = [
+    "", "plain", 'say "hi"', "back\\slash", "tab\tnl\ncr\r", "\x00\x1f\x7f",
+    "caf\u00e9", "\u2200x. \u03bc", "\U0001f600", "\ud800", ", ", ": ",
+]
+FLOATS = [0.0, -0.0, 0.1, -2.5, 1e300, 1e-7, 3.0, float("inf"), float("nan")]
+
+
+def random_leaf(rng: random.Random):
+    return rng.choice([
+        lambda: rng.choice(TRICKY_TEXT) + str(rng.randrange(3)),
+        lambda: rng.randint(-(10**30), 10**30),
+        lambda: rng.randint(-3, 3),
+        lambda: rng.choice(FLOATS),
+        lambda: rng.uniform(-1e6, 1e6),
+        lambda: rng.choice([True, False, None]),
+    ])()
+
+
+def random_payload(rng: random.Random, depth: int):
+    kind = rng.randrange(8) if depth else 0
+    if kind == 0:
+        return random_leaf(rng)
+    if kind == 1:
+        return rng.choice([[], {}, ()])
+    if kind == 2:
+        ints = [rng.randint(-(10**20), 10**20) for _ in range(rng.randrange(1, 30))]
+        return tuple(ints) if rng.random() < 0.3 else ints
+    if kind == 3:
+        ints = [rng.randint(-9, 9) for _ in range(rng.randrange(1, 8))]
+        ints.insert(rng.randrange(len(ints) + 1), rng.choice([True, False, None, 1.0]))
+        return ints
+    items = [random_payload(rng, depth - 1) for _ in range(rng.randrange(1, 5))]
+    if kind in (4, 5):
+        return {rng.choice(TRICKY_TEXT) + str(i): v for i, v in enumerate(items)}
+    return tuple(items) if kind == 6 else items
+
+
+def test_render_json_matches_the_stdlib_encoder_on_random_payloads():
+    rng = random.Random(20211018)
+    for _ in range(400):
+        payload = {"reports": random_payload(rng, 4), "version": random_leaf(rng)}
+        assert render_json(payload) == stdlib_json(payload)
+        _write_json(payload, "\n", [])  # covered without the stdlib fallback
+
+
+def test_render_json_hands_values_outside_the_payload_types_to_the_stdlib():
+    class Flag(enum.IntEnum):
+        ON = 1
+
+    class Text(str):
+        pass
+
+    class Rows(list):
+        pass
+
+    for payload in (
+        {"keys": {2: "two", 1: "one"}},
+        {"table": [0, Flag.ON, 2]},
+        {"flag": Flag.ON},
+        {"label": Text("sub")},
+        {"table": [1.5, Flag.ON]},
+        {"rows": Rows([[1, 2], {"b": 1, "a": [3]}])},
+        {"nested": collections.OrderedDict(b=[1, 2], a={"y": 0, "x": ()})},
+    ):
+        assert render_json(payload) == stdlib_json(payload)
+    with pytest.raises(TypeError):
+        render_json({"reports": [{"unencodable": object()}]})
 
 
 def test_missing_file_is_a_usage_error(capsys):

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from muiter.errors import BudgetExceeded, NoAlgebra, ShapeMismatch
+from muiter.errors import BudgetExceeded, IntegrityError, NoAlgebra, ShapeMismatch
 from muiter.finset import FiniteFn, FiniteSet
 from muiter.functors import (
     Constant,
@@ -241,6 +241,54 @@ def test_catamorphism_validates_structure_domain():
     bad = AlgebraSpec(FiniteSet(2), FiniteFn(FiniteSet(3), FiniteSet(2), (0, 0, 1)))
     with pytest.raises(NoAlgebra):
         catamorphism(state, bad, 2)
+
+
+# -- well-definedness checks on a corrupted stage ---------------------------------
+
+# POLY = 1 + X*X into {0, 1}: nil goes to 0, every pair to 1
+NIL_OR_PAIR = AlgebraSpec(
+    FiniteSet(2), FiniteFn(FiniteSet(5), FiniteSet(2), (0, 1, 1, 1, 1))
+)
+
+
+def corrupted_nat_stages(corruption: str):
+    """POLY's stages 0..3 on nat, with stage 2's cocone corrupted.
+
+    Stage 2 has one leg, a bijection from F(stage 1) = {nil, pair}.
+    "merge" sends both elements to class 0; "widen" gives the apex a third
+    class that no leg reaches.
+    """
+    backend = nat_backend()
+    state = inflationary_iterate(POLY, backend, successor_tower(backend, 4))
+    state.leg(1, 3)  # memoised while stage 2 is sound; connect(2, 3) reads it
+    cocone = state.stage(2).cocone
+    leg = cocone.legs[1]
+    if corruption == "merge":
+        cocone.legs[1] = FiniteFn(leg.dom, leg.cod, [0] * leg.dom.size)
+    else:
+        cocone.apex = FiniteSet(cocone.apex.size + 1)
+    return state
+
+
+def test_stage_map_through_a_merging_leg_is_ill_defined():
+    state = corrupted_nat_stages("merge")
+    with pytest.raises(IntegrityError, match="stage map 2 -> 3 ill defined at class 0"):
+        state.connect(2, 3)
+
+
+def test_fold_through_a_merging_leg_is_ill_defined():
+    state = corrupted_nat_stages("merge")
+    with pytest.raises(IntegrityError, match="fold at 2 ill defined at class 0"):
+        catamorphism(state, NIL_OR_PAIR, 2)
+
+
+def test_stage_map_and_fold_need_a_representative_for_every_class():
+    state = corrupted_nat_stages("widen")
+    missing = "stage has a class with no layer representative"
+    with pytest.raises(IntegrityError, match=missing):
+        state.connect(2, 3)
+    with pytest.raises(IntegrityError, match=missing):
+        catamorphism(state, NIL_OR_PAIR, 2)
 
 
 # -- stationarity ----------------------------------------------------------------

@@ -68,18 +68,37 @@ def test_wtree_sort_key_orders_by_op_then_children():
     assert leaf.sort_key() < a.sort_key() < b.sort_key()
 
 
+def successor_tower_tree(depth: int, base: WTree = WTree(0)) -> WTree:
+    """node(t, t) stacked depth times on base: depth + 1 distinct nodes."""
+    tree = base
+    for _ in range(depth):
+        tree = WTree(1, (tree, tree))
+    return tree
+
+
 def test_node_count_and_sort_key_are_linear_in_a_shared_tower():
     # each level is node(t, t): unfolded, the top tree has 2**201 - 1 nodes
-    leaf = WTree(0)
-    tower = leaf
-    for _ in range(200):
-        tower = WTree(1, (tower, tower))
+    tower = successor_tower_tree(200)
     start = time.perf_counter()
     assert tower.node_count() == 2**201 - 1
     key = tower.sort_key()
     assert time.perf_counter() - start < 1.0
     assert key[0] == 1 and key[1][0] is key[1][1]
     assert tower.children[0].node_count() == 2**200 - 1
+
+
+def test_sort_key_is_kept_on_the_node_so_deep_keys_compare_at_once():
+    # keys from separate calls on a depth-d tower used to be distinct
+    # tuples, so == re-descended both children at every level: 2**d steps
+    tall, short = successor_tower_tree(200), successor_tower_tree(199)
+    start = time.perf_counter()
+    # bare booleans: on failure pytest would print the keys, exponentially
+    kept = tall.sort_key() is tall.sort_key()
+    assert kept
+    assert tall.sort_key() == successor_tower_tree(200).sort_key()
+    ordered = sorted([tall, short, tall, short], key=WTree.sort_key)
+    assert time.perf_counter() - start < 1.0
+    assert ordered == [short, short, tall, tall]
 
 
 def test_validate_tree():
@@ -89,6 +108,17 @@ def test_validate_tree():
         validate_tree(BIN, WTree(1, (leaf,)))
     with pytest.raises(ShapeMismatch):
         validate_tree(BIN, WTree(2))
+
+
+def test_validate_tree_checks_each_shared_node_once_at_any_depth():
+    # 2001 distinct nodes, 2**2001 - 1 occurrences, deeper than the
+    # recursion limit
+    start = time.perf_counter()
+    validate_tree(BIN, successor_tower_tree(2000))
+    assert time.perf_counter() - start < 1.0
+    for bad in (WTree(1, (WTree(0),)), WTree(2), WTree(0, (WTree(0),))):
+        with pytest.raises(ShapeMismatch):
+            validate_tree(BIN, successor_tower_tree(2000, bad))
 
 
 def test_container_layout_round_trip():
