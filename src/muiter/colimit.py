@@ -9,6 +9,8 @@ witnesses: x in D(j) is identified with arrow(j,i)(x).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from itertools import chain
 from typing import Dict, Hashable, Iterable, Optional, Sequence, Tuple
 
 from .errors import (
@@ -23,6 +25,7 @@ from .finset import (
     FiniteFn,
     FiniteSet,
     cartesian,
+    product_table,
     quotient_pairs,
     tagged_sum,
 )
@@ -118,19 +121,62 @@ class Diagram:
         return [j for j in self.indices if (j, i) in self.edges]
 
 
+def _no_representative(cls: int) -> Exception:
+    return IntegrityError("colimit class with no representative")
+
+
 class Cocone:
-    """A colimit presentation: apex, one leg per index, and class lookup."""
+    """A colimit presentation: apex, one leg per index, and class lookup.
 
-    __slots__ = ("diagram", "apex", "legs", "_sum")
+    The legs are the blocks of one quotient map out of the tagged sum of
+    the objects (``_sum``); without arrows that map is the identity range.
+    """
 
-    def __init__(self, diagram: Diagram, apex: FiniteSet, legs: Dict, layout):
+    __slots__ = ("diagram", "apex", "legs", "_sum", "_quotient")
+
+    def __init__(self, diagram: Diagram, apex: FiniteSet, quotient, layout):
         self.diagram = diagram
         self.apex = apex
-        self.legs = legs
         self._sum = layout
+        self._quotient = quotient
+        self.legs = Legs(diagram.indices, layout, quotient, apex)
 
     def class_of(self, index: Hashable, element: int) -> int:
         return self.legs[index].table[element]
+
+    def induce(self, values, ill_defined, unreached=_no_representative) -> list:
+        """Table of the map out of the apex that composes with each leg to values.
+
+        values(index) is the table of that composite on the index's object;
+        it is called once per index, in index order.  ill_defined(cls) and
+        unreached(cls) build what is raised for the first class given two
+        values and for the first class given none.  When the quotient map
+        is still the identity, the apex is the sum and the map is the
+        values laid end to end: one index's table is returned as it is.
+        """
+        blocks = zip(self.diagram.indices, self._sum.parts)
+        quotient = self._quotient
+        if (
+            isinstance(quotient, range)
+            and not self.legs.replaced
+            and self.apex.size == len(quotient)
+        ):
+            tables = [_values_on(values, i, part) for i, part in blocks]
+            if len(tables) == 1:
+                return tables[0]
+            return list(chain.from_iterable(tables))
+        table: list = [None] * self.apex.size
+        for index, part in blocks:
+            vals = _values_on(values, index, part)
+            for cls, v in zip(self.legs[index].table, vals):
+                got = table[cls]
+                if got is None:
+                    table[cls] = v
+                elif got != v:
+                    raise ill_defined(cls)
+        if None in table:
+            raise unreached(table.index(None))
+        return table
 
     def to_json(self):
         return {
@@ -139,6 +185,54 @@ class Cocone:
                 {"table": list(self.legs[i].table)} for i in self.diagram.indices
             ],
         }
+
+
+def _values_on(values, index: Hashable, part: FiniteSet):
+    vals = values(index)
+    if len(vals) != part.size:
+        raise ShapeMismatch(
+            f"{len(vals)} values for a leg on {part.size} elements"
+        )
+    return vals
+
+
+class Legs(Mapping):
+    """A cocone's legs by index, each sliced from its quotient map on first read.
+
+    Assigning a leg replaces it; Cocone.induce then reads the legs instead
+    of assuming the quotient map.
+    """
+
+    __slots__ = ("_tags", "_sum", "_quotient", "_apex", "_built", "replaced")
+
+    def __init__(self, indices, layout, quotient, apex: FiniteSet):
+        self._tags = {i: tag for tag, i in enumerate(indices)}
+        self._sum = layout
+        self._quotient = quotient
+        self._apex = apex
+        self._built: Dict = {}
+        self.replaced = False
+
+    def __getitem__(self, index: Hashable) -> FiniteFn:
+        leg = self._built.get(index)
+        if leg is None:
+            tag = self._tags[index]
+            part, off = self._sum.parts[tag], self._sum.offsets[tag]
+            leg = FiniteFn(part, self._apex, self._quotient[off : off + part.size])
+            self._built[index] = leg
+        return leg
+
+    def __setitem__(self, index: Hashable, leg: FiniteFn):
+        if index not in self._tags:
+            raise KeyError(index)
+        self._built[index] = leg
+        self.replaced = True
+
+    def __iter__(self):
+        return iter(self._tags)
+
+    def __len__(self) -> int:
+        return len(self._tags)
 
 
 def subdiagram_colimit(d: Diagram) -> Cocone:
@@ -156,34 +250,27 @@ def subdiagram_colimit(d: Diagram) -> Cocone:
 def _colimit_of(d: Diagram) -> Cocone:
     pos = {idx: tag for tag, idx in enumerate(d.indices)}
     arrows = [(pos[j], pos[i], f) for (j, i), f in d.arrows.items()]
-    apex, legs, layout = _glue([d.objects[i] for i in d.indices], arrows)
-    return Cocone(d, apex, dict(zip(d.indices, legs)), layout)
+    return Cocone(d, *_glue([d.objects[i] for i in d.indices], arrows))
 
 
 def _glue(objects: Sequence[FiniteSet], arrows) -> tuple:
     """Sum the objects, identify x with h(x) for every arrow (src, dst, h).
 
-    Returns (apex, legs, layout): the legs, one per object, are the slices
-    of the quotient map at each object's block of the sum.  Without arrows
-    the quotient is the identity, so the apex is the sum itself.
+    Returns (apex, quotient, layout): the quotient map's table on the sum,
+    whose slice at each object's block is that object's leg.  Without
+    arrows the quotient is the identity, so the apex is the sum itself.
     """
     layout = tagged_sum(objects)
+    if not arrows:
+        return layout.set, range(layout.set.size), layout
     offsets = layout.offsets
-    if arrows:
-        pairs = []
-        for src, dst, h in arrows:
-            start, off = offsets[src], offsets[dst]
-            targets = [off + v for v in h.table]
-            pairs.extend(zip(range(start, start + h.dom.size), targets))
-        apex, proj = quotient_pairs(layout.set, pairs)
-        table = proj.table
-    else:
-        apex, table = layout.set, range(layout.set.size)
-    legs = [
-        FiniteFn(o, apex, table[off : off + o.size])
-        for o, off in zip(objects, offsets)
-    ]
-    return apex, legs, layout
+    pairs = []
+    for src, dst, h in arrows:
+        start, off = offsets[src], offsets[dst]
+        targets = [off + v for v in h.table]
+        pairs.extend(zip(range(start, start + h.dom.size), targets))
+    apex, proj = quotient_pairs(layout.set, pairs)
+    return apex, proj.table, layout
 
 
 def connecting_map(d: Diagram, j: Hashable, i: Hashable) -> FiniteFn:
@@ -206,17 +293,12 @@ def connecting_map(d: Diagram, j: Hashable, i: Hashable) -> FiniteFn:
         )
     src = subdiagram_colimit(d.restrict(below_j))
     dst = subdiagram_colimit(d.restrict(below_i))
-    table = [None] * src.apex.size
-    for k in below_j:
-        for x in range(d.objects[k].size):
-            cls = src.class_of(k, x)
-            target = dst.class_of(k, x)
-            if table[cls] is None:
-                table[cls] = target
-            elif table[cls] != target:
-                raise IntegrityError(
-                    f"connecting map not well defined at class {cls}"
-                )
+    table = src.induce(
+        lambda k: dst.legs[k].table,
+        lambda cls: IntegrityError(
+            f"connecting map not well defined at class {cls}"
+        ),
+    )
     return FiniteFn(src.apex, dst.apex, table)
 
 
@@ -238,9 +320,8 @@ def finite_cat_colimit(
                 f"arrow {src}->{dst} is {h.dom.size}->{h.cod.size}, "
                 f"objects are {objects[src].size}->{objects[dst].size}"
             )
-    apex, legs, layout = _glue(objects, arrows)
     shape = Diagram(indices, [], {i: objects[i] for i in indices}, {})
-    return Cocone(shape, apex, dict(zip(indices, legs)), layout)
+    return Cocone(shape, *_glue(objects, arrows))
 
 
 def canonical_product_map(
@@ -269,45 +350,26 @@ def canonical_product_map(
     products = {
         i: cartesian([f.objects[i] for f in families]) for i in indices
     }
-    arrows = {}
-    for j, i in edges:
-        src, dst = products[j], products[i]
-        table = []
-        for x in range(src.set.size):
-            comps = src.decode(x)
-            table.append(
-                dst.encode(
-                    tuple(
-                        f.arrows[(j, i)].table[c]
-                        for f, c in zip(families, comps)
-                    )
-                )
-            )
-        arrows[(j, i)] = FiniteFn(src.set, dst.set, table)
+    arrows = {
+        (j, i): FiniteFn(
+            products[j].set,
+            products[i].set,
+            product_table([f.arrows[(j, i)] for f in families]),
+        )
+        for j, i in edges
+    }
     prod_diagram = Diagram(
         indices, edges, {i: products[i].set for i in indices}, arrows
     )
     lhs = subdiagram_colimit(prod_diagram)
     cocones = [subdiagram_colimit(f) for f in families]
     rhs = cartesian([c.apex for c in cocones])
-
-    table = [None] * lhs.apex.size
-    for i in indices:
-        prod = products[i]
-        for x in range(prod.set.size):
-            comps = prod.decode(x)
-            cls = lhs.class_of(i, x)
-            target = rhs.encode(
-                tuple(c.class_of(i, v) for c, v in zip(cocones, comps))
-            )
-            if table[cls] is None:
-                table[cls] = target
-            elif table[cls] != target:
-                raise IntegrityError(
-                    f"canonical product map not well defined at class {cls}"
-                )
-    if lhs.apex.size and any(v is None for v in table):
-        raise IntegrityError("colimit class with no representative")
+    table = lhs.induce(
+        lambda i: product_table([c.legs[i] for c in cocones]),
+        lambda cls: IntegrityError(
+            f"canonical product map not well defined at class {cls}"
+        ),
+    )
     return FiniteFn(lhs.apex, rhs.set, table)
 
 

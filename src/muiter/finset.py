@@ -6,7 +6,7 @@ metadata only and never take part in equality.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import ShapeMismatch
 
@@ -70,12 +70,18 @@ class FiniteFn:
     __slots__ = ("dom", "cod", "table")
 
     def __init__(self, dom: FiniteSet, cod: FiniteSet, table: Sequence[int]):
+        # a step-1 range lies in the codomain exactly when its endpoints do
+        in_cod = (
+            isinstance(table, range)
+            and table.step == 1
+            and (not table or (table.start >= 0 and table.stop <= cod.size))
+        )
         table = tuple(table)
         if len(table) != dom.size:
             raise ShapeMismatch(
                 f"table of length {len(table)} for domain of size {dom.size}"
             )
-        if table and (min(table) < 0 or max(table) >= cod.size):
+        if not in_cod and table and (min(table) < 0 or max(table) >= cod.size):
             bad = next(v for v in table if not 0 <= v < cod.size)
             raise ShapeMismatch(
                 f"table value {bad} outside codomain of size {cod.size}"
@@ -104,7 +110,8 @@ class FiniteFn:
             raise ShapeMismatch(
                 f"cannot compose: codomain {self.cod.size} vs domain {g.dom.size}"
             )
-        return FiniteFn(self.dom, g.cod, [g.table[v] for v in self.table])
+        gt = g.table
+        return FiniteFn(self.dom, g.cod, [gt[v] for v in self.table])
 
     def is_injective(self) -> bool:
         return len(set(self.table)) == self.dom.size
@@ -359,6 +366,18 @@ class TaggedSum:
 
 def tagged_sum(parts: Sequence[FiniteSet]) -> TaggedSum:
     return TaggedSum(parts)
+
+
+class Block(NamedTuple):
+    """A function table not checked yet, with its domain and codomain.
+
+    sum_table and product_table read a Block as they read a FiniteFn, so a
+    table assembled from blocks is checked once, as a whole.
+    """
+
+    dom: FiniteSet
+    cod: FiniteSet
+    table: Sequence[int]
 
 
 def sum_table(fns: Sequence[FiniteFn]) -> list:

@@ -21,6 +21,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .finset import (
+    Block,
     FiniteFn,
     FiniteSet,
     cartesian,
@@ -259,7 +260,18 @@ def eval_functor(e: FunctorExpr, env: Tuple[FiniteSet, ...]):
 
 def eval_functor_mor(e: FunctorExpr, fns: Tuple[FiniteFn, ...]):
     """Morphism part.  Returns a FiniteFn, or a tuple for Pairing."""
-    fns = tuple(fns)
+    out = _mor(e, tuple(fns))
+    if isinstance(out, Block):
+        return FiniteFn(*out)
+    return out
+
+
+def _mor(e: FunctorExpr, fns: tuple):
+    """eval_functor_mor, with Constant, Sum and Product left as Blocks.
+
+    Nested blocks are assembled from each other's tables, so only the
+    outermost table gets checked.
+    """
     if isinstance(e, Identity):
         _need(fns, 1, e)
         return fns[0]
@@ -267,22 +279,22 @@ def eval_functor_mor(e: FunctorExpr, fns: Tuple[FiniteFn, ...]):
         _need(fns, e.slot + 1, e)
         return fns[e.slot]
     if isinstance(e, Constant):
-        return FiniteFn.identity(e.value)
+        return Block(e.value, e.value, range(e.value.size))
     if isinstance(e, Pairing):
         return tuple(eval_functor_mor(p, fns) for p in e.parts)
     if isinstance(e, Sum):
-        mors = [eval_functor_mor(p, fns) for p in e.parts]
+        mors = [_mor(p, fns) for p in e.parts]
         dom = tagged_sum([m.dom for m in mors])
         cod = tagged_sum([m.cod for m in mors])
-        return FiniteFn(dom.set, cod.set, sum_table(mors))
+        return Block(dom.set, cod.set, sum_table(mors))
     if isinstance(e, Product):
-        mors = [eval_functor_mor(p, fns) for p in e.parts]
+        mors = [_mor(p, fns) for p in e.parts]
         dom = cartesian([m.dom for m in mors])
         cod = cartesian([m.cod for m in mors])
-        return FiniteFn(dom.set, cod.set, product_table(mors))
+        return Block(dom.set, cod.set, product_table(mors))
     if isinstance(e, Compose):
         vals = tuple(eval_functor_mor(g, fns) for g in e.inner)
-        return eval_functor_mor(e.outer, vals)
+        return _mor(e.outer, vals)
     if isinstance(e, Container):
         _need(fns, 1, e)
         return container_map(e.sig, fns[0])
@@ -318,16 +330,14 @@ def _sym_cocone(g: Groupoid, base: FiniteSet) -> Cocone:
 def _sym_map(g: Groupoid, f: FiniteFn) -> FiniteFn:
     src_cocone = _sym_cocone(g, f.dom)
     dst_cocone = _sym_cocone(g, f.cod)
-    table = [None] * src_cocone.apex.size
-    for obj, arity in enumerate(g.arities):
-        mapped = product_table([f] * arity.size)
+
+    def image(obj: int) -> list:
         dst_leg = dst_cocone.legs[obj].table
-        for cls, u in zip(src_cocone.legs[obj].table, mapped):
-            target = dst_leg[u]
-            if table[cls] is None:
-                table[cls] = target
-            elif table[cls] != target:
-                raise IntegrityError("symmetry action is not natural")
+        return [dst_leg[u] for u in product_table([f] * g.arities[obj].size)]
+
+    table = src_cocone.induce(
+        image, lambda cls: IntegrityError("symmetry action is not natural")
+    )
     return FiniteFn(src_cocone.apex, dst_cocone.apex, table)
 
 
@@ -351,17 +361,17 @@ def _colim_over_map(e: ColimOver, fns: tuple) -> FiniteFn:
     src_cocone = _colim_over_cocone(e, env_dom)
     dst_cocone = _colim_over_cocone(e, env_cod)
     part_mors = [eval_functor_mor(p, fns) for p in e.parts]
-    table = [None] * src_cocone.apex.size
-    for obj, mor in enumerate(part_mors):
-        for x in range(mor.dom.size):
-            cls = src_cocone.class_of(obj, x)
-            target = dst_cocone.class_of(obj, mor.table[x])
-            if table[cls] is None:
-                table[cls] = target
-            elif table[cls] != target:
-                raise NonFunctorialDiagram(
-                    "colimit components are not natural in the argument"
-                )
+
+    def image(obj: int) -> list:
+        dst_leg = dst_cocone.legs[obj].table
+        return [dst_leg[v] for v in part_mors[obj].table]
+
+    table = src_cocone.induce(
+        image,
+        lambda cls: NonFunctorialDiagram(
+            "colimit components are not natural in the argument"
+        ),
+    )
     return FiniteFn(src_cocone.apex, dst_cocone.apex, table)
 
 
@@ -401,15 +411,9 @@ def preserves_chain_colimit(e: FunctorExpr, d: Diagram) -> bool:
     lhs = subdiagram_colimit(mapped)
     base = subdiagram_colimit(d)
     rhs = eval_functor(e, (base.apex,))
-    table = [None] * lhs.apex.size
-    for i in d.indices:
-        leg_mor = eval_functor_mor(e, (base.legs[i],))
-        for v in range(mapped.objects[i].size):
-            cls = lhs.class_of(i, v)
-            target = leg_mor.table[v]
-            if table[cls] is None:
-                table[cls] = target
-            elif table[cls] != target:
-                raise IntegrityError("canonical comparison map ill defined")
+    table = lhs.induce(
+        lambda i: eval_functor_mor(e, (base.legs[i],)).table,
+        lambda cls: IntegrityError("canonical comparison map ill defined"),
+    )
     fn = FiniteFn(lhs.apex, rhs, table)
     return fn.is_bijection()

@@ -73,6 +73,10 @@ class StageRecord:
         return self.cocone.apex
 
 
+def _unrepresented(cls: int) -> Exception:
+    return IntegrityError("stage has a class with no layer representative")
+
+
 class IterationState:
     """Memoized stages of one functor over one size backend.
 
@@ -170,22 +174,14 @@ class IterationState:
             return got
         src = self.stage(j)
         dst = self.stage(i)
-        table: list = [None] * src.carrier.size
-        for m in src.basis:
-            fresh = self.leg(m, i)
-            into_j = src.cocone.legs[m]
-            for v in range(into_j.dom.size):
-                cls = into_j.table[v]
-                target = fresh.table[v]
-                if table[cls] is None:
-                    table[cls] = target
-                elif table[cls] != target:
-                    raise IntegrityError(
-                        f"stage map {self.backend.render(j)} -> "
-                        f"{self.backend.render(i)} ill defined at class {cls}"
-                    )
-        if any(v is None for v in table):
-            raise IntegrityError("stage has a class with no layer representative")
+        table = src.cocone.induce(
+            lambda m: self.leg(m, i).table,
+            lambda cls: IntegrityError(
+                f"stage map {self.backend.render(j)} -> "
+                f"{self.backend.render(i)} ill defined at class {cls}"
+            ),
+            _unrepresented,
+        )
         out = FiniteFn(src.carrier, dst.carrier, table)
         self._connects[(j, i)] = out
         return out
@@ -292,6 +288,7 @@ def catamorphism(state: IterationState, alg: AlgebraSpec, i) -> FiniteFn:
             f"structure map domain has size {alg.structure.dom.size}, "
             f"functor applied to the carrier has {fa.size}"
         )
+    structure = alg.structure.table
     done: Dict = {}
 
     def fold(idx) -> FiniteFn:
@@ -299,22 +296,18 @@ def catamorphism(state: IterationState, alg: AlgebraSpec, i) -> FiniteFn:
         if got is not None:
             return got
         rec = state.stage(idx)
-        table: list = [None] * rec.carrier.size
-        for j in rec.basis:
+
+        def layer(j) -> list:
             inner = eval_functor_mor(state.functor, (fold(j),))
-            into = rec.cocone.legs[j]
-            for v in range(into.dom.size):
-                cls = into.table[v]
-                val = alg.structure.table[inner.table[v]]
-                if table[cls] is None:
-                    table[cls] = val
-                elif table[cls] != val:
-                    raise IntegrityError(
-                        f"fold at {state.backend.render(idx)} ill defined "
-                        f"at class {cls}"
-                    )
-        if any(v is None for v in table):
-            raise IntegrityError("stage has a class with no layer representative")
+            return [structure[v] for v in inner.table]
+
+        table = rec.cocone.induce(
+            layer,
+            lambda cls: IntegrityError(
+                f"fold at {state.backend.render(idx)} ill defined at class {cls}"
+            ),
+            _unrepresented,
+        )
         out = FiniteFn(rec.carrier, alg.carrier, table)
         done[idx] = out
         return out

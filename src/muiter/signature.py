@@ -12,6 +12,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import ShapeMismatch
 from .finset import (
+    Block,
     Exponential,
     FiniteFn,
     FiniteSet,
@@ -232,7 +233,7 @@ def container_map(sig: Signature, f: FiniteFn) -> FiniteFn:
     src = ContainerLayout(sig, f.dom)
     dst = ContainerLayout(sig, f.cod)
     blocks = [
-        FiniteFn(s.set, d.set, product_table([f] * a.size))
+        Block(s.set, d.set, product_table([f] * a.size))
         for s, d, a in zip(src._exps, dst._exps, sig.arities)
     ]
     return FiniteFn(src.set, dst.set, sum_table(blocks))

@@ -298,6 +298,27 @@ PINNED_JSON = {
         0,
         "8d4f8c2db36aac3ed010c568e89948fc3e66cc95dfa465e77fc8f4f07f41365e",
     ),
+    # arrow-free stages up to 458,330 elements, and the maps between stages
+    "iterate-nat-7": (
+        "F = 1 + X*X\niterate F depth 7\n",
+        0,
+        "b60310535c7b7375f91febcf63e12768fbc07b7d0d87537f3bc7a716fcbac190",
+    ),
+    "iterate-plump-7": (
+        "F = 1 + X*X\niterate F size plump depth 7\n",
+        0,
+        "d41c6783a4a77eba2711cacf50de45d8f4aa81d8c9b4b31f7482498ce2729362",
+    ),
+    "mu-nat-budget-40": (
+        "F = 1 + X\nmu F size nat budget 40\n",
+        2,
+        "5e48400947d5dd46c31819baa3ab6e40d5c3b1880115dc21ddd1589fb04afdaa",
+    ),
+    "nu-budget-7": (
+        "F = 1 + X*X\nnu F budget 7\n",
+        2,
+        "8be80ca52bace86292cee3a1b076e258bf05439f85bd8aa51684a2cafaa8bb58",
+    ),
 }
 
 

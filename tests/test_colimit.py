@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -220,6 +221,191 @@ def test_subdiagram_colimit_legs_match_the_relation_quotient():
         count, legs = relation_colimit(objects, arrows)
         assert cocone.apex.size == count
         assert [cocone.legs[i].table for i in d.indices] == legs
+
+
+# -- maps induced out of a colimit ---------------------------------------------
+
+
+class Induced(Exception):
+    """Raised by the test's ill_defined and unreached hooks, naming the class."""
+
+    def __init__(self, kind: str, cls: int):
+        super().__init__(kind, cls)
+        self.outcome = (kind, cls)
+
+
+def engine_induce(cocone, values):
+    try:
+        table = cocone.induce(
+            values,
+            lambda cls: Induced("ill defined", cls),
+            lambda cls: Induced("unreached", cls),
+        )
+    except Induced as e:
+        return e.outcome
+    return "ok", list(table)
+
+
+def reference_induce(apex_size, legs, values):
+    """The induced table element by element, first value and first fault kept.
+
+    legs holds one table per index, in index order; values(k) is the wanted
+    composite with leg k.
+    """
+    table = [None] * apex_size
+    for k, leg in enumerate(legs):
+        vals = values(k)
+        for x in range(len(leg)):
+            cls = leg[x]
+            if table[cls] is None:
+                table[cls] = vals[x]
+            elif table[cls] != vals[x]:
+                return "ill defined", cls
+    for cls, v in enumerate(table):
+        if v is None:
+            return "unreached", cls
+    return "ok", table
+
+
+def random_colimit(rng):
+    """A colimit by either constructor, indexed 0..n-1, and its Relation legs.
+
+    Arrow-free diagrams and one-object diagrams each make up a good share.
+    """
+    if rng.random() < 0.4:
+        d = random_directed_diagram(rng)
+        objects = [d.objects[i] for i in d.indices]
+        arrows = [(j, i, f) for (j, i), f in d.arrows.items()]
+        cocone = subdiagram_colimit(d)
+    else:
+        n = rng.choice([1, 2, 3, 4])
+        objects = [FiniteSet(rng.randrange(5)) for _ in range(n)]
+        arrows = []
+        for _ in range(rng.choice([0, rng.randrange(1, 5)])):
+            src, dst = rng.randrange(n), rng.randrange(n)
+            a, b = objects[src].size, objects[dst].size
+            if b or not a:
+                arrows.append((src, dst, random_fn(rng, a, b)))
+        cocone = finite_cat_colimit(objects, arrows)
+    count, legs = relation_colimit(objects, arrows)
+    assert cocone.apex.size == count
+    return cocone, legs
+
+
+def random_values(rng, cocone, legs):
+    """Per-index values: composites of one map out of the apex, or noise."""
+    cod = rng.randrange(1, 4)
+    if rng.random() < 0.5:
+        h = [rng.randrange(cod) for _ in range(cocone.apex.size)]
+        tables = [[h[c] for c in leg] for leg in legs]
+    else:
+        tables = [[rng.randrange(cod) for _ in leg] for leg in legs]
+    return tables
+
+
+def test_induce_matches_the_per_element_reference():
+    rng = random.Random(13)
+    seen = collections.Counter()
+    for _ in range(400):
+        cocone, legs = random_colimit(rng)
+        tables = random_values(rng, cocone, legs)
+        want = reference_induce(cocone.apex.size, legs, tables.__getitem__)
+        assert engine_induce(cocone, tables.__getitem__) == want
+        seen[want[0], len(legs) == 1, isinstance(cocone._quotient, range)] += 1
+    # one and several objects, with and without arrows; only arrows clash
+    assert set(seen) == {
+        ("ok", True, True), ("ok", True, False),
+        ("ok", False, True), ("ok", False, False),
+        ("ill defined", True, False), ("ill defined", False, False),
+    }
+
+
+def test_induce_reads_values_once_per_index_in_order():
+    rng = random.Random(14)
+    for _ in range(100):
+        cocone, legs = random_colimit(rng)
+        tables = random_values(rng, cocone, legs)
+        calls = []
+
+        def values(k):
+            calls.append(k)
+            return tables[k]
+
+        kind, _ = engine_induce(cocone, values)
+        assert calls == list(range(len(legs) if kind == "ok" else len(calls)))
+
+
+def test_induce_names_the_first_unreached_class_of_a_widened_apex():
+    rng = random.Random(15)
+    for _ in range(200):
+        cocone, legs = random_colimit(rng)
+        tables = random_values(rng, cocone, legs)
+        if rng.random() < 0.5:
+            cocone.legs[0]  # one leg built before the apex changes
+        cocone.apex = FiniteSet(cocone.apex.size + rng.randrange(1, 3))
+        want = reference_induce(cocone.apex.size, legs, tables.__getitem__)
+        assert want[0] != "ok"
+        assert engine_induce(cocone, tables.__getitem__) == want
+
+
+def test_induce_honours_a_leg_replaced_after_construction():
+    rng = random.Random(16)
+    outcomes = set()
+    for _ in range(200):
+        cocone, legs = random_colimit(rng)
+        k = rng.randrange(len(legs))
+        part, apex = FiniteSet(len(legs[k])), cocone.apex
+        if not apex.size:
+            continue
+        new_leg = random_fn(rng, part.size, apex.size)
+        cocone.legs[k] = new_leg
+        assert cocone.legs[k] is new_leg
+        legs[k] = new_leg.table
+        tables = random_values(rng, cocone, legs)
+        want = reference_induce(apex.size, legs, tables.__getitem__)
+        assert engine_induce(cocone, tables.__getitem__) == want
+        outcomes.add(want[0])
+    assert outcomes == {"ok", "ill defined", "unreached"}
+
+
+def test_replaced_leg_in_an_arrow_free_sum_is_not_taken_as_a_block():
+    cocone = finite_cat_colimit([FiniteSet(2), FiniteSet(2)], [])
+    tables = [[0, 1], [2, 3]]
+    assert engine_induce(cocone, tables.__getitem__) == ("ok", [0, 1, 2, 3])
+    cocone.legs[1] = fn(2, 4, [3, 2])
+    assert engine_induce(cocone, tables.__getitem__) == ("ok", [0, 1, 3, 2])
+    cocone.legs[1] = fn(2, 4, [1, 2])
+    assert engine_induce(cocone, tables.__getitem__) == ("ill defined", 1)
+    with pytest.raises(KeyError):
+        cocone.legs[2] = fn(2, 4, [0, 0])
+
+
+def test_induce_returns_a_single_arrow_free_table_as_it_is():
+    cocone = finite_cat_colimit([FiniteSet(3)], [])
+    table = [2, 0, 1]
+    assert cocone.induce(lambda k: table, None) is table
+    with pytest.raises(ShapeMismatch):
+        cocone.induce(lambda k: [0, 1], None)
+
+
+def test_legs_built_on_first_read_equal_the_eager_slices():
+    rng = random.Random(17)
+    for _ in range(400):
+        cocone, legs = random_colimit(rng)
+        indices = cocone.diagram.indices
+        assert list(cocone.legs) == list(indices)
+        assert len(cocone.legs) == len(indices)
+        assert cocone.legs.get(len(indices)) is None
+        for k in rng.sample(indices, len(indices)):
+            leg = cocone.legs[k]
+            assert leg == FiniteFn(cocone.diagram.objects[k], cocone.apex, legs[k])
+            assert cocone.legs[k] is leg
+            if legs[k]:
+                assert cocone.class_of(k, len(legs[k]) - 1) == legs[k][-1]
+        assert cocone.to_json() == {
+            "apex": {"size": cocone.apex.size},
+            "legs": [{"table": list(leg)} for leg in legs],
+        }
 
 
 def test_two_index_chains_exhaustive():

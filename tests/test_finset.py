@@ -61,6 +61,25 @@ def test_finite_fn_validation():
     assert fn.to_json() == {"size": 3, "table": [2, 0]}
 
 
+def test_range_tables_are_checked_by_their_endpoints_like_any_table():
+    # every range of length <= 4 with start, stop in -2..6 and step -2..2,
+    # into codomains of size 0..4: same verdict and message as its tuple
+    for start, stop, step, size in itertools.product(
+        range(-2, 7), range(-2, 7), (-2, -1, 1, 2), range(5)
+    ):
+        r = range(start, stop, step)
+        dom, cod = FiniteSet(len(r)), FiniteSet(size)
+        try:
+            want = FiniteFn(dom, cod, tuple(r))
+        except ShapeMismatch as e:
+            with pytest.raises(ShapeMismatch, match=f"^{e}$"):
+                FiniteFn(dom, cod, r)
+        else:
+            got = FiniteFn(dom, cod, r)
+            assert got == want and type(got.table) is tuple
+    assert FiniteFn.identity(FiniteSet(3)).table == (0, 1, 2)
+
+
 def test_composition_and_identity():
     a, b, c = FiniteSet(2), FiniteSet(3), FiniteSet(2)
     f = FiniteFn(a, b, (1, 2))

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -241,6 +242,19 @@ def test_catamorphism_validates_structure_domain():
     bad = AlgebraSpec(FiniteSet(2), FiniteFn(FiniteSet(3), FiniteSet(2), (0, 0, 1)))
     with pytest.raises(NoAlgebra):
         catamorphism(state, bad, 2)
+
+
+def test_arrow_free_stages_build_no_leg_tables():
+    backend = nat_backend()
+    tracemalloc.start()
+    try:
+        state = inflationary_iterate(POLY, backend, successor_tower(backend, 7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert state.stage(6).carrier.size == 458_330
+    # a 458,330-entry leg table alone would take over 3.5 MB
+    assert peak < 1_000_000
 
 
 # -- well-definedness checks on a corrupted stage ---------------------------------
