@@ -10,7 +10,6 @@ witnesses: x in D(j) is identified with arrow(j,i)(x).
 from __future__ import annotations
 
 from collections.abc import Mapping
-from itertools import chain
 from typing import Dict, Hashable, Iterable, Optional, Sequence, Tuple
 
 from .errors import (
@@ -25,6 +24,7 @@ from .finset import (
     FiniteFn,
     FiniteSet,
     cartesian,
+    concat_tables,
     product_table,
     quotient_pairs,
     tagged_sum,
@@ -144,7 +144,9 @@ class Cocone:
     def class_of(self, index: Hashable, element: int) -> int:
         return self.legs[index].table[element]
 
-    def induce(self, values, ill_defined, unreached=_no_representative) -> list:
+    def induce(
+        self, values, ill_defined, unreached=_no_representative
+    ) -> Sequence[int]:
         """Table of the map out of the apex that composes with each leg to values.
 
         values(index) is the table of that composite on the index's object;
@@ -152,7 +154,7 @@ class Cocone:
         unreached(cls) build what is raised for the first class given two
         values and for the first class given none.  When the quotient map
         is still the identity, the apex is the sum and the map is the
-        values laid end to end: one index's table is returned as it is.
+        values laid end to end (concat_tables).
         """
         blocks = zip(self.diagram.indices, self._sum.parts)
         quotient = self._quotient
@@ -161,10 +163,7 @@ class Cocone:
             and not self.legs.replaced
             and self.apex.size == len(quotient)
         ):
-            tables = [_values_on(values, i, part) for i, part in blocks]
-            if len(tables) == 1:
-                return tables[0]
-            return list(chain.from_iterable(tables))
+            return concat_tables([_values_on(values, i, part) for i, part in blocks])
         table: list = [None] * self.apex.size
         for index, part in blocks:
             vals = _values_on(values, index, part)

@@ -6,6 +6,7 @@ metadata only and never take part in equality.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import ShapeMismatch
@@ -65,18 +66,25 @@ class FiniteSet:
 
 
 class FiniteFn:
-    """A total function between finite sets, stored as a lookup table."""
+    """A total function between finite sets, stored as a lookup table.
+
+    The table is a tuple, or a step-1 range inside the codomain: identities
+    and the inclusions of block layouts stay ranges, so composing, summing
+    and multiplying them costs O(1).  Equality and hashing go by value.
+    """
 
     __slots__ = ("dom", "cod", "table")
 
     def __init__(self, dom: FiniteSet, cod: FiniteSet, table: Sequence[int]):
-        # a step-1 range lies in the codomain exactly when its endpoints do
+        # a step-1 range lies in the codomain exactly when its endpoints do;
+        # it is kept as it is, and any other table becomes a tuple
         in_cod = (
             isinstance(table, range)
             and table.step == 1
             and (not table or (table.start >= 0 and table.stop <= cod.size))
         )
-        table = tuple(table)
+        if not in_cod:
+            table = tuple(table)
         if len(table) != dom.size:
             raise ShapeMismatch(
                 f"table of length {len(table)} for domain of size {dom.size}"
@@ -86,9 +94,7 @@ class FiniteFn:
             raise ShapeMismatch(
                 f"table value {bad} outside codomain of size {cod.size}"
             )
-        object.__setattr__(self, "dom", dom)
-        object.__setattr__(self, "cod", cod)
-        object.__setattr__(self, "table", table)
+        _init(self, dom, cod, table)
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteFn is immutable")
@@ -105,16 +111,28 @@ class FiniteFn:
         return self.table[x]
 
     def then(self, g: "FiniteFn") -> "FiniteFn":
-        """Left-to-right composition: (f.then(g))(x) = g(f(x))."""
+        """Left-to-right composition: (f.then(g))(x) = g(f(x)).
+
+        Every value comes from g's table, so the result needs no check.
+        """
         if self.cod.size != g.dom.size:
             raise ShapeMismatch(
                 f"cannot compose: codomain {self.cod.size} vs domain {g.dom.size}"
             )
-        gt = g.table
-        return FiniteFn(self.dom, g.cod, [gt[v] for v in self.table])
+        ft, gt = self.table, g.table
+        if isinstance(gt, range) and gt.start == 0 and g.dom == g.cod:
+            table = ft  # g is an identity
+        elif isinstance(ft, range):
+            table = gt[ft.start : ft.stop]
+        else:
+            table = tuple(map(gt.__getitem__, ft))
+        out = object.__new__(FiniteFn)
+        _init(out, self.dom, g.cod, table)
+        return out
 
     def is_injective(self) -> bool:
-        return len(set(self.table)) == self.dom.size
+        table = self.table
+        return isinstance(table, range) or len(set(table)) == self.dom.size
 
     def is_surjective(self) -> bool:
         return len(set(self.table)) == self.cod.size
@@ -135,17 +153,27 @@ class FiniteFn:
             isinstance(other, FiniteFn)
             and self.dom == other.dom
             and self.cod == other.cod
-            and self.table == other.table
+            and (
+                self.table == other.table
+                if type(self.table) is type(other.table)
+                else tuple(self.table) == tuple(other.table)
+            )
         )
 
     def __hash__(self):
-        return hash(("FiniteFn", self.dom.size, self.cod.size, self.table))
+        return hash(("FiniteFn", self.dom.size, self.cod.size, tuple(self.table)))
 
     def __repr__(self):
         return f"FiniteFn({self.dom.size}->{self.cod.size}, {list(self.table)})"
 
     def to_json(self):
         return {"size": self.cod.size, "table": list(self.table)}
+
+
+def _init(fn: FiniteFn, dom: FiniteSet, cod: FiniteSet, table) -> None:
+    object.__setattr__(fn, "dom", dom)
+    object.__setattr__(fn, "cod", cod)
+    object.__setattr__(fn, "table", table)
 
 
 class Relation:
@@ -380,17 +408,37 @@ class Block(NamedTuple):
     table: Sequence[int]
 
 
-def sum_table(fns: Sequence[FiniteFn]) -> list:
+def concat_tables(tables: Sequence[Sequence[int]]) -> Sequence[int]:
+    """The tables laid end to end.
+
+    One table comes back as it is; contiguous step-1 ranges (empty tables
+    aside) join into one range; anything else is copied into a list.
+    """
+    if len(tables) == 1:
+        return tables[0]
+    parts = [t for t in tables if len(t)]
+    if all(isinstance(t, range) and t.step == 1 for t in parts) and all(
+        a.stop == b.start for a, b in zip(parts, parts[1:])
+    ):
+        return range(parts[0].start, parts[-1].stop) if parts else []
+    return list(chain.from_iterable(tables))
+
+
+def sum_table(fns: Sequence[FiniteFn]) -> Sequence[int]:
     """Table of the sum of maps: block k is fns[k] shifted by its offset.
 
     The layout is TaggedSum's on both sides, so the blocks concatenate.
     """
-    table: list = []
+    blocks: list = []
     offset = 0
     for f in fns:
-        table.extend([offset + v for v in f.table])
+        t = f.table
+        if isinstance(t, range):
+            blocks.append(range(t.start + offset, t.stop + offset, t.step))
+        else:
+            blocks.append([offset + v for v in t])
         offset += f.cod.size
-    return table
+    return concat_tables(blocks)
 
 
 def radix_table(columns: Sequence[Sequence[int]]) -> list:
@@ -405,8 +453,22 @@ def radix_table(columns: Sequence[Sequence[int]]) -> list:
     return table
 
 
-def product_table(fns: Sequence[FiniteFn]) -> list:
-    """Table of the product of maps in Cartesian's mixed-radix layout."""
+def product_table(fns: Sequence[FiniteFn]) -> Sequence[int]:
+    """Table of the product of maps in Cartesian's mixed-radix layout.
+
+    When every factor but the last is an identity, the leading digits run
+    through all W values (W the product of their sizes) under each value of
+    the last digit, so a step-1 range(s, e) there gives range(W*s, W*e).
+    """
+    weight = 1
+    for f in fns[:-1]:
+        if not (isinstance(f.table, range) and f.table == range(f.cod.size)):
+            break
+        weight *= f.cod.size
+    else:
+        last = fns[-1].table if fns else range(1)
+        if isinstance(last, range) and last.step == 1:
+            return range(weight * last.start, weight * last.stop)
     columns = []
     weight = 1
     for f in fns:

@@ -248,8 +248,8 @@ def test_plump_chain_deeper_than_the_recursion_limit_stops_at_the_budget(tmp_pat
 
 
 # sha256 of the --format json output, each taken from the commit before the
-# change it guards (block-built tables, then the C-encoder render_json); any
-# change here is a change of behaviour
+# change it guards (block-built tables, the C-encoder render_json, then
+# range tables); any change here is a change of behaviour
 PINNED_JSON = {
     "cata-nat": (
         "F = 1 + X*X\nalg lparity : F 2 = 1 0 1 1 0\ncata F lparity stage 4\n",
@@ -318,6 +318,12 @@ PINNED_JSON = {
         "F = 1 + X*X\nnu F budget 7\n",
         2,
         "8be80ca52bace86292cee3a1b076e258bf05439f85bd8aa51684a2cafaa8bb58",
+    ),
+    # the chain workload's heaviest script: 69,034 bytes, maps kept as ranges
+    "mu-nat-budget-1000": (
+        "F = 1 + X\nmu F size nat budget 1000\n",
+        2,
+        "cdc9f5d6241ccc0d5c4acccadf8f83004cfad7d1fab9acd9e72eb23981069bf8",
     ),
 }
 

@@ -190,7 +190,7 @@ def test_finite_cat_colimit_legs_match_the_relation_quotient():
         cocone = finite_cat_colimit(objects, arrows)
         count, legs = relation_colimit(objects, arrows)
         assert cocone.apex.size == count
-        assert [cocone.legs[k].table for k in range(len(objects))] == legs
+        assert [tuple(cocone.legs[k].table) for k in range(len(objects))] == legs
 
 
 def random_directed_diagram(rng):
@@ -220,7 +220,7 @@ def test_subdiagram_colimit_legs_match_the_relation_quotient():
         arrows = [(j, i, f) for (j, i), f in d.arrows.items()]
         count, legs = relation_colimit(objects, arrows)
         assert cocone.apex.size == count
-        assert [cocone.legs[i].table for i in d.indices] == legs
+        assert [tuple(cocone.legs[i].table) for i in d.indices] == legs
 
 
 # -- maps induced out of a colimit ---------------------------------------------
@@ -568,6 +568,21 @@ def test_diagram_validation():
             [(0, 1), (1, 2), (0, 2)],
             {(0, 1): (0,), (1, 2): (0,), (0, 2): (1,)},
         )
+
+
+def test_triangles_commute_whether_tables_are_ranges_or_tuples():
+    # (0,1) then (1,2) composes to the range (1, 2); (0,2) lists it as a tuple
+    sizes = {0: FiniteSet(2), 1: FiniteSet(3), 2: FiniteSet(4)}
+    arrows = {
+        (0, 1): FiniteFn(sizes[0], sizes[1], range(2)),
+        (1, 2): FiniteFn(sizes[1], sizes[2], range(1, 4)),
+        (0, 2): FiniteFn(sizes[0], sizes[2], (1, 2)),
+    }
+    assert type(arrows[(0, 1)].then(arrows[(1, 2)]).table) is range
+    Diagram((0, 1, 2), list(arrows), sizes, arrows)
+    arrows[(0, 2)] = FiniteFn(sizes[0], sizes[2], (1, 3))
+    with pytest.raises(NonFunctorialDiagram):
+        Diagram((0, 1, 2), list(arrows), sizes, arrows)
 
 
 def test_not_directed_is_rejected():

@@ -6,13 +6,16 @@ from hypothesis import strategies as st
 
 from muiter.errors import ShapeMismatch
 from muiter.finset import (
+    Block,
     FiniteFn,
     FiniteSet,
     Relation,
     cartesian,
     exponential,
     kernel,
+    product_table,
     quotient,
+    sum_table,
     tagged_sum,
 )
 
@@ -63,7 +66,8 @@ def test_finite_fn_validation():
 
 def test_range_tables_are_checked_by_their_endpoints_like_any_table():
     # every range of length <= 4 with start, stop in -2..6 and step -2..2,
-    # into codomains of size 0..4: same verdict and message as its tuple
+    # into codomains of size 0..4: same verdict and message as its tuple;
+    # a step-1 range inside the codomain is kept, anything else is a tuple
     for start, stop, step, size in itertools.product(
         range(-2, 7), range(-2, 7), (-2, -1, 1, 2), range(5)
     ):
@@ -76,8 +80,25 @@ def test_range_tables_are_checked_by_their_endpoints_like_any_table():
                 FiniteFn(dom, cod, r)
         else:
             got = FiniteFn(dom, cod, r)
-            assert got == want and type(got.table) is tuple
-    assert FiniteFn.identity(FiniteSet(3)).table == (0, 1, 2)
+            kept = step == 1 and all(0 <= v < size for v in r)
+            assert got == want and type(got.table) is (range if kept else tuple)
+    assert FiniteFn.identity(FiniteSet(3)).table == range(3)
+
+
+def test_range_and_tuple_tables_are_equal_by_value():
+    a, b = FiniteSet(3), FiniteSet(5)
+    pairs = [
+        (FiniteFn.identity(a), FiniteFn(a, a, (0, 1, 2))),
+        (FiniteFn(a, b, range(2, 5)), FiniteFn(a, b, [2, 3, 4])),
+        (FiniteFn.identity(FiniteSet(0)), FiniteFn(FiniteSet(0), FiniteSet(0), ())),
+    ]
+    for ranged, tupled in pairs:
+        assert type(ranged.table) is range and type(tupled.table) is tuple
+        assert ranged == tupled and tupled == ranged
+        assert hash(ranged) == hash(tupled)
+        assert len({ranged, tupled}) == 1
+    assert FiniteFn(a, b, range(2, 5)) != FiniteFn(a, b, (2, 3, 3))
+    assert FiniteFn(a, b, range(0, 3)) != FiniteFn(a, FiniteSet(4), range(0, 3))
 
 
 def test_composition_and_identity():
@@ -91,6 +112,74 @@ def test_composition_and_identity():
     assert f.then(FiniteFn.identity(b)) == f
     with pytest.raises(ShapeMismatch):
         f.then(f)  # cod of size 3 against dom of size 2
+
+
+def test_then_an_identity_keeps_the_table():
+    a, b = FiniteSet(3), FiniteSet(4)
+    f = FiniteFn(a, b, (3, 0, 3))
+    assert f.then(FiniteFn.identity(b)).table is f.table
+    # an inclusion of a prefix is no identity: its values are looked up
+    g = FiniteFn(b, FiniteSet(5), range(4))
+    assert f.then(g).table == (3, 0, 3) and f.then(g).cod == FiniteSet(5)
+
+
+@st.composite
+def tables(draw, n: int, c: int):
+    """A table of length n into {0..c-1}: a step-1 range (identity, prefix,
+    shifted or empty) where one fits, a range of another step, or a tuple."""
+    kinds = ["tuple"] if c or not n else []
+    if n <= c:
+        kinds += ["range", "reversed"]
+    if 2 * n <= c + 1:
+        kinds.append("stepped")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "range":
+        start = draw(st.integers(0, c - n))
+        return range(start, start + n)
+    if kind == "reversed":
+        top = draw(st.integers(n - 1, c - 1)) if n else draw(st.integers(-2, c))
+        return range(top, top - n, -1)
+    if kind == "stepped":
+        start = draw(st.integers(0, max(c - 2 * n + 1, 0)))
+        return range(start, start + 2 * n, 2)
+    return tuple([draw(st.integers(0, c - 1)) for _ in range(n)])
+
+
+@st.composite
+def blocks(draw):
+    """A map as an unchecked Block: an identity, an inclusion of a prefix or
+    of a shifted run, or any table."""
+    c = draw(st.integers(0, 4))
+    kind = draw(st.sampled_from(["identity", "prefix", "shifted", "any"]))
+    if kind == "identity":
+        return Block(FiniteSet(c), FiniteSet(c), range(c))
+    if kind != "any":
+        n = draw(st.integers(0, c))
+        start = 0 if kind == "prefix" else draw(st.integers(0, c - n))
+        return Block(FiniteSet(n), FiniteSet(c), range(start, start + n))
+    n = draw(st.integers(0, 4 if c else 0))
+    return Block(FiniteSet(n), FiniteSet(c), draw(tables(n, c)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_range_fast_paths_match_the_per_element_tables(data):
+    fns = data.draw(st.lists(blocks(), max_size=3))
+    offsets = tagged_sum([b.cod for b in fns]).offsets
+    want = tuple(o + v for fn, o in zip(fns, offsets) for v in fn.table)
+    assert tuple(sum_table(fns)) == want
+    dom, cod = cartesian([b.dom for b in fns]), cartesian([b.cod for b in fns])
+    want = tuple(
+        cod.encode([fn.table[d] for fn, d in zip(fns, dom.decode(x))])
+        for x in range(dom.set.size)
+    )
+    assert tuple(product_table(fns)) == want
+    b = data.draw(st.integers(0, 4))
+    a = data.draw(st.integers(0, 4 if b else 0))
+    c = b if data.draw(st.booleans()) else data.draw(st.integers(1 if b else 0, 4))
+    f = FiniteFn(FiniteSet(a), FiniteSet(b), data.draw(tables(a, b)))
+    g = FiniteFn(FiniteSet(b), FiniteSet(c), data.draw(tables(b, c)))
+    assert tuple(f.then(g).table) == tuple(g.table[v] for v in f.table)
 
 
 @settings(max_examples=50, deadline=None)

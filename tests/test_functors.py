@@ -1,9 +1,11 @@
 import itertools
+import random
 from math import comb
 
 import pytest
 
-from muiter.colimit import Diagram
+from muiter.checks import check_cocone_laws, check_functor_laws
+from muiter.colimit import Diagram, subdiagram_colimit
 from muiter.errors import (
     BudgetExceeded,
     NonFunctorialDiagram,
@@ -423,3 +425,30 @@ def test_compose_normalizes_inner():
     assert single.inner == (Identity(),)
     paired = Compose(POLY, Pairing((Identity(), Identity())))
     assert paired.inner == (Identity(), Identity())
+
+
+def test_law_checks_compare_range_and_tuple_tables_by_value(monkeypatch):
+    # F(id) on 1 + X and on a constant is a range; F(f).then(F(g)) slices a
+    # tuple where F(f . g) from the empty set is the range (0,)
+    succ = Sum((Constant(FiniteSet(1)), Identity()))
+    assert type(eval_functor_mor(succ, (FiniteFn.identity(FiniteSet(2)),)).table) is range
+    empty = FiniteFn(FiniteSet(0), FiniteSet(2), ())
+    g = FiniteFn(FiniteSet(2), FiniteSet(2), (1, 0))
+    lhs = eval_functor_mor(succ, (empty.then(g),))
+    rhs = eval_functor_mor(succ, (empty,)).then(eval_functor_mor(succ, (g,)))
+    assert (type(lhs.table), type(rhs.table)) == (range, tuple) and lhs == rhs
+    for expr in (succ, Constant(FiniteSet(3)), Product((Identity(), Identity()))):
+        report = check_functor_laws("f", expr, random.Random(0), 40, 3)
+        assert report["ok"], report
+
+    def ranged_legs(d):
+        # the same cocone with each run of consecutive classes kept as a range
+        cocone = subdiagram_colimit(d)
+        for i, leg in cocone.legs.items():
+            run = range(leg.table[0], leg.table[0] + leg.dom.size) if leg.table else ()
+            if tuple(leg.table) == tuple(run):
+                cocone.legs[i] = FiniteFn(leg.dom, leg.cod, run)
+        return cocone
+
+    monkeypatch.setattr("muiter.checks.subdiagram_colimit", ranged_legs)
+    assert check_cocone_laws(random.Random(0), 60, 3)["ok"]

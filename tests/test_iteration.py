@@ -1,4 +1,9 @@
 import itertools
+import json
+import os
+import subprocess
+import sys
+import time
 import tracemalloc
 
 import pytest
@@ -255,6 +260,45 @@ def test_arrow_free_stages_build_no_leg_tables():
     assert state.stage(6).carrier.size == 458_330
     # a 458,330-entry leg table alone would take over 3.5 MB
     assert peak < 1_000_000
+
+
+SUCC = Sum((Constant(FiniteSet(1)), Identity()))
+
+
+def test_chain_maps_stay_ranges_in_linear_space():
+    # along 1 + X every connecting map and leg is an inclusion; stored as
+    # tuples, the tables of 2000 stages peak at about 82 MiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):
+            mu_initial_algebra(SUCC, nat_backend(), budget=2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_long_chain_stops_at_the_budget_in_bounded_time_and_memory(tmp_path):
+    script, out = tmp_path / "chain.mi", tmp_path / "out.json"
+    script.write_text("F = 1 + X\nmu F size nat budget 6000\n")
+    start = time.perf_counter()
+    with open(out, "w") as sink:
+        child = subprocess.Popen(
+            [sys.executable, "-m", "muiter", str(script), "--format", "json"],
+            stdout=sink,
+        )
+        try:
+            _, status, usage = os.wait4(child.pid, 0)
+        finally:
+            child.kill()
+    wall = time.perf_counter() - start
+    assert os.waitstatus_to_exitcode(status) == 2
+    report = json.loads(out.read_text())["reports"][0]
+    assert report["error"]["type"] == "budget-exceeded"
+    assert len(report["stages"]) == 6000
+    assert wall < 5
+    # ru_maxrss is in KiB on Linux
+    assert usage.ru_maxrss * 1024 < 100_000_000
 
 
 # -- well-definedness checks on a corrupted stage ---------------------------------
