@@ -12,7 +12,6 @@ from .errors import (
     DslNameError,
     DslSyntaxError,
     IllTypedArrow,
-    IndexMismatch,
     IntegrityError,
     MuiterError,
     NoAlgebra,
@@ -21,15 +20,8 @@ from .errors import (
     NoSuchIndex,
     ShapeMismatch,
 )
-from .finset import FiniteFn, FiniteSet, Relation, exponential, kernel, quotient
-from .signature import (
-    Signature,
-    WTree,
-    container_apply,
-    container_map,
-    signature_sum,
-    wtype_enumerate,
-)
+from .finset import FiniteFn, FiniteSet
+from .signature import Signature, WTree, container_map, signature_sum
 from .size import (
     filtered_sample_check,
     height,
@@ -39,14 +31,10 @@ from .size import (
 from .colimit import (
     Cocone,
     Diagram,
-    canonical_product_map,
-    colimit_commutes_with_finite_limits_check,
-    connecting_map,
     finite_cat_colimit,
     subdiagram_colimit,
 )
 from .functors import (
-    ColimOver,
     Compose,
     Constant,
     Container,
@@ -54,7 +42,6 @@ from .functors import (
     Groupoid,
     Identity,
     MuParam,
-    Pairing,
     Product,
     Projection,
     Sum,
@@ -72,7 +59,6 @@ from .iteration import (
     NuResult,
     catamorphism,
     deflationary_nu,
-    fold_equation_holds,
     free_algebra,
     inflationary_iterate,
     mu_initial_algebra,
@@ -91,7 +77,6 @@ __all__ = [
     "NonFunctorialDiagram",
     "NoSuchIndex",
     "IllTypedArrow",
-    "IndexMismatch",
     "NonInvertibleGroupoidArrow",
     "NoAlgebra",
     "BudgetExceeded",
@@ -101,16 +86,10 @@ __all__ = [
     "DslNameError",
     "FiniteSet",
     "FiniteFn",
-    "Relation",
-    "exponential",
-    "quotient",
-    "kernel",
     "Signature",
     "WTree",
     "signature_sum",
-    "container_apply",
     "container_map",
-    "wtype_enumerate",
     "nat_backend",
     "kappa_sigma",
     "filtered_sample_check",
@@ -118,21 +97,16 @@ __all__ = [
     "Diagram",
     "Cocone",
     "subdiagram_colimit",
-    "connecting_map",
     "finite_cat_colimit",
-    "canonical_product_map",
-    "colimit_commutes_with_finite_limits_check",
     "FunctorExpr",
     "Identity",
     "Projection",
     "Constant",
-    "Pairing",
     "Sum",
     "Product",
     "Compose",
     "Container",
     "SymContainer",
-    "ColimOver",
     "MuParam",
     "Groupoid",
     "swap_groupoid",
@@ -150,7 +124,6 @@ __all__ = [
     "MuResult",
     "FreeResult",
     "NuResult",
-    "fold_equation_holds",
     "successor_tower",
     "parse_script",
     "format_script",

@@ -31,8 +31,7 @@ from .errors import (
     NonFunctorialDiagram,
 )
 from .finset import FiniteFn, FiniteSet
-from .functors import eval_functor
-from .functors import expr_arity, infer_signature
+from .functors import eval_functor, expr_arity, infer_signature
 from .iteration import (
     DEFAULT_BUDGET,
     AlgebraSpec,
@@ -83,11 +82,15 @@ class _Env:
         return expr
 
 
-def _backend_for(env: _Env, expr, spec: str, line: int):
+def _backend_for(env: _Env, spec: str, line: int, plump_sig: Signature):
+    """The size backend that spec names: nat, plump, or plump:<sig>.
+
+    Bare plump orders trees over plump_sig.
+    """
     if spec == "nat":
         return nat_backend()
     if spec == "plump":
-        return kappa_sigma(infer_signature(expr))
+        return kappa_sigma(plump_sig)
     if spec.startswith("plump:"):
         name = spec.split(":", 1)[1]
         if name not in env.sigs:
@@ -162,7 +165,7 @@ class Runner:
         size = self.opt_size(cmd)
         budget = self.opt_budget(cmd)
         depth = cmd.option("depth", budget)
-        backend = _backend_for(self.env, expr, size, cmd.line)
+        backend = _backend_for(self.env, size, cmd.line, infer_signature(expr))
         state = inflationary_iterate(
             expr, backend, successor_tower(backend, depth), budget
         )
@@ -174,7 +177,7 @@ class Runner:
         expr = self.env.endofunctor(cmd.functor, cmd.line)
         size = self.opt_size(cmd)
         budget = self.opt_budget(cmd)
-        backend = _backend_for(self.env, expr, size, cmd.line)
+        backend = _backend_for(self.env, size, cmd.line, infer_signature(expr))
         result = mu_initial_algebra(expr, backend, budget)
         report = self.base_report(cmd, size, budget)
         report["stages"] = result.state.profile()
@@ -187,7 +190,7 @@ class Runner:
         expr = self.env.endofunctor(cmd.functor, cmd.line)
         size = self.opt_size(cmd)
         budget = self.opt_budget(cmd)
-        backend = _backend_for(self.env, expr, size, cmd.line)
+        backend = _backend_for(self.env, size, cmd.line, infer_signature(expr))
         result = free_algebra(expr, FiniteSet(cmd.generators), backend, budget)
         report = self.base_report(cmd, size, budget)
         report["generators"] = cmd.generators
@@ -208,7 +211,7 @@ class Runner:
             )
         size = self.opt_size(cmd)
         budget = self.opt_budget(cmd)
-        backend = _backend_for(self.env, expr, size, cmd.line)
+        backend = _backend_for(self.env, size, cmd.line, infer_signature(expr))
         carrier = FiniteSet(decl.carrier)
         for v in decl.table:
             if v >= decl.carrier:
@@ -261,19 +264,7 @@ class Runner:
         samples = cmd.option("samples", self.defaults.get("samples", 200))
         seed = cmd.option("seed", self.defaults.get("seed", 0))
         depth = cmd.option("depth", self.defaults.get("depth", 3))
-        if size == "nat":
-            backend = nat_backend()
-        elif size == "plump":
-            backend = kappa_sigma(Signature.of())
-        elif size.startswith("plump:"):
-            name = size.split(":", 1)[1]
-            if name not in self.env.sigs:
-                raise UsageError(
-                    f"line {cmd.line}: {name!r} is not a declared signature"
-                )
-            backend = kappa_sigma(self.env.sigs[name])
-        else:
-            raise UsageError(f"line {cmd.line}: unknown size discipline {size!r}")
+        backend = _backend_for(self.env, size, cmd.line, Signature.of())
         results = run_checks(
             backend,
             functors=self.env.functors,
@@ -331,10 +322,6 @@ def render_text(payload: dict) -> str:
 _LEAF_TYPES = (str, int, float, bool, type(None))
 
 
-class _OutsidePayloadTypes(Exception):
-    """A value the writer does not cover; the stdlib encoder renders it."""
-
-
 def render_json(payload: dict) -> str:
     """``json.dumps(payload, sort_keys=True, indent=2)`` plus a newline.
 
@@ -342,19 +329,13 @@ def render_json(payload: dict) -> str:
     pure-Python encoder under ``indent`` and walks a fold table one entry
     at a time.  Here every list of plain ints is one C encoder call whose
     items are then split onto lines, and every other leaf is its own
-    ``json.dumps``.  A payload holding any value outside the types written
-    below goes to the stdlib call itself.
+    ``json.dumps``.  A value outside the types written below raises
+    TypeError.
     """
     out: list = []
-    try:
-        _write_json(payload, "\n", out)
-    except _OutsidePayloadTypes:
-        pass
-    else:
-        out.append("\n")
-        return "".join(out)
-    # outside the handler, so the stdlib's own errors raise unchained
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    _write_json(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def _write_json(value, newline: str, out: list) -> None:
@@ -365,8 +346,9 @@ def _write_json(value, newline: str, out: list) -> None:
         if not value:
             out.append("{}")
             return
-        if any(type(k) is not str for k in value):
-            raise _OutsidePayloadTypes
+        for key in value:
+            if type(key) is not str:
+                raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
         sep = "{" + inner
         for key in sorted(value):
             out.append(sep + json.dumps(key) + ": ")
@@ -389,7 +371,7 @@ def _write_json(value, newline: str, out: list) -> None:
     elif kind in _LEAF_TYPES:
         out.append(json.dumps(value))
     else:
-        raise _OutsidePayloadTypes
+        raise TypeError(f"{kind.__name__} is not a JSON payload type")
 
 
 # -- entry point -------------------------------------------------------------
@@ -459,9 +441,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (IntegrityError, NonFunctorialDiagram) as e:
         sys.stderr.write(f"internal error: {e}\n")
         return 3
-    except DslError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 1
     except MuiterError as e:
         sys.stderr.write(f"error: {e}\n")
         return 1

@@ -10,25 +10,16 @@ witnesses: x in D(j) is identified with arrow(j,i)(x).
 from __future__ import annotations
 
 from collections.abc import Mapping
-from typing import Dict, Hashable, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, Sequence, Tuple
 
 from .errors import (
     IllTypedArrow,
-    IndexMismatch,
     IntegrityError,
     NonFunctorialDiagram,
     NoSuchIndex,
     ShapeMismatch,
 )
-from .finset import (
-    FiniteFn,
-    FiniteSet,
-    cartesian,
-    concat_tables,
-    product_table,
-    quotient_pairs,
-    tagged_sum,
-)
+from .finset import FiniteFn, FiniteSet, TaggedSum, concat_tables, quotient_pairs
 
 
 class Diagram:
@@ -101,32 +92,13 @@ class Diagram:
                     return False
         return True
 
-    def restrict(self, keep: Sequence[Hashable]) -> "Diagram":
-        keep_set = set(keep)
-        return Diagram(
-            [i for i in self.indices if i in keep_set],
-            [e for e in self.edges if e[0] in keep_set and e[1] in keep_set],
-            {i: o for i, o in self.objects.items() if i in keep_set},
-            {
-                e: f
-                for e, f in self.arrows.items()
-                if e[0] in keep_set and e[1] in keep_set
-            },
-        )
-
-    def down_set(self, i: Hashable) -> list:
-        """Indices with an edge into i."""
-        if i not in self.objects:
-            raise NoSuchIndex(f"no index {i!r}")
-        return [j for j in self.indices if (j, i) in self.edges]
-
 
 def _no_representative(cls: int) -> Exception:
     return IntegrityError("colimit class with no representative")
 
 
 class Cocone:
-    """A colimit presentation: apex, one leg per index, and class lookup.
+    """A colimit presentation: an apex and one leg per index.
 
     The legs are the blocks of one quotient map out of the tagged sum of
     the objects (``_sum``); without arrows that map is the identity range.
@@ -140,9 +112,6 @@ class Cocone:
         self._sum = layout
         self._quotient = quotient
         self.legs = Legs(diagram.indices, layout, quotient, apex)
-
-    def class_of(self, index: Hashable, element: int) -> int:
-        return self.legs[index].table[element]
 
     def induce(
         self, values, ill_defined, unreached=_no_representative
@@ -158,11 +127,7 @@ class Cocone:
         """
         blocks = zip(self.diagram.indices, self._sum.parts)
         quotient = self._quotient
-        if (
-            isinstance(quotient, range)
-            and not self.legs.replaced
-            and self.apex.size == len(quotient)
-        ):
+        if isinstance(quotient, range) and self.apex.size == len(quotient):
             return concat_tables([_values_on(values, i, part) for i, part in blocks])
         table: list = [None] * self.apex.size
         for index, part in blocks:
@@ -196,13 +161,9 @@ def _values_on(values, index: Hashable, part: FiniteSet):
 
 
 class Legs(Mapping):
-    """A cocone's legs by index, each sliced from its quotient map on first read.
+    """A cocone's legs by index, each sliced from its quotient map on first read."""
 
-    Assigning a leg replaces it; Cocone.induce then reads the legs instead
-    of assuming the quotient map.
-    """
-
-    __slots__ = ("_tags", "_sum", "_quotient", "_apex", "_built", "replaced")
+    __slots__ = ("_tags", "_sum", "_quotient", "_apex", "_built")
 
     def __init__(self, indices, layout, quotient, apex: FiniteSet):
         self._tags = {i: tag for tag, i in enumerate(indices)}
@@ -210,7 +171,6 @@ class Legs(Mapping):
         self._quotient = quotient
         self._apex = apex
         self._built: Dict = {}
-        self.replaced = False
 
     def __getitem__(self, index: Hashable) -> FiniteFn:
         leg = self._built.get(index)
@@ -220,12 +180,6 @@ class Legs(Mapping):
             leg = FiniteFn(part, self._apex, self._quotient[off : off + part.size])
             self._built[index] = leg
         return leg
-
-    def __setitem__(self, index: Hashable, leg: FiniteFn):
-        if index not in self._tags:
-            raise KeyError(index)
-        self._built[index] = leg
-        self.replaced = True
 
     def __iter__(self):
         return iter(self._tags)
@@ -259,7 +213,7 @@ def _glue(objects: Sequence[FiniteSet], arrows) -> tuple:
     whose slice at each object's block is that object's leg.  Without
     arrows the quotient is the identity, so the apex is the sum itself.
     """
-    layout = tagged_sum(objects)
+    layout = TaggedSum(objects)
     if not arrows:
         return layout.set, range(layout.set.size), layout
     offsets = layout.offsets
@@ -270,35 +224,6 @@ def _glue(objects: Sequence[FiniteSet], arrows) -> tuple:
         pairs.extend(zip(range(start, start + h.dom.size), targets))
     apex, proj = quotient_pairs(layout.set, pairs)
     return apex, proj.table, layout
-
-
-def connecting_map(d: Diagram, j: Hashable, i: Hashable) -> FiniteFn:
-    """The canonical map between the colimits of the down-sets of j and i.
-
-    Requires the edge (j, i); the down-set of j must then sit inside the
-    down-set of i for the map to exist, which the diagram's transitive edge
-    set guarantees.
-    """
-    if j not in d.objects or i not in d.objects:
-        raise NoSuchIndex(f"indices {j!r}, {i!r} not both present")
-    if (j, i) not in d.edges:
-        raise NoSuchIndex(f"no edge ({j!r}, {i!r})")
-    below_j = d.down_set(j)
-    below_i = d.down_set(i)
-    missing = [k for k in below_j if k not in below_i]
-    if missing:
-        raise NonFunctorialDiagram(
-            f"down-set of {j!r} escapes down-set of {i!r} at {missing!r}"
-        )
-    src = subdiagram_colimit(d.restrict(below_j))
-    dst = subdiagram_colimit(d.restrict(below_i))
-    table = src.induce(
-        lambda k: dst.legs[k].table,
-        lambda cls: IntegrityError(
-            f"connecting map not well defined at class {cls}"
-        ),
-    )
-    return FiniteFn(src.apex, dst.apex, table)
 
 
 def finite_cat_colimit(
@@ -321,61 +246,3 @@ def finite_cat_colimit(
             )
     shape = Diagram(indices, [], {i: objects[i] for i in indices}, {})
     return Cocone(shape, *_glue(objects, arrows))
-
-
-def canonical_product_map(
-    families: Sequence[Diagram],
-    shape: Optional[Tuple[Sequence, Iterable]] = None,
-) -> FiniteFn:
-    """Canonical map from colim of a product diagram to the product of colims.
-
-    All family diagrams must share one index structure (shape supplies it
-    when the family is empty).  The map sends the class of (i, tuple) to
-    the tuple of per-family classes of (i, component); callers read off
-    injectivity and surjectivity from the returned function.
-    """
-    families = list(families)
-    if families:
-        indices = families[0].indices
-        edges = families[0].edges
-        for f in families[1:]:
-            if f.indices != indices or f.edges != edges:
-                raise IndexMismatch("families disagree on index structure")
-    elif shape is not None:
-        indices, edges = tuple(shape[0]), frozenset(shape[1])
-    else:
-        raise IndexMismatch("empty family needs an explicit index shape")
-
-    products = {
-        i: cartesian([f.objects[i] for f in families]) for i in indices
-    }
-    arrows = {
-        (j, i): FiniteFn(
-            products[j].set,
-            products[i].set,
-            product_table([f.arrows[(j, i)] for f in families]),
-        )
-        for j, i in edges
-    }
-    prod_diagram = Diagram(
-        indices, edges, {i: products[i].set for i in indices}, arrows
-    )
-    lhs = subdiagram_colimit(prod_diagram)
-    cocones = [subdiagram_colimit(f) for f in families]
-    rhs = cartesian([c.apex for c in cocones])
-    table = lhs.induce(
-        lambda i: product_table([c.legs[i] for c in cocones]),
-        lambda cls: IntegrityError(
-            f"canonical product map not well defined at class {cls}"
-        ),
-    )
-    return FiniteFn(lhs.apex, rhs.set, table)
-
-
-def colimit_commutes_with_finite_limits_check(d: Diagram, k: int) -> bool:
-    """Compare colim(D^k) with (colim D)^k along the canonical map."""
-    if not 0 <= k <= 3:
-        raise ShapeMismatch(f"power {k} outside the supported range 0..3")
-    fam = [d] * k
-    fn = canonical_product_map(fam, shape=(d.indices, d.edges))
-    return fn.is_bijection()

@@ -21,10 +21,6 @@ class IllTypedArrow(MuiterError):
     """An arrow's domain or codomain does not match the declared objects."""
 
 
-class IndexMismatch(MuiterError):
-    """Parallel diagrams do not share the same index structure."""
-
-
 class NonInvertibleGroupoidArrow(MuiterError):
     """A symmetry arrow is not a bijection on arities."""
 

@@ -1,4 +1,4 @@
-"""Finite sets, functions, and relations with canonical integer elements.
+"""Finite sets and functions with canonical integer elements.
 
 Elements of a set of size n are the indices 0..n-1.  Labels are display
 metadata only and never take part in equality.
@@ -134,9 +134,6 @@ class FiniteFn:
         table = self.table
         return isinstance(table, range) or len(set(table)) == self.dom.size
 
-    def is_surjective(self) -> bool:
-        return len(set(self.table)) == self.cod.size
-
     def is_bijection(self) -> bool:
         return self.dom.size == self.cod.size and self.is_injective()
 
@@ -176,52 +173,12 @@ def _init(fn: FiniteFn, dom: FiniteSet, cod: FiniteSet, table) -> None:
     object.__setattr__(fn, "table", table)
 
 
-class Relation:
-    """A binary relation on one finite set, as a set of index pairs."""
-
-    __slots__ = ("base", "pairs")
-
-    def __init__(self, base: FiniteSet, pairs: Iterable[tuple]):
-        pairs = frozenset((int(a), int(b)) for a, b in pairs)
-        for a, b in pairs:
-            if a not in base or b not in base:
-                raise ShapeMismatch(f"pair ({a},{b}) outside base of size {base.size}")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "pairs", pairs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Relation is immutable")
-
-    def __contains__(self, pair) -> bool:
-        return pair in self.pairs
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Relation)
-            and self.base == other.base
-            and self.pairs == other.pairs
-        )
-
-    def __hash__(self):
-        return hash(("Relation", self.base.size, self.pairs))
-
-    def __repr__(self):
-        return f"Relation({self.base.size}, {sorted(self.pairs)})"
-
-
-def quotient(base: FiniteSet, rel: Relation) -> tuple:
-    """Quotient base by the equivalence closure of rel.
-
-    Returns (classes, projection) where classes are ordered by their least
-    member and the projection sends each element to its class index.
-    """
-    if rel.base != base:
-        raise ShapeMismatch("relation base does not match the set")
-    return quotient_pairs(base, rel.pairs)
-
-
 def quotient_pairs(base: FiniteSet, pairs: Iterable[tuple]) -> tuple:
-    """quotient() for pairs already known to lie in base, unchecked.
+    """Quotient base by the equivalence closure of pairs, unchecked.
+
+    The pairs must lie in base.  Returns (classes, projection) where classes
+    are ordered by their least member and the projection sends each element
+    to its class index.
 
     Union-find keeps the smaller index as the root, so every element's
     parent is at most the element and each root is its class's least
@@ -253,19 +210,6 @@ def quotient_pairs(base: FiniteSet, pairs: Iterable[tuple]) -> tuple:
             proj[x] = proj[p]
     classes = FiniteSet(count)
     return classes, FiniteFn(base, classes, proj)
-
-
-def kernel(p: FiniteFn) -> Relation:
-    """All pairs identified by p, including the diagonal."""
-    buckets = {}
-    for x, v in enumerate(p.table):
-        buckets.setdefault(v, []).append(x)
-    pairs = []
-    for xs in buckets.values():
-        for a in xs:
-            for b in xs:
-                pairs.append((a, b))
-    return Relation(p.dom, pairs)
 
 
 class Exponential:
@@ -308,10 +252,6 @@ class Exponential:
         return tuple(out)
 
 
-def exponential(base: FiniteSet, exponent: FiniteSet) -> Exponential:
-    return Exponential(base, exponent)
-
-
 class Cartesian:
     """Product of a sequence of finite sets, with mixed-radix indexing."""
 
@@ -351,10 +291,6 @@ class Cartesian:
         return tuple(out)
 
 
-def cartesian(factors: Sequence[FiniteSet]) -> Cartesian:
-    return Cartesian(factors)
-
-
 class TaggedSum:
     """Disjoint union of a sequence of finite sets, laid out block by block."""
 
@@ -390,10 +326,6 @@ class TaggedSum:
             if idx >= self.offsets[tag]:
                 return tag, idx - self.offsets[tag]
         raise ShapeMismatch("empty sum has no elements")
-
-
-def tagged_sum(parts: Sequence[FiniteSet]) -> TaggedSum:
-    return TaggedSum(parts)
 
 
 class Block(NamedTuple):

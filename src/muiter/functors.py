@@ -11,25 +11,20 @@ sum of its children's attributions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Tuple
 
 from .colimit import Cocone, Diagram, finite_cat_colimit, subdiagram_colimit
-from .errors import (
-    IntegrityError,
-    NonFunctorialDiagram,
-    NonInvertibleGroupoidArrow,
-    ShapeMismatch,
-)
+from .errors import IntegrityError, NonInvertibleGroupoidArrow, ShapeMismatch
 from .finset import (
     Block,
+    Cartesian,
+    Exponential,
     FiniteFn,
     FiniteSet,
-    cartesian,
-    exponential,
+    TaggedSum,
     product_table,
     radix_table,
     sum_table,
-    tagged_sum,
 )
 from .signature import (
     Signature,
@@ -66,13 +61,6 @@ class Constant(FunctorExpr):
 
 
 @dataclass(frozen=True)
-class Pairing(FunctorExpr):
-    """Tuple of functors into a product of target slots."""
-
-    parts: Tuple[FunctorExpr, ...]
-
-
-@dataclass(frozen=True)
 class Sum(FunctorExpr):
     """Disjoint union of the parts, laid out block by block."""
 
@@ -95,9 +83,7 @@ class Compose(FunctorExpr):
 
     def __post_init__(self):
         inner = self.inner
-        if isinstance(inner, Pairing):
-            inner = inner.parts
-        elif isinstance(inner, FunctorExpr):
+        if isinstance(inner, FunctorExpr):
             inner = (inner,)
         else:
             inner = tuple(inner)
@@ -145,19 +131,6 @@ class SymContainer(FunctorExpr):
 
 
 @dataclass(frozen=True)
-class ColimOver(FunctorExpr):
-    """Pointwise colimit of a finite family of functors.
-
-    Arrows carry natural-transformation components as a callable from the
-    argument-set tuple to the connecting function; naturality is checked
-    where the morphism part needs it.
-    """
-
-    parts: Tuple[FunctorExpr, ...]
-    arrows: Tuple[Tuple[int, int, Callable], ...] = ()
-
-
-@dataclass(frozen=True)
 class MuParam(FunctorExpr):
     """Least fixpoint of a binary expression in its second slot.
 
@@ -167,7 +140,6 @@ class MuParam(FunctorExpr):
 
     body: FunctorExpr
     budget: int = 32
-    backend: str = "nat"
 
 
 def swap_groupoid(n: int = 2) -> Groupoid:
@@ -195,7 +167,7 @@ def expr_arity(e: FunctorExpr) -> int:
         return e.slot + 1
     if isinstance(e, Constant):
         return 0
-    if isinstance(e, (Pairing, Sum, Product)):
+    if isinstance(e, (Sum, Product)):
         return max((expr_arity(p) for p in e.parts), default=0)
     if isinstance(e, Compose):
         if expr_arity(e.outer) > len(e.inner):
@@ -206,8 +178,6 @@ def expr_arity(e: FunctorExpr) -> int:
         return max((expr_arity(g) for g in e.inner), default=0)
     if isinstance(e, (Container, SymContainer)):
         return 1
-    if isinstance(e, ColimOver):
-        return max((expr_arity(p) for p in e.parts), default=1)
     if isinstance(e, MuParam):
         if expr_arity(e.body) > 2:
             raise ShapeMismatch("fixpoint body must be at most binary")
@@ -223,7 +193,7 @@ def _need(env: tuple, n: int, e: FunctorExpr):
 
 
 def eval_functor(e: FunctorExpr, env: Tuple[FiniteSet, ...]):
-    """Object part.  Returns a FiniteSet, or a tuple for Pairing."""
+    """Object part: the FiniteSet e makes of the argument sets."""
     env = tuple(env)
     if isinstance(e, Identity):
         _need(env, 1, e)
@@ -233,12 +203,10 @@ def eval_functor(e: FunctorExpr, env: Tuple[FiniteSet, ...]):
         return env[e.slot]
     if isinstance(e, Constant):
         return e.value
-    if isinstance(e, Pairing):
-        return tuple(eval_functor(p, env) for p in e.parts)
     if isinstance(e, Sum):
-        return tagged_sum([eval_functor(p, env) for p in e.parts]).set
+        return TaggedSum([eval_functor(p, env) for p in e.parts]).set
     if isinstance(e, Product):
-        return cartesian([eval_functor(p, env) for p in e.parts]).set
+        return Cartesian([eval_functor(p, env) for p in e.parts]).set
     if isinstance(e, Compose):
         vals = tuple(eval_functor(g, env) for g in e.inner)
         return eval_functor(e.outer, vals)
@@ -248,8 +216,6 @@ def eval_functor(e: FunctorExpr, env: Tuple[FiniteSet, ...]):
     if isinstance(e, SymContainer):
         _need(env, 1, e)
         return _sym_cocone(e.groupoid, env[0]).apex
-    if isinstance(e, ColimOver):
-        return _colim_over_cocone(e, env).apex
     if isinstance(e, MuParam):
         _need(env, 1, e)
         from . import iteration
@@ -259,7 +225,7 @@ def eval_functor(e: FunctorExpr, env: Tuple[FiniteSet, ...]):
 
 
 def eval_functor_mor(e: FunctorExpr, fns: Tuple[FiniteFn, ...]):
-    """Morphism part.  Returns a FiniteFn, or a tuple for Pairing."""
+    """Morphism part: the FiniteFn e makes of the argument functions."""
     out = _mor(e, tuple(fns))
     if isinstance(out, Block):
         return FiniteFn(*out)
@@ -280,17 +246,15 @@ def _mor(e: FunctorExpr, fns: tuple):
         return fns[e.slot]
     if isinstance(e, Constant):
         return Block(e.value, e.value, range(e.value.size))
-    if isinstance(e, Pairing):
-        return tuple(eval_functor_mor(p, fns) for p in e.parts)
     if isinstance(e, Sum):
         mors = [_mor(p, fns) for p in e.parts]
-        dom = tagged_sum([m.dom for m in mors])
-        cod = tagged_sum([m.cod for m in mors])
+        dom = TaggedSum([m.dom for m in mors])
+        cod = TaggedSum([m.cod for m in mors])
         return Block(dom.set, cod.set, sum_table(mors))
     if isinstance(e, Product):
         mors = [_mor(p, fns) for p in e.parts]
-        dom = cartesian([m.dom for m in mors])
-        cod = cartesian([m.cod for m in mors])
+        dom = Cartesian([m.dom for m in mors])
+        cod = Cartesian([m.cod for m in mors])
         return Block(dom.set, cod.set, product_table(mors))
     if isinstance(e, Compose):
         vals = tuple(eval_functor_mor(g, fns) for g in e.inner)
@@ -301,8 +265,6 @@ def _mor(e: FunctorExpr, fns: tuple):
     if isinstance(e, SymContainer):
         _need(fns, 1, e)
         return _sym_map(e.groupoid, fns[0])
-    if isinstance(e, ColimOver):
-        return _colim_over_map(e, fns)
     if isinstance(e, MuParam):
         _need(fns, 1, e)
         from . import iteration
@@ -317,7 +279,7 @@ def _sym_cocone(g: Groupoid, base: FiniteSet) -> Cocone:
     The reindexing along sigma sends a table t to u with u[sigma(k)] = t[k],
     so digit k of t moves to weight |base| ** sigma(k) in u.
     """
-    exps = [exponential(base, a) for a in g.arities]
+    exps = [Exponential(base, a) for a in g.arities]
     digits = range(base.size)
     arrows = []
     for src, dst, sigma in g.arrows:
@@ -341,40 +303,6 @@ def _sym_map(g: Groupoid, f: FiniteFn) -> FiniteFn:
     return FiniteFn(src_cocone.apex, dst_cocone.apex, table)
 
 
-def _colim_over_cocone(e: ColimOver, env: tuple) -> Cocone:
-    objs = [eval_functor(p, env) for p in e.parts]
-    arrows = []
-    for src, dst, component in e.arrows:
-        fn = component(env)
-        if fn.dom != objs[src] or fn.cod != objs[dst]:
-            raise ShapeMismatch(
-                f"component {src}->{dst} is {fn.dom.size}->{fn.cod.size}, "
-                f"parts evaluate to {objs[src].size}->{objs[dst].size}"
-            )
-        arrows.append((src, dst, fn))
-    return finite_cat_colimit(objs, arrows)
-
-
-def _colim_over_map(e: ColimOver, fns: tuple) -> FiniteFn:
-    env_dom = tuple(f.dom for f in fns)
-    env_cod = tuple(f.cod for f in fns)
-    src_cocone = _colim_over_cocone(e, env_dom)
-    dst_cocone = _colim_over_cocone(e, env_cod)
-    part_mors = [eval_functor_mor(p, fns) for p in e.parts]
-
-    def image(obj: int) -> list:
-        dst_leg = dst_cocone.legs[obj].table
-        return [dst_leg[v] for v in part_mors[obj].table]
-
-    table = src_cocone.induce(
-        image,
-        lambda cls: NonFunctorialDiagram(
-            "colimit components are not natural in the argument"
-        ),
-    )
-    return FiniteFn(src_cocone.apex, dst_cocone.apex, table)
-
-
 def infer_signature(e: FunctorExpr) -> Signature:
     """Attribute a bounding signature to the expression."""
     if isinstance(e, (Identity, Projection, Constant)):
@@ -384,13 +312,11 @@ def infer_signature(e: FunctorExpr) -> Signature:
     if isinstance(e, SymContainer):
         g = e.groupoid
         return Signature(FiniteSet(len(g.arities)), list(g.arities))
-    if isinstance(e, (Pairing, Sum, Product)):
+    if isinstance(e, (Sum, Product)):
         return signature_sum([infer_signature(p) for p in e.parts])
     if isinstance(e, Compose):
         children = (e.outer,) + e.inner
         return signature_sum([infer_signature(c) for c in children])
-    if isinstance(e, ColimOver):
-        return signature_sum([infer_signature(p) for p in e.parts])
     if isinstance(e, MuParam):
         return infer_signature(e.body)
     raise ShapeMismatch(f"unknown expression node {type(e).__name__}")

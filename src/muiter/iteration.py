@@ -26,7 +26,7 @@ from .errors import (
     NoAlgebra,
     ShapeMismatch,
 )
-from .finset import FiniteFn, FiniteSet, tagged_sum
+from .finset import FiniteFn, FiniteSet, TaggedSum
 from .functors import (
     Compose,
     Constant,
@@ -37,9 +37,8 @@ from .functors import (
     eval_functor,
     eval_functor_mor,
     expr_arity,
-    infer_signature,
 )
-from .size import kappa_sigma, nat_backend
+from .size import nat_backend
 
 DEFAULT_BUDGET = 8
 DEFAULT_MAX_CARRIER = 500_000
@@ -150,8 +149,6 @@ class IterationState:
 
     def _apply_object(self, x: FiniteSet) -> FiniteSet:
         out = eval_functor(self.functor, (x,))
-        if not isinstance(out, FiniteSet):
-            raise ShapeMismatch("iteration needs a set-valued functor")
         if out.size > self.max_carrier:
             raise BudgetExceeded(
                 f"carrier of size {out.size} exceeds the cap "
@@ -315,16 +312,6 @@ def catamorphism(state: IterationState, alg: AlgebraSpec, i) -> FiniteFn:
     return fold(i)
 
 
-def fold_equation_holds(
-    state: IterationState, alg: AlgebraSpec, h: FiniteFn, j, i
-) -> bool:
-    """Check h . leg(j,i) == structure . F(h . connect(j,i)) at one j."""
-    lhs = state.leg(j, i).then(h)
-    inner = state.connect(j, i).then(h)
-    rhs = eval_functor_mor(state.functor, (inner,)).then(alg.structure)
-    return lhs == rhs
-
-
 @dataclass
 class FreeResult:
     """Free algebra on a set of generators."""
@@ -350,7 +337,7 @@ def free_algebra(
     expr = Sum((functor, Constant(generators)))
     mu = mu_initial_algebra(expr, backend, budget, max_carrier)
     f_mu = eval_functor(functor, (mu.carrier,))
-    layout = tagged_sum([f_mu, generators])
+    layout = TaggedSum([f_mu, generators])
     unit = FiniteFn(
         generators,
         mu.carrier,
@@ -364,19 +351,6 @@ def free_algebra(
     return FreeResult(mu=mu, generators=generators, unit=unit, structure=structure)
 
 
-def _mu_backend(node: MuParam):
-    if node.backend == "nat":
-        return nat_backend()
-    if node.backend == "plump":
-        return kappa_sigma(infer_signature(node.body))
-    raise ShapeMismatch(f"unknown backend tag {node.backend!r}")
-
-
-def partial_application(body: FunctorExpr, value: FiniteSet) -> FunctorExpr:
-    """Fix the first slot of a binary expression to a constant set."""
-    return Compose(body, (Constant(value), Identity()))
-
-
 def mu_parameterized(
     body: FunctorExpr,
     value: FiniteSet,
@@ -385,13 +359,12 @@ def mu_parameterized(
     max_carrier: int = DEFAULT_MAX_CARRIER,
 ) -> MuResult:
     """Object part of the parameterized fixpoint: mu of body(value, -)."""
-    return mu_initial_algebra(
-        partial_application(body, value), backend, budget, max_carrier
-    )
+    fixed = Compose(body, (Constant(value), Identity()))
+    return mu_initial_algebra(fixed, backend, budget, max_carrier)
 
 
 def mu_of_parameterized(node: MuParam, value: FiniteSet) -> MuResult:
-    return mu_parameterized(node.body, value, _mu_backend(node), node.budget)
+    return mu_parameterized(node.body, value, nat_backend(), node.budget)
 
 
 def mu_parameterized_map(node: MuParam, f: FiniteFn) -> FiniteFn:
@@ -433,8 +406,6 @@ def deflationary_nu(
         if len(stages) >= budget:
             raise BudgetExceeded(f"stage budget {budget} exhausted", profile)
         nxt = eval_functor(functor, (stages[-1],))
-        if not isinstance(nxt, FiniteSet):
-            raise ShapeMismatch("dual iteration needs a set-valued functor")
         if nxt.size > max_carrier:
             raise BudgetExceeded(
                 f"carrier of size {nxt.size} exceeds the cap {max_carrier}",

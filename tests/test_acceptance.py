@@ -30,12 +30,12 @@ from muiter.iteration import (
     AlgebraSpec,
     catamorphism,
     deflationary_nu,
-    fold_equation_holds,
     inflationary_iterate,
     mu_initial_algebra,
 )
 from muiter.signature import Signature
 from muiter.size import height, kappa_sigma, nat_backend, successor_tower
+from reference import fold_equation_holds
 from test_size import PlumpRule
 
 BIN = Signature.of(0, 2, labels=["leaf", "node"])

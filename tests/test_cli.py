@@ -1,5 +1,3 @@
-import collections
-import enum
 import hashlib
 import io
 import json
@@ -388,28 +386,14 @@ def test_render_json_matches_the_stdlib_encoder_on_random_payloads():
         _write_json(payload, "\n", [])  # covered without the stdlib fallback
 
 
-def test_render_json_hands_values_outside_the_payload_types_to_the_stdlib():
-    class Flag(enum.IntEnum):
-        ON = 1
-
-    class Text(str):
-        pass
-
-    class Rows(list):
-        pass
-
-    for payload in (
-        {"keys": {2: "two", 1: "one"}},
-        {"table": [0, Flag.ON, 2]},
-        {"flag": Flag.ON},
-        {"label": Text("sub")},
-        {"table": [1.5, Flag.ON]},
-        {"rows": Rows([[1, 2], {"b": 1, "a": [3]}])},
-        {"nested": collections.OrderedDict(b=[1, 2], a={"y": 0, "x": ()})},
+def test_render_json_rejects_values_outside_the_payload_types():
+    for payload, kind in (
+        ({"table": range(3)}, "range"),
+        ({"reports": [{"seen": {1, 2}}]}, "set"),
+        ({"keys": {2: "two"}}, "int"),
     ):
-        assert render_json(payload) == stdlib_json(payload)
-    with pytest.raises(TypeError):
-        render_json({"reports": [{"unencodable": object()}]})
+        with pytest.raises(TypeError, match=rf"\b{kind}\b"):
+            render_json(payload)
 
 
 def test_missing_file_is_a_usage_error(capsys):

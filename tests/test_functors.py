@@ -6,31 +6,16 @@ import pytest
 
 from muiter.checks import check_cocone_laws, check_functor_laws
 from muiter.colimit import Diagram, subdiagram_colimit
-from muiter.errors import (
-    BudgetExceeded,
-    NonFunctorialDiagram,
-    NonInvertibleGroupoidArrow,
-    ShapeMismatch,
-)
-from muiter.finset import (
-    Cartesian,
-    FiniteFn,
-    FiniteSet,
-    Relation,
-    TaggedSum,
-    exponential,
-    quotient,
-)
+from muiter.errors import BudgetExceeded, NonInvertibleGroupoidArrow, ShapeMismatch
+from muiter.finset import Cartesian, Exponential, FiniteFn, FiniteSet, TaggedSum
 from muiter.functors import (
     BUILTIN_GROUPOIDS,
-    ColimOver,
     Compose,
     Constant,
     Container,
     Groupoid,
     Identity,
     MuParam,
-    Pairing,
     Product,
     Projection,
     Sum,
@@ -43,7 +28,8 @@ from muiter.functors import (
     preserves_chain_colimit,
     swap_groupoid,
 )
-from muiter.signature import Signature, container_apply, empty_signature
+from muiter.signature import Signature, container_layout, empty_signature
+from reference import Relation, quotient
 
 BIN = Signature.of(0, 2, labels=["leaf", "node"])
 
@@ -70,12 +56,6 @@ def test_eval_object_parts():
     assert eval_functor(Container(BIN), (x,)).size == 1 + 9
     two_then_poly = Compose(POLY, (Product((Identity(), Identity())),))
     assert eval_functor(two_then_poly, (x,)).size == 1 + 81
-
-
-def test_eval_pairing_returns_tuple():
-    x = FiniteSet(2)
-    got = eval_functor(Pairing((Identity(), Constant(FiniteSet(3)))), (x,))
-    assert got == (FiniteSet(2), FiniteSet(3))
 
 
 def test_expr_arity():
@@ -140,7 +120,7 @@ def test_morphism_respects_block_layout():
 
 def reference_sym_cocone(g, base):
     """The orbit quotient of the exponentials, reindexed element by element."""
-    exps = [exponential(base, a) for a in g.arities]
+    exps = [Exponential(base, a) for a in g.arities]
     layout = TaggedSum([e.set for e in exps])
     pairs = []
     for src, dst, sigma in g.arrows:
@@ -183,8 +163,8 @@ def reference_mor(e, fns):
         return FiniteFn(dom.set, cod.set, table)
     f = fns[0]
     if isinstance(e, Container):
-        src = [exponential(f.dom, a) for a in e.sig.arities]
-        dst = [exponential(f.cod, a) for a in e.sig.arities]
+        src = [Exponential(f.dom, a) for a in e.sig.arities]
+        dst = [Exponential(f.cod, a) for a in e.sig.arities]
         dom = TaggedSum([x.set for x in src])
         cod = TaggedSum([x.set for x in dst])
         table = []
@@ -238,11 +218,11 @@ def test_sym_container_classes_are_orbits(n):
     for m in range(4):
         base = FiniteSet(m)
         cocone = _sym_cocone(g, base)
-        exp = exponential(base, FiniteSet(n))
+        exp = Exponential(base, FiniteSet(n))
         seen = {}
         for enc in range(exp.set.size):
             t = exp.decode(enc)
-            cls = cocone.class_of(0, enc)
+            cls = cocone.legs[0].table[enc]
             seen.setdefault(cls, set()).add(t)
         expected = set(frozenset(v) for v in orbit_classes(n, m).values())
         assert set(frozenset(v) for v in seen.values()) == expected
@@ -256,12 +236,12 @@ def test_sym_container_map_acts_on_multisets():
 
     g = swap_groupoid(2)
     src, dst = _sym_cocone(g, f.dom), _sym_cocone(g, f.cod)
-    exp_s = exponential(f.dom, FiniteSet(2))
-    exp_d = exponential(f.cod, FiniteSet(2))
+    exp_s = Exponential(f.dom, FiniteSet(2))
+    exp_d = Exponential(f.cod, FiniteSet(2))
     for enc in range(exp_s.set.size):
         t = exp_s.decode(enc)
         u = tuple(f(v) for v in t)
-        assert mor.table[src.class_of(0, enc)] == dst.class_of(0, exp_d.encode(u))
+        assert mor.table[src.legs[0].table[enc]] == dst.legs[0].table[exp_d.encode(u)]
 
 
 def test_groupoid_validation():
@@ -274,56 +254,6 @@ def test_groupoid_validation():
     assert set(BUILTIN_GROUPOIDS) == {"swap2", "swap3"}
 
 
-# -- pointwise colimits -----------------------------------------------------------
-
-
-def swap_component(env):
-    x = env[0]
-    pairs = eval_functor(Product((Identity(), Identity())), env)
-    table = []
-    for enc in range(pairs.size):
-        a, b = enc % x.size, enc // x.size
-        table.append(a * x.size + b)
-    return FiniteFn(pairs, pairs, table)
-
-
-def test_colim_over_matches_sym_container():
-    quotiented = ColimOver(
-        (Product((Identity(), Identity())),), ((0, 0, swap_component),)
-    )
-    sym = SymContainer(swap_groupoid(2))
-    for m in range(5):
-        x = FiniteSet(m)
-        assert eval_functor(quotiented, (x,)).size == eval_functor(sym, (x,)).size
-    for f in all_functions(3, 2):
-        lhs = eval_functor_mor(quotiented, (f,))
-        rhs = eval_functor_mor(sym, (f,))
-        # same partition of pairs, so identical tables
-        assert lhs.table == rhs.table
-
-
-def test_colim_over_rejects_non_natural_components():
-    def lopsided(env):
-        x = env[0]
-        if x.size == 2:
-            return FiniteFn(x, x, (1, 0))
-        return FiniteFn.identity(x)
-
-    expr = ColimOver((Identity(),), ((0, 0, lopsided),))
-    f = FiniteFn(FiniteSet(2), FiniteSet(3), (0, 1))
-    with pytest.raises(NonFunctorialDiagram):
-        eval_functor_mor(expr, (f,))
-
-
-def test_colim_over_component_typing():
-    def bad(env):
-        return FiniteFn.identity(FiniteSet(99))
-
-    expr = ColimOver((Identity(),), ((0, 0, bad),))
-    with pytest.raises(ShapeMismatch):
-        eval_functor(expr, (FiniteSet(2),))
-
-
 # -- signature attribution ---------------------------------------------------------
 
 
@@ -332,18 +262,18 @@ def test_infer_signature():
     assert infer_signature(Constant(FiniteSet(5))) == empty_signature()
     assert infer_signature(Container(BIN)) == BIN
     sym = infer_signature(SymContainer(swap_groupoid(3)))
-    assert sym.ops.size == 1 and sym.arity(0).size == 3
+    assert sym.ops.size == 1 and sym.arities[0].size == 3
     assert infer_signature(POLY) == empty_signature()
     both = infer_signature(Sum((Container(BIN), SymContainer(swap_groupoid(2)))))
     assert both.ops.size == 3
-    assert [both.arity(k).size for k in range(3)] == [0, 2, 2]
+    assert [a.size for a in both.arities] == [0, 2, 2]
     assert infer_signature(MuParam(Container(BIN))) == BIN
 
 
 def test_container_sizes_follow_signature():
     for n in range(4):
         x = FiniteSet(n)
-        assert eval_functor(Container(BIN), (x,)) == container_apply(BIN, x)
+        assert eval_functor(Container(BIN), (x,)) == container_layout(BIN, x).set
 
 
 # -- chains and preservation ---------------------------------------------------------
@@ -423,8 +353,8 @@ def test_mu_param_infinite_fixpoint_exceeds_budget():
 def test_compose_normalizes_inner():
     single = Compose(POLY, Identity())
     assert single.inner == (Identity(),)
-    paired = Compose(POLY, Pairing((Identity(), Identity())))
-    assert paired.inner == (Identity(), Identity())
+    listed = Compose(POLY, [Identity(), Identity()])
+    assert listed.inner == (Identity(), Identity())
 
 
 def test_law_checks_compare_range_and_tuple_tables_by_value(monkeypatch):
@@ -444,10 +374,13 @@ def test_law_checks_compare_range_and_tuple_tables_by_value(monkeypatch):
     def ranged_legs(d):
         # the same cocone with each run of consecutive classes kept as a range
         cocone = subdiagram_colimit(d)
+        legs = {}
         for i, leg in cocone.legs.items():
             run = range(leg.table[0], leg.table[0] + leg.dom.size) if leg.table else ()
             if tuple(leg.table) == tuple(run):
-                cocone.legs[i] = FiniteFn(leg.dom, leg.cod, run)
+                leg = FiniteFn(leg.dom, leg.cod, run)
+            legs[i] = leg
+        cocone.legs = legs
         return cocone
 
     monkeypatch.setattr("muiter.checks.subdiagram_colimit", ranged_legs)

@@ -8,6 +8,7 @@ import tracemalloc
 
 import pytest
 
+from muiter.colimit import Cocone
 from muiter.errors import BudgetExceeded, IntegrityError, NoAlgebra, ShapeMismatch
 from muiter.finset import FiniteFn, FiniteSet
 from muiter.functors import (
@@ -19,7 +20,6 @@ from muiter.functors import (
     Projection,
     Sum,
     SymContainer,
-    eval_functor,
     eval_functor_mor,
     swap_groupoid,
 )
@@ -27,16 +27,15 @@ from muiter.iteration import (
     AlgebraSpec,
     catamorphism,
     deflationary_nu,
-    fold_equation_holds,
     free_algebra,
     inflationary_iterate,
     mu_initial_algebra,
     mu_parameterized,
     mu_parameterized_map,
-    partial_application,
 )
-from muiter.signature import Signature, WTree, container_layout, wtype_enumerate
+from muiter.signature import Signature, WTree, container_layout
 from muiter.size import kappa_sigma, nat_backend, successor_tower
+from reference import fold_equation_holds, wtype_enumerate
 
 BIN = Signature.of(0, 2, labels=["leaf", "node"])
 TREES = Container(BIN)
@@ -319,12 +318,14 @@ def corrupted_nat_stages(corruption: str):
     backend = nat_backend()
     state = inflationary_iterate(POLY, backend, successor_tower(backend, 4))
     state.leg(1, 3)  # memoised while stage 2 is sound; connect(2, 3) reads it
-    cocone = state.stage(2).cocone
-    leg = cocone.legs[1]
+    rec = state.stage(2)
+    sound = rec.cocone
+    apex, quotient = sound.apex, sound._quotient
     if corruption == "merge":
-        cocone.legs[1] = FiniteFn(leg.dom, leg.cod, [0] * leg.dom.size)
+        quotient = [0] * len(quotient)
     else:
-        cocone.apex = FiniteSet(cocone.apex.size + 1)
+        apex = FiniteSet(apex.size + 1)
+    rec.cocone = Cocone(sound.diagram, apex, quotient, sound._sum)
     return state
 
 
@@ -446,8 +447,10 @@ def test_free_algebra_unit_is_mono_into_terms():
 
 
 def test_partial_application_fixes_first_slot():
-    expr = partial_application(LISTS_BODY, FiniteSet(2))
-    assert eval_functor(expr, (FiniteSet(3),)).size == 1 + 6
+    # lists over 2 letters: stage n + 1 is 1 + 2 * stage n
+    with pytest.raises(BudgetExceeded) as info:
+        mu_parameterized(LISTS_BODY, FiniteSet(2), nat_backend(), budget=5)
+    assert sizes_of(info.value.profile) == [0, 1, 3, 7, 15]
 
 
 def test_lists_over_empty_set():

@@ -1,0 +1,72 @@
+import importlib
+
+import pytest
+
+import muiter
+
+PUBLIC = [
+    "AlgebraSpec", "BudgetExceeded", "Cocone", "Compose", "Constant",
+    "Container", "Diagram", "DslError", "DslNameError", "DslSyntaxError",
+    "FiniteFn", "FiniteSet", "FreeResult", "FunctorExpr", "Groupoid",
+    "Identity", "IllTypedArrow", "IntegrityError", "IterationState", "MuParam",
+    "MuResult", "MuiterError", "NoAlgebra", "NoSuchIndex",
+    "NonFunctorialDiagram", "NonInvertibleGroupoidArrow", "NuResult",
+    "Product", "Projection", "ShapeMismatch", "Signature", "Sum",
+    "SymContainer", "WTree", "__version__", "catamorphism", "container_map",
+    "deflationary_nu", "eval_functor", "eval_functor_mor",
+    "filtered_sample_check", "finite_cat_colimit", "format_script",
+    "free_algebra", "height", "infer_signature", "inflationary_iterate",
+    "kappa_sigma", "lower_expr", "mu_initial_algebra", "mu_parameterized",
+    "nat_backend", "parse_script", "run_checks", "signature_sum",
+    "subdiagram_colimit", "successor_tower", "swap_groupoid",
+]
+
+# what no command-line path reaches, as paths under muiter; the test
+# oracles among these live in tests/reference.py
+REMOVED = [
+    "colimit.connecting_map",
+    "colimit.canonical_product_map",
+    "colimit.colimit_commutes_with_finite_limits_check",
+    "colimit.Diagram.restrict",
+    "colimit.Diagram.down_set",
+    "colimit.Cocone.class_of",
+    "colimit.Legs.__setitem__",
+    "errors.IndexMismatch",
+    "functors.Pairing",
+    "functors.ColimOver",
+    "functors.MuParam.backend",
+    "finset.Relation",
+    "finset.quotient",
+    "finset.kernel",
+    "finset.exponential",
+    "finset.cartesian",
+    "finset.tagged_sum",
+    "finset.FiniteFn.is_surjective",
+    "signature.Signature.arity",
+    "signature.WTree.sort_key",
+    "signature.WTree.node_count",
+    "signature.validate_tree",
+    "signature.container_apply",
+    "signature.wtype_enumerate",
+    "iteration.partial_application",
+    "iteration.fold_equation_holds",
+]
+
+
+def test_public_names_are_pinned_and_resolve():
+    assert sorted(muiter.__all__) == PUBLIC
+    for name in PUBLIC:
+        getattr(muiter, name)
+
+
+@pytest.mark.parametrize("path", REMOVED)
+def test_removed_names_are_gone(path):
+    module, *owner, name = path.split(".")
+    obj = importlib.import_module(f"muiter.{module}")
+    for attr in owner:
+        obj = getattr(obj, attr)
+    assert not hasattr(obj, name)
+    if not owner:
+        assert not hasattr(muiter, name)
+        with pytest.raises(ImportError):
+            exec(f"from muiter import {name}", {})

