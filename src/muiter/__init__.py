@@ -16,7 +16,6 @@ from .errors import (
     MuiterError,
     NoAlgebra,
     NonFunctorialDiagram,
-    NonInvertibleGroupoidArrow,
     NoSuchIndex,
     ShapeMismatch,
 )
@@ -31,7 +30,6 @@ from .size import (
 from .colimit import (
     Cocone,
     Diagram,
-    finite_cat_colimit,
     subdiagram_colimit,
 )
 from .functors import (
@@ -39,7 +37,6 @@ from .functors import (
     Constant,
     Container,
     FunctorExpr,
-    Groupoid,
     Identity,
     MuParam,
     Product,
@@ -49,7 +46,6 @@ from .functors import (
     eval_functor,
     eval_functor_mor,
     infer_signature,
-    swap_groupoid,
 )
 from .iteration import (
     AlgebraSpec,
@@ -77,7 +73,6 @@ __all__ = [
     "NonFunctorialDiagram",
     "NoSuchIndex",
     "IllTypedArrow",
-    "NonInvertibleGroupoidArrow",
     "NoAlgebra",
     "BudgetExceeded",
     "IntegrityError",
@@ -97,7 +92,6 @@ __all__ = [
     "Diagram",
     "Cocone",
     "subdiagram_colimit",
-    "finite_cat_colimit",
     "FunctorExpr",
     "Identity",
     "Projection",
@@ -108,8 +102,6 @@ __all__ = [
     "Container",
     "SymContainer",
     "MuParam",
-    "Groupoid",
-    "swap_groupoid",
     "eval_functor",
     "eval_functor_mor",
     "infer_signature",

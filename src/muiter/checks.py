@@ -15,7 +15,7 @@ from .colimit import Diagram, subdiagram_colimit
 from .errors import BudgetExceeded
 from .finset import FiniteFn, FiniteSet
 from .functors import FunctorExpr, eval_functor, eval_functor_mor, expr_arity, preserves_chain_colimit
-from .size import filtered_sample_check, height
+from .size import PlumpBackend, filtered_sample_check, height
 
 
 def _fail(name: str, detail: str) -> Dict:
@@ -73,11 +73,18 @@ def check_join_bounds(backend, rng: random.Random, samples: int, depth: int) -> 
 def check_filtered(backend, rng: random.Random, samples: int, depth: int) -> Dict:
     name = "filtered-bounds"
     indices = backend.sample_indices(rng, max(samples, 4), depth)
+    # a family is indexed by the arity of an operation of the base
+    # signature; without operations (nat, bare plump) its width is free
+    ops = backend.base.ops.size if isinstance(backend, PlumpBackend) else 0
     drawn = []
     for _ in range(samples):
-        width = rng.randrange(0, 4)
+        if ops:
+            op = rng.randrange(ops)
+            width = backend.base.arities[op].size
+        else:
+            op, width = 0, rng.randrange(0, 4)
         family = tuple(indices[rng.randrange(len(indices))] for _ in range(width))
-        drawn.append((0, family))
+        drawn.append((op, family))
     ok, witnesses = filtered_sample_check(backend, drawn)
     if not ok:
         return _fail(name, "some sampled family had no strict upper bound")

@@ -142,6 +142,25 @@ class Runner:
             raise UsageError(f"line {cmd.line}: budget must be at least 1")
         return budget
 
+    def setup(self, cmd: Command) -> tuple:
+        """The endofunctor, size, budget and backend a fixpoint command runs on.
+
+        A cata command's algebra must be declared for its functor; that is
+        checked after the functor and before the options.
+        """
+        expr = self.env.endofunctor(cmd.functor, cmd.line)
+        if cmd.algebra is not None:
+            decl = self.env.algebras[cmd.algebra]
+            if decl.functor != cmd.functor:
+                raise UsageError(
+                    f"line {cmd.line}: algebra {cmd.algebra!r} is declared "
+                    f"for {decl.functor!r}, not {cmd.functor!r}"
+                )
+        size = self.opt_size(cmd)
+        budget = self.opt_budget(cmd)
+        backend = _backend_for(self.env, size, cmd.line, infer_signature(expr))
+        return expr, size, budget, backend
+
     def base_report(self, cmd: Command, size: Optional[str], budget: Optional[int]) -> dict:
         report: dict = {"command": cmd.kind, "line": cmd.line}
         if cmd.functor is not None:
@@ -161,11 +180,8 @@ class Runner:
     # -- commands ----------------------------------------------------------
 
     def cmd_iterate(self, cmd: Command) -> dict:
-        expr = self.env.endofunctor(cmd.functor, cmd.line)
-        size = self.opt_size(cmd)
-        budget = self.opt_budget(cmd)
+        expr, size, budget, backend = self.setup(cmd)
         depth = cmd.option("depth", budget)
-        backend = _backend_for(self.env, size, cmd.line, infer_signature(expr))
         state = inflationary_iterate(
             expr, backend, successor_tower(backend, depth), budget
         )
@@ -174,10 +190,7 @@ class Runner:
         return report
 
     def cmd_mu(self, cmd: Command) -> dict:
-        expr = self.env.endofunctor(cmd.functor, cmd.line)
-        size = self.opt_size(cmd)
-        budget = self.opt_budget(cmd)
-        backend = _backend_for(self.env, size, cmd.line, infer_signature(expr))
+        expr, size, budget, backend = self.setup(cmd)
         result = mu_initial_algebra(expr, backend, budget)
         report = self.base_report(cmd, size, budget)
         report["stages"] = result.state.profile()
@@ -187,10 +200,7 @@ class Runner:
         return report
 
     def cmd_free(self, cmd: Command) -> dict:
-        expr = self.env.endofunctor(cmd.functor, cmd.line)
-        size = self.opt_size(cmd)
-        budget = self.opt_budget(cmd)
-        backend = _backend_for(self.env, size, cmd.line, infer_signature(expr))
+        expr, size, budget, backend = self.setup(cmd)
         result = free_algebra(expr, FiniteSet(cmd.generators), backend, budget)
         report = self.base_report(cmd, size, budget)
         report["generators"] = cmd.generators
@@ -202,16 +212,8 @@ class Runner:
         return report
 
     def cmd_cata(self, cmd: Command) -> dict:
-        expr = self.env.endofunctor(cmd.functor, cmd.line)
+        expr, size, budget, backend = self.setup(cmd)
         decl = self.env.algebras[cmd.algebra]
-        if decl.functor != cmd.functor:
-            raise UsageError(
-                f"line {cmd.line}: algebra {cmd.algebra!r} is declared "
-                f"for {decl.functor!r}, not {cmd.functor!r}"
-            )
-        size = self.opt_size(cmd)
-        budget = self.opt_budget(cmd)
-        backend = _backend_for(self.env, size, cmd.line, infer_signature(expr))
         carrier = FiniteSet(decl.carrier)
         for v in decl.table:
             if v >= decl.carrier:

@@ -194,55 +194,19 @@ def subdiagram_colimit(d: Diagram) -> Cocone:
     The apex is the tagged sum of the objects modulo the closure of
     x ~ arrow(x) over every edge; classes are numbered by least member of
     the sum layout, so the result is deterministic in the index order.
+    The quotient map's table on the sum is sliced into the legs.  Without
+    arrows the quotient is the identity, so the apex is the sum itself.
     """
     if not d.is_directed():
         raise NonFunctorialDiagram("index fragment is not directed")
-    return _colimit_of(d)
-
-
-def _colimit_of(d: Diagram) -> Cocone:
-    pos = {idx: tag for tag, idx in enumerate(d.indices)}
-    arrows = [(pos[j], pos[i], f) for (j, i), f in d.arrows.items()]
-    return Cocone(d, *_glue([d.objects[i] for i in d.indices], arrows))
-
-
-def _glue(objects: Sequence[FiniteSet], arrows) -> tuple:
-    """Sum the objects, identify x with h(x) for every arrow (src, dst, h).
-
-    Returns (apex, quotient, layout): the quotient map's table on the sum,
-    whose slice at each object's block is that object's leg.  Without
-    arrows the quotient is the identity, so the apex is the sum itself.
-    """
-    layout = TaggedSum(objects)
-    if not arrows:
-        return layout.set, range(layout.set.size), layout
-    offsets = layout.offsets
+    layout = TaggedSum([d.objects[i] for i in d.indices])
+    if not d.arrows:
+        return Cocone(d, layout.set, range(layout.set.size), layout)
+    offsets = dict(zip(d.indices, layout.offsets))
     pairs = []
-    for src, dst, h in arrows:
-        start, off = offsets[src], offsets[dst]
+    for (j, i), h in d.arrows.items():
+        start, off = offsets[j], offsets[i]
         targets = [off + v for v in h.table]
         pairs.extend(zip(range(start, start + h.dom.size), targets))
     apex, proj = quotient_pairs(layout.set, pairs)
-    return apex, proj.table, layout
-
-
-def finite_cat_colimit(
-    objects: Sequence[FiniteSet],
-    arrows: Sequence[Tuple[int, int, FiniteFn]],
-) -> Cocone:
-    """Colimit over an arbitrary finite shape given by generating arrows.
-
-    No directedness is required; the quotient identifies x with h(x) for
-    every generating arrow h, which also covers all composites.
-    """
-    indices = list(range(len(objects)))
-    for src, dst, h in arrows:
-        if not 0 <= src < len(objects) or not 0 <= dst < len(objects):
-            raise NoSuchIndex(f"arrow endpoints ({src}, {dst}) out of range")
-        if h.dom != objects[src] or h.cod != objects[dst]:
-            raise IllTypedArrow(
-                f"arrow {src}->{dst} is {h.dom.size}->{h.cod.size}, "
-                f"objects are {objects[src].size}->{objects[dst].size}"
-            )
-    shape = Diagram(indices, [], {i: objects[i] for i in indices}, {})
-    return Cocone(shape, *_glue(objects, arrows))
+    return Cocone(d, apex, proj.table, layout)

@@ -21,10 +21,6 @@ class IllTypedArrow(MuiterError):
     """An arrow's domain or codomain does not match the declared objects."""
 
 
-class NonInvertibleGroupoidArrow(MuiterError):
-    """A symmetry arrow is not a bijection on arities."""
-
-
 class NoAlgebra(MuiterError):
     """A claimed algebra structure map does not type-check."""
 

@@ -11,19 +11,19 @@ sum of its children's attributions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
+from math import comb
 from typing import Tuple
 
-from .colimit import Cocone, Diagram, finite_cat_colimit, subdiagram_colimit
-from .errors import IntegrityError, NonInvertibleGroupoidArrow, ShapeMismatch
+from .colimit import Diagram, subdiagram_colimit
+from .errors import IntegrityError, ShapeMismatch
 from .finset import (
     Block,
     Cartesian,
-    Exponential,
     FiniteFn,
     FiniteSet,
     TaggedSum,
     product_table,
-    radix_table,
     sum_table,
 )
 from .signature import (
@@ -98,36 +98,13 @@ class Container(FunctorExpr):
 
 
 @dataclass(frozen=True)
-class Groupoid:
-    """Finitely many objects with arity sets and invertible reindexings.
-
-    Arrows are generators (src, dst, bijection on arities); identities are
-    implicit and inverses need not be listed.
-    """
-
-    arities: Tuple[FiniteSet, ...]
-    arrows: Tuple[Tuple[int, int, FiniteFn], ...] = ()
-
-    def __post_init__(self):
-        for src, dst, f in self.arrows:
-            if not 0 <= src < len(self.arities) or not 0 <= dst < len(self.arities):
-                raise ShapeMismatch(f"groupoid arrow ({src}, {dst}) out of range")
-            if f.dom != self.arities[src] or f.cod != self.arities[dst]:
-                raise ShapeMismatch("groupoid arrow does not match its arities")
-            if not f.is_bijection():
-                raise NonInvertibleGroupoidArrow(
-                    f"arrow {src}->{dst} is not a bijection"
-                )
-
-
-@dataclass(frozen=True)
 class SymContainer(FunctorExpr):
-    """Container whose argument tables are identified along symmetries.
+    """Tables arity -> X up to every permutation of their arguments.
 
-    X maps to the colimit over the groupoid of the exponentials X**arity.
+    X maps to X**arity / S_arity, the multisets of arity elements of X.
     """
 
-    groupoid: Groupoid
+    arity: int
 
 
 @dataclass(frozen=True)
@@ -142,21 +119,9 @@ class MuParam(FunctorExpr):
     budget: int = 32
 
 
-def swap_groupoid(n: int = 2) -> Groupoid:
-    """One object of arity n with adjacent transpositions as symmetries."""
-    arity = FiniteSet(n)
-    arrows = []
-    for k in range(n - 1):
-        table = list(range(n))
-        table[k], table[k + 1] = table[k + 1], table[k]
-        arrows.append((0, 0, FiniteFn(arity, arity, table)))
-    return Groupoid((arity,), tuple(arrows))
-
-
-BUILTIN_GROUPOIDS = {
-    "swap2": swap_groupoid(2),
-    "swap3": swap_groupoid(3),
-}
+# the symmetry groups a script can name, by arity: swapk permutes all k
+# arguments, so sym<swapk> X is X**k / S_k
+BUILTIN_GROUPOIDS = {"swap2": 2, "swap3": 3}
 
 
 def expr_arity(e: FunctorExpr) -> int:
@@ -215,7 +180,7 @@ def eval_functor(e: FunctorExpr, env: Tuple[FiniteSet, ...]):
         return container_layout(e.sig, env[0]).set
     if isinstance(e, SymContainer):
         _need(env, 1, e)
-        return _sym_cocone(e.groupoid, env[0]).apex
+        return FiniteSet(_multisets(env[0].size, e.arity))
     if isinstance(e, MuParam):
         _need(env, 1, e)
         from . import iteration
@@ -264,7 +229,7 @@ def _mor(e: FunctorExpr, fns: tuple):
         return container_map(e.sig, fns[0])
     if isinstance(e, SymContainer):
         _need(fns, 1, e)
-        return _sym_map(e.groupoid, fns[0])
+        return _sym_map(e.arity, fns[0])
     if isinstance(e, MuParam):
         _need(fns, 1, e)
         from . import iteration
@@ -273,34 +238,29 @@ def _mor(e: FunctorExpr, fns: tuple):
     raise ShapeMismatch(f"unknown expression node {type(e).__name__}")
 
 
-def _sym_cocone(g: Groupoid, base: FiniteSet) -> Cocone:
-    """Colimit of the exponentials along the symmetry reindexings.
+def _multisets(n: int, k: int) -> int:
+    """|X**k / S_k| for |X| = n: the multisets of k elements of X."""
+    return comb(n + k - 1, k) if n else int(k == 0)
 
-    The reindexing along sigma sends a table t to u with u[sigma(k)] = t[k],
-    so digit k of t moves to weight |base| ** sigma(k) in u.
+
+def _sym_map(k: int, f: FiniteFn) -> FiniteFn:
+    """Each multiset of k elements of f.dom to the multiset of its images.
+
+    Multisets are numbered as sorted k-tuples in lexicographic order, the
+    order of their orbits' least members in the mixed-radix layout of
+    X**k.  Over n values, the sorted tuple a is the k-subset {a_i + i} of
+    n + k - 1 values, and the combinatorial number system ranks it as
+    _multisets(n, k) - 1 - sum_i C(n + k - 2 - a_i - i, k - i).
     """
-    exps = [Exponential(base, a) for a in g.arities]
-    digits = range(base.size)
-    arrows = []
-    for src, dst, sigma in g.arrows:
-        columns = [[v * base.size ** s for v in digits] for s in sigma.table]
-        table = radix_table(columns)
-        arrows.append((src, dst, FiniteFn(exps[src].set, exps[dst].set, table)))
-    return finite_cat_colimit([e.set for e in exps], arrows)
-
-
-def _sym_map(g: Groupoid, f: FiniteFn) -> FiniteFn:
-    src_cocone = _sym_cocone(g, f.dom)
-    dst_cocone = _sym_cocone(g, f.cod)
-
-    def image(obj: int) -> list:
-        dst_leg = dst_cocone.legs[obj].table
-        return [dst_leg[u] for u in product_table([f] * g.arities[obj].size)]
-
-    table = src_cocone.induce(
-        image, lambda cls: IntegrityError("symmetry action is not natural")
-    )
-    return FiniteFn(src_cocone.apex, dst_cocone.apex, table)
+    n = f.cod.size
+    weights = [[comb(n + k - 2 - v - i, k - i) for v in range(n)] for i in range(k)]
+    last = _multisets(n, k) - 1
+    image, weight = f.table.__getitem__, list.__getitem__
+    table = [
+        last - sum(map(weight, weights, sorted(map(image, ms))))
+        for ms in combinations_with_replacement(range(f.dom.size), k)
+    ]
+    return FiniteFn(FiniteSet(len(table)), FiniteSet(last + 1), table)
 
 
 def infer_signature(e: FunctorExpr) -> Signature:
@@ -310,8 +270,7 @@ def infer_signature(e: FunctorExpr) -> Signature:
     if isinstance(e, Container):
         return e.sig
     if isinstance(e, SymContainer):
-        g = e.groupoid
-        return Signature(FiniteSet(len(g.arities)), list(g.arities))
+        return Signature.of(e.arity)
     if isinstance(e, (Sum, Product)):
         return signature_sum([infer_signature(p) for p in e.parts])
     if isinstance(e, Compose):

@@ -1,16 +1,18 @@
 """Reference constructions the tests compare the library against.
 
 None of these is reached by the command line: relations with their
-quotients and kernels, the fold equation at one pair of stages, and the
-enumeration of well-founded trees by height.
+quotients and kernels, colimits over arbitrary finite shapes by union-find,
+the fold equation at one pair of stages, and the enumeration of
+well-founded trees by height.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, Tuple
 
-from muiter.errors import ShapeMismatch
-from muiter.finset import FiniteFn, FiniteSet, quotient_pairs
+from muiter.colimit import Cocone, Diagram
+from muiter.errors import IllTypedArrow, NoSuchIndex, ShapeMismatch
+from muiter.finset import FiniteFn, FiniteSet, TaggedSum, quotient_pairs
 from muiter.functors import eval_functor_mor
 from muiter.signature import Signature, WTree
 
@@ -70,6 +72,39 @@ def kernel(p: FiniteFn) -> Relation:
             for b in xs:
                 pairs.append((a, b))
     return Relation(p.dom, pairs)
+
+
+def finite_cat_colimit(
+    objects: Sequence[FiniteSet],
+    arrows: Sequence[Tuple[int, int, FiniteFn]],
+) -> Cocone:
+    """Colimit over an arbitrary finite shape given by generating arrows.
+
+    No directedness is required; the quotient identifies x with h(x) for
+    every generating arrow h, which also covers all composites.  Classes
+    are numbered by least member of the tagged sum of the objects.
+    """
+    indices = list(range(len(objects)))
+    for src, dst, h in arrows:
+        if not 0 <= src < len(objects) or not 0 <= dst < len(objects):
+            raise NoSuchIndex(f"arrow endpoints ({src}, {dst}) out of range")
+        if h.dom != objects[src] or h.cod != objects[dst]:
+            raise IllTypedArrow(
+                f"arrow {src}->{dst} is {h.dom.size}->{h.cod.size}, "
+                f"objects are {objects[src].size}->{objects[dst].size}"
+            )
+    shape = Diagram(indices, [], {i: objects[i] for i in indices}, {})
+    layout = TaggedSum(objects)
+    if not arrows:
+        return Cocone(shape, layout.set, range(layout.set.size), layout)
+    offsets = layout.offsets
+    pairs = []
+    for src, dst, h in arrows:
+        start, off = offsets[src], offsets[dst]
+        targets = [off + v for v in h.table]
+        pairs.extend(zip(range(start, start + h.dom.size), targets))
+    apex, proj = quotient_pairs(layout.set, pairs)
+    return Cocone(shape, apex, proj.table, layout)
 
 
 def fold_equation_holds(state, alg, h: FiniteFn, j, i) -> bool:

@@ -24,7 +24,6 @@ from muiter.functors import (
     SymContainer,
     eval_functor,
     preserves_chain_colimit,
-    swap_groupoid,
 )
 from muiter.iteration import (
     AlgebraSpec,
@@ -40,7 +39,7 @@ from test_size import PlumpRule
 
 BIN = Signature.of(0, 2, labels=["leaf", "node"])
 POLY = Sum((Constant(FiniteSet(1)), Product((Identity(), Identity()))))
-PAIRS = Sum((Constant(FiniteSet(1)), SymContainer(swap_groupoid(2))))
+PAIRS = Sum((Constant(FiniteSet(1)), SymContainer(2)))
 
 
 def verdict(label, failures):

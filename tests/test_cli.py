@@ -1,10 +1,14 @@
 import hashlib
 import io
 import json
+import os
 import random
+import resource
 import subprocess
 import sys
+import time
 from importlib.resources import files
+from math import comb
 
 import jsonschema
 import pytest
@@ -198,6 +202,20 @@ def test_named_signature_sizes_run(tmp_path, capsys):
     assert payload["reports"][0]["mu"] == {"size": 3}
 
 
+def test_check_under_a_declared_signature_draws_families_of_each_arity(
+    tmp_path, capsys
+):
+    script = "sig T = a:0 | b:2\ncheck size plump:T samples 20\n"
+    code, payload, err = run_json(tmp_path, capsys, script)
+    assert (code, err) == (0, "")
+    checks = payload["reports"][0]["checks"]
+    assert [c["name"] for c in checks] == [
+        "order-laws", "join-bounds", "filtered-bounds", "predecessor-basis",
+        "cocone-laws",
+    ]
+    assert all(c["ok"] for c in checks), checks
+
+
 # -- failure exits ----------------------------------------------------------------
 
 
@@ -245,9 +263,69 @@ def test_plump_chain_deeper_than_the_recursion_limit_stops_at_the_budget(tmp_pat
     assert report["stages"][-1]["index"] == "succ(" * 999 + "bot" + ")" * 999
 
 
+def run_limited(tmp_path, text):
+    """Run a script in a child limited to 1 GiB of address space.
+
+    Returns the exit code, the JSON payload, the wall time in seconds and
+    the child's peak RSS in bytes (ru_maxrss is in KiB on Linux).
+    """
+    script, out = tmp_path / "script.mi", tmp_path / "out.json"
+    script.write_text(text)
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    start = time.perf_counter()
+    with open(out, "w") as sink:
+        child = subprocess.Popen(
+            [sys.executable, "-m", "muiter", str(script), "--format", "json"],
+            stdout=sink,
+            preexec_fn=limit,
+        )
+        try:
+            _, status, usage = os.wait4(child.pid, 0)
+        finally:
+            child.kill()
+    wall = time.perf_counter() - start
+    payload = json.loads(out.read_text()) if out.stat().st_size else None
+    return os.waitstatus_to_exitcode(status), payload, wall, usage.ru_maxrss * 1024
+
+
+def sym_chain(const: int, k: int, n: int) -> list:
+    """Stage sizes of const + sym<swapk> X: s -> const + C(s + k - 1, k)."""
+    sizes = [0]
+    for _ in range(n - 1):
+        sizes.append(const + comb(sizes[-1] + k - 1, k))
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "const, k, depth, stages",
+    [(1, 2, 8, 7), (2, 3, 6, 5)],
+    ids=["swap2-depth-8", "swap3-depth-6"],
+)
+def test_sym_chains_stop_at_the_carrier_cap_in_bounded_time_and_memory(
+    tmp_path, const, k, depth, stages
+):
+    # the next carrier, C(s + k - 1, k) + const, is counted, not built
+    text = f"P = {const} + sym<swap{k}> X\niterate P depth {depth}\n"
+    code, payload, wall, rss = run_limited(tmp_path, text)
+    assert code == 2
+    report = payload["reports"][0]
+    sizes = sym_chain(const, k, stages + 1)
+    assert [s["size"] for s in report["stages"]] == sizes[:-1]
+    assert report["error"] == {
+        "type": "budget-exceeded",
+        "message": f"carrier of size {sizes[-1]} exceeds the cap 500000",
+    }
+    assert wall < 5
+    assert rss < 100_000_000
+
+
 # sha256 of the --format json output, each taken from the commit before the
-# change it guards (block-built tables, the C-encoder render_json, then
-# range tables); any change here is a change of behaviour
+# change it guards (block-built tables, the C-encoder render_json, range
+# tables, then closed-form multisets); any change here is a change of
+# behaviour
 PINNED_JSON = {
     "cata-nat": (
         "F = 1 + X*X\nalg lparity : F 2 = 1 0 1 1 0\ncata F lparity stage 4\n",
@@ -322,6 +400,12 @@ PINNED_JSON = {
         "F = 1 + X\nmu F size nat budget 1000\n",
         2,
         "cdc9f5d6241ccc0d5c4acccadf8f83004cfad7d1fab9acd9e72eb23981069bf8",
+    ),
+    # stops on the 2,598,061-element carrier P(stage 6) against the cap
+    "iterate-sym-cap": (
+        "P = 1 + sym<swap2> X\niterate P depth 8\n",
+        2,
+        "2e13cbd6a266a22d8bfd5252642211271cdd8e7d4cb8d5efe46a1bc3e67e59d1",
     ),
 }
 

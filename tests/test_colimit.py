@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from muiter.colimit import Cocone, Diagram, finite_cat_colimit, subdiagram_colimit
+from muiter.colimit import Cocone, Diagram, subdiagram_colimit
 from muiter.errors import (
     IllTypedArrow,
     NonFunctorialDiagram,
@@ -13,7 +13,7 @@ from muiter.errors import (
 )
 from muiter.finset import FiniteFn, FiniteSet, TaggedSum
 from muiter.functors import Identity, Product, preserves_chain_colimit
-from reference import Relation, quotient
+from reference import Relation, finite_cat_colimit, quotient
 
 
 def fn(a: int, b: int, table) -> FiniteFn:

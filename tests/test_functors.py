@@ -6,14 +6,13 @@ import pytest
 
 from muiter.checks import check_cocone_laws, check_functor_laws
 from muiter.colimit import Diagram, subdiagram_colimit
-from muiter.errors import BudgetExceeded, NonInvertibleGroupoidArrow, ShapeMismatch
+from muiter.errors import BudgetExceeded, ShapeMismatch
 from muiter.finset import Cartesian, Exponential, FiniteFn, FiniteSet, TaggedSum
 from muiter.functors import (
     BUILTIN_GROUPOIDS,
     Compose,
     Constant,
     Container,
-    Groupoid,
     Identity,
     MuParam,
     Product,
@@ -26,7 +25,6 @@ from muiter.functors import (
     expr_arity,
     infer_signature,
     preserves_chain_colimit,
-    swap_groupoid,
 )
 from muiter.signature import Signature, container_layout, empty_signature
 from reference import Relation, quotient
@@ -84,8 +82,11 @@ BATTERY = [
     Sum((Identity(), Constant(FiniteSet(1)), Identity())),
     Compose(POLY, (Sum((Constant(FiniteSet(1)), Identity())),)),
     Container(BIN),
-    SymContainer(swap_groupoid(2)),
-    SymContainer(swap_groupoid(3)),
+    SymContainer(2),
+    SymContainer(3),
+    SymContainer(0),
+    SymContainer(1),
+    SymContainer(4),
 ]
 
 
@@ -118,21 +119,21 @@ def test_morphism_respects_block_layout():
 # -- block tables against a per-element reference ---------------------------------
 
 
-def reference_sym_cocone(g, base):
-    """The orbit quotient of the exponentials, reindexed element by element."""
-    exps = [Exponential(base, a) for a in g.arities]
-    layout = TaggedSum([e.set for e in exps])
+def reference_sym_cocone(k, base):
+    """The orbit quotient of base**k under the adjacent transpositions.
+
+    Each transposition reindexes tables element by element, and
+    union-find numbers the orbits by least member.
+    """
+    exp = Exponential(base, FiniteSet(k))
     pairs = []
-    for src, dst, sigma in g.arrows:
-        for enc in range(exps[src].set.size):
-            u = [None] * g.arities[dst].size
-            for k, v in enumerate(exps[src].decode(enc)):
-                u[sigma(k)] = v
-            pairs.append(
-                (layout.encode(src, enc), layout.encode(dst, exps[dst].encode(u)))
-            )
-    _, proj = quotient(layout.set, Relation(layout.set, pairs))
-    return exps, layout, proj
+    for s in range(k - 1):
+        for enc in range(exp.set.size):
+            u = list(exp.decode(enc))
+            u[s], u[s + 1] = u[s + 1], u[s]
+            pairs.append((enc, exp.encode(u)))
+    _, proj = quotient(exp.set, Relation(exp.set, pairs))
+    return exp, proj
 
 
 def reference_mor(e, fns):
@@ -174,14 +175,13 @@ def reference_mor(e, fns):
             table.append(cod.encode(op, dst[op].encode(args)))
         return FiniteFn(dom.set, cod.set, table)
     if isinstance(e, SymContainer):
-        src_exps, src_layout, src_proj = reference_sym_cocone(e.groupoid, f.dom)
-        dst_exps, dst_layout, dst_proj = reference_sym_cocone(e.groupoid, f.cod)
-        table = [None] * src_proj.cod.size
-        for idx in range(src_layout.set.size):
-            obj, enc = src_layout.decode(idx)
-            u = dst_exps[obj].encode([f(v) for v in src_exps[obj].decode(enc)])
-            table[src_proj(idx)] = dst_proj(dst_layout.encode(obj, u))
-        return FiniteFn(src_proj.cod, dst_proj.cod, table)
+        src_exp, src = reference_sym_cocone(e.arity, f.dom)
+        dst_exp, dst = reference_sym_cocone(e.arity, f.cod)
+        table = [None] * src.cod.size
+        for enc in range(src_exp.set.size):
+            u = dst_exp.encode([f(v) for v in src_exp.decode(enc)])
+            table[src(enc)] = dst(u)
+        return FiniteFn(src.cod, dst.cod, table)
     raise NotImplementedError(type(e).__name__)
 
 
@@ -205,53 +205,41 @@ def orbit_classes(n: int, m: int):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_sym_container_counts_multisets(n):
-    expr = SymContainer(swap_groupoid(n))
+    expr = SymContainer(BUILTIN_GROUPOIDS[f"swap{n}"])
     for m in range(5):
         assert eval_functor(expr, (FiniteSet(m),)).size == comb(m + n - 1, n)
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_sym_container_classes_are_orbits(n):
-    from muiter.functors import _sym_cocone
-
-    g = swap_groupoid(n)
+    # a tuple t over base is a map n -> base, and the multiset of all n
+    # positions goes to the multiset of t's entries: t's class
+    positions = list(itertools.combinations_with_replacement(range(n), n))
+    everything = positions.index(tuple(range(n)))
+    expr = SymContainer(n)
     for m in range(4):
         base = FiniteSet(m)
-        cocone = _sym_cocone(g, base)
-        exp = Exponential(base, FiniteSet(n))
+        exp, proj = reference_sym_cocone(n, base)
         seen = {}
         for enc in range(exp.set.size):
             t = exp.decode(enc)
-            cls = cocone.legs[0].table[enc]
-            seen.setdefault(cls, set()).add(t)
+            seen.setdefault(proj(enc), set()).add(t)
+            mor = eval_functor_mor(expr, (FiniteFn(FiniteSet(n), base, t),))
+            assert mor.table[everything] == proj(enc)
         expected = set(frozenset(v) for v in orbit_classes(n, m).values())
         assert set(frozenset(v) for v in seen.values()) == expected
 
 
 def test_sym_container_map_acts_on_multisets():
-    expr = SymContainer(swap_groupoid(2))
+    expr = SymContainer(2)
     f = FiniteFn(FiniteSet(3), FiniteSet(2), (1, 0, 1))
     mor = eval_functor_mor(expr, (f,))
-    from muiter.functors import _sym_cocone
-
-    g = swap_groupoid(2)
-    src, dst = _sym_cocone(g, f.dom), _sym_cocone(g, f.cod)
-    exp_s = Exponential(f.dom, FiniteSet(2))
-    exp_d = Exponential(f.cod, FiniteSet(2))
+    exp_s, src = reference_sym_cocone(2, f.dom)
+    exp_d, dst = reference_sym_cocone(2, f.cod)
     for enc in range(exp_s.set.size):
         t = exp_s.decode(enc)
         u = tuple(f(v) for v in t)
-        assert mor.table[src.legs[0].table[enc]] == dst.legs[0].table[exp_d.encode(u)]
-
-
-def test_groupoid_validation():
-    two = FiniteSet(2)
-    with pytest.raises(NonInvertibleGroupoidArrow):
-        Groupoid((two,), ((0, 0, FiniteFn(two, two, (0, 0))),))
-    with pytest.raises(ShapeMismatch):
-        Groupoid((two,), ((0, 1, FiniteFn.identity(two)),))
-    assert len(swap_groupoid(3).arrows) == 2
-    assert set(BUILTIN_GROUPOIDS) == {"swap2", "swap3"}
+        assert mor.table[src(enc)] == dst(exp_d.encode(u))
 
 
 # -- signature attribution ---------------------------------------------------------
@@ -261,10 +249,10 @@ def test_infer_signature():
     assert infer_signature(Identity()) == empty_signature()
     assert infer_signature(Constant(FiniteSet(5))) == empty_signature()
     assert infer_signature(Container(BIN)) == BIN
-    sym = infer_signature(SymContainer(swap_groupoid(3)))
+    sym = infer_signature(SymContainer(3))
     assert sym.ops.size == 1 and sym.arities[0].size == 3
     assert infer_signature(POLY) == empty_signature()
-    both = infer_signature(Sum((Container(BIN), SymContainer(swap_groupoid(2)))))
+    both = infer_signature(Sum((Container(BIN), SymContainer(2))))
     assert both.ops.size == 3
     assert [a.size for a in both.arities] == [0, 2, 2]
     assert infer_signature(MuParam(Container(BIN))) == BIN

@@ -21,7 +21,6 @@ from muiter.functors import (
     Sum,
     SymContainer,
     eval_functor_mor,
-    swap_groupoid,
 )
 from muiter.iteration import (
     AlgebraSpec,
@@ -40,7 +39,7 @@ from reference import fold_equation_holds, wtype_enumerate
 BIN = Signature.of(0, 2, labels=["leaf", "node"])
 TREES = Container(BIN)
 POLY = Sum((Constant(FiniteSet(1)), Product((Identity(), Identity()))))
-PAIRS_UP_TO_SWAP = Sum((Constant(FiniteSet(1)), SymContainer(swap_groupoid(2))))
+PAIRS_UP_TO_SWAP = Sum((Constant(FiniteSet(1)), SymContainer(2)))
 LISTS_BODY = Sum((Constant(FiniteSet(1)), Product((Projection(0), Projection(1)))))
 
 
