@@ -19,7 +19,7 @@ from .errors import (
     NoSuchIndex,
     ShapeMismatch,
 )
-from .finset import FiniteFn, FiniteSet, TaggedSum, concat_tables, quotient_pairs
+from .finset import FiniteFn, FiniteSet, concat_tables, quotient_pairs
 
 
 class Diagram:
@@ -100,18 +100,18 @@ def _no_representative(cls: int) -> Exception:
 class Cocone:
     """A colimit presentation: an apex and one leg per index.
 
-    The legs are the blocks of one quotient map out of the tagged sum of
-    the objects (``_sum``); without arrows that map is the identity range.
+    The legs are the blocks of one quotient map out of the sum of the
+    objects, laid out block by block in index order; without arrows that
+    map is the identity range.
     """
 
-    __slots__ = ("diagram", "apex", "legs", "_sum", "_quotient")
+    __slots__ = ("diagram", "apex", "legs", "_quotient")
 
-    def __init__(self, diagram: Diagram, apex: FiniteSet, quotient, layout):
+    def __init__(self, diagram: Diagram, apex: FiniteSet, quotient):
         self.diagram = diagram
         self.apex = apex
-        self._sum = layout
         self._quotient = quotient
-        self.legs = Legs(diagram.indices, layout, quotient, apex)
+        self.legs = Legs(diagram, quotient, apex)
 
     def induce(
         self, values, ill_defined, unreached=_no_representative
@@ -125,13 +125,15 @@ class Cocone:
         is still the identity, the apex is the sum and the map is the
         values laid end to end (concat_tables).
         """
-        blocks = zip(self.diagram.indices, self._sum.parts)
+        objects = self.diagram.objects
         quotient = self._quotient
         if isinstance(quotient, range) and self.apex.size == len(quotient):
-            return concat_tables([_values_on(values, i, part) for i, part in blocks])
+            return concat_tables(
+                [_values_on(values, i, objects[i]) for i in self.diagram.indices]
+            )
         table: list = [None] * self.apex.size
-        for index, part in blocks:
-            vals = _values_on(values, index, part)
+        for index in self.diagram.indices:
+            vals = _values_on(values, index, objects[index])
             for cls, v in zip(self.legs[index].table, vals):
                 got = table[cls]
                 if got is None:
@@ -141,14 +143,6 @@ class Cocone:
         if None in table:
             raise unreached(table.index(None))
         return table
-
-    def to_json(self):
-        return {
-            "apex": self.apex.to_json(),
-            "legs": [
-                {"table": list(self.legs[i].table)} for i in self.diagram.indices
-            ],
-        }
 
 
 def _values_on(values, index: Hashable, part: FiniteSet):
@@ -163,11 +157,11 @@ def _values_on(values, index: Hashable, part: FiniteSet):
 class Legs(Mapping):
     """A cocone's legs by index, each sliced from its quotient map on first read."""
 
-    __slots__ = ("_tags", "_sum", "_quotient", "_apex", "_built")
+    __slots__ = ("_objects", "_offsets", "_quotient", "_apex", "_built")
 
-    def __init__(self, indices, layout, quotient, apex: FiniteSet):
-        self._tags = {i: tag for tag, i in enumerate(indices)}
-        self._sum = layout
+    def __init__(self, diagram: Diagram, quotient, apex: FiniteSet):
+        self._objects = diagram.objects
+        self._offsets = _offsets(diagram)
         self._quotient = quotient
         self._apex = apex
         self._built: Dict = {}
@@ -175,38 +169,48 @@ class Legs(Mapping):
     def __getitem__(self, index: Hashable) -> FiniteFn:
         leg = self._built.get(index)
         if leg is None:
-            tag = self._tags[index]
-            part, off = self._sum.parts[tag], self._sum.offsets[tag]
+            part, off = self._objects[index], self._offsets[index]
             leg = FiniteFn(part, self._apex, self._quotient[off : off + part.size])
             self._built[index] = leg
         return leg
 
     def __iter__(self):
-        return iter(self._tags)
+        return iter(self._offsets)
 
     def __len__(self) -> int:
-        return len(self._tags)
+        return len(self._offsets)
+
+
+def _offsets(d: Diagram) -> Dict:
+    """Where each index's block starts in the sum of the objects."""
+    out = {}
+    total = 0
+    for i in d.indices:
+        out[i] = total
+        total += d.objects[i].size
+    return out
 
 
 def subdiagram_colimit(d: Diagram) -> Cocone:
     """Colimit of a directed (or empty) diagram fragment.
 
-    The apex is the tagged sum of the objects modulo the closure of
-    x ~ arrow(x) over every edge; classes are numbered by least member of
-    the sum layout, so the result is deterministic in the index order.
-    The quotient map's table on the sum is sliced into the legs.  Without
-    arrows the quotient is the identity, so the apex is the sum itself.
+    The apex is the sum of the objects, laid out block by block in index
+    order, modulo the closure of x ~ arrow(x) over every edge; classes are
+    numbered by least member of the sum, so the result is deterministic in
+    the index order.  The quotient map's table on the sum is sliced into
+    the legs.  Without arrows the quotient is the identity, so the apex is
+    the sum itself.
     """
     if not d.is_directed():
         raise NonFunctorialDiagram("index fragment is not directed")
-    layout = TaggedSum([d.objects[i] for i in d.indices])
+    total = FiniteSet(sum(d.objects[i].size for i in d.indices))
     if not d.arrows:
-        return Cocone(d, layout.set, range(layout.set.size), layout)
-    offsets = dict(zip(d.indices, layout.offsets))
+        return Cocone(d, total, range(total.size))
+    offsets = _offsets(d)
     pairs = []
     for (j, i), h in d.arrows.items():
         start, off = offsets[j], offsets[i]
         targets = [off + v for v in h.table]
         pairs.extend(zip(range(start, start + h.dom.size), targets))
-    apex, proj = quotient_pairs(layout.set, pairs)
-    return Cocone(d, apex, proj.table, layout)
+    apex, proj = quotient_pairs(total, pairs)
+    return Cocone(d, apex, proj.table)

@@ -2,6 +2,14 @@
 
 Elements of a set of size n are the indices 0..n-1.  Labels are display
 metadata only and never take part in equality.
+
+Sums and products of sets have one layout each, fixed by their sizes
+alone.  A sum lays its parts out block by block: part k starts at the sum
+of the sizes before it.  A product numbers its tuples in mixed radix, the
+first component least significant, so (v_0, v_1, ...) is
+v_0 + n_0 * (v_1 + n_1 * (...)); a power X**A is the product of |A|
+copies of X.  Maps are built as whole tables in these layouts
+(sum_table, product_table).
 """
 
 from __future__ import annotations
@@ -57,12 +65,6 @@ class FiniteSet:
         if self.labels is not None:
             return f"FiniteSet({self.size}, labels={list(self.labels)!r})"
         return f"FiniteSet({self.size})"
-
-    def to_json(self):
-        out = {"size": self.size}
-        if self.labels is not None:
-            out["labels"] = list(self.labels)
-        return out
 
 
 class FiniteFn:
@@ -212,122 +214,6 @@ def quotient_pairs(base: FiniteSet, pairs: Iterable[tuple]) -> tuple:
     return classes, FiniteFn(base, classes, proj)
 
 
-class Exponential:
-    """The set of all tables exponent -> base, with mixed-radix indexing."""
-
-    __slots__ = ("base", "exponent", "set")
-
-    def __init__(self, base: FiniteSet, exponent: FiniteSet):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exponent", exponent)
-        if base.size == 0 and exponent.size > 0:
-            size = 0
-        else:
-            size = base.size ** exponent.size
-        object.__setattr__(self, "set", FiniteSet(size))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Exponential is immutable")
-
-    def encode(self, table: Sequence[int]) -> int:
-        if len(table) != self.exponent.size:
-            raise ShapeMismatch(
-                f"table of length {len(table)}, expected {self.exponent.size}"
-            )
-        idx = 0
-        for k in reversed(range(self.exponent.size)):
-            v = table[k]
-            if not 0 <= v < self.base.size:
-                raise ShapeMismatch(f"value {v} outside base of size {self.base.size}")
-            idx = idx * self.base.size + v
-        return idx
-
-    def decode(self, idx: int) -> tuple:
-        if not 0 <= idx < self.set.size:
-            raise ShapeMismatch(f"index {idx} outside exponential of size {self.set.size}")
-        out = []
-        for _ in range(self.exponent.size):
-            out.append(idx % self.base.size)
-            idx //= self.base.size
-        return tuple(out)
-
-
-class Cartesian:
-    """Product of a sequence of finite sets, with mixed-radix indexing."""
-
-    __slots__ = ("factors", "set")
-
-    def __init__(self, factors: Sequence[FiniteSet]):
-        factors = tuple(factors)
-        object.__setattr__(self, "factors", factors)
-        size = 1
-        for f in factors:
-            size *= f.size
-        object.__setattr__(self, "set", FiniteSet(size))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Cartesian is immutable")
-
-    def encode(self, values: Sequence[int]) -> int:
-        if len(values) != len(self.factors):
-            raise ShapeMismatch(
-                f"{len(values)} components for a {len(self.factors)}-fold product"
-            )
-        idx = 0
-        for k in reversed(range(len(self.factors))):
-            v, f = values[k], self.factors[k]
-            if not 0 <= v < f.size:
-                raise ShapeMismatch(f"component {v} outside factor of size {f.size}")
-            idx = idx * f.size + v
-        return idx
-
-    def decode(self, idx: int) -> tuple:
-        if not 0 <= idx < self.set.size:
-            raise ShapeMismatch(f"index {idx} outside product of size {self.set.size}")
-        out = []
-        for f in self.factors:
-            out.append(idx % f.size)
-            idx //= f.size
-        return tuple(out)
-
-
-class TaggedSum:
-    """Disjoint union of a sequence of finite sets, laid out block by block."""
-
-    __slots__ = ("parts", "offsets", "set")
-
-    def __init__(self, parts: Sequence[FiniteSet]):
-        parts = tuple(parts)
-        offsets = []
-        total = 0
-        for p in parts:
-            offsets.append(total)
-            total += p.size
-        object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "offsets", tuple(offsets))
-        object.__setattr__(self, "set", FiniteSet(total))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TaggedSum is immutable")
-
-    def encode(self, tag: int, value: int) -> int:
-        if not 0 <= tag < len(self.parts):
-            raise ShapeMismatch(f"tag {tag} outside {len(self.parts)} parts")
-        if not 0 <= value < self.parts[tag].size:
-            raise ShapeMismatch(
-                f"value {value} outside part of size {self.parts[tag].size}"
-            )
-        return self.offsets[tag] + value
-
-    def decode(self, idx: int) -> tuple:
-        if not 0 <= idx < self.set.size:
-            raise ShapeMismatch(f"index {idx} outside sum of size {self.set.size}")
-        for tag in reversed(range(len(self.parts))):
-            if idx >= self.offsets[tag]:
-                return tag, idx - self.offsets[tag]
-        raise ShapeMismatch("empty sum has no elements")
-
-
 class Block(NamedTuple):
     """A function table not checked yet, with its domain and codomain.
 
@@ -359,7 +245,7 @@ def concat_tables(tables: Sequence[Sequence[int]]) -> Sequence[int]:
 def sum_table(fns: Sequence[FiniteFn]) -> Sequence[int]:
     """Table of the sum of maps: block k is fns[k] shifted by its offset.
 
-    The layout is TaggedSum's on both sides, so the blocks concatenate.
+    Both sides are laid out block by block, so the blocks concatenate.
     """
     blocks: list = []
     offset = 0
@@ -373,20 +259,12 @@ def sum_table(fns: Sequence[FiniteFn]) -> Sequence[int]:
     return concat_tables(blocks)
 
 
-def radix_table(columns: Sequence[Sequence[int]]) -> list:
-    """Table indexed by mixed-radix digits, the first least significant.
-
-    Digit k ranges over the positions of columns[k]; the entry at digits
-    (d_0, d_1, ...) is the sum of columns[k][d_k].
-    """
-    table = [0]
-    for col in columns:
-        table = [hi + lo for hi in col for lo in table]
-    return table
-
-
 def product_table(fns: Sequence[FiniteFn]) -> Sequence[int]:
-    """Table of the product of maps in Cartesian's mixed-radix layout.
+    """Table of the product of maps in the mixed-radix layout.
+
+    Factor k is digit k, the first least significant: the entry at digits
+    (d_0, d_1, ...) is the sum of W_k * fns[k](d_k), W_k the product of
+    the codomain sizes before k.
 
     When every factor but the last is an identity, the leading digits run
     through all W values (W the product of their sizes) under each value of
@@ -401,9 +279,10 @@ def product_table(fns: Sequence[FiniteFn]) -> Sequence[int]:
         last = fns[-1].table if fns else range(1)
         if isinstance(last, range) and last.step == 1:
             return range(weight * last.start, weight * last.stop)
-    columns = []
+    table = [0]
     weight = 1
     for f in fns:
-        columns.append([weight * v for v in f.table])
+        column = [weight * v for v in f.table]
+        table = [hi + lo for hi in column for lo in table]
         weight *= f.cod.size
-    return radix_table(columns)
+    return table

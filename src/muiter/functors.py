@@ -12,24 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, prod
 from typing import Tuple
 
 from .colimit import Diagram, subdiagram_colimit
 from .errors import IntegrityError, ShapeMismatch
-from .finset import (
-    Block,
-    Cartesian,
-    FiniteFn,
-    FiniteSet,
-    TaggedSum,
-    product_table,
-    sum_table,
-)
+from .finset import Block, FiniteFn, FiniteSet, product_table, sum_table
 from .signature import (
     Signature,
     container_map,
-    container_layout,
+    container_size,
     empty_signature,
     signature_sum,
 )
@@ -169,15 +161,15 @@ def eval_functor(e: FunctorExpr, env: Tuple[FiniteSet, ...]):
     if isinstance(e, Constant):
         return e.value
     if isinstance(e, Sum):
-        return TaggedSum([eval_functor(p, env) for p in e.parts]).set
+        return FiniteSet(sum(eval_functor(p, env).size for p in e.parts))
     if isinstance(e, Product):
-        return Cartesian([eval_functor(p, env) for p in e.parts]).set
+        return FiniteSet(prod(eval_functor(p, env).size for p in e.parts))
     if isinstance(e, Compose):
         vals = tuple(eval_functor(g, env) for g in e.inner)
         return eval_functor(e.outer, vals)
     if isinstance(e, Container):
         _need(env, 1, e)
-        return container_layout(e.sig, env[0]).set
+        return FiniteSet(container_size(e.sig, env[0].size))
     if isinstance(e, SymContainer):
         _need(env, 1, e)
         return FiniteSet(_multisets(env[0].size, e.arity))
@@ -213,14 +205,14 @@ def _mor(e: FunctorExpr, fns: tuple):
         return Block(e.value, e.value, range(e.value.size))
     if isinstance(e, Sum):
         mors = [_mor(p, fns) for p in e.parts]
-        dom = TaggedSum([m.dom for m in mors])
-        cod = TaggedSum([m.cod for m in mors])
-        return Block(dom.set, cod.set, sum_table(mors))
+        dom = FiniteSet(sum(m.dom.size for m in mors))
+        cod = FiniteSet(sum(m.cod.size for m in mors))
+        return Block(dom, cod, sum_table(mors))
     if isinstance(e, Product):
         mors = [_mor(p, fns) for p in e.parts]
-        dom = Cartesian([m.dom for m in mors])
-        cod = Cartesian([m.cod for m in mors])
-        return Block(dom.set, cod.set, product_table(mors))
+        dom = FiniteSet(prod(m.dom.size for m in mors))
+        cod = FiniteSet(prod(m.cod.size for m in mors))
+        return Block(dom, cod, product_table(mors))
     if isinstance(e, Compose):
         vals = tuple(eval_functor_mor(g, fns) for g in e.inner)
         return _mor(e.outer, vals)

@@ -26,7 +26,7 @@ from .errors import (
     NoAlgebra,
     ShapeMismatch,
 )
-from .finset import FiniteFn, FiniteSet, TaggedSum
+from .finset import FiniteFn, FiniteSet
 from .functors import (
     Compose,
     Constant,
@@ -333,21 +333,15 @@ def free_algebra(
 
     The unit embeds a generator as the right summand under the structure
     map; the left summand is the F-algebra structure on the free carrier.
+    The sum is laid out block by block, so the two are the slices of the
+    structure map's table after and before |F(carrier)|.
     """
     expr = Sum((functor, Constant(generators)))
     mu = mu_initial_algebra(expr, backend, budget, max_carrier)
     f_mu = eval_functor(functor, (mu.carrier,))
-    layout = TaggedSum([f_mu, generators])
-    unit = FiniteFn(
-        generators,
-        mu.carrier,
-        [mu.structure.table[layout.encode(1, x)] for x in generators],
-    )
-    structure = FiniteFn(
-        f_mu,
-        mu.carrier,
-        [mu.structure.table[layout.encode(0, v)] for v in range(f_mu.size)],
-    )
+    iota = mu.structure.table
+    unit = FiniteFn(generators, mu.carrier, iota[f_mu.size :])
+    structure = FiniteFn(f_mu, mu.carrier, iota[: f_mu.size])
     return FreeResult(mu=mu, generators=generators, unit=unit, structure=structure)
 
 

@@ -11,15 +11,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .errors import ShapeMismatch
-from .finset import (
-    Block,
-    Exponential,
-    FiniteFn,
-    FiniteSet,
-    TaggedSum,
-    product_table,
-    sum_table,
-)
+from .finset import Block, FiniteFn, FiniteSet, product_table, sum_table
 
 
 class Signature:
@@ -134,45 +126,21 @@ class WTree:
         return f"WTree({self.render()})"
 
 
-class ContainerLayout:
-    """Indexing for sum-over-ops-of-exponentials applications of a signature.
-
-    Element i of the applied set decodes to (op, argument tuple); the block
-    for each op has size |X| ** arity(op).
-    """
-
-    __slots__ = ("sig", "base", "_exps", "_sum", "set")
-
-    def __init__(self, sig: Signature, base: FiniteSet):
-        exps = tuple(Exponential(base, a) for a in sig.arities)
-        layout = TaggedSum([e.set for e in exps])
-        object.__setattr__(self, "sig", sig)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "_exps", exps)
-        object.__setattr__(self, "_sum", layout)
-        object.__setattr__(self, "set", layout.set)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ContainerLayout is immutable")
-
-    def encode(self, op: int, args: Sequence[int]) -> int:
-        return self._sum.encode(op, self._exps[op].encode(args))
-
-    def decode(self, idx: int) -> tuple:
-        op, inner = self._sum.decode(idx)
-        return op, self._exps[op].decode(inner)
-
-
-def container_layout(sig: Signature, base: FiniteSet) -> ContainerLayout:
-    return ContainerLayout(sig, base)
+def container_size(sig: Signature, n: int) -> int:
+    """|sig(X)| for |X| = n: one block of n ** |arity| tables per op."""
+    return sum(n ** a.size for a in sig.arities)
 
 
 def container_map(sig: Signature, f: FiniteFn) -> FiniteFn:
-    """Apply f to every argument position, preserving the op tag."""
-    src = ContainerLayout(sig, f.dom)
-    dst = ContainerLayout(sig, f.cod)
+    """Apply f to every argument position, preserving the op tag.
+
+    Block op is the product of |arity(op)| copies of f, from dom ** arity
+    to cod ** arity.
+    """
+    m, n = f.dom.size, f.cod.size
     blocks = [
-        Block(s.set, d.set, product_table([f] * a.size))
-        for s, d, a in zip(src._exps, dst._exps, sig.arities)
+        Block(FiniteSet(m ** k), FiniteSet(n ** k), product_table([f] * k))
+        for k in (a.size for a in sig.arities)
     ]
-    return FiniteFn(src.set, dst.set, sum_table(blocks))
+    dom = FiniteSet(container_size(sig, m))
+    return FiniteFn(dom, FiniteSet(container_size(sig, n)), sum_table(blocks))

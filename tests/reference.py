@@ -1,9 +1,10 @@
 """Reference constructions the tests compare the library against.
 
-None of these is reached by the command line: relations with their
-quotients and kernels, colimits over arbitrary finite shapes by union-find,
-the fold equation at one pair of stages, and the enumeration of
-well-founded trees by height.
+None of these is reached by the command line: the element codecs of the
+sum, product and container layouts, relations with their quotients and
+kernels, colimits over arbitrary finite shapes by union-find, the fold
+equation at one pair of stages, and the enumeration of well-founded trees
+by height.
 """
 
 from __future__ import annotations
@@ -12,9 +13,59 @@ from typing import Iterable, Sequence, Tuple
 
 from muiter.colimit import Cocone, Diagram
 from muiter.errors import IllTypedArrow, NoSuchIndex, ShapeMismatch
-from muiter.finset import FiniteFn, FiniteSet, TaggedSum, quotient_pairs
+from muiter.finset import FiniteFn, FiniteSet, quotient_pairs
 from muiter.functors import eval_functor_mor
 from muiter.signature import Signature, WTree
+
+
+# -- the layouts, one element at a time --------------------------------------
+#
+# The library computes only sizes and whole tables.  These codecs name single
+# elements: a sum of sets of the given sizes lays part k out after the parts
+# before it, a product numbers its tuples in mixed radix with the first
+# component least significant, and a container applied to a set of n elements
+# is the sum over ops of the products of |arity| copies of n.
+
+
+def sum_encode(sizes: Sequence[int], tag: int, value: int) -> int:
+    return sum(sizes[:tag]) + value
+
+
+def sum_decode(sizes: Sequence[int], idx: int) -> Tuple[int, int]:
+    for tag, n in enumerate(sizes):
+        if idx < n:
+            return tag, idx
+        idx -= n
+    raise ShapeMismatch("index past the end of the sum")
+
+
+def product_encode(sizes: Sequence[int], values: Sequence[int]) -> int:
+    idx = 0
+    for n, v in zip(reversed(sizes), reversed(values)):
+        idx = idx * n + v
+    return idx
+
+
+def product_decode(sizes: Sequence[int], idx: int) -> tuple:
+    out = []
+    for n in sizes:
+        idx, v = divmod(idx, n)
+        out.append(v)
+    return tuple(out)
+
+
+def container_blocks(sig: Signature, n: int) -> list:
+    return [n ** a.size for a in sig.arities]
+
+
+def container_encode(sig: Signature, n: int, op: int, args: Sequence[int]) -> int:
+    inner = product_encode([n] * len(args), args)
+    return sum_encode(container_blocks(sig, n), op, inner)
+
+
+def container_decode(sig: Signature, n: int, idx: int) -> tuple:
+    op, inner = sum_decode(container_blocks(sig, n), idx)
+    return op, product_decode([n] * sig.arities[op].size, inner)
 
 
 class Relation:
@@ -94,17 +145,17 @@ def finite_cat_colimit(
                 f"objects are {objects[src].size}->{objects[dst].size}"
             )
     shape = Diagram(indices, [], {i: objects[i] for i in indices}, {})
-    layout = TaggedSum(objects)
+    sizes = [o.size for o in objects]
+    total = FiniteSet(sum(sizes))
     if not arrows:
-        return Cocone(shape, layout.set, range(layout.set.size), layout)
-    offsets = layout.offsets
-    pairs = []
-    for src, dst, h in arrows:
-        start, off = offsets[src], offsets[dst]
-        targets = [off + v for v in h.table]
-        pairs.extend(zip(range(start, start + h.dom.size), targets))
-    apex, proj = quotient_pairs(layout.set, pairs)
-    return Cocone(shape, apex, proj.table, layout)
+        return Cocone(shape, total, range(total.size))
+    pairs = [
+        (sum_encode(sizes, src, x), sum_encode(sizes, dst, h(x)))
+        for src, dst, h in arrows
+        for x in range(h.dom.size)
+    ]
+    apex, proj = quotient_pairs(total, pairs)
+    return Cocone(shape, apex, proj.table)
 
 
 def fold_equation_holds(state, alg, h: FiniteFn, j, i) -> bool:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from math import comb
 
@@ -7,7 +8,7 @@ import pytest
 from muiter.checks import check_cocone_laws, check_functor_laws
 from muiter.colimit import Diagram, subdiagram_colimit
 from muiter.errors import BudgetExceeded, ShapeMismatch
-from muiter.finset import Cartesian, Exponential, FiniteFn, FiniteSet, TaggedSum
+from muiter.finset import FiniteFn, FiniteSet
 from muiter.functors import (
     BUILTIN_GROUPOIDS,
     Compose,
@@ -26,8 +27,18 @@ from muiter.functors import (
     infer_signature,
     preserves_chain_colimit,
 )
-from muiter.signature import Signature, container_layout, empty_signature
-from reference import Relation, quotient
+from muiter.signature import Signature, empty_signature
+from reference import (
+    Relation,
+    container_blocks,
+    container_decode,
+    container_encode,
+    product_decode,
+    product_encode,
+    quotient,
+    sum_decode,
+    sum_encode,
+)
 
 BIN = Signature.of(0, 2, labels=["leaf", "node"])
 
@@ -123,17 +134,19 @@ def reference_sym_cocone(k, base):
     """The orbit quotient of base**k under the adjacent transpositions.
 
     Each transposition reindexes tables element by element, and
-    union-find numbers the orbits by least member.
+    union-find numbers the orbits by least member.  Returns the factor
+    sizes of base**k and the map onto the orbits.
     """
-    exp = Exponential(base, FiniteSet(k))
+    sizes = [base.size] * k
+    power = FiniteSet(base.size ** k)
     pairs = []
     for s in range(k - 1):
-        for enc in range(exp.set.size):
-            u = list(exp.decode(enc))
+        for enc in range(power.size):
+            u = list(product_decode(sizes, enc))
             u[s], u[s + 1] = u[s + 1], u[s]
-            pairs.append((enc, exp.encode(u)))
-    _, proj = quotient(exp.set, Relation(exp.set, pairs))
-    return exp, proj
+            pairs.append((enc, product_encode(sizes, u)))
+    _, proj = quotient(power, Relation(power, pairs))
+    return sizes, proj
 
 
 def reference_mor(e, fns):
@@ -146,41 +159,38 @@ def reference_mor(e, fns):
         return reference_mor(e.outer, tuple(reference_mor(g, fns) for g in e.inner))
     if isinstance(e, Sum):
         mors = [reference_mor(p, fns) for p in e.parts]
-        dom = TaggedSum([m.dom for m in mors])
-        cod = TaggedSum([m.cod for m in mors])
+        dom = [m.dom.size for m in mors]
+        cod = [m.cod.size for m in mors]
         table = []
-        for idx in range(dom.set.size):
-            tag, x = dom.decode(idx)
-            table.append(cod.encode(tag, mors[tag](x)))
-        return FiniteFn(dom.set, cod.set, table)
+        for idx in range(sum(dom)):
+            tag, x = sum_decode(dom, idx)
+            table.append(sum_encode(cod, tag, mors[tag](x)))
+        return FiniteFn(FiniteSet(sum(dom)), FiniteSet(sum(cod)), table)
     if isinstance(e, Product):
         mors = [reference_mor(p, fns) for p in e.parts]
-        dom = Cartesian([m.dom for m in mors])
-        cod = Cartesian([m.cod for m in mors])
+        dom = [m.dom.size for m in mors]
+        cod = [m.cod.size for m in mors]
         table = [
-            cod.encode([m(c) for m, c in zip(mors, dom.decode(idx))])
-            for idx in range(dom.set.size)
+            product_encode(cod, [m(c) for m, c in zip(mors, product_decode(dom, x))])
+            for x in range(math.prod(dom))
         ]
-        return FiniteFn(dom.set, cod.set, table)
+        return FiniteFn(FiniteSet(math.prod(dom)), FiniteSet(math.prod(cod)), table)
     f = fns[0]
     if isinstance(e, Container):
-        src = [Exponential(f.dom, a) for a in e.sig.arities]
-        dst = [Exponential(f.cod, a) for a in e.sig.arities]
-        dom = TaggedSum([x.set for x in src])
-        cod = TaggedSum([x.set for x in dst])
+        sig, m, n = e.sig, f.dom.size, f.cod.size
         table = []
-        for idx in range(dom.set.size):
-            op, enc = dom.decode(idx)
-            args = [f(a) for a in src[op].decode(enc)]
-            table.append(cod.encode(op, dst[op].encode(args)))
-        return FiniteFn(dom.set, cod.set, table)
+        for idx in range(sum(container_blocks(sig, m))):
+            op, args = container_decode(sig, m, idx)
+            table.append(container_encode(sig, n, op, [f(a) for a in args]))
+        cod = FiniteSet(sum(container_blocks(sig, n)))
+        return FiniteFn(FiniteSet(len(table)), cod, table)
     if isinstance(e, SymContainer):
-        src_exp, src = reference_sym_cocone(e.arity, f.dom)
-        dst_exp, dst = reference_sym_cocone(e.arity, f.cod)
+        src_sizes, src = reference_sym_cocone(e.arity, f.dom)
+        dst_sizes, dst = reference_sym_cocone(e.arity, f.cod)
         table = [None] * src.cod.size
-        for enc in range(src_exp.set.size):
-            u = dst_exp.encode([f(v) for v in src_exp.decode(enc)])
-            table[src(enc)] = dst(u)
+        for enc in range(src.dom.size):
+            args = [f(v) for v in product_decode(src_sizes, enc)]
+            table[src(enc)] = dst(product_encode(dst_sizes, args))
         return FiniteFn(src.cod, dst.cod, table)
     raise NotImplementedError(type(e).__name__)
 
@@ -219,10 +229,10 @@ def test_sym_container_classes_are_orbits(n):
     expr = SymContainer(n)
     for m in range(4):
         base = FiniteSet(m)
-        exp, proj = reference_sym_cocone(n, base)
+        sizes, proj = reference_sym_cocone(n, base)
         seen = {}
-        for enc in range(exp.set.size):
-            t = exp.decode(enc)
+        for enc in range(proj.dom.size):
+            t = product_decode(sizes, enc)
             seen.setdefault(proj(enc), set()).add(t)
             mor = eval_functor_mor(expr, (FiniteFn(FiniteSet(n), base, t),))
             assert mor.table[everything] == proj(enc)
@@ -234,12 +244,12 @@ def test_sym_container_map_acts_on_multisets():
     expr = SymContainer(2)
     f = FiniteFn(FiniteSet(3), FiniteSet(2), (1, 0, 1))
     mor = eval_functor_mor(expr, (f,))
-    exp_s, src = reference_sym_cocone(2, f.dom)
-    exp_d, dst = reference_sym_cocone(2, f.cod)
-    for enc in range(exp_s.set.size):
-        t = exp_s.decode(enc)
+    src_sizes, src = reference_sym_cocone(2, f.dom)
+    dst_sizes, dst = reference_sym_cocone(2, f.cod)
+    for enc in range(src.dom.size):
+        t = product_decode(src_sizes, enc)
         u = tuple(f(v) for v in t)
-        assert mor.table[src(enc)] == dst(exp_d.encode(u))
+        assert mor.table[src(enc)] == dst(product_encode(dst_sizes, u))
 
 
 # -- signature attribution ---------------------------------------------------------
@@ -261,7 +271,7 @@ def test_infer_signature():
 def test_container_sizes_follow_signature():
     for n in range(4):
         x = FiniteSet(n)
-        assert eval_functor(Container(BIN), (x,)) == container_layout(BIN, x).set
+        assert eval_functor(Container(BIN), (x,)).size == sum(container_blocks(BIN, n))
 
 
 # -- chains and preservation ---------------------------------------------------------

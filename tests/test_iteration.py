@@ -20,6 +20,7 @@ from muiter.functors import (
     Projection,
     Sum,
     SymContainer,
+    eval_functor,
     eval_functor_mor,
 )
 from muiter.iteration import (
@@ -32,9 +33,14 @@ from muiter.iteration import (
     mu_parameterized,
     mu_parameterized_map,
 )
-from muiter.signature import Signature, WTree, container_layout
+from muiter.signature import Signature, WTree
 from muiter.size import kappa_sigma, nat_backend, successor_tower
-from reference import fold_equation_holds, wtype_enumerate
+from reference import (
+    container_decode,
+    container_encode,
+    fold_equation_holds,
+    wtype_enumerate,
+)
 
 BIN = Signature.of(0, 2, labels=["leaf", "node"])
 TREES = Container(BIN)
@@ -151,11 +157,12 @@ def nat_embed(state, tree, n):
     """Canonical element of stage n for a tree of height below n.
 
     Children embed one stage down, then the filled shape goes through the
-    fresh layer's leg.  Uses only the engine's published legs and layouts.
+    fresh layer's leg.  Uses only the engine's published legs and the
+    container layout.
     """
-    layout = container_layout(BIN, state.stage(n - 1).carrier)
+    below = state.stage(n - 1).carrier.size
     args = tuple(nat_embed(state, c, n - 1) for c in tree.children)
-    return state.leg(n - 1, n).table[layout.encode(tree.op, args)]
+    return state.leg(n - 1, n).table[container_encode(BIN, below, tree.op, args)]
 
 
 def brute_leaf_parity(tree: WTree) -> int:
@@ -165,15 +172,15 @@ def brute_leaf_parity(tree: WTree) -> int:
 
 
 def leaf_parity_algebra(carrier=FiniteSet(2)):
-    layout = container_layout(BIN, carrier)
+    shapes = eval_functor(Container(BIN), (carrier,))
     table = []
-    for idx in range(layout.set.size):
-        op, args = layout.decode(idx)
+    for idx in range(shapes.size):
+        op, args = container_decode(BIN, carrier.size, idx)
         if op == 0:
             table.append(1)
         else:
             table.append(sum(args) % 2)
-    return AlgebraSpec(carrier, FiniteFn(layout.set, carrier, table))
+    return AlgebraSpec(carrier, FiniteFn(shapes, carrier, table))
 
 
 def test_stages_enumerate_trees_of_bounded_height():
@@ -324,7 +331,7 @@ def corrupted_nat_stages(corruption: str):
         quotient = [0] * len(quotient)
     else:
         apex = FiniteSet(apex.size + 1)
-    rec.cocone = Cocone(sound.diagram, apex, quotient, sound._sum)
+    rec.cocone = Cocone(sound.diagram, apex, quotient)
     return state
 
 

@@ -19,9 +19,10 @@ PUBLIC = [
     "run_checks", "signature_sum", "subdiagram_colimit", "successor_tower",
 ]
 
-# what no command-line path reaches, and the groupoid colimits that
-# closed-form multisets replaced, as paths under muiter; the test oracles
-# among these live in tests/reference.py
+# what no command-line path reaches, the groupoid colimits that closed-form
+# multisets replaced, and the element codecs that size arithmetic replaced,
+# as paths under muiter; the test oracles among these live in
+# tests/reference.py
 REMOVED = [
     "colimit.connecting_map",
     "colimit.canonical_product_map",
@@ -32,6 +33,7 @@ REMOVED = [
     "colimit.Legs.__setitem__",
     "colimit.finite_cat_colimit",
     "colimit._glue",
+    "colimit.Cocone.to_json",
     "errors.IndexMismatch",
     "errors.NonInvertibleGroupoidArrow",
     "functors.Pairing",
@@ -47,12 +49,19 @@ REMOVED = [
     "finset.cartesian",
     "finset.tagged_sum",
     "finset.FiniteFn.is_surjective",
+    "finset.FiniteSet.to_json",
+    "finset.Exponential",
+    "finset.Cartesian",
+    "finset.TaggedSum",
+    "finset.radix_table",
     "signature.Signature.arity",
     "signature.WTree.sort_key",
     "signature.WTree.node_count",
     "signature.validate_tree",
     "signature.container_apply",
     "signature.wtype_enumerate",
+    "signature.ContainerLayout",
+    "signature.container_layout",
     "iteration.partial_application",
     "iteration.fold_equation_holds",
 ]

@@ -6,15 +6,15 @@ from hypothesis import strategies as st
 
 from muiter.errors import ShapeMismatch
 from muiter.finset import FiniteFn, FiniteSet
+from muiter.functors import Container, eval_functor
 from muiter.signature import (
     Signature,
     WTree,
-    container_layout,
     container_map,
     empty_signature,
     signature_sum,
 )
-from reference import wtype_enumerate
+from reference import container_decode, container_encode, wtype_enumerate
 
 BIN = Signature.of(0, 2, labels=["leaf", "node"])
 
@@ -57,42 +57,54 @@ def test_wtree_basics():
 
 
 def test_container_layout_round_trip():
-    base = FiniteSet(3)
-    layout = container_layout(BIN, base)
     # 1 leaf shape + 9 node fillings
-    assert layout.set.size == 10
+    assert eval_functor(Container(BIN), (FiniteSet(3),)).size == 10
     seen = set()
-    for idx in range(layout.set.size):
-        op, args = layout.decode(idx)
-        assert layout.encode(op, args) == idx
+    for idx in range(10):
+        op, args = container_decode(BIN, 3, idx)
+        assert container_encode(BIN, 3, op, args) == idx
         seen.add((op, tuple(args)))
     assert (0, ()) in seen
     assert len(seen) == 10
 
 
-def brute_container_size(sig: Signature, n: int) -> int:
-    total = 0
-    for op in range(sig.ops.size):
-        total += n ** sig.arities[op].size
-    return total
+def enumerated_container_size(sig: Signature, n: int) -> int:
+    """The shapes one by one: every op with every filling of its positions."""
+    return sum(
+        1
+        for a in sig.arities
+        for _ in itertools.product(range(n), repeat=a.size)
+    )
 
 
 def test_container_apply_sizes_match_enumeration():
-    for sig in (BIN, Signature.of(0, 1, 3), empty_signature(), Signature.of(2,)):
+    sigs = (
+        BIN,
+        Signature.of(0, 1, 3),
+        Signature.of(0, 0),
+        empty_signature(),
+        Signature.of(2,),
+    )
+    for sig in sigs:
         for n in range(5):
-            assert container_layout(sig, FiniteSet(n)).set.size == brute_container_size(sig, n)
+            count = enumerated_container_size(sig, n)
+            assert eval_functor(Container(sig), (FiniteSet(n),)).size == count
+            inclusion = FiniteFn(FiniteSet(n), FiniteSet(n + 1), range(n))
+            mapped = container_map(sig, inclusion)
+            assert mapped.dom.size == count
+            assert mapped.cod.size == enumerated_container_size(sig, n + 1)
+    # 0 ** 0 = 1 and 0 ** k = 0: over no elements only the nullary op has a shape
+    assert eval_functor(Container(Signature.of(0, 2)), (FiniteSet(0),)).size == 1
 
 
 def test_container_map_relabels_positions():
     f = FiniteFn(FiniteSet(2), FiniteSet(3), (2, 0))
     mapped = container_map(BIN, f)
-    dom_layout = container_layout(BIN, f.dom)
-    cod_layout = container_layout(BIN, f.cod)
-    assert mapped.dom == dom_layout.set
-    assert mapped.cod == cod_layout.set
-    for idx in range(dom_layout.set.size):
-        op, args = dom_layout.decode(idx)
-        expected = cod_layout.encode(op, tuple(f(a) for a in args))
+    assert mapped.dom.size == 5
+    assert mapped.cod.size == 10
+    for idx in range(5):
+        op, args = container_decode(BIN, 2, idx)
+        expected = container_encode(BIN, 3, op, tuple(f(a) for a in args))
         assert mapped.table[idx] == expected
 
 
@@ -110,7 +122,7 @@ def test_container_map_functorial(data):
     )
     assert container_map(BIN, f.then(g)) == container_map(BIN, f).then(container_map(BIN, g))
     assert container_map(BIN, FiniteFn.identity(FiniteSet(n))) == FiniteFn.identity(
-        container_layout(BIN, FiniteSet(n)).set
+        eval_functor(Container(BIN), (FiniteSet(n),))
     )
 
 
@@ -153,7 +165,7 @@ def test_wtype_enumerate_counts_iterated_application():
     current = FiniteSet(0)
     for depth in range(5):
         sizes.append(current.size)
-        current = container_layout(BIN, current).set
+        current = eval_functor(Container(BIN), (current,))
     for depth in range(5):
         assert len(wtype_enumerate(BIN, depth)) == sizes[depth]
     assert sizes == [0, 1, 2, 5, 26]
