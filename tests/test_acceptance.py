@@ -7,10 +7,8 @@ library under test.
 """
 
 import itertools
-import os
 import random
 import subprocess
-import sys
 
 from muiter.colimit import Diagram, subdiagram_colimit
 from muiter.errors import BudgetExceeded
@@ -34,6 +32,7 @@ from muiter.iteration import (
 )
 from muiter.signature import Signature
 from muiter.size import height, kappa_sigma, nat_backend, successor_tower
+from launch import muiter_child
 from reference import fold_equation_holds
 from test_size import PlumpRule
 
@@ -398,12 +397,8 @@ check size plump samples 20 depth 2 seed 5
 
 
 def run_once(path, seed):
-    env = dict(os.environ)
-    env["PYTHONHASHSEED"] = seed
     return subprocess.run(
-        [sys.executable, "-m", "muiter", str(path), "--format", "json"],
-        capture_output=True,
-        env=env,
+        **muiter_child(path, PYTHONHASHSEED=seed), capture_output=True
     )
 
 

@@ -5,7 +5,6 @@ import os
 import random
 import resource
 import subprocess
-import sys
 import time
 from importlib.resources import files
 from math import comb
@@ -20,6 +19,7 @@ from muiter.finset import FiniteFn, FiniteSet
 from muiter.functors import Constant, Identity, Product, Sum
 from muiter.iteration import AlgebraSpec, catamorphism, inflationary_iterate
 from muiter.size import nat_backend, successor_tower
+from launch import muiter_child
 
 SCHEMA = json.loads(files("muiter").joinpath("schema.json").read_text())
 
@@ -234,7 +234,7 @@ def test_deep_plump_chain_stops_at_the_budget_in_bounded_time(tmp_path):
     path = tmp_path / "chain.mi"
     path.write_text("F = 1 + X\nmu F size plump budget 200\n")
     done = subprocess.run(
-        [sys.executable, "-m", "muiter", str(path), "--format", "json"],
+        **muiter_child(path),
         capture_output=True,
         text=True,
         timeout=10,
@@ -251,7 +251,7 @@ def test_plump_chain_deeper_than_the_recursion_limit_stops_at_the_budget(tmp_pat
     path = tmp_path / "chain.mi"
     path.write_text("F = 1 + X\nmu F size plump budget 1000\n")
     done = subprocess.run(
-        [sys.executable, "-m", "muiter", str(path), "--format", "json"],
+        **muiter_child(path),
         capture_output=True,
         text=True,
         timeout=30,
@@ -277,11 +277,7 @@ def run_limited(tmp_path, text):
 
     start = time.perf_counter()
     with open(out, "w") as sink:
-        child = subprocess.Popen(
-            [sys.executable, "-m", "muiter", str(script), "--format", "json"],
-            stdout=sink,
-            preexec_fn=limit,
-        )
+        child = subprocess.Popen(**muiter_child(script), stdout=sink, preexec_fn=limit)
         try:
             _, status, usage = os.wait4(child.pid, 0)
         finally:

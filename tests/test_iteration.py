@@ -2,7 +2,6 @@ import itertools
 import json
 import os
 import subprocess
-import sys
 import time
 import tracemalloc
 
@@ -35,6 +34,7 @@ from muiter.iteration import (
 )
 from muiter.signature import Signature, WTree
 from muiter.size import kappa_sigma, nat_backend, successor_tower
+from launch import muiter_child
 from reference import (
     container_decode,
     container_encode,
@@ -288,10 +288,7 @@ def test_long_chain_stops_at_the_budget_in_bounded_time_and_memory(tmp_path):
     script.write_text("F = 1 + X\nmu F size nat budget 6000\n")
     start = time.perf_counter()
     with open(out, "w") as sink:
-        child = subprocess.Popen(
-            [sys.executable, "-m", "muiter", str(script), "--format", "json"],
-            stdout=sink,
-        )
+        child = subprocess.Popen(**muiter_child(script), stdout=sink)
         try:
             _, status, usage = os.wait4(child.pid, 0)
         finally:
