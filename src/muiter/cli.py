@@ -172,7 +172,9 @@ class Runner:
         return report
 
     def budget_report(self, cmd: Command, e: BudgetExceeded) -> dict:
-        report = self.base_report(cmd, None, None)
+        # the header of a finished run; the dual chain runs on nat only
+        size = "nat" if cmd.kind == "nu" else self.opt_size(cmd)
+        report = self.base_report(cmd, size, self.opt_budget(cmd))
         report["error"] = {"type": "budget-exceeded", "message": str(e)}
         report["stages"] = e.profile
         return report

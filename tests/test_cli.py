@@ -229,6 +229,27 @@ def test_budget_stop_aborts_remaining_commands(tmp_path, capsys):
     assert report["error"]["type"] == "budget-exceeded"
 
 
+def test_a_stopped_report_keeps_the_header_of_a_finished_run(tmp_path, capsys):
+    # the carrier cap stops iterate; the header still names size and budget
+    text = "P = 1 + sym<swap2> X\niterate P depth 8\n"
+    code, out, err = run_cli(tmp_path, capsys, text)
+    assert code == 2
+    assert err == ""
+    assert out.startswith("iterate P  (size=nat, budget=8)\n  error[budget-exceeded]: ")
+
+
+def test_a_stopped_dual_chain_reports_nat_under_a_plump_default(tmp_path, capsys):
+    # nu runs on nat whatever the default size, finished or stopped
+    code, out, _ = run_cli(tmp_path, capsys, "G = 3\nnu G\n", "--size", "plump")
+    assert code == 0
+    assert out.startswith("nu G  (size=nat, budget=8)\n")
+    text = "F = 1 + X*X\nnu F budget 5\n"
+    code, out, err = run_cli(tmp_path, capsys, text, "--size", "plump")
+    assert code == 2
+    assert err == ""
+    assert out.startswith("nu F  (size=nat, budget=5)\n  error[budget-exceeded]: ")
+
+
 def test_deep_plump_chain_stops_at_the_budget_in_bounded_time(tmp_path):
     # the successor tower shares every level, so 200 stages stay cheap
     path = tmp_path / "chain.mi"
@@ -321,7 +342,8 @@ def test_sym_chains_stop_at_the_carrier_cap_in_bounded_time_and_memory(
 # sha256 of the --format json output, each taken from the commit before the
 # change it guards (block-built tables, the C-encoder render_json, range
 # tables, then closed-form multisets); any change here is a change of
-# behaviour
+# behaviour.  The six budget-stopped scripts were re-pinned when a stopped
+# report gained the size and budget keys of a finished run.
 PINNED_JSON = {
     "cata-nat": (
         "F = 1 + X*X\nalg lparity : F 2 = 1 0 1 1 0\ncata F lparity stage 4\n",
@@ -337,7 +359,7 @@ PINNED_JSON = {
     "nu-budget-5": (
         "F = 1 + X*X\nnu F budget 5\n",
         2,
-        "f52d302cf97baa67f27d6c0b65f7d15f410cff6fd6664c3642dde6a6735041e0",
+        "f160c1a4b25dd809ff778af02ee647fbb211c9f7e2a52b72919b41347d364938",
     ),
     "iterate-sym": (
         "P = 6 + sym<swap2> X\niterate P depth 4\n",
@@ -347,7 +369,7 @@ PINNED_JSON = {
     "nested-mu": (
         "L = mu Y. 1 + X*Y\nG = compose(L, 2)\nmu G\n",
         2,
-        "f7df0db4565e7ed17fe8267393b6a22ed874340fdc353e776c4a7b50c1728975",
+        "582a7dba4a53448d9aa064610e2f3f165979b354bdf4ebff6aeb81d6a28f5cfc",
     ),
     # the fold workload's table size: 458,330 entries, 5,959,057 bytes
     "cata-stage-6": (
@@ -384,24 +406,24 @@ PINNED_JSON = {
     "mu-nat-budget-40": (
         "F = 1 + X\nmu F size nat budget 40\n",
         2,
-        "5e48400947d5dd46c31819baa3ab6e40d5c3b1880115dc21ddd1589fb04afdaa",
+        "1ba5f2425489b61e1ba3f88d4479b0c7cd2c1dde47a5a99bedd16e2f09f61c43",
     ),
     "nu-budget-7": (
         "F = 1 + X*X\nnu F budget 7\n",
         2,
-        "8be80ca52bace86292cee3a1b076e258bf05439f85bd8aa51684a2cafaa8bb58",
+        "2c72124a5345088a8691ea4a7589a13dd330e8c0fd028003e5894bee133d4902",
     ),
-    # the chain workload's heaviest script: 69,034 bytes, maps kept as ranges
+    # the chain workload's heaviest script: 69,077 bytes, maps kept as ranges
     "mu-nat-budget-1000": (
         "F = 1 + X\nmu F size nat budget 1000\n",
         2,
-        "cdc9f5d6241ccc0d5c4acccadf8f83004cfad7d1fab9acd9e72eb23981069bf8",
+        "0852eb1621b19160edfb9c19e867e45b8be2637c46fa4b3b0c4dc5a2c87d3a09",
     ),
     # stops on the 2,598,061-element carrier P(stage 6) against the cap
     "iterate-sym-cap": (
         "P = 1 + sym<swap2> X\niterate P depth 8\n",
         2,
-        "2e13cbd6a266a22d8bfd5252642211271cdd8e7d4cb8d5efe46a1bc3e67e59d1",
+        "2c5137c5a6e24723f20f0f185d653c2d653c5c42f698b0b0101ee2a427dda220",
     ),
 }
 
