@@ -60,7 +60,7 @@ from .iteration import (
     mu_initial_algebra,
     mu_parameterized,
 )
-from .dsl import format_script, lower_expr, parse_script
+from .dsl import parse_script
 from .checks import run_checks
 from .size import successor_tower
 
@@ -118,7 +118,5 @@ __all__ = [
     "NuResult",
     "successor_tower",
     "parse_script",
-    "format_script",
-    "lower_expr",
     "run_checks",
 ]

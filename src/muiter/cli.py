@@ -14,18 +14,11 @@ from typing import Dict, List, Optional, Tuple
 
 from . import __version__
 from .checks import run_checks
-from .dsl import (
-    AlgDecl,
-    Command,
-    FuncDecl,
-    Script,
-    SigDecl,
-    lower_expr,
-    parse_script,
-)
+from .dsl import AlgDecl, Command, FuncDecl, SigDecl, parse_script
 from .errors import (
     BudgetExceeded,
     DslError,
+    DslNameError,
     IntegrityError,
     MuiterError,
     NonFunctorialDiagram,
@@ -50,25 +43,20 @@ class UsageError(MuiterError):
 
 
 class _Env:
-    """Declarations collected from a script, resolved and lowered."""
+    """Declarations a run has reached so far."""
 
     def __init__(self):
         self.sigs: Dict[str, Signature] = {}
         self.functors: Dict[str, object] = {}
         self.algebras: Dict[str, AlgDecl] = {}
-        self._lower_env: Dict[str, tuple] = {}
 
     def declare(self, stmt) -> None:
         if isinstance(stmt, SigDecl):
-            sig = Signature.of(
-                *(n for _, n in stmt.ops), labels=[label for label, _ in stmt.ops]
-            )
-            self.sigs[stmt.name] = sig
-            self._lower_env[stmt.name] = ("sig", sig)
+            self.sigs[stmt.name] = stmt.sig
         elif isinstance(stmt, FuncDecl):
-            expr = lower_expr(stmt.expr, self._lower_env)
-            self.functors[stmt.name] = expr
-            self._lower_env[stmt.name] = ("functor", expr)
+            if stmt.error is not None:
+                raise DslNameError(stmt.error)
+            self.functors[stmt.name] = stmt.expr
         elif isinstance(stmt, AlgDecl):
             self.algebras[stmt.name] = stmt
 
@@ -100,8 +88,8 @@ def _backend_for(env: _Env, spec: str, line: int, plump_sig: Signature):
 
 
 class Runner:
-    def __init__(self, script: Script, defaults: dict):
-        self.script = script
+    def __init__(self, statements: tuple, defaults: dict):
+        self.statements = statements
         self.defaults = defaults
         self.env = _Env()
 
@@ -111,7 +99,7 @@ class Runner:
             "version": __version__,
             "reports": reports,
         }
-        for stmt in self.script.statements:
+        for stmt in self.statements:
             if not isinstance(stmt, Command):
                 self.env.declare(stmt)
                 continue
@@ -183,7 +171,7 @@ class Runner:
 
     def cmd_iterate(self, cmd: Command) -> dict:
         expr, size, budget, backend = self.setup(cmd)
-        depth = cmd.option("depth", budget)
+        depth = cmd.option("depth", self.defaults.get("depth", budget))
         state = inflationary_iterate(
             expr, backend, successor_tower(backend, depth), budget
         )
@@ -405,7 +393,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="default size discipline: nat, plump, or plump:<sig>",
     )
     parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    parser.add_argument("--depth", type=int, default=3)
+    parser.add_argument("--depth", type=int, default=None)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument(
@@ -429,17 +417,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         sys.stderr.write(f"error: {e}\n")
         return 1
     try:
-        script = parse_script(text)
+        statements = parse_script(text)
     except DslError as e:
         sys.stderr.write(f"error: {e}\n")
         return 1
-    defaults = {
-        "size": args.size,
-        "budget": args.budget,
-        "depth": args.depth,
-        "seed": args.seed,
-    }
-    runner = Runner(script, defaults)
+    defaults = {"size": args.size, "budget": args.budget, "seed": args.seed}
+    if args.depth is not None:
+        defaults["depth"] = args.depth
+    runner = Runner(statements, defaults)
     try:
         code, payload = runner.run()
     except (IntegrityError, NonFunctorialDiagram) as e:

@@ -2,8 +2,11 @@
 
 The parser is a hand-rolled recursive descent over a token list; every
 token keeps its line and column so errors point at the offending spot.
-Parsing keeps the surface shape (references stay references) so that
-formatting a parsed script reproduces canonical text exactly.
+It builds functor expressions as it goes: X is the first argument
+slot and Y the second, so a fixpoint body is a functor in two arguments;
+a declared functor's name stands for its expression and a signature's
+name for its container.  An unknown symmetry group is kept on its
+declaration and raised only when a run reaches it.
 
 Grammar, with NAT a decimal numeral and NAME an identifier:
 
@@ -35,6 +38,21 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .errors import DslNameError, DslSyntaxError
+from .finset import FiniteSet
+from .functors import (
+    BUILTIN_GROUPOIDS,
+    Compose,
+    Constant,
+    Container,
+    FunctorExpr,
+    Identity,
+    MuParam,
+    Product,
+    Projection,
+    Sum,
+    SymContainer,
+)
+from .signature import Signature
 
 KEYWORDS = {
     "sig",
@@ -63,76 +81,23 @@ COMMAND_WORDS = ("iterate", "mu", "free", "cata", "nu", "check")
 OPTION_WORDS = ("size", "budget", "depth", "stage", "samples", "seed")
 
 
-# -- surface expression nodes -------------------------------------------
-
-
-class SurfaceExpr:
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class SNum(SurfaceExpr):
-    value: int
-
-
-@dataclass(frozen=True)
-class SVar(SurfaceExpr):
-    name: str  # "X" or "Y"
-
-
-@dataclass(frozen=True)
-class SRef(SurfaceExpr):
-    name: str
-
-
-@dataclass(frozen=True)
-class SSum(SurfaceExpr):
-    parts: Tuple[SurfaceExpr, ...]
-
-
-@dataclass(frozen=True)
-class SProd(SurfaceExpr):
-    parts: Tuple[SurfaceExpr, ...]
-
-
-@dataclass(frozen=True)
-class SPow(SurfaceExpr):
-    base: SurfaceExpr
-    power: int
-
-
-@dataclass(frozen=True)
-class SSym(SurfaceExpr):
-    group: str
-    arg: SurfaceExpr
-
-
-@dataclass(frozen=True)
-class SMu(SurfaceExpr):
-    body: SurfaceExpr
-
-
-@dataclass(frozen=True)
-class SCompose(SurfaceExpr):
-    outer: SurfaceExpr
-    inner: SurfaceExpr
-
-
 # -- statements ----------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class SigDecl:
     name: str
-    ops: Tuple[Tuple[str, int], ...]
+    sig: Signature
     line: int = 0
 
 
 @dataclass(frozen=True)
 class FuncDecl:
     name: str
-    expr: SurfaceExpr
+    expr: Optional[FunctorExpr]  # None when error is set
     line: int = 0
+    # an unknown symmetry group, raised when a run reaches the declaration
+    error: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -158,11 +123,6 @@ class Command:
             if k == name:
                 return v
         return default
-
-
-@dataclass(frozen=True)
-class Script:
-    statements: Tuple[object, ...]
 
 
 # -- tokenizer -----------------------------------------------------------
@@ -232,7 +192,10 @@ class Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.i = 0
-        self.declared: dict = {}  # name -> "sig" | "functor" | "alg"
+        # name -> (role, value): ("sig", Signature), ("functor", expr)
+        # or ("alg", None)
+        self.declared: dict = {}
+        self.unknown_group: Optional[str] = None
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -277,7 +240,7 @@ class Parser:
 
     def known_name(self, role: str) -> str:
         tok = self.expect("NAME", f"a declared {role}")
-        if self.declared.get(tok.text) != role:
+        if self.declared.get(tok.text, (None,))[0] != role:
             raise DslNameError(
                 f"{tok.line}:{tok.column}: {tok.text!r} is not a declared {role}"
             )
@@ -285,7 +248,7 @@ class Parser:
 
     # statements
 
-    def parse_script(self) -> Script:
+    def parse_script(self) -> tuple:
         statements = []
         while self.peek().kind != "EOF":
             if self.peek().kind == "NEWLINE":
@@ -302,7 +265,7 @@ class Parser:
                     tok.column,
                 )
             self.advance()
-        return Script(tuple(statements))
+        return tuple(statements)
 
     def parse_statement(self):
         tok = self.peek()
@@ -334,8 +297,9 @@ class Parser:
             raise DslSyntaxError(
                 f"duplicate operation name in {name!r}", start.line, start.column
             )
-        self.declared[name] = "sig"
-        return SigDecl(name, tuple(ops), line=start.line)
+        sig = Signature.of(*(n for _, n in ops), labels=labels)
+        self.declared[name] = ("sig", sig)
+        return SigDecl(name, sig, line=start.line)
 
     def parse_opspec(self) -> tuple:
         tok = self.expect("NAME", "an operation name")
@@ -356,16 +320,20 @@ class Parser:
         table = []
         while self.peek().kind == "NAT":
             table.append(self.expect_nat())
-        self.declared[name] = "alg"
+        self.declared[name] = ("alg", None)
         return AlgDecl(name, functor, carrier, tuple(table), line=start.line)
 
     def parse_funcdecl(self) -> FuncDecl:
         start = self.peek()
         name = self.fresh_name()
         self.expect("=")
+        self.unknown_group = None
         expr = self.parse_expr(in_mu=False)
-        self.declared[name] = "functor"
-        return FuncDecl(name, expr, line=start.line)
+        error = None
+        if self.unknown_group is not None:
+            expr, error = None, f"unknown symmetry group {self.unknown_group!r}"
+        self.declared[name] = ("functor", expr)
+        return FuncDecl(name, expr, line=start.line, error=error)
 
     def parse_command(self) -> Command:
         start = self.advance()
@@ -418,36 +386,36 @@ class Parser:
 
     # expressions
 
-    def parse_expr(self, in_mu: bool) -> SurfaceExpr:
+    def parse_expr(self, in_mu: bool) -> FunctorExpr:
         parts = [self.parse_term(in_mu)]
         while self.peek().kind == "+":
             self.advance()
             parts.append(self.parse_term(in_mu))
         if len(parts) == 1:
             return parts[0]
-        return SSum(tuple(parts))
+        return Sum(tuple(parts))
 
-    def parse_term(self, in_mu: bool) -> SurfaceExpr:
+    def parse_term(self, in_mu: bool) -> FunctorExpr:
         parts = [self.parse_factor(in_mu)]
         while self.peek().kind == "*":
             self.advance()
             parts.append(self.parse_factor(in_mu))
         if len(parts) == 1:
             return parts[0]
-        return SProd(tuple(parts))
+        return Product(tuple(parts))
 
-    def parse_factor(self, in_mu: bool) -> SurfaceExpr:
+    def parse_factor(self, in_mu: bool) -> FunctorExpr:
         atom = self.parse_atom(in_mu)
         if self.peek().kind == "^":
             self.advance()
-            return SPow(atom, self.expect_nat())
+            return Product((atom,) * self.expect_nat())
         return atom
 
-    def parse_atom(self, in_mu: bool) -> SurfaceExpr:
+    def parse_atom(self, in_mu: bool) -> FunctorExpr:
         tok = self.peek()
         if tok.kind == "NAT":
             self.advance()
-            return SNum(int(tok.text))
+            return Constant(FiniteSet(int(tok.text)))
         if tok.kind == "(":
             self.advance()
             expr = self.parse_expr(in_mu)
@@ -461,7 +429,7 @@ class Parser:
             )
         if tok.text == "X":
             self.advance()
-            return SVar("X")
+            return Identity()
         if tok.text == "Y":
             if not in_mu:
                 raise DslSyntaxError(
@@ -470,18 +438,25 @@ class Parser:
                     tok.column,
                 )
             self.advance()
-            return SVar("Y")
+            return Projection(1)
         if tok.text == "sym":
             self.advance()
             self.expect("<")
             group = self.expect("NAME", "a symmetry group name").text
             self.expect(">")
-            return SSym(group, self.parse_atom(in_mu))
+            arity = BUILTIN_GROUPOIDS.get(group)
+            if arity is None:
+                self.unknown_group = self.unknown_group or group
+            arg = self.parse_atom(in_mu)
+            if arity is None:
+                return None
+            sym = SymContainer(arity)
+            return sym if arg == Identity() else Compose(sym, (arg,))
         if tok.text == "mu":
             self.advance()
             self.expect_word("Y")
             self.expect(".")
-            return SMu(self.parse_expr(in_mu=True))
+            return MuParam(self.parse_expr(in_mu=True))
         if tok.text == "compose":
             self.advance()
             self.expect("(")
@@ -489,134 +464,19 @@ class Parser:
             self.expect(",")
             inner = self.parse_expr(in_mu)
             self.expect(")")
-            return SCompose(outer, inner)
+            return Compose(outer, (inner,))
         if tok.text in KEYWORDS:
             raise DslSyntaxError(
                 f"{tok.text!r} is reserved", tok.line, tok.column
             )
-        if self.declared.get(tok.text) not in ("functor", "sig"):
+        role, value = self.declared.get(tok.text, (None, None))
+        if role not in ("functor", "sig"):
             raise DslNameError(
                 f"{tok.line}:{tok.column}: {tok.text!r} is not declared"
             )
         self.advance()
-        return SRef(tok.text)
+        return Container(value) if role == "sig" else value
 
 
-def parse_script(text: str) -> Script:
+def parse_script(text: str) -> tuple:
     return Parser(text).parse_script()
-
-
-# -- canonical formatting -------------------------------------------------
-
-
-def _fmt_expr(e: SurfaceExpr, level: int = 0) -> str:
-    """level 0 allows sums, 1 allows products, 2 atoms only."""
-    if isinstance(e, SNum):
-        return str(e.value)
-    if isinstance(e, SVar):
-        return e.name
-    if isinstance(e, SRef):
-        return e.name
-    if isinstance(e, SSum):
-        body = " + ".join(_fmt_expr(p, 1) for p in e.parts)
-        return f"({body})" if level > 0 else body
-    if isinstance(e, SProd):
-        body = "*".join(_fmt_expr(p, 2) for p in e.parts)
-        return f"({body})" if level > 1 else body
-    if isinstance(e, SPow):
-        return f"{_fmt_expr(e.base, 2)}^{e.power}"
-    if isinstance(e, SSym):
-        return f"sym<{e.group}> {_fmt_expr(e.arg, 2)}"
-    if isinstance(e, SMu):
-        body = f"mu Y. {_fmt_expr(e.body, 0)}"
-        return f"({body})" if level > 0 else body
-    if isinstance(e, SCompose):
-        return f"compose({_fmt_expr(e.outer, 0)}, {_fmt_expr(e.inner, 0)})"
-    raise TypeError(f"not a surface expression: {e!r}")
-
-
-def format_statement(stmt) -> str:
-    if isinstance(stmt, SigDecl):
-        ops = " | ".join(f"{label}:{n}" for label, n in stmt.ops)
-        return f"sig {stmt.name} = {ops}"
-    if isinstance(stmt, FuncDecl):
-        return f"{stmt.name} = {_fmt_expr(stmt.expr)}"
-    if isinstance(stmt, AlgDecl):
-        table = " ".join(str(v) for v in stmt.table)
-        return f"alg {stmt.name} : {stmt.functor} {stmt.carrier} = {table}"
-    if isinstance(stmt, Command):
-        words = [stmt.kind]
-        if stmt.functor is not None:
-            words.append(stmt.functor)
-        if stmt.generators is not None:
-            words.append(str(stmt.generators))
-        if stmt.algebra is not None:
-            words.append(stmt.algebra)
-        for k, v in stmt.options:
-            words.append(k)
-            words.append(str(v))
-        return " ".join(words)
-    raise TypeError(f"not a statement: {stmt!r}")
-
-
-def format_script(script: Script) -> str:
-    return "".join(format_statement(s) + "\n" for s in script.statements)
-
-
-# -- lowering to functor expressions ---------------------------------------
-
-
-def lower_expr(e: SurfaceExpr, env: dict):
-    """Translate a surface expression to a functor expression.
-
-    env maps declared names to ("sig", Signature) or ("functor", expr).
-    X lowers to the first argument slot and Y to the second, so a
-    fixpoint body is a functor in two arguments and everything else in
-    one.  References to declared functors are inlined.
-    """
-    from .errors import DslNameError as _NameError
-    from .finset import FiniteSet
-    from .functors import (
-        BUILTIN_GROUPOIDS,
-        Compose,
-        Constant,
-        Container,
-        Identity,
-        MuParam,
-        Product,
-        Projection,
-        Sum,
-        SymContainer,
-    )
-
-    def go(node):
-        if isinstance(node, SNum):
-            return Constant(FiniteSet(node.value))
-        if isinstance(node, SVar):
-            return Identity() if node.name == "X" else Projection(1)
-        if isinstance(node, SRef):
-            role, value = env[node.name]
-            if role == "sig":
-                return Container(value)
-            return value
-        if isinstance(node, SSum):
-            return Sum(tuple(go(p) for p in node.parts))
-        if isinstance(node, SProd):
-            return Product(tuple(go(p) for p in node.parts))
-        if isinstance(node, SPow):
-            return Product(tuple(go(node.base) for _ in range(node.power)))
-        if isinstance(node, SSym):
-            if node.group not in BUILTIN_GROUPOIDS:
-                raise _NameError(f"unknown symmetry group {node.group!r}")
-            sym = SymContainer(BUILTIN_GROUPOIDS[node.group])
-            arg = go(node.arg)
-            if arg == Identity():
-                return sym
-            return Compose(sym, (arg,))
-        if isinstance(node, SMu):
-            return MuParam(go(node.body))
-        if isinstance(node, SCompose):
-            return Compose(go(node.outer), (go(node.inner),))
-        raise TypeError(f"not a surface expression: {node!r}")
-
-    return go(e)

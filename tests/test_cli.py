@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -14,10 +15,21 @@ import pytest
 
 import muiter
 from muiter.cli import _write_json, main, render_json
-from muiter.dsl import format_script, parse_script
+from muiter.dsl import AlgDecl, Command, FuncDecl, SigDecl, parse_script
 from muiter.finset import FiniteFn, FiniteSet
-from muiter.functors import Constant, Identity, Product, Sum
+from muiter.functors import (
+    Compose,
+    Constant,
+    Container,
+    Identity,
+    MuParam,
+    Product,
+    Projection,
+    Sum,
+    SymContainer,
+)
 from muiter.iteration import AlgebraSpec, catamorphism, inflationary_iterate
+from muiter.signature import Signature
 from muiter.size import nat_backend, successor_tower
 from launch import muiter_child
 
@@ -57,18 +69,73 @@ def run_json(tmp_path, capsys, text, *flags):
     return code, payload, err
 
 
-# -- script text round trips ---------------------------------------------------
+# -- parse results ----------------------------------------------------------------
 
 
-def test_canonical_script_round_trips_byte_for_byte():
-    assert format_script(parse_script(GOLDEN)) == GOLDEN
+def test_golden_declarations_parse_to_their_functor_expressions():
+    one = Constant(FiniteSet(1))
+    tree = Signature.of(0, 2, labels=["leaf", "node"])
+    f = Sum((one, Product((Identity(), Identity()))))
+    decls = parse_script(GOLDEN)[:8]
+    assert decls == (
+        SigDecl("Tree", tree, line=1),
+        FuncDecl("F", f, line=2),
+        FuncDecl("G", Constant(FiniteSet(3)), line=3),
+        FuncDecl("Pairs", Sum((one, SymContainer(2))), line=4),
+        FuncDecl(
+            "Lists", MuParam(Sum((one, Product((Identity(), Projection(1)))))), line=5
+        ),
+        FuncDecl(
+            "Wide",
+            Sum((Product((Sum((one, Identity())), Identity())), Container(tree))),
+            line=6,
+        ),
+        FuncDecl(
+            "Sq",
+            Compose(Product((Identity(), Identity())), (Sum((one, Identity())),)),
+            line=7,
+        ),
+        AlgDecl("lparity", "F", 2, (1, 0, 1, 1, 0), line=8),
+    )
+    assert decls[0].sig.op_label(1) == "node"
 
 
-def test_messy_script_normalizes_and_is_then_stable():
+def test_golden_commands_keep_their_options_in_order():
+    commands = parse_script(GOLDEN)[8:]
+    assert commands[0] == Command(
+        "iterate", "F", options=(("size", "nat"), ("depth", 4)), line=9
+    )
+    assert commands[3] == Command(
+        "cata", "F", "lparity", options=(("stage", 3), ("budget", 6)), line=12
+    )
+    assert [c.kind for c in commands] == [
+        "iterate", "mu", "free", "cata", "nu", "check"
+    ]
+
+
+def unlined(text):
+    return [dataclasses.replace(s, line=0) for s in parse_script(text)]
+
+
+def test_messy_script_parses_like_its_tidy_form():
     messy = "F  =  1+X * X   # trailing comment\n\n\nmu   F budget   4\n"
-    once = format_script(parse_script(messy))
-    assert once == "F = 1 + X*X\nmu F budget 4\n"
-    assert format_script(parse_script(once)) == once
+    tidy = "F = 1 + X*X\nmu F budget 4\n"
+    assert [s.line for s in parse_script(messy)] == [1, 4]
+    assert unlined(messy) == unlined(tidy)
+
+
+def test_references_inline_and_sym_binds_tighter_than_a_power():
+    _, p, q = parse_script("I = X\nP = sym<swap3> I\nQ = sym<swap2> (1 + X)^2\n")
+    assert p.expr == SymContainer(3)
+    pairs = Compose(SymContainer(2), (Sum((Constant(FiniteSet(1)), Identity())),))
+    assert q.expr == Product((pairs, pairs))
+
+
+def test_an_unknown_group_is_kept_on_its_declaration():
+    text = "P = sym<bad1> sym<bad2> X\nQ = sym<swap2> X\n"
+    p, q = parse_script(text)
+    assert (p.expr, p.error) == (None, "unknown symmetry group 'bad1'")
+    assert (q.expr, q.error) == (SymContainer(2), None)
 
 
 def test_parser_reports_position():
@@ -178,6 +245,16 @@ def test_flag_sets_default_inline_overrides(tmp_path, capsys):
     assert [s["index"] for s in by_flag["stages"]] == ["bot", "succ(bot)"]
     assert [s["index"] for s in by_option["stages"]] == ["0", "1"]
 
+    # --depth sets the depth of iterate, and of check, unless inline depth does
+    script = "F = 1 + X*X\niterate F\niterate F depth 3\ncheck samples 4\n"
+    flags = ("--depth", "2", "--budget", "5")
+    code, payload, _ = run_json(tmp_path, capsys, script, *flags)
+    assert code == 0
+    by_flag, by_option, check = payload["reports"]
+    assert [s["size"] for s in by_flag["stages"]] == [0, 1]
+    assert [s["size"] for s in by_option["stages"]] == [0, 1, 2]
+    assert check["depth"] == 2
+
 
 def test_budget_flag_applies_when_command_is_silent(tmp_path, capsys):
     script = "F = 1 + X*X\niterate F depth 5\n"
@@ -227,6 +304,21 @@ def test_budget_stop_aborts_remaining_commands(tmp_path, capsys):
     report = payload["reports"][0]
     assert [s["size"] for s in report["stages"]] == [0, 1, 2, 5, 26, 677]
     assert report["error"]["type"] == "budget-exceeded"
+
+
+def test_an_unknown_group_is_a_script_error_at_its_declaration(tmp_path, capsys):
+    code, out, err = run_cli(tmp_path, capsys, "P = sym<swap9> X\niterate P depth 2\n")
+    assert (code, out) == (1, "")
+    assert err == "error: unknown symmetry group 'swap9'\n"
+
+
+def test_an_unknown_group_after_a_budget_stop_keeps_the_stop(tmp_path, capsys):
+    head = "F = 1 + X\nmu F budget 2\n"
+    text = head + "P = sym<swap9> X\niterate P depth 2\n"
+    assert run_cli(tmp_path, capsys, text) == run_cli(tmp_path, capsys, head)
+    code, out, err = run_cli(tmp_path, capsys, text)
+    assert (code, err) == (2, "")
+    assert out.startswith("mu F  (size=nat, budget=2)\n  error[budget-exceeded]: ")
 
 
 def test_a_stopped_report_keeps_the_header_of_a_finished_run(tmp_path, capsys):

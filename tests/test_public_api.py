@@ -13,8 +13,8 @@ PUBLIC = [
     "NuResult", "Product", "Projection", "ShapeMismatch", "Signature", "Sum",
     "SymContainer", "WTree", "__version__", "catamorphism", "container_map",
     "deflationary_nu", "eval_functor", "eval_functor_mor",
-    "filtered_sample_check", "format_script", "free_algebra", "height",
-    "infer_signature", "inflationary_iterate", "kappa_sigma", "lower_expr",
+    "filtered_sample_check", "free_algebra", "height",
+    "infer_signature", "inflationary_iterate", "kappa_sigma",
     "mu_initial_algebra", "mu_parameterized", "nat_backend", "parse_script",
     "run_checks", "signature_sum", "subdiagram_colimit", "successor_tower",
 ]
@@ -64,6 +64,11 @@ REMOVED = [
     "signature.container_layout",
     "iteration.partial_application",
     "iteration.fold_equation_holds",
+    "dsl.format_script",
+    "dsl.format_statement",
+    "dsl.lower_expr",
+    "dsl.SurfaceExpr",
+    "dsl.Script",
 ]
 
 
