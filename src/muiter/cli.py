@@ -163,6 +163,15 @@ class Runner:
         # the header of a finished run; the dual chain runs on nat only
         size = "nat" if cmd.kind == "nu" else self.opt_size(cmd)
         report = self.base_report(cmd, size, self.opt_budget(cmd))
+        if cmd.algebra is not None:
+            report["algebra"] = cmd.algebra
+        if cmd.generators is not None:
+            report["generators"] = cmd.generators
+        # a finished cata without an inline stage reports its stationary
+        # index, which a stop never reaches
+        stage = cmd.option("stage") if cmd.kind == "cata" else None
+        if stage is not None:
+            report["stage"] = stage
         report["error"] = {"type": "budget-exceeded", "message": str(e)}
         report["stages"] = e.profile
         return report

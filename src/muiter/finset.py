@@ -102,6 +102,17 @@ class FiniteFn:
         raise AttributeError("FiniteFn is immutable")
 
     @staticmethod
+    def unchecked(dom: FiniteSet, cod: FiniteSet, table: Sequence[int]) -> "FiniteFn":
+        """A map on a table its caller vouches for, built without checks.
+
+        The table must be a tuple or a step-1 range of dom.size values in
+        cod, as the constructor would leave it.
+        """
+        out = object.__new__(FiniteFn)
+        _init(out, dom, cod, table)
+        return out
+
+    @staticmethod
     def identity(x: FiniteSet) -> "FiniteFn":
         return FiniteFn(x, x, range(x.size))
 
@@ -128,9 +139,7 @@ class FiniteFn:
             table = gt[ft.start : ft.stop]
         else:
             table = tuple(map(gt.__getitem__, ft))
-        out = object.__new__(FiniteFn)
-        _init(out, self.dom, g.cod, table)
-        return out
+        return FiniteFn.unchecked(self.dom, g.cod, table)
 
     def is_injective(self) -> bool:
         table = self.table
@@ -269,6 +278,9 @@ def product_table(fns: Sequence[FiniteFn]) -> Sequence[int]:
     When every factor but the last is an identity, the leading digits run
     through all W values (W the product of their sizes) under each value of
     the last digit, so a step-1 range(s, e) there gives range(W*s, W*e).
+    Otherwise the table grows one factor at a time: each value v of factor
+    k contributes the table so far shifted by W_k * v, built once per
+    codomain value when the factor's table is longer than its codomain.
     """
     weight = 1
     for f in fns[:-1]:
@@ -282,7 +294,13 @@ def product_table(fns: Sequence[FiniteFn]) -> Sequence[int]:
     table = [0]
     weight = 1
     for f in fns:
-        column = [weight * v for v in f.table]
-        table = [hi + lo for hi in column for lo in table]
-        weight *= f.cod.size
+        values, n = f.table, f.cod.size
+        if len(values) > n:
+            # values repeat: build the shifted copy of table once per value
+            rows = [[weight * v + lo for lo in table] for v in range(n)]
+            table = list(chain.from_iterable(map(rows.__getitem__, values)))
+        else:
+            column = [weight * v for v in values]
+            table = [hi + lo for hi in column for lo in table]
+        weight *= n
     return table

@@ -17,7 +17,7 @@ followed by the inverted connecting map.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Optional, Sequence
+from typing import Dict, Hashable, Sequence
 
 from .colimit import Cocone, Diagram, subdiagram_colimit
 from .errors import (
@@ -305,7 +305,10 @@ def catamorphism(state: IterationState, alg: AlgebraSpec, i) -> FiniteFn:
             ),
             _unrepresented,
         )
-        out = FiniteFn(rec.carrier, alg.carrier, table)
+        # induce gives one value per class, and each is structure[v] for v
+        # in a checked table into F(carrier), so like FiniteFn.then the fold
+        # needs no check
+        out = FiniteFn.unchecked(rec.carrier, alg.carrier, tuple(table))
         done[idx] = out
         return out
 
@@ -387,16 +390,20 @@ def deflationary_nu(
 ) -> NuResult:
     """Dual chain on numeric stages: start at a point, repeatedly apply F.
 
-    Stage n+1 maps onto stage n by the image of the previous comparison
-    (the base case is the unique map to the point); the chain is stationary
-    when that comparison becomes a bijection.
+    Stage n+1 maps to stage n by the comparison c_n = F^n(!), where ! is
+    the unique map from stage 1 to the point.  Every c_n is onto: when
+    stage 1 is not empty, ! splits and functors keep split epis; when it
+    is empty, so is F of the empty set, which maps into it.  So c_n is a
+    bijection exactly when stage n+1 has the size of stage n, and the
+    chain is sized by eval_functor alone, under the budget and the cap.
+    Only a stationary chain builds its comparison, and checks that it is
+    a bijection; a budget or cap stop builds no table.
     """
     if expr_arity(functor) > 1:
         raise ShapeMismatch("dual iteration needs an endofunctor of one argument")
     stages = [FiniteSet(1)]
-    comparison: Optional[FiniteFn] = None
     profile = [{"index": "0", "size": 1}]
-    while True:
+    while len(stages) < 2 or stages[-1].size != stages[-2].size:
         if len(stages) >= budget:
             raise BudgetExceeded(f"stage budget {budget} exhausted", profile)
         nxt = eval_functor(functor, (stages[-1],))
@@ -405,16 +412,18 @@ def deflationary_nu(
                 f"carrier of size {nxt.size} exceeds the cap {max_carrier}",
                 profile,
             )
-        if comparison is None:
-            comparison = FiniteFn.constant(nxt, stages[-1], 0)
-        else:
-            comparison = eval_functor_mor(functor, (comparison,))
         stages.append(nxt)
         profile.append({"index": str(len(stages) - 1), "size": nxt.size})
-        if comparison.is_bijection():
-            return NuResult(
-                carrier=stages[-2],
-                comparison=comparison,
-                stationary_at=len(stages) - 1,
-                profile=profile,
-            )
+    comparison = FiniteFn.constant(stages[1], stages[0], 0)
+    for _ in range(len(stages) - 2):
+        comparison = eval_functor_mor(functor, (comparison,))
+    if not comparison.is_bijection():
+        raise IntegrityError(
+            f"dual chain comparison at stage {len(stages) - 1} is not a bijection"
+        )
+    return NuResult(
+        carrier=stages[-2],
+        comparison=comparison,
+        stationary_at=len(stages) - 1,
+        profile=profile,
+    )

@@ -3,18 +3,19 @@
 None of these is reached by the command line: the element codecs of the
 sum, product and container layouts, relations with their quotients and
 kernels, colimits over arbitrary finite shapes by union-find, the fold
-equation at one pair of stages, and the enumeration of well-founded trees
-by height.
+equation at one pair of stages, the enumeration of well-founded trees by
+height, and the dual chain with every comparison map built.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 from muiter.colimit import Cocone, Diagram
-from muiter.errors import IllTypedArrow, NoSuchIndex, ShapeMismatch
+from muiter.errors import BudgetExceeded, IllTypedArrow, NoSuchIndex, ShapeMismatch
 from muiter.finset import FiniteFn, FiniteSet, quotient_pairs
-from muiter.functors import eval_functor_mor
+from muiter.functors import FunctorExpr, eval_functor, eval_functor_mor, expr_arity
+from muiter.iteration import DEFAULT_BUDGET, DEFAULT_MAX_CARRIER, NuResult
 from muiter.signature import Signature, WTree
 
 
@@ -196,3 +197,43 @@ def _tuples(pool: Sequence, n: int) -> Iterable[tuple]:
     for head in pool:
         for rest in _tuples(pool, n - 1):
             yield (head,) + rest
+
+
+def reference_nu(
+    functor: FunctorExpr,
+    budget: int = DEFAULT_BUDGET,
+    max_carrier: int = DEFAULT_MAX_CARRIER,
+) -> NuResult:
+    """Dual chain on numeric stages: start at a point, repeatedly apply F.
+
+    Stage n+1 maps onto stage n by the image of the previous comparison
+    (the base case is the unique map to the point); the chain is stationary
+    when that comparison becomes a bijection.
+    """
+    if expr_arity(functor) > 1:
+        raise ShapeMismatch("dual iteration needs an endofunctor of one argument")
+    stages = [FiniteSet(1)]
+    comparison: Optional[FiniteFn] = None
+    profile = [{"index": "0", "size": 1}]
+    while True:
+        if len(stages) >= budget:
+            raise BudgetExceeded(f"stage budget {budget} exhausted", profile)
+        nxt = eval_functor(functor, (stages[-1],))
+        if nxt.size > max_carrier:
+            raise BudgetExceeded(
+                f"carrier of size {nxt.size} exceeds the cap {max_carrier}",
+                profile,
+            )
+        if comparison is None:
+            comparison = FiniteFn.constant(nxt, stages[-1], 0)
+        else:
+            comparison = eval_functor_mor(functor, (comparison,))
+        stages.append(nxt)
+        profile.append({"index": str(len(stages) - 1), "size": nxt.size})
+        if comparison.is_bijection():
+            return NuResult(
+                carrier=stages[-2],
+                comparison=comparison,
+                stationary_at=len(stages) - 1,
+                profile=profile,
+            )

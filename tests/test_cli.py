@@ -2,10 +2,9 @@ import dataclasses
 import hashlib
 import io
 import json
-import os
 import random
-import resource
 import subprocess
+import sys
 import time
 from importlib.resources import files
 from math import comb
@@ -342,6 +341,35 @@ def test_a_stopped_dual_chain_reports_nat_under_a_plump_default(tmp_path, capsys
     assert out.startswith("nu F  (size=nat, budget=5)\n  error[budget-exceeded]: ")
 
 
+@pytest.mark.parametrize(
+    "command, header, keys",
+    [
+        (
+            "cata F A stage 9 budget 4",
+            "cata F A  (size=nat, budget=4, stage=9)",
+            {"algebra": "A", "stage": 9},
+        ),
+        ("cata F A budget 4", "cata F A  (size=nat, budget=4)", {"algebra": "A"}),
+        ("free F 2 budget 4", "free F 2  (size=nat, budget=4)", {"generators": 2}),
+    ],
+    ids=["cata-stage", "cata", "free"],
+)
+def test_a_stopped_fold_or_free_run_keeps_its_header(
+    tmp_path, capsys, command, header, keys
+):
+    # a finished cata without an inline stage reports its stationary index,
+    # which a stop never reaches, so only an inline stage is kept
+    text = f"F = 1 + X*X\nalg A : F 2 = 0 1 0 1 0\n{command}\n"
+    code, out, err = run_cli(tmp_path, capsys, text)
+    assert (code, err) == (2, "")
+    assert out.startswith(header + "\n  error[budget-exceeded]: stage budget 4 exhausted\n")
+    code, payload, _ = run_json(tmp_path, capsys, text)
+    report = payload["reports"][0]
+    assert {k: report.get(k) for k in ("algebra", "generators", "stage")} == {
+        "algebra": None, "generators": None, "stage": None, **keys
+    }
+
+
 def test_deep_plump_chain_stops_at_the_budget_in_bounded_time(tmp_path):
     # the successor tower shares every level, so 200 stages stay cheap
     path = tmp_path / "chain.mi"
@@ -376,6 +404,20 @@ def test_plump_chain_deeper_than_the_recursion_limit_stops_at_the_budget(tmp_pat
     assert report["stages"][-1]["index"] == "succ(" * 999 + "bot" + ")" * 999
 
 
+# Runs argv[2:] under the limit with its stdout in argv[1], then prints the
+# exit code and ru_maxrss.  A child's ru_maxrss counts the memory of the
+# process it was forked from, so the command starts from this small launcher,
+# not from the test process.
+_LAUNCHER = """\
+import os, resource, subprocess, sys
+resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+with open(sys.argv[1], "w") as sink:
+    child = subprocess.Popen(sys.argv[2:], stdout=sink)
+    _, status, usage = os.wait4(child.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
 def run_limited(tmp_path, text):
     """Run a script in a child limited to 1 GiB of address space.
 
@@ -384,20 +426,19 @@ def run_limited(tmp_path, text):
     """
     script, out = tmp_path / "script.mi", tmp_path / "out.json"
     script.write_text(text)
-
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
-
+    child = muiter_child(script)
     start = time.perf_counter()
-    with open(out, "w") as sink:
-        child = subprocess.Popen(**muiter_child(script), stdout=sink, preexec_fn=limit)
-        try:
-            _, status, usage = os.wait4(child.pid, 0)
-        finally:
-            child.kill()
+    done = subprocess.run(
+        [sys.executable, "-c", _LAUNCHER, str(out), *child["args"]],
+        env=child["env"],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
     wall = time.perf_counter() - start
+    code, maxrss = map(int, done.stdout.split())
     payload = json.loads(out.read_text()) if out.stat().st_size else None
-    return os.waitstatus_to_exitcode(status), payload, wall, usage.ru_maxrss * 1024
+    return code, payload, wall, maxrss * 1024
 
 
 def sym_chain(const: int, k: int, n: int) -> list:
@@ -429,6 +470,19 @@ def test_sym_chains_stop_at_the_carrier_cap_in_bounded_time_and_memory(
     }
     assert wall < 5
     assert rss < 100_000_000
+
+
+def test_a_stopped_dual_chain_stops_before_building_a_map(tmp_path):
+    # the sizes 1, 2, 5, 26, 677, 458330 hit the cap; no comparison is built
+    code, payload, wall, rss = run_limited(tmp_path, "F = 1 + X*X\nnu F budget 7\n")
+    assert code == 2
+    report = payload["reports"][0]
+    assert [s["size"] for s in report["stages"]] == [1, 2, 5, 26, 677, 458330]
+    assert report["error"]["message"] == (
+        "carrier of size 210066388901 exceeds the cap 500000"
+    )
+    assert wall < 2
+    assert rss < 30_000_000
 
 
 # sha256 of the --format json output, each taken from the commit before the

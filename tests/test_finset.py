@@ -157,6 +157,17 @@ def blocks(draw):
     return Block(FiniteSet(n), FiniteSet(c), draw(tables(n, c)))
 
 
+def product_oracle(fns) -> tuple:
+    """The product of maps one element at a time, through the codec."""
+    doms = [f.dom.size for f in fns]
+    cods = [f.cod.size for f in fns]
+    images = (
+        [fn.table[d] for fn, d in zip(fns, product_decode(doms, x))]
+        for x in range(math.prod(doms))
+    )
+    return tuple(product_encode(cods, values) for values in images)
+
+
 @settings(max_examples=500, deadline=None)
 @given(st.data())
 def test_range_fast_paths_match_the_per_element_tables(data):
@@ -166,19 +177,29 @@ def test_range_fast_paths_match_the_per_element_tables(data):
         sum_encode(cods, k, v) for k, fn in enumerate(fns) for v in fn.table
     )
     assert tuple(sum_table(fns)) == want
-    doms = [b.dom.size for b in fns]
-    images = (
-        [fn.table[d] for fn, d in zip(fns, product_decode(doms, x))]
-        for x in range(math.prod(doms))
-    )
-    want = tuple(product_encode(cods, values) for values in images)
-    assert tuple(product_table(fns)) == want
+    assert tuple(product_table(fns)) == product_oracle(fns)
     b = data.draw(st.integers(0, 4))
     a = data.draw(st.integers(0, 4 if b else 0))
     c = b if data.draw(st.booleans()) else data.draw(st.integers(1 if b else 0, 4))
     f = FiniteFn(FiniteSet(a), FiniteSet(b), data.draw(tables(a, b)))
     g = FiniteFn(FiniteSet(b), FiniteSet(c), data.draw(tables(b, c)))
     assert tuple(f.then(g).table) == tuple(g.table[v] for v in f.table)
+
+
+@st.composite
+def repeating_fns(draw):
+    """A map whose table is longer than its codomain, or an empty one."""
+    c = draw(st.integers(1, 3))
+    n = draw(st.sampled_from([0, *range(c + 1, 7)]))
+    return FiniteFn(FiniteSet(n), FiniteSet(c), draw(tables(n, c)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(repeating_fns(), min_size=1, max_size=3))
+def test_product_rows_match_the_per_element_tables(fns):
+    # each nonempty factor repeats its values, so it builds one row per
+    # value; an empty one empties the product
+    assert tuple(product_table(fns)) == product_oracle(fns)
 
 
 @settings(max_examples=50, deadline=None)

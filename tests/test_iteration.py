@@ -39,8 +39,10 @@ from reference import (
     container_decode,
     container_encode,
     fold_equation_holds,
+    reference_nu,
     wtype_enumerate,
 )
+from test_functors import BATTERY
 
 BIN = Signature.of(0, 2, labels=["leaf", "node"])
 TREES = Container(BIN)
@@ -510,3 +512,68 @@ def test_nu_of_squaring_is_a_point():
 def test_nu_profile_is_recorded():
     result = deflationary_nu(Constant(FiniteSet(3)))
     assert sizes_of(result.profile) == [1, 3, 3]
+
+
+def nu_outcome(run, functor, **limits):
+    """What a dual chain run reports: its result, or how it stopped."""
+    try:
+        result = run(functor, **limits)
+    except BudgetExceeded as stop:
+        return type(stop), str(stop), stop.profile
+    return (
+        result.stationary_at,
+        result.carrier.size,
+        result.profile,
+        result.comparison,
+    )
+
+
+NU_CASES = [(e, {}) for e in BATTERY] + [
+    (Constant(FiniteSet(0)), {}),
+    (Product((Constant(FiniteSet(0)), Identity())), {}),
+    *((Constant(FiniteSet(k)), {}) for k in range(1, 5)),
+    (Identity(), {}),
+    (Product((Identity(), Identity())), {}),
+    (Product((Constant(FiniteSet(2)), Identity())), {"budget": 4}),
+    (POLY, {"budget": 7}),
+    # mu Y. 2 + 0*Y: the inner chain is stationary at size 2 for every X
+    (
+        MuParam(
+            Sum((Constant(FiniteSet(2)), Product((Projection(1), Constant(FiniteSet(0))))))
+        ),
+        {},
+    ),
+    # mu Y. 1 + X: stationary at 1 + |X|, so the dual chain grows to the budget
+    (MuParam(Sum((Constant(FiniteSet(1)), Projection(0)))), {"budget": 5}),
+]
+
+
+@pytest.mark.parametrize(
+    "functor, limits", NU_CASES, ids=[f"nu-{k}" for k in range(len(NU_CASES))]
+)
+def test_nu_by_sizes_agrees_with_the_table_built_chain(functor, limits):
+    assert nu_outcome(deflationary_nu, functor, **limits) == nu_outcome(
+        reference_nu, functor, **limits
+    )
+
+
+def test_a_stopped_dual_chain_builds_no_map(monkeypatch):
+    def no_map(*args):
+        raise AssertionError("a stopped dual chain built a comparison map")
+
+    monkeypatch.setattr("muiter.iteration.eval_functor_mor", no_map)
+    with pytest.raises(BudgetExceeded) as info:
+        deflationary_nu(POLY, budget=7)
+    assert str(info.value) == "carrier of size 210066388901 exceeds the cap 500000"
+    assert sizes_of(info.value.profile) == [1, 2, 5, 26, 677, 458330]
+
+
+def test_a_stationary_comparison_that_is_not_a_bijection_is_a_defect(monkeypatch):
+    # the sizes 1, 3, 3 repeat, so the comparison must be a bijection; a
+    # functor map that breaks functoriality shows there
+    def merging(functor, fns):
+        return FiniteFn.constant(FiniteSet(3), FiniteSet(3), 0)
+
+    monkeypatch.setattr("muiter.iteration.eval_functor_mor", merging)
+    with pytest.raises(IntegrityError, match="comparison at stage 2 is not a bijection"):
+        deflationary_nu(Constant(FiniteSet(3)))
