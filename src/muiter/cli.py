@@ -328,9 +328,10 @@ def render_json(payload: dict) -> str:
 
     Byte for byte the same text, but the stdlib falls back to its
     pure-Python encoder under ``indent`` and walks a fold table one entry
-    at a time.  Here every list of plain ints is one C encoder call whose
-    items are then split onto lines, and every other leaf is its own
-    ``json.dumps``.  A value outside the types written below raises
+    at a time.  Here every list of plain ints is written whole, through
+    ``bytes`` when its values are all digits and otherwise by one C encoder
+    call, and its items are then split onto lines; every other leaf is its
+    own ``json.dumps``.  A value outside the types written below raises
     TypeError.
     """
     out: list = []
@@ -360,8 +361,7 @@ def _write_json(value, newline: str, out: list) -> None:
         if not value:
             out.append("[]")
         elif set(map(type, value)) == {int}:
-            body = json.dumps(value)[1:-1].replace(", ", "," + inner)
-            out.extend(("[" + inner, body, newline + "]"))
+            out.extend(("[" + inner, _int_items(value, "," + inner), newline + "]"))
         else:
             sep = "[" + inner
             for item in value:
@@ -373,6 +373,28 @@ def _write_json(value, newline: str, out: list) -> None:
         out.append(json.dumps(value))
     else:
         raise TypeError(f"{kind.__name__} is not a JSON payload type")
+
+
+# the values 0..9 as bytes, and the table that writes each as its digit
+_DIGIT_VALUES = bytes(range(10))
+_DIGITS = bytes.maketrans(_DIGIT_VALUES, b"0123456789")
+
+
+def _int_items(value, sep: str) -> str:
+    """The JSON items of a list of plain ints, with sep between them.
+
+    When every value is a digit 0..9, as in the table of a fold into a
+    small algebra, bytes(value) holds one byte per item; translated to
+    ASCII digits, each character is an item.  Any other list is one C
+    encoder call, its items split at ", ".
+    """
+    try:
+        raw = bytes(value)
+    except ValueError:  # a value outside 0..255
+        raw = None
+    if raw is not None and not raw.translate(None, _DIGIT_VALUES):
+        return sep.join(raw.translate(_DIGITS).decode())
+    return json.dumps(value)[1:-1].replace(", ", sep)
 
 
 # -- entry point -------------------------------------------------------------

@@ -9,12 +9,14 @@ of the sizes before it.  A product numbers its tuples in mixed radix, the
 first component least significant, so (v_0, v_1, ...) is
 v_0 + n_0 * (v_1 + n_1 * (...)); a power X**A is the product of |A|
 copies of X.  Maps are built as whole tables in these layouts
-(sum_table, product_table).
+(sum_slices, product_table), each followed by a post table, so a map and
+what it is composed with come out as one table.
 """
 
 from __future__ import annotations
 
 from itertools import chain
+from math import prod
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import ShapeMismatch
@@ -132,13 +134,7 @@ class FiniteFn:
             raise ShapeMismatch(
                 f"cannot compose: codomain {self.cod.size} vs domain {g.dom.size}"
             )
-        ft, gt = self.table, g.table
-        if isinstance(gt, range) and gt.start == 0 and g.dom == g.cod:
-            table = ft  # g is an identity
-        elif isinstance(ft, range):
-            table = gt[ft.start : ft.stop]
-        else:
-            table = tuple(map(gt.__getitem__, ft))
+        table = then_table(self.table, g.table)
         return FiniteFn.unchecked(self.dom, g.cod, table)
 
     def is_injective(self) -> bool:
@@ -175,7 +171,11 @@ class FiniteFn:
         return f"FiniteFn({self.dom.size}->{self.cod.size}, {list(self.table)})"
 
     def to_json(self):
-        return {"size": self.cod.size, "table": list(self.table)}
+        """The payload form: a tuple table goes out as it is, a range as a list."""
+        table = self.table
+        if isinstance(table, range):
+            table = list(table)
+        return {"size": self.cod.size, "table": table}
 
 
 def _init(fn: FiniteFn, dom: FiniteSet, cod: FiniteSet, table) -> None:
@@ -226,8 +226,8 @@ def quotient_pairs(base: FiniteSet, pairs: Iterable[tuple]) -> tuple:
 class Block(NamedTuple):
     """A function table not checked yet, with its domain and codomain.
 
-    sum_table and product_table read a Block as they read a FiniteFn, so a
-    table assembled from blocks is checked once, as a whole.
+    product_table and container_map read a Block as they read a FiniteFn,
+    so a table assembled from blocks is checked once, as a whole.
     """
 
     dom: FiniteSet
@@ -235,53 +235,75 @@ class Block(NamedTuple):
     table: Sequence[int]
 
 
+def then_table(table: Sequence[int], post: Sequence[int]) -> Sequence[int]:
+    """post[v] for each value v of table: table followed by post.
+
+    A step-1 range from 0 sends every value to itself, so table comes back
+    as it is; a step-1 range table takes post's slice; anything else is a
+    tuple.
+    """
+    if isinstance(post, range) and post.start == 0 and post.step == 1:
+        return table
+    if isinstance(table, range) and table.step == 1:
+        return post[table.start : table.stop]
+    return tuple(map(post.__getitem__, table))
+
+
 def concat_tables(tables: Sequence[Sequence[int]]) -> Sequence[int]:
     """The tables laid end to end.
 
     One table comes back as it is; contiguous step-1 ranges (empty tables
-    aside) join into one range; anything else is copied into a list.
+    aside) join into one range; anything else is copied into a tuple.
     """
     if len(tables) == 1:
         return tables[0]
-    parts = [t for t in tables if len(t)]
-    if all(isinstance(t, range) and t.step == 1 for t in parts) and all(
-        a.stop == b.start for a, b in zip(parts, parts[1:])
-    ):
-        return range(parts[0].start, parts[-1].stop) if parts else []
-    return list(chain.from_iterable(tables))
+    joined = None
+    for t in tables:
+        if not t:
+            continue
+        if not (isinstance(t, range) and t.step == 1) or (
+            joined and joined.stop != t.start
+        ):
+            return tuple(chain.from_iterable(tables))
+        joined = range(joined.start, t.stop) if joined else t
+    return joined or ()
 
 
-def sum_table(fns: Sequence[FiniteFn]) -> Sequence[int]:
-    """Table of the sum of maps: block k is fns[k] shifted by its offset.
+def sum_slices(post: Sequence[int], sizes: Iterable[int]) -> Iterator[Sequence[int]]:
+    """post cut into consecutive slices of the given sizes.
 
-    Both sides are laid out block by block, so the blocks concatenate.
+    A sum lays its parts out block by block, so a map into a sum followed
+    by post is, part by part, the map into part k followed by slice k, and
+    its table is those tables laid end to end.  With post the identity
+    range, slice k is the range of part k's offsets.
     """
-    blocks: list = []
     offset = 0
-    for f in fns:
-        t = f.table
-        if isinstance(t, range):
-            blocks.append(range(t.start + offset, t.stop + offset, t.step))
-        else:
-            blocks.append([offset + v for v in t])
-        offset += f.cod.size
-    return concat_tables(blocks)
+    for n in sizes:
+        yield post[offset : offset + n]
+        offset += n
 
 
-def product_table(fns: Sequence[FiniteFn]) -> Sequence[int]:
-    """Table of the product of maps in the mixed-radix layout.
+def product_table(
+    fns: Sequence[FiniteFn], post: Optional[Sequence[int]] = None
+) -> Sequence[int]:
+    """Table of the product of maps in the mixed-radix layout, then post.
 
     Factor k is digit k, the first least significant: the entry at digits
-    (d_0, d_1, ...) is the sum of W_k * fns[k](d_k), W_k the product of
-    the codomain sizes before k.
+    (d_0, d_1, ...) is post at the sum of W_k * fns[k](d_k), W_k the
+    product of the codomain sizes before k.  post defaults to the identity.
 
     When every factor but the last is an identity, the leading digits run
     through all W values (W the product of their sizes) under each value of
-    the last digit, so a step-1 range(s, e) there gives range(W*s, W*e).
-    Otherwise the table grows one factor at a time: each value v of factor
-    k contributes the table so far shifted by W_k * v, built once per
-    codomain value when the factor's table is longer than its codomain.
+    the last digit, so a step-1 range(s, e) there gives post's slice
+    W*s:W*e.  Otherwise the table grows one factor at a time: value v of
+    factor k contributes the table so far followed by the slice of W_k
+    values at W_k * v, the shift by W_k * v for every factor but the last
+    and post's slice for the last, so post is read once per entry of a
+    row.  The rows are built once per codomain value when the factor's
+    table is longer than its codomain.
     """
+    if post is None:
+        post = range(prod(f.cod.size for f in fns))
     weight = 1
     for f in fns[:-1]:
         if not (isinstance(f.table, range) and f.table == range(f.cod.size)):
@@ -290,17 +312,25 @@ def product_table(fns: Sequence[FiniteFn]) -> Sequence[int]:
     else:
         last = fns[-1].table if fns else range(1)
         if isinstance(last, range) and last.step == 1:
-            return range(weight * last.start, weight * last.stop)
-    table = [0]
-    weight = 1
-    for f in fns:
-        values, n = f.table, f.cod.size
+            return post[weight * last.start : weight * last.stop]
+    table = fns[0].table if len(fns) > 1 else then_table(fns[0].table, post)
+    weight = fns[0].cod.size
+    for k in range(1, len(fns)):
+        values, n = fns[k].table, fns[k].cod.size
+        out = post if k == len(fns) - 1 else range(weight * n)
         if len(values) > n:
-            # values repeat: build the shifted copy of table once per value
-            rows = [[weight * v + lo for lo in table] for v in range(n)]
-            table = list(chain.from_iterable(map(rows.__getitem__, values)))
+            # values repeat: build each row once per value
+            rows = [
+                then_table(table, out[weight * v : weight * (v + 1)])
+                for v in range(n)
+            ]
+            table = tuple(chain.from_iterable(map(rows.__getitem__, values)))
         else:
-            column = [weight * v for v in values]
-            table = [hi + lo for hi in column for lo in table]
+            table = tuple(
+                chain.from_iterable(
+                    then_table(table, out[weight * v : weight * (v + 1)])
+                    for v in values
+                )
+            )
         weight *= n
     return table

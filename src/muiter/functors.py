@@ -17,7 +17,15 @@ from typing import Tuple
 
 from .colimit import Diagram, subdiagram_colimit
 from .errors import IntegrityError, ShapeMismatch
-from .finset import Block, FiniteFn, FiniteSet, product_table, sum_table
+from .finset import (
+    Block,
+    FiniteFn,
+    FiniteSet,
+    concat_tables,
+    product_table,
+    sum_slices,
+    then_table,
+)
 from .signature import (
     Signature,
     container_map,
@@ -181,53 +189,89 @@ def eval_functor(e: FunctorExpr, env: Tuple[FiniteSet, ...]):
     raise ShapeMismatch(f"unknown expression node {type(e).__name__}")
 
 
-def eval_functor_mor(e: FunctorExpr, fns: Tuple[FiniteFn, ...]):
-    """Morphism part: the FiniteFn e makes of the argument functions."""
-    out = _mor(e, tuple(fns))
-    if isinstance(out, Block):
-        return FiniteFn(*out)
-    return out
+def eval_functor_mor(e: FunctorExpr, fns: Tuple[FiniteFn, ...], then=None):
+    """Morphism part: the FiniteFn e makes of the argument functions.
+
+    With then, a map out of e applied to the codomains, the result is that
+    morphism part followed by then, built as one table: every value comes
+    from then's table, so like FiniteFn.then it needs no check.  Without
+    it, the table is checked once, as a whole.
+    """
+    fns = tuple(fns)
+    if then is None:
+        out = _mor(e, fns, None)
+        return FiniteFn(out.dom, out.cod, out.table)
+    cod = eval_functor(e, tuple(f.cod for f in fns))
+    if then.dom != cod:
+        raise ShapeMismatch(
+            f"cannot compose: codomain {cod.size} vs domain {then.dom.size}"
+        )
+    out = _mor(e, fns, then)
+    return FiniteFn.unchecked(out.dom, out.cod, out.table)
 
 
-def _mor(e: FunctorExpr, fns: tuple):
-    """eval_functor_mor, with Constant, Sum and Product left as Blocks.
+def _mor(e: FunctorExpr, fns: tuple, post):
+    """e's morphism part on fns followed by post, as a Block or FiniteFn.
 
-    Nested blocks are assembled from each other's tables, so only the
-    outermost table gets checked.
+    post is a map (a FiniteFn or Block) out of e applied to the codomains;
+    None stands for the identity.  A sum hands each part its slice of post,
+    the identity's slices being the ranges of the parts' offsets; a product
+    maps the rows of its last factor through post; a container does both;
+    every other node is built and then composed with post.  The table is a
+    tuple or a step-1 range.
     """
     if isinstance(e, Identity):
         _need(fns, 1, e)
-        return fns[0]
+        return _then(fns[0], post)
     if isinstance(e, Projection):
         _need(fns, e.slot + 1, e)
-        return fns[e.slot]
+        return _then(fns[e.slot], post)
     if isinstance(e, Constant):
-        return Block(e.value, e.value, range(e.value.size))
+        if post is None:
+            return Block(e.value, e.value, range(e.value.size))
+        return Block(e.value, post.cod, post.table)
     if isinstance(e, Sum):
-        mors = [_mor(p, fns) for p in e.parts]
-        dom = FiniteSet(sum(m.dom.size for m in mors))
-        cod = FiniteSet(sum(m.cod.size for m in mors))
-        return Block(dom, cod, sum_table(mors))
+        cods = tuple(f.cod for f in fns)
+        parts = [eval_functor(p, cods) for p in e.parts]
+        sizes = [part.size for part in parts]
+        if post is None:
+            total = FiniteSet(sum(sizes))
+            post = Block(total, total, range(total.size))
+        dom, tables = 0, []
+        for p, part, out in zip(e.parts, parts, sum_slices(post.table, sizes)):
+            m = _mor(p, fns, Block(part, post.cod, out))
+            dom += m.dom.size
+            tables.append(m.table)
+        return Block(FiniteSet(dom), post.cod, concat_tables(tables))
     if isinstance(e, Product):
-        mors = [_mor(p, fns) for p in e.parts]
+        mors = [_mor(p, fns, None) for p in e.parts]
         dom = FiniteSet(prod(m.dom.size for m in mors))
-        cod = FiniteSet(prod(m.cod.size for m in mors))
-        return Block(dom, cod, product_table(mors))
+        if post is None:
+            cod = FiniteSet(prod(m.cod.size for m in mors))
+            return Block(dom, cod, product_table(mors))
+        return Block(dom, post.cod, product_table(mors, post.table))
     if isinstance(e, Compose):
         vals = tuple(eval_functor_mor(g, fns) for g in e.inner)
-        return _mor(e.outer, vals)
+        return _mor(e.outer, vals, post)
     if isinstance(e, Container):
         _need(fns, 1, e)
-        return container_map(e.sig, fns[0])
+        return container_map(e.sig, fns[0], post)
     if isinstance(e, SymContainer):
         _need(fns, 1, e)
-        return _sym_map(e.arity, fns[0])
+        return _then(_sym_map(e.arity, fns[0]), post)
     if isinstance(e, MuParam):
         _need(fns, 1, e)
         from . import iteration
 
-        return iteration.mu_parameterized_map(e, fns[0])
+        return _then(iteration.mu_parameterized_map(e, fns[0]), post)
     raise ShapeMismatch(f"unknown expression node {type(e).__name__}")
+
+
+def _then(f, post):
+    """f followed by post, None standing for the identity."""
+    if post is None:
+        return f
+    return Block(f.dom, post.cod, then_table(f.table, post.table))
 
 
 def _multisets(n: int, k: int) -> int:

@@ -195,8 +195,8 @@ class IterationState:
             return direct
         for b in dst.basis:
             if self.backend.leq(j, b):
-                out = self._apply_mor(self.connect(j, b)).then(
-                    dst.cocone.legs[b]
+                out = eval_functor_mor(
+                    self.functor, (self.connect(j, b),), then=dst.cocone.legs[b]
                 )
                 self._legs[(j, i)] = out
                 return out
@@ -277,7 +277,7 @@ def catamorphism(state: IterationState, alg: AlgebraSpec, i) -> FiniteFn:
 
     Built by the same well-founded recursion as the stages: a class coming
     from the layer F(stage j) folds by first folding at j inside F, then
-    applying the structure map.
+    applying the structure map, and the two are built as one table.
     """
     fa = eval_functor(state.functor, (alg.carrier,))
     if alg.structure.dom != fa:
@@ -285,7 +285,6 @@ def catamorphism(state: IterationState, alg: AlgebraSpec, i) -> FiniteFn:
             f"structure map domain has size {alg.structure.dom.size}, "
             f"functor applied to the carrier has {fa.size}"
         )
-    structure = alg.structure.table
     done: Dict = {}
 
     def fold(idx) -> FiniteFn:
@@ -294,9 +293,10 @@ def catamorphism(state: IterationState, alg: AlgebraSpec, i) -> FiniteFn:
             return got
         rec = state.stage(idx)
 
-        def layer(j) -> list:
-            inner = eval_functor_mor(state.functor, (fold(j),))
-            return [structure[v] for v in inner.table]
+        def layer(j) -> Sequence[int]:
+            return eval_functor_mor(
+                state.functor, (fold(j),), then=alg.structure
+            ).table
 
         table = rec.cocone.induce(
             layer,
@@ -305,9 +305,8 @@ def catamorphism(state: IterationState, alg: AlgebraSpec, i) -> FiniteFn:
             ),
             _unrepresented,
         )
-        # induce gives one value per class, and each is structure[v] for v
-        # in a checked table into F(carrier), so like FiniteFn.then the fold
-        # needs no check
+        # induce gives one value per class, each a value of the checked
+        # structure table, so like FiniteFn.then the fold needs no check
         out = FiniteFn.unchecked(rec.carrier, alg.carrier, tuple(table))
         done[idx] = out
         return out

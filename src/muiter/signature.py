@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .errors import ShapeMismatch
-from .finset import Block, FiniteFn, FiniteSet, product_table, sum_table
+from .finset import FiniteFn, FiniteSet, concat_tables, product_table, sum_slices
 
 
 class Signature:
@@ -131,16 +131,28 @@ def container_size(sig: Signature, n: int) -> int:
     return sum(n ** a.size for a in sig.arities)
 
 
-def container_map(sig: Signature, f: FiniteFn) -> FiniteFn:
+def container_map(sig: Signature, f: FiniteFn, then=None) -> FiniteFn:
     """Apply f to every argument position, preserving the op tag.
 
     Block op is the product of |arity(op)| copies of f, from dom ** arity
-    to cod ** arity.
+    to cod ** arity.  With then, a map out of sig(f.cod), the result is the
+    container map followed by then, built as one table: each block is
+    followed by its slice of then's table, so like FiniteFn.then it needs
+    no check.
     """
     m, n = f.dom.size, f.cod.size
-    blocks = [
-        Block(FiniteSet(m ** k), FiniteSet(n ** k), product_table([f] * k))
-        for k in (a.size for a in sig.arities)
-    ]
+    cod = FiniteSet(container_size(sig, n))
+    if then is not None and then.dom != cod:
+        raise ShapeMismatch(
+            f"cannot compose: codomain {cod.size} vs domain {then.dom.size}"
+        )
+    post = range(cod.size) if then is None else then.table
+    sizes = [n ** a.size for a in sig.arities]
+    table = concat_tables([
+        product_table([f] * a.size, out)
+        for a, out in zip(sig.arities, sum_slices(post, sizes))
+    ])
     dom = FiniteSet(container_size(sig, m))
-    return FiniteFn(dom, FiniteSet(container_size(sig, n)), sum_table(blocks))
+    if then is None:
+        return FiniteFn(dom, cod, table)
+    return FiniteFn.unchecked(dom, then.cod, table)

@@ -3,19 +3,33 @@
 None of these is reached by the command line: the element codecs of the
 sum, product and container layouts, relations with their quotients and
 kernels, colimits over arbitrary finite shapes by union-find, the fold
-equation at one pair of stages, the enumeration of well-founded trees by
+equation at one pair of stages, the fold that maps each layer through the
+structure map after building it, the enumeration of well-founded trees by
 height, and the dual chain with every comparison map built.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from muiter.colimit import Cocone, Diagram
-from muiter.errors import BudgetExceeded, IllTypedArrow, NoSuchIndex, ShapeMismatch
+from muiter.errors import (
+    BudgetExceeded,
+    IllTypedArrow,
+    IntegrityError,
+    NoAlgebra,
+    NoSuchIndex,
+    ShapeMismatch,
+)
 from muiter.finset import FiniteFn, FiniteSet, quotient_pairs
 from muiter.functors import FunctorExpr, eval_functor, eval_functor_mor, expr_arity
-from muiter.iteration import DEFAULT_BUDGET, DEFAULT_MAX_CARRIER, NuResult
+from muiter.iteration import (
+    DEFAULT_BUDGET,
+    DEFAULT_MAX_CARRIER,
+    AlgebraSpec,
+    NuResult,
+    _unrepresented,
+)
 from muiter.signature import Signature, WTree
 
 
@@ -165,6 +179,49 @@ def fold_equation_holds(state, alg, h: FiniteFn, j, i) -> bool:
     inner = state.connect(j, i).then(h)
     rhs = eval_functor_mor(state.functor, (inner,)).then(alg.structure)
     return lhs == rhs
+
+
+def reference_cata(state, alg: AlgebraSpec, i) -> FiniteFn:
+    """The unique stage-indexed fold into the algebra.
+
+    Built by the same well-founded recursion as the stages: a class coming
+    from the layer F(stage j) folds by first folding at j inside F, then
+    applying the structure map.
+    """
+    fa = eval_functor(state.functor, (alg.carrier,))
+    if alg.structure.dom != fa:
+        raise NoAlgebra(
+            f"structure map domain has size {alg.structure.dom.size}, "
+            f"functor applied to the carrier has {fa.size}"
+        )
+    structure = alg.structure.table
+    done: Dict = {}
+
+    def fold(idx) -> FiniteFn:
+        got = done.get(idx)
+        if got is not None:
+            return got
+        rec = state.stage(idx)
+
+        def layer(j) -> list:
+            inner = eval_functor_mor(state.functor, (fold(j),))
+            return [structure[v] for v in inner.table]
+
+        table = rec.cocone.induce(
+            layer,
+            lambda cls: IntegrityError(
+                f"fold at {state.backend.render(idx)} ill defined at class {cls}"
+            ),
+            _unrepresented,
+        )
+        # induce gives one value per class, and each is structure[v] for v
+        # in a checked table into F(carrier), so like FiniteFn.then the fold
+        # needs no check
+        out = FiniteFn.unchecked(rec.carrier, alg.carrier, tuple(table))
+        done[idx] = out
+        return out
+
+    return fold(i)
 
 
 def wtype_enumerate(sig: Signature, depth: int) -> list:

@@ -4,8 +4,6 @@ import io
 import json
 import random
 import subprocess
-import sys
-import time
 from importlib.resources import files
 from math import comb
 
@@ -30,7 +28,7 @@ from muiter.functors import (
 from muiter.iteration import AlgebraSpec, catamorphism, inflationary_iterate
 from muiter.signature import Signature
 from muiter.size import nat_backend, successor_tower
-from launch import muiter_child
+from launch import muiter_child, run_limited
 
 SCHEMA = json.loads(files("muiter").joinpath("schema.json").read_text())
 
@@ -404,43 +402,6 @@ def test_plump_chain_deeper_than_the_recursion_limit_stops_at_the_budget(tmp_pat
     assert report["stages"][-1]["index"] == "succ(" * 999 + "bot" + ")" * 999
 
 
-# Runs argv[2:] under the limit with its stdout in argv[1], then prints the
-# exit code and ru_maxrss.  A child's ru_maxrss counts the memory of the
-# process it was forked from, so the command starts from this small launcher,
-# not from the test process.
-_LAUNCHER = """\
-import os, resource, subprocess, sys
-resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
-with open(sys.argv[1], "w") as sink:
-    child = subprocess.Popen(sys.argv[2:], stdout=sink)
-    _, status, usage = os.wait4(child.pid, 0)
-print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
-"""
-
-
-def run_limited(tmp_path, text):
-    """Run a script in a child limited to 1 GiB of address space.
-
-    Returns the exit code, the JSON payload, the wall time in seconds and
-    the child's peak RSS in bytes (ru_maxrss is in KiB on Linux).
-    """
-    script, out = tmp_path / "script.mi", tmp_path / "out.json"
-    script.write_text(text)
-    child = muiter_child(script)
-    start = time.perf_counter()
-    done = subprocess.run(
-        [sys.executable, "-c", _LAUNCHER, str(out), *child["args"]],
-        env=child["env"],
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    wall = time.perf_counter() - start
-    code, maxrss = map(int, done.stdout.split())
-    payload = json.loads(out.read_text()) if out.stat().st_size else None
-    return code, payload, wall, maxrss * 1024
-
-
 def sym_chain(const: int, k: int, n: int) -> list:
     """Stage sizes of const + sym<swapk> X: s -> const + C(s + k - 1, k)."""
     sizes = [0]
@@ -487,9 +448,10 @@ def test_a_stopped_dual_chain_stops_before_building_a_map(tmp_path):
 
 # sha256 of the --format json output, each taken from the commit before the
 # change it guards (block-built tables, the C-encoder render_json, range
-# tables, then closed-form multisets); any change here is a change of
-# behaviour.  The six budget-stopped scripts were re-pinned when a stopped
-# report gained the size and budget keys of a finished run.
+# tables, closed-form multisets, then folds built as one table and digit
+# tables written through bytes); any change here is a change of behaviour.
+# The six budget-stopped scripts were re-pinned when a stopped report
+# gained the size and budget keys of a finished run.
 PINNED_JSON = {
     "cata-nat": (
         "F = 1 + X*X\nalg lparity : F 2 = 1 0 1 1 0\ncata F lparity stage 4\n",
@@ -571,6 +533,21 @@ PINNED_JSON = {
         2,
         "2c5137c5a6e24723f20f0f185d653c2d653c5c42f698b0b0101ee2a427dda220",
     ),
+    # a container fold at the fold workload's size, a 458,330-entry table
+    "sig-cata-stage-6": (
+        "sig S = lf:0 | nd:2\nT = S\nalg A : T 3 = 0 1 2 0 0 1 2 2 0 1\n"
+        "cata T A stage 6\n",
+        0,
+        "aaa90c06c741f27d39c2ad37ad5afec7acd7b00c87c3cf2efa48a07f67a7a141",
+    ),
+    # fold values 0..11: the table is not all digits, so json.dumps writes it
+    "cata-12-stage-6": (
+        "F = 1 + X*X\nalg A : F 12 = 0 "
+        + " ".join(str((5 * a + 7 * b + 1) % 12) for b in range(12) for a in range(12))
+        + "\ncata F A stage 6\n",
+        0,
+        "e09974ee468c396fd2853d84e3417cf653c97ab390d702610351beb37e1d7483",
+    ),
 }
 
 
@@ -632,6 +609,23 @@ def test_render_json_matches_the_stdlib_encoder_on_random_payloads():
         payload = {"reports": random_payload(rng, 4), "version": random_leaf(rng)}
         assert render_json(payload) == stdlib_json(payload)
         _write_json(payload, "\n", [])  # covered without the stdlib fallback
+
+
+def digit_list(rng: random.Random):
+    """A list of ints in 0..9, or one with an item that is not a digit."""
+    items = [rng.randrange(10) for _ in range(rng.choice([1, 2, 5, 40]))]
+    if rng.random() < 0.5:
+        odd = rng.choice([10, -1, 255, 256, 10**20, True, False])
+        items.insert(rng.randrange(len(items) + 1), odd)
+    return tuple(items) if rng.random() < 0.3 else items
+
+
+def test_render_json_writes_digit_lists_like_the_stdlib_encoder():
+    rng = random.Random(7)
+    fixed = [[0], (9,), [3, 0, 9], [10], [0, 10], [-1, 5], [True], [1, False]]
+    for table in fixed + [digit_list(rng) for _ in range(300)]:
+        payload = {"fold": {"size": 10, "table": table}, "tables": [table, [table]]}
+        assert render_json(payload) == stdlib_json(payload)
 
 
 def test_render_json_rejects_values_outside_the_payload_types():

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from muiter.errors import ShapeMismatch
-from muiter.finset import Block, FiniteFn, FiniteSet, product_table, sum_table
+from muiter.finset import Block, FiniteFn, FiniteSet, product_table
+from muiter.functors import Projection, Sum, eval_functor_mor
 from reference import (
     Relation,
     kernel,
@@ -57,7 +58,9 @@ def test_finite_fn_validation():
         FiniteFn(FiniteSet(1), FiniteSet(0), (0,))
     fn = FiniteFn(a, b, (2, 0))
     assert fn(0) == 2 and fn(1) == 0
-    assert fn.to_json() == {"size": 3, "table": [2, 0]}
+    # a tuple table is handed over as it is, a range as a list
+    assert fn.to_json() == {"size": 3, "table": (2, 0)}
+    assert FiniteFn.identity(b).to_json() == {"size": 3, "table": [0, 1, 2]}
 
 
 def test_range_tables_are_checked_by_their_endpoints_like_any_table():
@@ -176,7 +179,9 @@ def test_range_fast_paths_match_the_per_element_tables(data):
     want = tuple(
         sum_encode(cods, k, v) for k, fn in enumerate(fns) for v in fn.table
     )
-    assert tuple(sum_table(fns)) == want
+    # the sum of the maps, each read as one argument of the expression
+    sum_of = Sum(tuple(map(Projection, range(len(fns)))))
+    assert tuple(eval_functor_mor(sum_of, fns).table) == want
     assert tuple(product_table(fns)) == product_oracle(fns)
     b = data.draw(st.integers(0, 4))
     a = data.draw(st.integers(0, 4 if b else 0))

@@ -27,7 +27,7 @@ from muiter.functors import (
     infer_signature,
     preserves_chain_colimit,
 )
-from muiter.signature import Signature, empty_signature
+from muiter.signature import Signature, container_map, empty_signature
 from reference import (
     Relation,
     container_blocks,
@@ -125,6 +125,62 @@ def test_morphism_respects_block_layout():
     # block 0 is the constant summand, then the four pairs in mixed radix
     assert got.table[0] == 0
     assert got.table[1:] == (1 + 3, 1 + 2, 1 + 1, 1 + 0)
+
+
+# -- a map followed by then, built as one table ------------------------------------
+
+
+# BATTERY has a container with a nullary op, sym<swap2> and a composite;
+# these add a nested fixpoint, alone and as a summand, a container with
+# two nullary ops and a unary one, and products of one and of no factors
+FUSED = BATTERY + [
+    MuParam(Sum((Projection(0), Product((Projection(1), Constant(FiniteSet(0))))))),
+    Sum((Constant(FiniteSet(1)), MuParam(Projection(0)))),
+    Container(Signature.of(0, 0, 1, 3)),
+    Product((Identity(),)),
+    Sum(()),
+    Product(()),
+]
+
+
+def some_maps(a: int, b: int):
+    """Every map a -> b, as tuples, and the step-1 range tables that fit."""
+    yield from all_functions(a, b)
+    for start in range(b - a + 1):
+        yield FiniteFn(FiniteSet(a), FiniteSet(b), range(start, start + a))
+
+
+@pytest.mark.parametrize("expr", FUSED, ids=lambda e: type(e).__name__)
+def test_a_map_followed_by_then_is_one_table_of_the_composite(expr):
+    rng = random.Random(repr(expr))
+    for a, b in itertools.product(range(4), repeat=2):
+        fb = eval_functor(expr, (FiniteSet(b),))
+        posts = [FiniteFn.identity(fb)]
+        for c in (1, 3, fb.size + 2):
+            if fb.size:
+                table = [rng.randrange(c) for _ in range(fb.size)]
+                posts.append(FiniteFn(fb, FiniteSet(c), table))
+            if c >= fb.size:
+                posts.append(FiniteFn(fb, FiniteSet(c), range(c - fb.size, c)))
+        if not fb.size:
+            posts.append(FiniteFn(fb, FiniteSet(2), ()))
+        for f in some_maps(a, b):
+            for g in posts:
+                got = eval_functor_mor(expr, (f,), then=g)
+                assert got == eval_functor_mor(expr, (f,)).then(g)
+                # the invariant FiniteFn's constructor would have made
+                table = got.table
+                assert type(table) is tuple or (
+                    type(table) is range and table.step == 1
+                )
+
+
+def test_then_must_start_where_the_map_ends():
+    f = FiniteFn.identity(FiniteSet(2))
+    with pytest.raises(ShapeMismatch, match="cannot compose"):
+        eval_functor_mor(POLY, (f,), then=FiniteFn.identity(FiniteSet(4)))
+    with pytest.raises(ShapeMismatch, match="cannot compose"):
+        container_map(BIN, f, then=FiniteFn.identity(FiniteSet(4)))
 
 
 # -- block tables against a per-element reference ---------------------------------

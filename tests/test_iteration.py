@@ -1,8 +1,5 @@
 import itertools
-import json
-import os
-import subprocess
-import time
+import random
 import tracemalloc
 
 import pytest
@@ -11,6 +8,7 @@ from muiter.colimit import Cocone
 from muiter.errors import BudgetExceeded, IntegrityError, NoAlgebra, ShapeMismatch
 from muiter.finset import FiniteFn, FiniteSet
 from muiter.functors import (
+    Compose,
     Constant,
     Container,
     Identity,
@@ -21,6 +19,7 @@ from muiter.functors import (
     SymContainer,
     eval_functor,
     eval_functor_mor,
+    infer_signature,
 )
 from muiter.iteration import (
     AlgebraSpec,
@@ -34,11 +33,12 @@ from muiter.iteration import (
 )
 from muiter.signature import Signature, WTree
 from muiter.size import kappa_sigma, nat_backend, successor_tower
-from launch import muiter_child
+from launch import run_limited
 from reference import (
     container_decode,
     container_encode,
     fold_equation_holds,
+    reference_cata,
     reference_nu,
     wtype_enumerate,
 )
@@ -256,6 +256,58 @@ def test_catamorphism_validates_structure_domain():
         catamorphism(state, bad, 2)
 
 
+# functors whose folds go through every kind of node that fuses the
+# structure map into a layer: a sum and a product, a container with a
+# nullary op, a quotient container, a composite, and a nested fixpoint
+FOLD_FUNCTORS = [
+    POLY,
+    TREES,
+    Sum((Constant(FiniteSet(2)), SymContainer(2))),
+    # 1 + (0 + X)*(0 + X): an empty part in every factor
+    Compose(POLY, (Sum((Constant(FiniteSet(0)), Identity())),)),
+    # 1 + X * (mu Y. X + Y*0), a fixpoint that is X itself
+    Sum(
+        (
+            Constant(FiniteSet(1)),
+            Product(
+                (
+                    Identity(),
+                    MuParam(
+                        Sum(
+                            (
+                                Projection(0),
+                                Product((Projection(1), Constant(FiniteSet(0)))),
+                            )
+                        )
+                    ),
+                )
+            ),
+        )
+    ),
+]
+
+
+@pytest.mark.parametrize("size", ["nat", "plump"])
+@pytest.mark.parametrize(
+    "functor", FOLD_FUNCTORS, ids=[f"f{k}" for k in range(len(FOLD_FUNCTORS))]
+)
+def test_catamorphism_matches_the_two_step_reference(functor, size):
+    # the reference builds F(fold_j) and then maps it through the structure
+    backend = (
+        nat_backend() if size == "nat" else kappa_sigma(infer_signature(functor))
+    )
+    tower = successor_tower(backend, 6)
+    state = inflationary_iterate(functor, backend, tower)
+    rng = random.Random(f"{size}:{functor}")
+    for n in (1, 3, 10, 11):
+        carrier = FiniteSet(n)
+        fa = eval_functor(functor, (carrier,))
+        table = [rng.randrange(n) for _ in range(fa.size)]
+        alg = AlgebraSpec(carrier, FiniteFn(fa, carrier, table))
+        for i in tower:
+            assert catamorphism(state, alg, i) == reference_cata(state, alg, i)
+
+
 def test_arrow_free_stages_build_no_leg_tables():
     backend = nat_backend()
     tracemalloc.start()
@@ -286,23 +338,16 @@ def test_chain_maps_stay_ranges_in_linear_space():
 
 
 def test_long_chain_stops_at_the_budget_in_bounded_time_and_memory(tmp_path):
-    script, out = tmp_path / "chain.mi", tmp_path / "out.json"
-    script.write_text("F = 1 + X\nmu F size nat budget 6000\n")
-    start = time.perf_counter()
-    with open(out, "w") as sink:
-        child = subprocess.Popen(**muiter_child(script), stdout=sink)
-        try:
-            _, status, usage = os.wait4(child.pid, 0)
-        finally:
-            child.kill()
-    wall = time.perf_counter() - start
-    assert os.waitstatus_to_exitcode(status) == 2
-    report = json.loads(out.read_text())["reports"][0]
+    # started from a small launcher, so the RSS is the script's, not pytest's
+    code, payload, wall, rss = run_limited(
+        tmp_path, "F = 1 + X\nmu F size nat budget 6000\n"
+    )
+    assert code == 2
+    report = payload["reports"][0]
     assert report["error"]["type"] == "budget-exceeded"
     assert len(report["stages"]) == 6000
     assert wall < 5
-    # ru_maxrss is in KiB on Linux
-    assert usage.ru_maxrss * 1024 < 100_000_000
+    assert rss < 100_000_000
 
 
 # -- well-definedness checks on a corrupted stage ---------------------------------
