@@ -3,6 +3,9 @@
 Exit codes: 0 success, 1 for usage, parse, or script-level errors, 2 when
 an iteration hits its stage budget (the partial profile is still printed),
 3 for internal invariant violations (including failed `check` suites).
+
+`check samples N` takes at most MAX_SAMPLES (100,000) samples; a larger N
+is a usage error, raised before any sampling.
 """
 
 from __future__ import annotations
@@ -36,6 +39,9 @@ from .iteration import (
 )
 from .signature import Signature
 from .size import kappa_sigma, nat_backend, successor_tower
+
+
+MAX_SAMPLES = 100_000
 
 
 class UsageError(MuiterError):
@@ -263,6 +269,10 @@ class Runner:
     def cmd_check(self, cmd: Command) -> dict:
         size = self.opt_size(cmd)
         samples = cmd.option("samples", self.defaults.get("samples", 200))
+        if samples > MAX_SAMPLES:
+            raise UsageError(
+                f"line {cmd.line}: samples {samples} exceeds the cap {MAX_SAMPLES}"
+            )
         seed = cmd.option("seed", self.defaults.get("seed", 0))
         depth = cmd.option("depth", self.defaults.get("depth", 3))
         backend = _backend_for(self.env, size, cmd.line, Signature.of())

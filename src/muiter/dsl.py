@@ -34,8 +34,7 @@ Grammar, with NAT a decimal numeral and NAME an identifier:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from .errors import DslNameError, DslSyntaxError
 from .finset import FiniteSet
@@ -44,6 +43,7 @@ from .functors import (
     Compose,
     Constant,
     Container,
+    FrozenRecord,
     FunctorExpr,
     Identity,
     MuParam,
@@ -54,69 +54,36 @@ from .functors import (
 )
 from .signature import Signature
 
-KEYWORDS = {
-    "sig",
-    "alg",
-    "iterate",
-    "mu",
-    "free",
-    "cata",
-    "nu",
-    "check",
-    "size",
-    "budget",
-    "depth",
-    "stage",
-    "samples",
-    "seed",
-    "nat",
-    "plump",
-    "sym",
-    "compose",
-    "X",
-    "Y",
-}
-
 COMMAND_WORDS = ("iterate", "mu", "free", "cata", "nu", "check")
 OPTION_WORDS = ("size", "budget", "depth", "stage", "samples", "seed")
+KEYWORDS = {
+    "sig", "alg", *COMMAND_WORDS, *OPTION_WORDS, "nat", "plump", "sym", "compose", "X", "Y"
+}
 
 
 # -- statements ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SigDecl:
-    name: str
-    sig: Signature
-    line: int = 0
+class SigDecl(FrozenRecord):
+    __slots__ = ("name", "sig", "line")
+    _defaults = {"line": 0}
 
 
-@dataclass(frozen=True)
-class FuncDecl:
-    name: str
-    expr: Optional[FunctorExpr]  # None when error is set
-    line: int = 0
-    # an unknown symmetry group, raised when a run reaches the declaration
-    error: Optional[str] = None
+class FuncDecl(FrozenRecord):
+    # expr is None when error is set: an unknown symmetry group, raised
+    # when a run reaches the declaration
+    __slots__ = ("name", "expr", "line", "error")
+    _defaults = {"line": 0, "error": None}
 
 
-@dataclass(frozen=True)
-class AlgDecl:
-    name: str
-    functor: str
-    carrier: int
-    table: Tuple[int, ...]
-    line: int = 0
+class AlgDecl(FrozenRecord):
+    __slots__ = ("name", "functor", "carrier", "table", "line")
+    _defaults = {"line": 0}
 
 
-@dataclass(frozen=True)
-class Command:
-    kind: str
-    functor: Optional[str] = None
-    algebra: Optional[str] = None
-    generators: Optional[int] = None
-    options: Tuple[Tuple[str, object], ...] = ()
-    line: int = 0
+class Command(FrozenRecord):
+    __slots__ = ("kind", "functor", "algebra", "generators", "options", "line")
+    _defaults = dict(functor=None, algebra=None, generators=None, options=(), line=0)
 
     def option(self, name: str, default=None):
         for k, v in self.options:
@@ -128,12 +95,9 @@ class Command:
 # -- tokenizer -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # NAME, NAT, NEWLINE, EOF, or the symbol itself
-    text: str
-    line: int
-    column: int
+class Token(FrozenRecord):
+    # kind is NAME, NAT, NEWLINE, EOF, or the symbol itself
+    __slots__ = ("kind", "text", "line", "column")
 
 
 _SYMBOLS = "=+*^|:.<>(),"
@@ -299,7 +263,7 @@ class Parser:
             )
         sig = Signature.of(*(n for _, n in ops), labels=labels)
         self.declared[name] = ("sig", sig)
-        return SigDecl(name, sig, line=start.line)
+        return SigDecl(name, sig, start.line)
 
     def parse_opspec(self) -> tuple:
         tok = self.expect("NAME", "an operation name")
@@ -321,7 +285,7 @@ class Parser:
         while self.peek().kind == "NAT":
             table.append(self.expect_nat())
         self.declared[name] = ("alg", None)
-        return AlgDecl(name, functor, carrier, tuple(table), line=start.line)
+        return AlgDecl(name, functor, carrier, tuple(table), start.line)
 
     def parse_funcdecl(self) -> FuncDecl:
         start = self.peek()
@@ -333,7 +297,7 @@ class Parser:
         if self.unknown_group is not None:
             expr, error = None, f"unknown symmetry group {self.unknown_group!r}"
         self.declared[name] = ("functor", expr)
-        return FuncDecl(name, expr, line=start.line, error=error)
+        return FuncDecl(name, expr, start.line, error)
 
     def parse_command(self) -> Command:
         start = self.advance()
@@ -362,14 +326,7 @@ class Parser:
                 options.append(("size", self.parse_sizespec()))
             else:
                 options.append((tok.text, self.expect_nat()))
-        return Command(
-            kind=kind,
-            functor=functor,
-            algebra=algebra,
-            generators=generators,
-            options=tuple(options),
-            line=start.line,
-        )
+        return Command(kind, functor, algebra, generators, tuple(options), start.line)
 
     def parse_sizespec(self) -> str:
         tok = self.expect("NAME", "'nat' or 'plump'")

@@ -10,7 +10,6 @@ sum of its children's attributions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb, prod
 from typing import Tuple
@@ -35,79 +34,127 @@ from .signature import (
 )
 
 
-class FunctorExpr:
+class Record:
+    """A value record whose fields are its class's __slots__.
+
+    Fields come by position or by name, else from the class's _defaults.
+    Records are equal when their types and fields are, and the repr is
+    Name(field=value, ...).  A Record can be assigned to, so it has no
+    hash; a FrozenRecord refuses assignment and hashes by its fields.
+    """
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        names = type(self).__slots__
+        if kwargs or len(args) != len(names):
+            args = self._complete(args, kwargs)
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _complete(cls, args: tuple, kwargs: dict) -> tuple:
+        """args followed by the later fields, given by name or defaulted."""
+        rest = cls.__slots__[len(args):]
+        missing = [n for n in rest if n not in kwargs and n not in cls._defaults]
+        if len(args) > len(cls.__slots__) or kwargs.keys() - set(rest) or missing:
+            raise TypeError(
+                f"{cls.__name__} takes the fields {cls.__slots__}, got "
+                f"{len(args)} by position and {sorted(kwargs)} by name"
+            )
+        return args + tuple(kwargs.get(n, cls._defaults.get(n)) for n in rest)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class FrozenRecord(Record):
+    """A Record whose fields cannot be assigned, hashed by their values."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __hash__(self):
+        return hash(self._fields())
+
+
+class FunctorExpr(FrozenRecord):
     """Base class for functor expression nodes."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Identity(FunctorExpr):
     """The first argument, unchanged."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class Projection(FunctorExpr):
     """The k-th argument, unchanged."""
 
-    slot: int
+    __slots__ = ("slot",)
 
 
-@dataclass(frozen=True)
 class Constant(FunctorExpr):
     """A fixed set, ignoring all arguments."""
 
-    value: FiniteSet
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
 class Sum(FunctorExpr):
     """Disjoint union of the parts, laid out block by block."""
 
-    parts: Tuple[FunctorExpr, ...]
+    __slots__ = ("parts",)
 
 
-@dataclass(frozen=True)
 class Product(FunctorExpr):
     """Cartesian product of the parts, mixed-radix encoded."""
 
-    parts: Tuple[FunctorExpr, ...]
+    __slots__ = ("parts",)
 
 
-@dataclass(frozen=True)
 class Compose(FunctorExpr):
-    """outer applied to the results of the inner expressions."""
+    """outer applied to the results of the inner expressions, stored as a tuple."""
 
-    outer: FunctorExpr
-    inner: Tuple[FunctorExpr, ...]
+    __slots__ = ("outer", "inner")
 
-    def __post_init__(self):
-        inner = self.inner
+    def __init__(self, outer: FunctorExpr, inner):
         if isinstance(inner, FunctorExpr):
             inner = (inner,)
-        else:
-            inner = tuple(inner)
-        object.__setattr__(self, "inner", inner)
+        super().__init__(outer, tuple(inner))
 
 
-@dataclass(frozen=True)
 class Container(FunctorExpr):
     """X maps to the sum over ops of tables arity(op) -> X."""
 
-    sig: Signature
+    __slots__ = ("sig",)
 
 
-@dataclass(frozen=True)
 class SymContainer(FunctorExpr):
     """Tables arity -> X up to every permutation of their arguments.
 
     X maps to X**arity / S_arity, the multisets of arity elements of X.
     """
 
-    arity: int
+    __slots__ = ("arity",)
 
 
-@dataclass(frozen=True)
 class MuParam(FunctorExpr):
     """Least fixpoint of a binary expression in its second slot.
 
@@ -115,8 +162,8 @@ class MuParam(FunctorExpr):
     morphism part is the mediating fold between the two fixpoints.
     """
 
-    body: FunctorExpr
-    budget: int = 32
+    __slots__ = ("body", "budget")
+    _defaults = {"budget": 32}
 
 
 # the symmetry groups a script can name, by arity: swapk permutes all k

@@ -16,10 +16,9 @@ followed by the inverted connecting map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Hashable, Sequence
+from typing import Dict, Sequence
 
-from .colimit import Cocone, Diagram, subdiagram_colimit
+from .colimit import Diagram, subdiagram_colimit
 from .errors import (
     BudgetExceeded,
     IntegrityError,
@@ -30,9 +29,11 @@ from .finset import FiniteFn, FiniteSet
 from .functors import (
     Compose,
     Constant,
+    FrozenRecord,
     FunctorExpr,
     Identity,
     MuParam,
+    Record,
     Sum,
     eval_functor,
     eval_functor_mor,
@@ -44,28 +45,24 @@ DEFAULT_BUDGET = 8
 DEFAULT_MAX_CARRIER = 500_000
 
 
-@dataclass(frozen=True)
-class AlgebraSpec:
+class AlgebraSpec(FrozenRecord):
     """A carrier with a structure map F(carrier) -> carrier."""
 
-    carrier: FiniteSet
-    structure: FiniteFn
+    __slots__ = ("carrier", "structure")
 
-    def __post_init__(self):
-        if self.structure.cod != self.carrier:
+    def __init__(self, carrier: FiniteSet, structure: FiniteFn):
+        if structure.cod != carrier:
             raise NoAlgebra(
                 f"structure map lands in a set of size "
-                f"{self.structure.cod.size}, carrier has {self.carrier.size}"
+                f"{structure.cod.size}, carrier has {carrier.size}"
             )
+        super().__init__(carrier, structure)
 
 
-@dataclass
-class StageRecord:
+class StageRecord(Record):
     """One computed stage: its index, carrier, basis, and colimit data."""
 
-    index: Hashable
-    basis: tuple
-    cocone: Cocone
+    __slots__ = ("index", "basis", "cocone")
 
     @property
     def carrier(self) -> FiniteSet:
@@ -143,7 +140,7 @@ class IterationState:
                     arrows[(a, b)] = self._apply_mor(self.connect(a, b))
         diagram = Diagram(basis, edges, objects, arrows)
         cocone = subdiagram_colimit(diagram)
-        rec = StageRecord(index=i, basis=basis, cocone=cocone)
+        rec = StageRecord(i, basis, cocone)
         self.stages[i] = rec
         return rec
 
@@ -220,14 +217,10 @@ def inflationary_iterate(
     return state
 
 
-@dataclass
-class MuResult:
+class MuResult(Record):
     """A stationary stage presented as an algebra, with its provenance."""
 
-    algebra: AlgebraSpec
-    stationary_at: int
-    witness_index: Hashable
-    state: IterationState
+    __slots__ = ("algebra", "stationary_at", "witness_index", "state")
 
     @property
     def carrier(self) -> FiniteSet:
@@ -263,12 +256,8 @@ def mu_initial_algebra(
         conn = state.connect(i, nxt)
         if fresh.is_bijection() and conn.is_bijection():
             iota = fresh.then(conn.inverse())
-            return MuResult(
-                algebra=AlgebraSpec(state.stage(i).carrier, iota),
-                stationary_at=steps,
-                witness_index=i,
-                state=state,
-            )
+            alg = AlgebraSpec(state.stage(i).carrier, iota)
+            return MuResult(alg, steps, i, state)
         i = nxt
 
 
@@ -314,14 +303,10 @@ def catamorphism(state: IterationState, alg: AlgebraSpec, i) -> FiniteFn:
     return fold(i)
 
 
-@dataclass
-class FreeResult:
+class FreeResult(Record):
     """Free algebra on a set of generators."""
 
-    mu: MuResult
-    generators: FiniteSet
-    unit: FiniteFn
-    structure: FiniteFn
+    __slots__ = ("mu", "generators", "unit", "structure")
 
 
 def free_algebra(
@@ -344,7 +329,7 @@ def free_algebra(
     iota = mu.structure.table
     unit = FiniteFn(generators, mu.carrier, iota[f_mu.size :])
     structure = FiniteFn(f_mu, mu.carrier, iota[: f_mu.size])
-    return FreeResult(mu=mu, generators=generators, unit=unit, structure=structure)
+    return FreeResult(mu, generators, unit, structure)
 
 
 def mu_parameterized(
@@ -372,14 +357,10 @@ def mu_parameterized_map(node: MuParam, f: FiniteFn) -> FiniteFn:
     return catamorphism(mu_x.state, alg, mu_x.witness_index)
 
 
-@dataclass
-class NuResult:
+class NuResult(Record):
     """A stationary stage of the dual chain."""
 
-    carrier: FiniteSet
-    comparison: FiniteFn
-    stationary_at: int
-    profile: list
+    __slots__ = ("carrier", "comparison", "stationary_at", "profile")
 
 
 def deflationary_nu(
@@ -420,9 +401,4 @@ def deflationary_nu(
         raise IntegrityError(
             f"dual chain comparison at stage {len(stages) - 1} is not a bijection"
         )
-    return NuResult(
-        carrier=stages[-2],
-        comparison=comparison,
-        stationary_at=len(stages) - 1,
-        profile=profile,
-    )
+    return NuResult(stages[-2], comparison, len(stages) - 1, profile)

@@ -123,7 +123,8 @@ class WTree:
         return f"{name}({', '.join(c.render(sig) for c in self.children)})"
 
     def __repr__(self):
-        return f"WTree({self.render()})"
+        # O(1) in the depth: render would write a shared tree out in full
+        return f"WTree(op={self.op}, height={self._height})"
 
 
 def container_size(sig: Signature, n: int) -> int:

@@ -12,21 +12,23 @@ from pathlib import Path
 import muiter
 
 
-def muiter_child(script, **env) -> dict:
-    """Arguments for subprocess.run or Popen that run `muiter script --format json`.
+def child_env(**env) -> dict:
+    """The environment of a child that imports the same muiter as this process.
 
-    The child imports the same muiter as this process: the package's parent
-    directory goes first on its PYTHONPATH, so a source checkout needs no
-    install.  env adds or overrides environment variables.
+    The package's parent directory goes first on its PYTHONPATH, so a
+    source checkout needs no install.  env adds or overrides variables.
     """
     src = str(Path(muiter.__file__).resolve().parent.parent)
-    child_env = dict(os.environ, **env)
-    child_env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [src, child_env.get("PYTHONPATH")])
-    )
+    out = dict(os.environ, **env)
+    out["PYTHONPATH"] = os.pathsep.join(filter(None, [src, out.get("PYTHONPATH")]))
+    return out
+
+
+def muiter_child(script, **env) -> dict:
+    """Arguments for subprocess.run or Popen that run `muiter script --format json`."""
     return {
         "args": [sys.executable, "-m", "muiter", str(script), "--format", "json"],
-        "env": child_env,
+        "env": child_env(**env),
     }
 
 

@@ -1,9 +1,9 @@
-import dataclasses
 import hashlib
 import io
 import json
 import random
 import subprocess
+import time
 from importlib.resources import files
 from math import comb
 
@@ -11,7 +11,7 @@ import jsonschema
 import pytest
 
 import muiter
-from muiter.cli import _write_json, main, render_json
+from muiter.cli import MAX_SAMPLES, _write_json, main, render_json
 from muiter.dsl import AlgDecl, Command, FuncDecl, SigDecl, parse_script
 from muiter.finset import FiniteFn, FiniteSet
 from muiter.functors import (
@@ -111,7 +111,11 @@ def test_golden_commands_keep_their_options_in_order():
 
 
 def unlined(text):
-    return [dataclasses.replace(s, line=0) for s in parse_script(text)]
+    """The parsed statements, each rebuilt through its own class at line 0."""
+    return [
+        type(s)(**{**{n: getattr(s, n) for n in type(s).__slots__}, "line": 0})
+        for s in parse_script(text)
+    ]
 
 
 def test_messy_script_parses_like_its_tidy_form():
@@ -702,6 +706,32 @@ def test_failed_checks_exit_three(tmp_path, capsys, monkeypatch):
     code, out, err = run_cli(tmp_path, capsys, "check samples 1\n")
     assert code == 3
     assert "FAIL forced" in out
+
+
+def test_check_samples_above_the_cap_exit_one_before_sampling(tmp_path):
+    path = tmp_path / "check.mi"
+    for samples in (MAX_SAMPLES + 1, 2_000_000_000):
+        path.write_text(f"check size plump samples {samples}\n")
+        start = time.perf_counter()
+        done = subprocess.run(
+            **muiter_child(path), capture_output=True, text=True, timeout=30
+        )
+        assert time.perf_counter() - start < 5
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr == (
+            f"error: line 1: samples {samples} exceeds the cap {MAX_SAMPLES}\n"
+        )
+
+
+def test_check_samples_at_the_cap_run(tmp_path, capsys, monkeypatch):
+    asked = []
+    monkeypatch.setattr(
+        "muiter.cli.run_checks", lambda *a, samples, **k: asked.append(samples) or []
+    )
+    code, _, _ = run_cli(tmp_path, capsys, f"check samples {MAX_SAMPLES}\n")
+    assert code == 0
+    assert asked == [MAX_SAMPLES] == [100_000]
 
 
 def test_version_flag(capsys):

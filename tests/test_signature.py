@@ -1,4 +1,6 @@
 import itertools
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from muiter.signature import (
     empty_signature,
     signature_sum,
 )
+from launch import child_env
 from reference import container_decode, container_encode, wtype_enumerate
 
 BIN = Signature.of(0, 2, labels=["leaf", "node"])
@@ -54,6 +57,34 @@ def test_wtree_basics():
     assert t == WTree(1, (leaf, WTree(1, (leaf, leaf))))
     assert hash(t) == hash(WTree(1, (leaf, WTree(1, (leaf, leaf)))))
     assert t != leaf
+
+
+def test_the_repr_of_a_deep_shared_tree_costs_nothing_per_level():
+    # written out in full, the depth-60 successor tower has 2**61 - 1 nodes;
+    # the child is capped in time and address space, so a repr that walks
+    # it fails instead of filling memory
+    code = (
+        "import resource, time\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+        "from muiter.signature import WTree\n"
+        "t = WTree(0)\n"
+        "for _ in range(60):\n"
+        "    t = WTree(1, (t, t))\n"
+        "start = time.perf_counter()\n"
+        "text = repr(t)\n"
+        "print(text, time.perf_counter() - start)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=child_env(),
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert done.returncode == 0, done.stderr[-500:]
+    text, seconds = done.stdout.rsplit(" ", 1)
+    assert text == "WTree(op=1, height=60)"
+    assert float(seconds) < 0.05
 
 
 def test_container_layout_round_trip():
