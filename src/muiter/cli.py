@@ -6,12 +6,20 @@ an iteration hits its stage budget (the partial profile is still printed),
 
 `check samples N` takes at most MAX_SAMPLES (100,000) samples; a larger N
 is a usage error, raised before any sampling.
+
+Command line: `muiter [script] [--size S] [--budget N] [--depth N] [--seed N]
+[--format text|json]`, plus -h/--help and --version, which print to stdout
+and exit 0.  An option takes its value as the next word or after "=", a
+unique prefix names a long option (--form json), "--" ends the options, and
+the last of a repeated option wins.  parse_args reads argv by hand; its
+usage and help texts are fixed at 80 columns.  A bad argv, and a negative
+--depth, print the usage and an error to stderr and exit 1.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
 from typing import Dict, List, Optional, Tuple
 
@@ -410,49 +418,165 @@ def _int_items(value, sep: str) -> str:
 # -- entry point -------------------------------------------------------------
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"error: {message}\n")
-        raise SystemExit(1)
+# The texts argparse printed for this command line at 80 columns.
+USAGE = """\
+usage: muiter [-h] [--size SIZE] [--budget BUDGET] [--depth DEPTH]
+              [--seed SEED] [--format {text,json}] [--version]
+              [script]
+"""
+
+HELP = (
+    USAGE
+    + """
+Iterate set functors to their fixed points, per script.
+
+positional arguments:
+  script                script file to run ('-' or absent reads stdin)
+
+options:
+  -h, --help            show this help message and exit
+  --size SIZE           default size discipline: nat, plump, or plump:<sig>
+  --budget BUDGET
+  --depth DEPTH
+  --seed SEED
+  --format {text,json}
+  --version             show program's version number and exit
+"""
+)
+
+# every option, in the order an ambiguous prefix lists its matches
+_OPTIONS = (
+    "-h", "--help", "--size", "--budget", "--depth", "--seed", "--format", "--version"
+)
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="muiter",
-        description="Iterate set functors to their fixed points, per script.",
-    )
-    parser.add_argument(
-        "script",
-        nargs="?",
-        default="-",
-        help="script file to run ('-' or absent reads stdin)",
-    )
-    parser.add_argument(
-        "--size",
-        default="nat",
-        help="default size discipline: nat, plump, or plump:<sig>",
-    )
-    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    parser.add_argument("--depth", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {__version__}"
-    )
-    return parser
+def _read_option(arg: str) -> Optional[Tuple[str, Optional[str]]]:
+    """(option, attached value) for an option word, None for a value word.
+
+    An unknown option is (arg, None); a unique prefix of a long option
+    names it, and -h may carry text after it, as in -hx.
+    """
+    if not arg.startswith("-") or arg == "-":
+        return None
+    if arg in _OPTIONS:
+        return arg, None
+    name, eq, value = arg.partition("=")
+    if eq and name in _OPTIONS:
+        return name, value
+    if arg.startswith("--"):
+        matches = [o for o in _OPTIONS if o.startswith(name)]
+        if len(matches) > 1:
+            raise UsageError(
+                f"ambiguous option: {arg} could match {', '.join(matches)}"
+            )
+        if matches:
+            return matches[0], value if eq else None
+    elif arg.startswith("-h"):
+        return "-h", arg[2:]
+    if _NEGATIVE_NUMBER.match(arg) or " " in arg:
+        return None
+    return arg, None
+
+
+def parse_args(argv: List[str]) -> Optional[dict]:
+    """The option values argv gives: script, size, budget, depth, seed, format.
+
+    Reads argv as argparse read it for this command line: --opt value and
+    --opt=value, unique prefixes of long options, a value starting with "-"
+    only when it is a negative number or holds a space, "--" ending the
+    options, and the last of a repeated option winning.  -h/--help and --version write their text
+    to stdout and return None.  A bad argv raises UsageError with argparse's
+    message; so does a negative --depth.
+    """
+    values = {
+        "script": "-",
+        "size": "nat",
+        "budget": DEFAULT_BUDGET,
+        "depth": None,
+        "seed": 0,
+        "format": "text",
+    }
+    words = []  # (option, attached value), or (None, value), or ("--", None)
+    for at, arg in enumerate(argv):
+        if arg == "--":
+            words.append(("--", None))
+            words.extend((None, rest) for rest in argv[at + 1:])
+            break
+        words.append(_read_option(arg) or (None, arg))
+    extras: List[str] = []
+    script_at = None
+    at = 0
+    while at < len(words):
+        option, value = words[at]
+        at += 1
+        if option is None:
+            if script_at is None:
+                values["script"], script_at = value, at
+            else:
+                extras.append(value)
+        elif option == "--":
+            # dropped before the script or right after it
+            if script_at not in (None, at - 1):
+                extras.append(option)
+        elif option not in _OPTIONS:
+            extras.append(option)
+        elif option in ("-h", "--help", "--version"):
+            name = "--version" if option == "--version" else "-h/--help"
+            if option == "-h" and value:
+                value = value.lstrip("h") or None  # -hh is -h twice
+            if value is not None:
+                raise UsageError(
+                    f"argument {name}: ignored explicit argument {value!r}"
+                )
+            sys.stdout.write(f"muiter {__version__}\n" if name == "--version" else HELP)
+            return None
+        else:
+            if value is None:
+                if at == len(words) or words[at][0] is not None:
+                    raise UsageError(f"argument {option}: expected one argument")
+                value = words[at][1]
+                at += 1
+            values[option[2:]] = _option_value(option, value)
+    if extras:
+        raise UsageError("unrecognized arguments: " + " ".join(extras))
+    if values["depth"] is not None and values["depth"] < 0:
+        raise UsageError(
+            f"argument --depth: must be at least 0, not {values['depth']}"
+        )
+    return values
+
+
+def _option_value(option: str, text: str):
+    """The value of option, read from text."""
+    if option == "--size":
+        return text
+    if option == "--format":
+        if text not in ("text", "json"):
+            raise UsageError(
+                f"argument --format: invalid choice: {text!r} "
+                "(choose from 'text', 'json')"
+            )
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"argument {option}: invalid int value: {text!r}") from None
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     try:
-        args = build_arg_parser().parse_args(argv)
-    except SystemExit as e:
-        return int(e.code or 0)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+    except UsageError as e:
+        sys.stderr.write(f"{USAGE}error: {e}\n")
+        return 1
+    if args is None:  # help or version
+        return 0
     try:
-        if args.script == "-":
+        if args["script"] == "-":
             text = sys.stdin.read()
         else:
-            with open(args.script, "r", encoding="utf-8") as handle:
+            with open(args["script"], "r", encoding="utf-8") as handle:
                 text = handle.read()
     except OSError as e:
         sys.stderr.write(f"error: {e}\n")
@@ -462,9 +586,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except DslError as e:
         sys.stderr.write(f"error: {e}\n")
         return 1
-    defaults = {"size": args.size, "budget": args.budget, "seed": args.seed}
-    if args.depth is not None:
-        defaults["depth"] = args.depth
+    # a depth flag left out leaves each command its own default
+    defaults = {
+        k: args[k] for k in ("size", "budget", "seed", "depth") if args[k] is not None
+    }
     runner = Runner(statements, defaults)
     try:
         code, payload = runner.run()
@@ -474,7 +599,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except MuiterError as e:
         sys.stderr.write(f"error: {e}\n")
         return 1
-    render = render_json if args.format == "json" else render_text
+    render = render_json if args["format"] == "json" else render_text
     sys.stdout.write(render(payload))
     return code
 

@@ -3,6 +3,7 @@ import io
 import json
 import random
 import subprocess
+import sys
 import time
 from importlib.resources import files
 from math import comb
@@ -28,7 +29,7 @@ from muiter.functors import (
 from muiter.iteration import AlgebraSpec, catamorphism, inflationary_iterate
 from muiter.signature import Signature
 from muiter.size import nat_backend, successor_tower
-from launch import muiter_child, run_limited
+from launch import child_env, muiter_child, run_limited
 
 SCHEMA = json.loads(files("muiter").joinpath("schema.json").read_text())
 
@@ -739,3 +740,154 @@ def test_version_flag(capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert muiter.__version__ in captured.out
+
+
+# -- the command line ---------------------------------------------------------------
+
+USAGE = """\
+usage: muiter [-h] [--size SIZE] [--budget BUDGET] [--depth DEPTH]
+              [--seed SEED] [--format {text,json}] [--version]
+              [script]
+"""
+
+HELP = (
+    USAGE
+    + """
+Iterate set functors to their fixed points, per script.
+
+positional arguments:
+  script                script file to run ('-' or absent reads stdin)
+
+options:
+  -h, --help            show this help message and exit
+  --size SIZE           default size discipline: nat, plump, or plump:<sig>
+  --budget BUDGET
+  --depth DEPTH
+  --seed SEED
+  --format {text,json}
+  --version             show program's version number and exit
+"""
+)
+
+ARGV_SCRIPT = "F = 1 + X*X\niterate F depth 2\n"
+
+ARGV_JSON = """\
+{
+  "reports": [
+    {
+      "budget": 8,
+      "command": "iterate",
+      "functor": "F",
+      "line": 2,
+      "size": "nat",
+      "stages": [
+        {
+          "index": "0",
+          "size": 0
+        },
+        {
+          "index": "1",
+          "size": 1
+        }
+      ]
+    }
+  ],
+  "version": "0.1.0"
+}
+"""
+
+
+def usage_error(message):
+    return 1, "", USAGE + f"error: {message}\n"
+
+
+# Each argv (SCRIPT stands for a file holding ARGV_SCRIPT) with the exit
+# code, stdout and stderr it gave when the command line was built on argparse.
+ARGV_CASES = [
+    (["--help"], (0, HELP, "")),
+    (["-h"], (0, HELP, "")),
+    (["--version"], (0, "muiter 0.1.0\n", "")),
+    (["--wat"], usage_error("unrecognized arguments: --wat")),
+    (["--wat", "3", "x.mi"], usage_error("unrecognized arguments: --wat x.mi")),
+    (["a", "b", "c"], usage_error("unrecognized arguments: b c")),
+    (["--s", "3"], usage_error("ambiguous option: --s could match --size, --seed")),
+    (["SCRIPT", "--form", "json"], (0, ARGV_JSON, "")),
+    (
+        ["SCRIPT", "--size=plump"],
+        (0, "iterate F  (size=plump, budget=8)\n  D[bot] size=0\n  D[succ(bot)] size=1\n", ""),
+    ),
+    (["--budget"], usage_error("argument --budget: expected one argument")),
+    (["--budget", "x"], usage_error("argument --budget: invalid int value: 'x'")),
+    (["--budget", "-3", "SCRIPT"], (1, "", "error: line 2: budget must be at least 1\n")),
+    (
+        ["--format", "xml"],
+        usage_error("argument --format: invalid choice: 'xml' (choose from 'text', 'json')"),
+    ),
+    (["--size", "-x"], usage_error("argument --size: expected one argument")),
+    (["--version=1"], usage_error("argument --version: ignored explicit argument '1'")),
+    (["--", "SCRIPT"], (0, "iterate F  (size=nat, budget=8)\n  D[0] size=0\n  D[1] size=1\n", "")),
+    (
+        ["--budget", "2", "SCRIPT", "--budget", "5"],
+        (0, "iterate F  (size=nat, budget=5)\n  D[0] size=0\n  D[1] size=1\n", ""),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected", ARGV_CASES, ids=[" ".join(argv) for argv, _ in ARGV_CASES]
+)
+def test_the_command_line_reads_argv_as_before(
+    tmp_path, capsys, monkeypatch, argv, expected
+):
+    monkeypatch.delenv("COLUMNS", raising=False)
+    path = tmp_path / "script.mi"
+    path.write_text(ARGV_SCRIPT)
+    code = main([str(path) if arg == "SCRIPT" else arg for arg in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == expected
+
+
+@pytest.mark.parametrize(
+    "script", ["F = 1 + X*X\niterate F\n", "check samples 1\n"], ids=["iterate", "check"]
+)
+def test_a_negative_depth_flag_is_a_usage_error(tmp_path, capsys, script):
+    # check used to fail in the tree sampler, iterate to report no stages
+    code, out, err = run_cli(tmp_path, capsys, script, "--depth", "-1")
+    assert (code, out, err) == usage_error("argument --depth: must be at least 0, not -1")
+
+
+def test_the_command_line_loads_neither_argparse_nor_gettext(tmp_path):
+    path = tmp_path / "script.mi"
+    path.write_text(ARGV_SCRIPT)
+    code = (
+        "import sys, muiter.cli\n"
+        "loaded = lambda: sorted({'argparse', 'gettext'} & set(sys.modules))\n"
+        "imported = loaded()\n"
+        "code = muiter.cli.main([sys.argv[1], '--format', 'json'])\n"
+        "print(code, imported, loaded())\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(path)],
+        env=child_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == ARGV_JSON + "0 [] []\n"
+
+
+@pytest.mark.parametrize(
+    "flag, out", [("--version", "muiter 0.1.0\n"), ("--help", HELP)], ids=["version", "help"]
+)
+def test_python_m_muiter_reads_its_own_argv(flag, out):
+    env = child_env()
+    env.pop("COLUMNS", None)
+    done = subprocess.run(
+        [sys.executable, "-m", "muiter", flag],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, out, "")
