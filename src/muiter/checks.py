@@ -121,8 +121,8 @@ def check_functor_laws(
     trials = 0
     for _ in range(samples):
         sizes_a = tuple(rng.randrange(0, depth + 1) for _ in range(arity))
-        sizes_b = tuple(rng.randrange(1, depth + 1) for _ in range(arity))
-        sizes_c = tuple(rng.randrange(1, depth + 1) for _ in range(arity))
+        sizes_b = tuple(rng.randrange(1, max(depth, 1) + 1) for _ in range(arity))
+        sizes_c = tuple(rng.randrange(1, max(depth, 1) + 1) for _ in range(arity))
         xs = tuple(FiniteSet(n) for n in sizes_a)
         ys = tuple(FiniteSet(n) for n in sizes_b)
         zs = tuple(FiniteSet(n) for n in sizes_c)

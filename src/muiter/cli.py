@@ -5,7 +5,8 @@ an iteration hits its stage budget (the partial profile is still printed),
 3 for internal invariant violations (including failed `check` suites).
 
 `check samples N` takes at most MAX_SAMPLES (100,000) samples; a larger N
-is a usage error, raised before any sampling.
+is a usage error, raised before any sampling.  At `depth 0` (or --depth 0)
+it draws only leaf indices and sets of at most one element.
 
 Command line: `muiter [script] [--size S] [--budget N] [--depth N] [--seed N]
 [--format text|json]`, plus -h/--help and --version, which print to stdout
@@ -39,14 +40,14 @@ from .functors import eval_functor, expr_arity, infer_signature
 from .iteration import (
     DEFAULT_BUDGET,
     AlgebraSpec,
-    catamorphism,
     deflationary_nu,
     free_algebra,
-    inflationary_iterate,
     mu_initial_algebra,
+    tower,
+    tower_fold,
 )
 from .signature import Signature
-from .size import kappa_sigma, nat_backend, successor_tower
+from .size import kappa_sigma, nat_backend
 
 
 MAX_SAMPLES = 100_000
@@ -164,9 +165,17 @@ class Runner:
         return expr, size, budget, backend
 
     def base_report(self, cmd: Command, size: Optional[str], budget: Optional[int]) -> dict:
+        # the header of a finished or stopped run; a finished cata without an
+        # inline stage adds its stationary index, which a stop never reaches
         report: dict = {"command": cmd.kind, "line": cmd.line}
         if cmd.functor is not None:
             report["functor"] = cmd.functor
+        if cmd.algebra is not None:
+            report["algebra"] = cmd.algebra
+            if cmd.option("stage") is not None:
+                report["stage"] = cmd.option("stage")
+        if cmd.generators is not None:
+            report["generators"] = cmd.generators
         if size is not None:
             report["size"] = size
         if budget is not None:
@@ -174,18 +183,9 @@ class Runner:
         return report
 
     def budget_report(self, cmd: Command, e: BudgetExceeded) -> dict:
-        # the header of a finished run; the dual chain runs on nat only
+        # the dual chain runs on nat only
         size = "nat" if cmd.kind == "nu" else self.opt_size(cmd)
         report = self.base_report(cmd, size, self.opt_budget(cmd))
-        if cmd.algebra is not None:
-            report["algebra"] = cmd.algebra
-        if cmd.generators is not None:
-            report["generators"] = cmd.generators
-        # a finished cata without an inline stage reports its stationary
-        # index, which a stop never reaches
-        stage = cmd.option("stage") if cmd.kind == "cata" else None
-        if stage is not None:
-            report["stage"] = stage
         report["error"] = {"type": "budget-exceeded", "message": str(e)}
         report["stages"] = e.profile
         return report
@@ -195,18 +195,15 @@ class Runner:
     def cmd_iterate(self, cmd: Command) -> dict:
         expr, size, budget, backend = self.setup(cmd)
         depth = cmd.option("depth", self.defaults.get("depth", budget))
-        state = inflationary_iterate(
-            expr, backend, successor_tower(backend, depth), budget
-        )
         report = self.base_report(cmd, size, budget)
-        report["stages"] = state.profile()
+        report["stages"] = tower(expr, backend, budget, length=depth)[1]
         return report
 
     def cmd_mu(self, cmd: Command) -> dict:
         expr, size, budget, backend = self.setup(cmd)
         result = mu_initial_algebra(expr, backend, budget)
         report = self.base_report(cmd, size, budget)
-        report["stages"] = result.state.profile()
+        report["stages"] = result.profile
         report["stationaryAt"] = result.stationary_at
         report["mu"] = {"size": result.carrier.size}
         report["iota"] = result.structure.to_json()
@@ -216,8 +213,7 @@ class Runner:
         expr, size, budget, backend = self.setup(cmd)
         result = free_algebra(expr, FiniteSet(cmd.generators), backend, budget)
         report = self.base_report(cmd, size, budget)
-        report["generators"] = cmd.generators
-        report["stages"] = result.mu.state.profile()
+        report["stages"] = result.mu.profile
         report["stationaryAt"] = result.mu.stationary_at
         report["mu"] = {"size": result.mu.carrier.size}
         report["unit"] = result.unit.to_json()
@@ -241,22 +237,15 @@ class Runner:
                 f"entries, functor applied to the carrier has {fa.size}"
             )
         alg = AlgebraSpec(carrier, FiniteFn(fa, carrier, decl.table))
-        stage_opt = cmd.option("stage")
-        if stage_opt is None:
-            result = mu_initial_algebra(expr, backend, budget)
-            state, at = result.state, result.witness_index
-            stage_label = result.stationary_at
-        else:
-            tower = successor_tower(backend, stage_opt + 1)
-            state = inflationary_iterate(expr, backend, tower, budget)
-            at = tower[-1]
-            stage_label = stage_opt
-        fold = catamorphism(state, alg, at)
         report = self.base_report(cmd, size, budget)
-        report["algebra"] = cmd.algebra
-        report["stage"] = stage_label
-        report["stages"] = state.profile()
-        report["fold"] = fold.to_json()
+        stage = cmd.option("stage")
+        if stage is None:
+            result = mu_initial_algebra(expr, backend, budget)
+            report["stage"] = result.stationary_at
+            report["stages"], stage = result.profile, result.stationary_at - 1
+        else:
+            report["stages"] = tower(expr, backend, budget, length=stage + 1)[1]
+        report["fold"] = tower_fold(expr, alg, stage).to_json()
         return report
 
     def cmd_nu(self, cmd: Command) -> dict:

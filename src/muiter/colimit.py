@@ -9,7 +9,6 @@ witnesses: x in D(j) is identified with arrow(j,i)(x).
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from typing import Dict, Hashable, Iterable, Sequence, Tuple
 
 from .errors import (
@@ -102,7 +101,7 @@ class Cocone:
 
     The legs are the blocks of one quotient map out of the sum of the
     objects, laid out block by block in index order; without arrows that
-    map is the identity range.
+    map is the identity range, and each leg is a range slice of it.
     """
 
     __slots__ = ("diagram", "apex", "legs", "_quotient")
@@ -111,7 +110,10 @@ class Cocone:
         self.diagram = diagram
         self.apex = apex
         self._quotient = quotient
-        self.legs = Legs(diagram, quotient, apex)
+        self.legs = {}
+        for i, off in _offsets(diagram).items():
+            part = diagram.objects[i]
+            self.legs[i] = FiniteFn(part, apex, quotient[off : off + part.size])
 
     def induce(
         self, values, ill_defined, unreached=_no_representative
@@ -152,33 +154,6 @@ def _values_on(values, index: Hashable, part: FiniteSet):
             f"{len(vals)} values for a leg on {part.size} elements"
         )
     return vals
-
-
-class Legs(Mapping):
-    """A cocone's legs by index, each sliced from its quotient map on first read."""
-
-    __slots__ = ("_objects", "_offsets", "_quotient", "_apex", "_built")
-
-    def __init__(self, diagram: Diagram, quotient, apex: FiniteSet):
-        self._objects = diagram.objects
-        self._offsets = _offsets(diagram)
-        self._quotient = quotient
-        self._apex = apex
-        self._built: Dict = {}
-
-    def __getitem__(self, index: Hashable) -> FiniteFn:
-        leg = self._built.get(index)
-        if leg is None:
-            part, off = self._objects[index], self._offsets[index]
-            leg = FiniteFn(part, self._apex, self._quotient[off : off + part.size])
-            self._built[index] = leg
-        return leg
-
-    def __iter__(self):
-        return iter(self._offsets)
-
-    def __len__(self) -> int:
-        return len(self._offsets)
 
 
 def _offsets(d: Diagram) -> Dict:

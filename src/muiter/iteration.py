@@ -8,15 +8,15 @@ backend's finite predecessor basis: every strictly smaller index embeds
 laxly into some basis member, so the colimit over the basis (with
 connecting maps synthesized from the lax order) agrees with the full one.
 
-Once the step from a stage to its successor becomes a bijection in both the
-fresh-layer leg and the connecting map, the chain is stationary and the
-stage carries the initial algebra; the structure map is the fresh-layer leg
-followed by the inverted connecting map.
+On the successor tower each stage is F of the one before (Adamek's chain),
+sized by tower() alone; mu and nu build one chain map where a size repeats,
+and a fold there is a loop.  IterationState is the general construction,
+and the tests' oracle for the tower.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict, Sequence, Tuple
 
 from .colimit import Diagram, subdiagram_colimit
 from .errors import (
@@ -43,6 +43,7 @@ from .size import nat_backend
 
 DEFAULT_BUDGET = 8
 DEFAULT_MAX_CARRIER = 500_000
+_LONG_SIZE = 10**1000  # the least size of more than 1,000 digits
 
 
 class AlgebraSpec(FrozenRecord):
@@ -71,6 +72,13 @@ class StageRecord(Record):
 
 def _unrepresented(cls: int) -> Exception:
     return IntegrityError("stage has a class with no layer representative")
+
+
+def _over_cap(size: int, cap: int, profile) -> BudgetExceeded:
+    """The stop for a carrier over the cap; a size of more than 1,000 digits
+    is written by its bit length, as str() refuses an int past 4,300."""
+    shown = f"at least 2**{size.bit_length() - 1}" if size >= _LONG_SIZE else size
+    return BudgetExceeded(f"carrier of size {shown} exceeds the cap {cap}", profile)
 
 
 class IterationState:
@@ -147,11 +155,7 @@ class IterationState:
     def _apply_object(self, x: FiniteSet) -> FiniteSet:
         out = eval_functor(self.functor, (x,))
         if out.size > self.max_carrier:
-            raise BudgetExceeded(
-                f"carrier of size {out.size} exceeds the cap "
-                f"{self.max_carrier}",
-                self.profile(),
-            )
+            raise _over_cap(out.size, self.max_carrier, self.profile())
         return out
 
     def _apply_mor(self, f: FiniteFn) -> FiniteFn:
@@ -217,10 +221,57 @@ def inflationary_iterate(
     return state
 
 
-class MuResult(Record):
-    """A stationary stage presented as an algebra, with its provenance."""
+def tower(
+    functor: FunctorExpr,
+    backend,
+    budget: int = DEFAULT_BUDGET,
+    max_carrier: int = DEFAULT_MAX_CARRIER,
+    length=None,
+    first: FiniteSet = FiniteSet(0),
+) -> Tuple[list, list]:
+    """The stages first, F(first), ... and their profile, by eval_functor alone:
+    length of them or, without one, up to the first repeated size.  The budget
+    and then the cap are checked before each stage; the profile's indices are
+    the backend's bottom and its successors, rendered."""
+    if expr_arity(functor) > 1:
+        raise ShapeMismatch("iteration needs an endofunctor of one argument")
+    stages, profile = [], []
+    index, stage = backend.bottom(), first
+    while len(stages) != length:
+        if len(stages) >= budget:
+            raise BudgetExceeded(f"stage budget {budget} exhausted", profile)
+        if stages:
+            stage = eval_functor(functor, (stage,))
+            if stage.size > max_carrier:
+                raise _over_cap(stage.size, max_carrier, profile)
+            index = backend.succ(index)
+        stages.append(stage)
+        profile.append({"index": backend.render(index), "size": stage.size})
+        if length is None and len(stages) > 1 and stages[-2].size == stage.size:
+            break
+    return stages, profile
 
-    __slots__ = ("algebra", "stationary_at", "witness_index", "state")
+
+def _iterate_map(functor: FunctorExpr, f: FiniteFn, times: int, then=None) -> FiniteFn:
+    """F^times(f); with then, each step is F of the map so far followed by it."""
+    followed = {} if then is None else {"then": then}
+    for _ in range(times):
+        f = eval_functor_mor(functor, (f,), **followed)
+    return f
+
+
+def _chain_map(functor: FunctorExpr, unique: FiniteFn, stages: list, name: str):
+    """F^(n-1)(unique) for stages 0..n whose last size repeats, checked bijective."""
+    out = _iterate_map(functor, unique, len(stages) - 2)
+    if not out.is_bijection():
+        raise IntegrityError(f"{name} at stage {len(stages) - 1} is not a bijection")
+    return out
+
+
+class MuResult(Record):
+    """A stationary stage presented as an algebra, with the chain's profile."""
+
+    __slots__ = ("algebra", "stationary_at", "profile")
 
     @property
     def carrier(self) -> FiniteSet:
@@ -239,26 +290,23 @@ def mu_initial_algebra(
 ) -> MuResult:
     """Iterate along the successor tower until the chain goes stationary.
 
-    Stationarity needs both comparisons at once: the fresh layer
-    F(stage i) -> stage succ(i) and the connecting map
-    stage i -> stage succ(i) must be bijections.  The structure map is then
-    the fresh-layer leg composed with the inverted connecting map.
+    Stage k maps into stage k+1 by c_k = F^k(0 -> F0).  The functors a
+    script builds keep injections, so c_k is a bijection exactly when the
+    sizes agree.  Only at the first repeated size is that map built, and
+    checked; its inverse is the structure map.  A stop builds no table.
     """
-    state = IterationState(functor, backend, budget, max_carrier)
-    i = backend.bottom()
-    state.stage(i)
-    steps = 0
-    while True:
-        nxt = backend.succ(i)
-        state.stage(nxt)
-        steps += 1
-        fresh = state.leg(i, nxt)
-        conn = state.connect(i, nxt)
-        if fresh.is_bijection() and conn.is_bijection():
-            iota = fresh.then(conn.inverse())
-            alg = AlgebraSpec(state.stage(i).carrier, iota)
-            return MuResult(alg, steps, i, state)
-        i = nxt
+    stages, profile = tower(functor, backend, budget, max_carrier)
+    c = _chain_map(functor, FiniteFn(stages[0], stages[1], ()), stages, "chain map")
+    return MuResult(AlgebraSpec(stages[-2], c.inverse()), len(stages) - 1, profile)
+
+
+def _check_algebra(functor: FunctorExpr, alg: AlgebraSpec) -> None:
+    fa = eval_functor(functor, (alg.carrier,))
+    if alg.structure.dom != fa:
+        raise NoAlgebra(
+            f"structure map domain has size {alg.structure.dom.size}, "
+            f"functor applied to the carrier has {fa.size}"
+        )
 
 
 def catamorphism(state: IterationState, alg: AlgebraSpec, i) -> FiniteFn:
@@ -268,12 +316,7 @@ def catamorphism(state: IterationState, alg: AlgebraSpec, i) -> FiniteFn:
     from the layer F(stage j) folds by first folding at j inside F, then
     applying the structure map, and the two are built as one table.
     """
-    fa = eval_functor(state.functor, (alg.carrier,))
-    if alg.structure.dom != fa:
-        raise NoAlgebra(
-            f"structure map domain has size {alg.structure.dom.size}, "
-            f"functor applied to the carrier has {fa.size}"
-        )
+    _check_algebra(state.functor, alg)
     done: Dict = {}
 
     def fold(idx) -> FiniteFn:
@@ -301,6 +344,14 @@ def catamorphism(state: IterationState, alg: AlgebraSpec, i) -> FiniteFn:
         return out
 
     return fold(i)
+
+
+def tower_fold(functor: FunctorExpr, alg: AlgebraSpec, k: int) -> FiniteFn:
+    """The fold of tower stage k into the algebra, in a loop: fold_0 is the
+    empty map, and fold_(j+1) is F(fold_j) followed by the structure map."""
+    _check_algebra(functor, alg)
+    empty = FiniteFn(FiniteSet(0), alg.carrier, ())
+    return _iterate_map(functor, empty, k, then=alg.structure)
 
 
 class FreeResult(Record):
@@ -354,7 +405,8 @@ def mu_parameterized_map(node: MuParam, f: FiniteFn) -> FiniteFn:
     mu_y = mu_of_parameterized(node, f.cod)
     step = eval_functor_mor(node.body, (f, FiniteFn.identity(mu_y.carrier)))
     alg = AlgebraSpec(mu_y.carrier, step.then(mu_y.structure))
-    return catamorphism(mu_x.state, alg, mu_x.witness_index)
+    fixed = Compose(node.body, (Constant(f.dom), Identity()))
+    return tower_fold(fixed, alg, mu_x.stationary_at - 1)
 
 
 class NuResult(Record):
@@ -379,26 +431,9 @@ def deflationary_nu(
     Only a stationary chain builds its comparison, and checks that it is
     a bijection; a budget or cap stop builds no table.
     """
-    if expr_arity(functor) > 1:
-        raise ShapeMismatch("dual iteration needs an endofunctor of one argument")
-    stages = [FiniteSet(1)]
-    profile = [{"index": "0", "size": 1}]
-    while len(stages) < 2 or stages[-1].size != stages[-2].size:
-        if len(stages) >= budget:
-            raise BudgetExceeded(f"stage budget {budget} exhausted", profile)
-        nxt = eval_functor(functor, (stages[-1],))
-        if nxt.size > max_carrier:
-            raise BudgetExceeded(
-                f"carrier of size {nxt.size} exceeds the cap {max_carrier}",
-                profile,
-            )
-        stages.append(nxt)
-        profile.append({"index": str(len(stages) - 1), "size": nxt.size})
-    comparison = FiniteFn.constant(stages[1], stages[0], 0)
-    for _ in range(len(stages) - 2):
-        comparison = eval_functor_mor(functor, (comparison,))
-    if not comparison.is_bijection():
-        raise IntegrityError(
-            f"dual chain comparison at stage {len(stages) - 1} is not a bijection"
-        )
+    stages, profile = tower(
+        functor, nat_backend(), budget, max_carrier, first=FiniteSet(1)
+    )
+    unique = FiniteFn.constant(stages[1], stages[0], 0)
+    comparison = _chain_map(functor, unique, stages, "dual chain comparison")
     return NuResult(stages[-2], comparison, len(stages) - 1, profile)

@@ -5,7 +5,9 @@ sum, product and container layouts, relations with their quotients and
 kernels, colimits over arbitrary finite shapes by union-find, the fold
 equation at one pair of stages, the fold that maps each layer through the
 structure map after building it, the enumeration of well-founded trees by
-height, and the dual chain with every comparison map built.
+height, the dual chain with every comparison map built, and the initial
+chain through the colimit engine, with every stage's cocone, leg and
+connecting map.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from muiter.iteration import (
     DEFAULT_BUDGET,
     DEFAULT_MAX_CARRIER,
     AlgebraSpec,
+    IterationState,
+    MuResult,
     NuResult,
     _unrepresented,
 )
@@ -294,3 +298,33 @@ def reference_nu(
                 stationary_at=len(stages) - 1,
                 profile=profile,
             )
+
+
+def reference_mu(
+    functor: FunctorExpr,
+    backend,
+    budget: int = DEFAULT_BUDGET,
+    max_carrier: int = DEFAULT_MAX_CARRIER,
+) -> MuResult:
+    """Iterate along the successor tower until the chain goes stationary.
+
+    Stationarity needs both comparisons at once: the fresh layer
+    F(stage i) -> stage succ(i) and the connecting map
+    stage i -> stage succ(i) must be bijections.  The structure map is then
+    the fresh-layer leg composed with the inverted connecting map.
+    """
+    state = IterationState(functor, backend, budget, max_carrier)
+    i = backend.bottom()
+    state.stage(i)
+    steps = 0
+    while True:
+        nxt = backend.succ(i)
+        state.stage(nxt)
+        steps += 1
+        fresh = state.leg(i, nxt)
+        conn = state.connect(i, nxt)
+        if fresh.is_bijection() and conn.is_bijection():
+            iota = fresh.then(conn.inverse())
+            alg = AlgebraSpec(state.stage(i).carrier, iota)
+            return MuResult(alg, steps, state.profile())
+        i = nxt

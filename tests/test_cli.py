@@ -451,6 +451,113 @@ def test_a_stopped_dual_chain_stops_before_building_a_map(tmp_path):
     assert rss < 30_000_000
 
 
+# ROADMAP item 2's examples: the successor tower is sized by arithmetic, and
+# a fold on it is a loop, so none of them builds a colimit per stage
+@pytest.mark.parametrize(
+    "text, code, stages, wall_s, rss_mb",
+    [
+        ("F = 1 + X\nmu F budget 100000\n", 2, 100000, 5, 150),
+        ("F = 1 + X\nfree F 1 budget 3000\n", 2, 3000, 2, 60),
+        (
+            "F = 1 + X\nalg A : F 1 = 0 0\ncata F A stage 200 budget 1000\n",
+            0,
+            201,
+            2,
+            60,
+        ),
+    ],
+    ids=["mu-budget-100000", "free-budget-3000", "cata-stage-200"],
+)
+def test_long_successor_chains_run_in_bounded_time_and_memory(
+    tmp_path, text, code, stages, wall_s, rss_mb
+):
+    got, payload, wall, rss = run_limited(tmp_path, text)
+    assert got == code
+    report = payload["reports"][0]
+    assert len(report["stages"]) == stages
+    if code == 2:
+        assert report["error"]["type"] == "budget-exceeded"
+    else:
+        assert report["fold"]["table"] == [0] * 200
+    assert wall < wall_s
+    assert rss < rss_mb * 2**20
+
+
+@pytest.mark.parametrize(
+    "text, bits",
+    [
+        ("F = 1 + X^20000\niterate F depth 4\n", 20000),
+        ("sig S = a:0 | b:100000000\nT = S\niterate T depth 4\n", 100000000),
+    ],
+    ids=["power", "wide-op"],
+)
+def test_a_cap_stop_on_a_carrier_of_unbounded_length_is_a_report(tmp_path, text, bits):
+    # the carrier, 1 + 2**bits, has too many digits for str()
+    code, payload, wall, rss = run_limited(tmp_path, text)
+    assert code == 2
+    report = payload["reports"][0]
+    assert report["error"] == {
+        "type": "budget-exceeded",
+        "message": f"carrier of size at least 2**{bits} exceeds the cap 500000",
+    }
+    assert [s["size"] for s in report["stages"]] == [0, 1, 2]
+    assert wall < 5
+    assert rss < 100 * 2**20
+
+
+GUARDED = """\
+F = 1 + X*X
+G = 3
+M = mu Y. 1 + X*0*Y
+N = 2 * compose(M, X)
+alg A : F 2 = 1 0 1 1 0
+alg B : G 3 = 2 0 1
+alg C : N 2 = 1 0
+iterate F depth 5
+mu G
+free G 2
+cata F A stage 4
+cata G B
+nu G
+mu N
+cata N C
+"""
+
+
+def test_no_fixpoint_command_reaches_the_colimit_engine(tmp_path, capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a fixpoint command reached the colimit engine")
+
+    monkeypatch.setattr("muiter.colimit.subdiagram_colimit", unreachable)
+    monkeypatch.setattr("muiter.iteration.subdiagram_colimit", unreachable)
+    monkeypatch.setattr("muiter.iteration.IterationState.stage", unreachable)
+    code, payload, err = run_json(tmp_path, capsys, GUARDED)
+    assert (code, err) == (0, "")
+    kinds = [r["command"] for r in payload["reports"]]
+    assert kinds == ["iterate", "mu", "free", "cata", "cata", "nu", "mu", "cata"]
+    assert payload["reports"][-2]["mu"] == {"size": 2}
+    assert payload["reports"][-1]["fold"]["table"] == [1, 0]
+
+
+@pytest.mark.parametrize(
+    "script, flags",
+    [
+        ("F = 1 + X*X\ncheck samples 2 depth 0\n", ()),
+        ("F = 1 + X*X\ncheck samples 2\n", ("--depth", "0")),
+    ],
+    ids=["inline", "flag"],
+)
+def test_check_at_depth_0_draws_nonempty_codomains_of_one_element(
+    tmp_path, capsys, script, flags
+):
+    code, payload, err = run_json(tmp_path, capsys, script, *flags)
+    assert (code, err) == (0, "")
+    report = payload["reports"][0]
+    assert report["depth"] == 0
+    assert all(c["ok"] for c in report["checks"])
+    assert "functor-laws[F]" in [c["name"] for c in report["checks"]]
+
+
 # sha256 of the --format json output, each taken from the commit before the
 # change it guards (block-built tables, the C-encoder render_json, range
 # tables, closed-form multisets, then folds built as one table and digit

@@ -23,6 +23,7 @@ from muiter.functors import (
 )
 from muiter.iteration import (
     AlgebraSpec,
+    IterationState,
     catamorphism,
     deflationary_nu,
     free_algebra,
@@ -30,6 +31,8 @@ from muiter.iteration import (
     mu_initial_algebra,
     mu_parameterized,
     mu_parameterized_map,
+    tower,
+    tower_fold,
 )
 from muiter.signature import Signature, WTree
 from muiter.size import kappa_sigma, nat_backend, successor_tower
@@ -39,6 +42,7 @@ from reference import (
     container_encode,
     fold_equation_holds,
     reference_cata,
+    reference_mu,
     reference_nu,
     wtype_enumerate,
 )
@@ -308,6 +312,98 @@ def test_catamorphism_matches_the_two_step_reference(functor, size):
             assert catamorphism(state, alg, i) == reference_cata(state, alg, i)
 
 
+@pytest.mark.parametrize("size", ["nat", "plump"])
+@pytest.mark.parametrize(
+    "functor", FOLD_FUNCTORS, ids=[f"f{k}" for k in range(len(FOLD_FUNCTORS))]
+)
+def test_tower_fold_matches_the_colimit_fold_at_every_stage(functor, size):
+    backend = (
+        nat_backend() if size == "nat" else kappa_sigma(infer_signature(functor))
+    )
+    indices = successor_tower(backend, 6)
+    state = inflationary_iterate(functor, backend, indices)
+    rng = random.Random(f"tower:{size}:{functor}")
+    for n in (1, 3, 10, 11):
+        carrier = FiniteSet(n)
+        fa = eval_functor(functor, (carrier,))
+        table = [rng.randrange(n) for _ in range(fa.size)]
+        alg = AlgebraSpec(carrier, FiniteFn(fa, carrier, table))
+        for k, i in enumerate(indices):
+            assert tower_fold(functor, alg, k) == catamorphism(state, alg, i)
+
+
+def test_tower_fold_validates_structure_domain():
+    bad = AlgebraSpec(FiniteSet(2), FiniteFn(FiniteSet(3), FiniteSet(2), (0, 1, 0)))
+    with pytest.raises(NoAlgebra, match="functor applied to the carrier has 5"):
+        tower_fold(TREES, bad, 2)
+
+
+def test_a_deep_tower_fold_needs_no_recursion():
+    # catamorphism recurses about five frames per stage; the loop does not
+    alg = AlgebraSpec(FiniteSet(1), FiniteFn(FiniteSet(2), FiniteSet(1), (0, 0)))
+    fold = tower_fold(Sum((Constant(FiniteSet(1)), Identity())), alg, 2000)
+    assert fold.table == (0,) * 2000
+
+
+def tower_outcome(run):
+    """The profile a chain run reports, and how it stopped if it did."""
+    try:
+        return run(), None
+    except BudgetExceeded as stop:
+        return stop.profile, str(stop)
+
+
+@pytest.mark.parametrize("size", ["nat", "plump"])
+@pytest.mark.parametrize(
+    "length, budget, cap",
+    [(0, 8, 500_000), (5, 8, 500_000), (7, 5, 600), (7, 6, 600), (9, 8, 500_000)],
+)
+def test_tower_stops_where_the_colimit_chain_stops(size, length, budget, cap):
+    backend = nat_backend() if size == "nat" else kappa_sigma(Signature.of())
+
+    def by_colimits():
+        indices = successor_tower(backend, length)
+        return inflationary_iterate(POLY, backend, indices, budget, cap).profile()
+
+    def by_sizes():
+        stages, profile = tower(POLY, backend, budget, cap, length=length)
+        assert [s.size for s in stages] == sizes_of(profile)
+        return profile
+
+    assert tower_outcome(by_sizes) == tower_outcome(by_colimits)
+
+
+def test_tower_without_a_length_stops_at_the_first_repeated_size():
+    assert sizes_of(tower(Constant(FiniteSet(3)), nat_backend())[1]) == [0, 3, 3]
+    assert sizes_of(tower(Identity(), nat_backend(), first=FiniteSet(1))[1]) == [1, 1]
+    # with a length, a repeated size does not stop it
+    long = tower(Constant(FiniteSet(3)), nat_backend(), length=4)[1]
+    assert sizes_of(long) == [0, 3, 3, 3]
+
+
+@pytest.mark.parametrize(
+    "size, shown",
+    [
+        (10**1000 - 1, str(10**1000 - 1)),
+        (10**1000, "at least 2**3321"),
+        (2**20000 + 1, "at least 2**20000"),
+    ],
+    ids=["1000-digits", "1001-digits", "2**20000+1"],
+)
+def test_a_cap_stop_writes_a_long_size_by_its_bit_length(size, shown):
+    # str() refuses an int of more than 4,300 digits
+    huge = Constant(FiniteSet(size))
+    message = f"carrier of size {shown} exceeds the cap 500000"
+    for run in (
+        lambda: tower(huge, nat_backend(), length=2),
+        lambda: inflationary_iterate(huge, nat_backend(), [0, 1]),
+    ):
+        with pytest.raises(BudgetExceeded) as info:
+            run()
+        assert str(info.value) == message
+        assert info.value.profile == [{"index": "0", "size": 0}]
+
+
 def test_arrow_free_stages_build_no_leg_tables():
     backend = nat_backend()
     tracemalloc.start()
@@ -327,10 +423,11 @@ SUCC = Sum((Constant(FiniteSet(1)), Identity()))
 def test_chain_maps_stay_ranges_in_linear_space():
     # along 1 + X every connecting map and leg is an inclusion; stored as
     # tuples, the tables of 2000 stages peak at about 82 MiB
+    state = IterationState(SUCC, nat_backend(), budget=2000)
     tracemalloc.start()
     try:
-        with pytest.raises(BudgetExceeded):
-            mu_initial_algebra(SUCC, nat_backend(), budget=2000)
+        for n in range(1, 2000):
+            state.connect(n - 1, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -414,7 +511,7 @@ def test_identity_functor_is_stationary_at_the_empty_set():
     result = mu_initial_algebra(Identity(), nat_backend())
     assert result.stationary_at == 1
     assert result.carrier.size == 0
-    assert result.witness_index == 0
+    assert sizes_of(result.profile) == [0, 0]
 
 
 def test_squaring_is_stationary_at_the_empty_set():
@@ -437,7 +534,7 @@ def test_mu_iota_is_initial_among_small_algebras():
     carrier = FiniteSet(2)
     structure = FiniteFn(FiniteSet(3), carrier, (1, 0, 1))
     alg = AlgebraSpec(carrier, structure)
-    fold = catamorphism(result.state, alg, result.witness_index)
+    fold = tower_fold(Constant(FiniteSet(3)), alg, result.stationary_at - 1)
     # h . iota == a . F(h) pins h on the whole carrier
     holds = []
     for table in itertools.product(range(2), repeat=3):
@@ -525,6 +622,93 @@ def test_mu_parameterized_map_is_functorial():
         assert mor.cod.size == f.cod.size
     ident = mu_parameterized_map(node, FiniteFn.identity(FiniteSet(3)))
     assert ident.is_bijection()
+
+
+def mu_outcome(run, functor, backend, **limits):
+    """What an initial chain run reports: its result, or how it stopped."""
+    try:
+        result = run(functor, backend, **limits)
+    except BudgetExceeded as stop:
+        return type(stop), str(stop), stop.profile
+    return result.stationary_at, result.profile, result.carrier, result.structure
+
+
+MU_CASES = [(e, {}) for e in BATTERY] + [
+    (Constant(FiniteSet(0)), {}),
+    (Product((Constant(FiniteSet(0)), Identity())), {}),
+    *((Constant(FiniteSet(k)), {}) for k in range(1, 5)),
+    (Product((Identity(), Identity())), {}),
+    (SUCC, {"budget": 5}),
+    (POLY, {"budget": 5}),
+    (POLY, {"budget": 7, "max_carrier": 600}),
+    (PAIRS_UP_TO_SWAP, {}),
+    # mu Y. 2 + 0*Y: the inner chain is stationary at size 2 for every X
+    (
+        MuParam(
+            Sum((Constant(FiniteSet(2)), Product((Projection(1), Constant(FiniteSet(0))))))
+        ),
+        {},
+    ),
+    # 1 + X * (mu Y. X + Y*0): a fixpoint that is X itself, grown to the budget
+    (FOLD_FUNCTORS[-1], {"budget": 5}),
+    # 3 * (mu Y. 1 + X*0*Y), lists over the empty set: the chain maps go
+    # through the fixpoint's fold at every step
+    (
+        Product(
+            (
+                Constant(FiniteSet(3)),
+                MuParam(
+                    Sum(
+                        (
+                            Constant(FiniteSet(1)),
+                            Product((Projection(0), Constant(FiniteSet(0)), Projection(1))),
+                        )
+                    )
+                ),
+            )
+        ),
+        {},
+    ),
+    (Sum((Constant(FiniteSet(1)), Compose(SymContainer(2), (Constant(FiniteSet(2)),)))), {}),
+]
+
+
+@pytest.mark.parametrize("size", ["nat", "plump"])
+@pytest.mark.parametrize(
+    "functor, limits", MU_CASES, ids=[f"mu-{k}" for k in range(len(MU_CASES))]
+)
+def test_mu_by_sizes_agrees_with_the_colimit_chain(functor, limits, size):
+    backend = (
+        nat_backend() if size == "nat" else kappa_sigma(infer_signature(functor))
+    )
+    assert mu_outcome(mu_initial_algebra, functor, backend, **limits) == mu_outcome(
+        reference_mu, functor, backend, **limits
+    )
+
+
+def test_a_stopped_initial_chain_builds_no_map(monkeypatch):
+    def no_map(*args, **kwargs):
+        raise AssertionError("a stopped initial chain built a chain map")
+
+    monkeypatch.setattr("muiter.iteration.eval_functor_mor", no_map)
+    with pytest.raises(BudgetExceeded) as info:
+        mu_initial_algebra(POLY, nat_backend())
+    assert str(info.value) == "carrier of size 210066388901 exceeds the cap 500000"
+    assert sizes_of(info.value.profile) == [0, 1, 2, 5, 26, 677, 458330]
+    with pytest.raises(BudgetExceeded, match="^stage budget 5 exhausted$"):
+        mu_initial_algebra(POLY, nat_backend(), budget=5)
+
+
+def test_a_stationary_chain_map_that_is_not_a_bijection_is_a_defect(monkeypatch):
+    # the sizes 0, 3, 3 repeat, so the chain map from stage 1 to stage 2
+    # must be a bijection; a functor map that does not keep injections
+    # shows there
+    def merging(functor, fns):
+        return FiniteFn.constant(FiniteSet(3), FiniteSet(3), 0)
+
+    monkeypatch.setattr("muiter.iteration.eval_functor_mor", merging)
+    with pytest.raises(IntegrityError, match="^chain map at stage 2 is not a bijection$"):
+        mu_initial_algebra(Constant(FiniteSet(3)), nat_backend())
 
 
 # -- the dual chain ------------------------------------------------------------------

@@ -29,6 +29,7 @@ from muiter.iteration import (
     StageRecord,
     deflationary_nu,
     free_algebra,
+    inflationary_iterate,
     mu_initial_algebra,
 )
 from muiter.signature import Signature
@@ -154,7 +155,7 @@ def test_result_records_are_mutable_and_unhashable():
     mu = mu_initial_algebra(Sum((Constant(FiniteSet(1)), Constant(FiniteSet(2)))), nat_backend())
     free = free_algebra(Constant(FiniteSet(1)), FiniteSet(2), nat_backend())
     nu = deflationary_nu(Constant(FiniteSet(2)))
-    stage = mu.state.stage(0)
+    stage = inflationary_iterate(Identity(), nat_backend(), [0]).stage(0)
     for record in (mu, free, nu, stage):
         assert isinstance(record, (MuResult, FreeResult, NuResult, StageRecord))
         with pytest.raises(TypeError):
