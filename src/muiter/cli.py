@@ -239,12 +239,12 @@ class Runner:
         alg = AlgebraSpec(carrier, FiniteFn(fa, carrier, decl.table))
         report = self.base_report(cmd, size, budget)
         stage = cmd.option("stage")
+        length = None if stage is None else stage + 1
+        stages, profile = tower(expr, backend, budget, length=length)
         if stage is None:
-            result = mu_initial_algebra(expr, backend, budget)
-            report["stage"] = result.stationary_at
-            report["stages"], stage = result.profile, result.stationary_at - 1
-        else:
-            report["stages"] = tower(expr, backend, budget, length=stage + 1)[1]
+            # the sized chain stops at its first repeated size: fold below it
+            report["stage"], stage = len(stages) - 1, len(stages) - 2
+        report["stages"] = profile
         report["fold"] = tower_fold(expr, alg, stage).to_json()
         return report
 

@@ -124,9 +124,9 @@ def tokenize(text: str) -> list:
             i += 1
             col += 1
             continue
-        if c.isdigit():
+        if c.isdecimal():
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i].isdecimal():
                 i += 1
             tokens.append(Token("NAT", text[start:i], line, col))
             col += i - start

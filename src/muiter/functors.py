@@ -32,6 +32,7 @@ from .signature import (
     empty_signature,
     signature_sum,
 )
+from .size import nat_backend
 
 
 class Record:
@@ -232,7 +233,8 @@ def eval_functor(e: FunctorExpr, env: Tuple[FiniteSet, ...]):
         _need(env, 1, e)
         from . import iteration
 
-        return iteration.mu_of_parameterized(e, env[0]).carrier
+        fixed = Compose(e.body, (Constant(env[0]), Identity()))
+        return iteration.tower(fixed, nat_backend(), e.budget)[0][-1]
     raise ShapeMismatch(f"unknown expression node {type(e).__name__}")
 
 

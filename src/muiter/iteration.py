@@ -81,11 +81,28 @@ def _over_cap(size: int, cap: int, profile) -> BudgetExceeded:
     return BudgetExceeded(f"carrier of size {shown} exceeds the cap {cap}", profile)
 
 
+def _post_order(root, basis_of, done):
+    """(index, basis) for root and every index below it through basis_of
+    that done lacks, each after its basis, in basis order; an explicit
+    stack stands in for the recursion, so a deep index is no deeper call."""
+    stack = [(root, None)]
+    while stack:
+        idx, basis = stack.pop()
+        if idx in done:
+            continue
+        if basis is None:
+            basis = basis_of(idx)
+            stack.append((idx, basis))
+            stack.extend((j, None) for j in reversed(basis))
+        else:
+            yield idx, basis
+
+
 class IterationState:
     """Memoized stages of one functor over one size backend.
 
-    stage(i) computes the colimit at index i by well-founded recursion over
-    the predecessor basis.  connect(j, i) is the canonical map between
+    stage(i) computes the colimit at index i, and the stages it needs,
+    in post-order over the predecessor bases.  connect(j, i) is the canonical map between
     stages for laxly ordered indices; leg(j, i) is the canonical injection
     of the fresh layer F(stage j) into stage i for strictly ordered ones.
     """
@@ -119,47 +136,33 @@ class IterationState:
     # -- stage computation ----------------------------------------------
 
     def stage(self, i) -> StageRecord:
-        rec = self.stages.get(i)
-        if rec is not None:
-            return rec
-        if len(self.stages) >= self.budget:
-            raise BudgetExceeded(
-                f"stage budget {self.budget} exhausted", self.profile()
-            )
-        basis = tuple(dict.fromkeys(self.backend.predecessor_basis(i)))
-        for j in basis:
-            self.stage(j)
-        if len(self.stages) >= self.budget:
-            raise BudgetExceeded(
-                f"stage budget {self.budget} exhausted", self.profile()
-            )
-        objects = {}
-        for j in basis:
-            obj = self._apply_object(self.stages[j].carrier)
-            objects[j] = obj
-        edges = []
-        arrows = {}
-        for a in basis:
-            for b in basis:
-                if a == b:
-                    continue
-                if self.backend.leq(a, b):
-                    edges.append((a, b))
-                    arrows[(a, b)] = self._apply_mor(self.connect(a, b))
-        diagram = Diagram(basis, edges, objects, arrows)
-        cocone = subdiagram_colimit(diagram)
-        rec = StageRecord(i, basis, cocone)
-        self.stages[i] = rec
-        return rec
+        def basis_of(idx) -> tuple:
+            return tuple(dict.fromkeys(self.backend.predecessor_basis(idx)))
+
+        for idx, basis in _post_order(i, basis_of, self.stages):
+            if len(self.stages) >= self.budget:
+                raise BudgetExceeded(
+                    f"stage budget {self.budget} exhausted", self.profile()
+                )
+            objects = {j: self._apply_object(self.stages[j].carrier) for j in basis}
+            edges = []
+            arrows = {}
+            for a in basis:
+                for b in basis:
+                    if a != b and self.backend.leq(a, b):
+                        edges.append((a, b))
+                        arrows[(a, b)] = eval_functor_mor(
+                            self.functor, (self.connect(a, b),)
+                        )
+            cocone = subdiagram_colimit(Diagram(basis, edges, objects, arrows))
+            self.stages[idx] = StageRecord(idx, basis, cocone)
+        return self.stages[i]
 
     def _apply_object(self, x: FiniteSet) -> FiniteSet:
         out = eval_functor(self.functor, (x,))
         if out.size > self.max_carrier:
             raise _over_cap(out.size, self.max_carrier, self.profile())
         return out
-
-    def _apply_mor(self, f: FiniteFn) -> FiniteFn:
-        return eval_functor_mor(self.functor, (f,))
 
     # -- canonical maps between stages -----------------------------------
 
@@ -254,9 +257,8 @@ def tower(
 
 def _iterate_map(functor: FunctorExpr, f: FiniteFn, times: int, then=None) -> FiniteFn:
     """F^times(f); with then, each step is F of the map so far followed by it."""
-    followed = {} if then is None else {"then": then}
     for _ in range(times):
-        f = eval_functor_mor(functor, (f,), **followed)
+        f = eval_functor_mor(functor, (f,), then=then)
     return f
 
 
@@ -312,24 +314,19 @@ def _check_algebra(functor: FunctorExpr, alg: AlgebraSpec) -> None:
 def catamorphism(state: IterationState, alg: AlgebraSpec, i) -> FiniteFn:
     """The unique stage-indexed fold into the algebra.
 
-    Built by the same well-founded recursion as the stages: a class coming
-    from the layer F(stage j) folds by first folding at j inside F, then
-    applying the structure map, and the two are built as one table.
+    Built in the same post-order over the bases as the stages: a class
+    coming from the layer F(stage j) folds by first folding at j inside F,
+    then applying the structure map, and the two are built as one table.
     """
     _check_algebra(state.functor, alg)
+    state.stage(i)
     done: Dict = {}
 
-    def fold(idx) -> FiniteFn:
-        got = done.get(idx)
-        if got is not None:
-            return got
-        rec = state.stage(idx)
+    def layer(j) -> Sequence[int]:
+        return eval_functor_mor(state.functor, (done[j],), then=alg.structure).table
 
-        def layer(j) -> Sequence[int]:
-            return eval_functor_mor(
-                state.functor, (fold(j),), then=alg.structure
-            ).table
-
+    for idx, _ in _post_order(i, lambda idx: state.stages[idx].basis, done):
+        rec = state.stages[idx]
         table = rec.cocone.induce(
             layer,
             lambda cls: IntegrityError(
@@ -339,11 +336,8 @@ def catamorphism(state: IterationState, alg: AlgebraSpec, i) -> FiniteFn:
         )
         # induce gives one value per class, each a value of the checked
         # structure table, so like FiniteFn.then the fold needs no check
-        out = FiniteFn.unchecked(rec.carrier, alg.carrier, tuple(table))
-        done[idx] = out
-        return out
-
-    return fold(i)
+        done[idx] = FiniteFn.unchecked(rec.carrier, alg.carrier, tuple(table))
+    return done[i]
 
 
 def tower_fold(functor: FunctorExpr, alg: AlgebraSpec, k: int) -> FiniteFn:
@@ -395,18 +389,16 @@ def mu_parameterized(
     return mu_initial_algebra(fixed, backend, budget, max_carrier)
 
 
-def mu_of_parameterized(node: MuParam, value: FiniteSet) -> MuResult:
-    return mu_parameterized(node.body, value, nat_backend(), node.budget)
-
-
 def mu_parameterized_map(node: MuParam, f: FiniteFn) -> FiniteFn:
-    """Morphism part: the mediating fold between the two fixpoints."""
-    mu_x = mu_of_parameterized(node, f.dom)
-    mu_y = mu_of_parameterized(node, f.cod)
-    step = eval_functor_mor(node.body, (f, FiniteFn.identity(mu_y.carrier)))
-    alg = AlgebraSpec(mu_y.carrier, step.then(mu_y.structure))
+    """Morphism part: the mediating fold between the two fixpoints, taken
+    at the domain's stationary stage, which its sized chain gives."""
     fixed = Compose(node.body, (Constant(f.dom), Identity()))
-    return tower_fold(fixed, alg, mu_x.stationary_at - 1)
+    stages = tower(fixed, nat_backend(), node.budget)[0]
+    mu_y = mu_parameterized(node.body, f.cod, nat_backend(), node.budget)
+    step = eval_functor_mor(
+        node.body, (f, FiniteFn.identity(mu_y.carrier)), then=mu_y.structure
+    )
+    return tower_fold(fixed, AlgebraSpec(mu_y.carrier, step), len(stages) - 2)
 
 
 class NuResult(Record):

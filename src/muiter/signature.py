@@ -110,20 +110,8 @@ class WTree:
         """0 for leaves, else one more than the tallest child."""
         return self._height
 
-    def render(self, sig: Optional[Signature] = None) -> str:
-        """The tree written out in full, shared subtrees repeated.
-
-        Its length grows with the number of nodes counted per occurrence,
-        exponential in the depth of a shared DAG such as a successor tower,
-        so it is walked as a tree.
-        """
-        name = sig.op_label(self.op) if sig is not None else str(self.op)
-        if not self.children:
-            return name
-        return f"{name}({', '.join(c.render(sig) for c in self.children)})"
-
     def __repr__(self):
-        # O(1) in the depth: render would write a shared tree out in full
+        # O(1) in the depth: a shared tree written out is exponential in it
         return f"WTree(op={self.op}, height={self._height})"
 
 

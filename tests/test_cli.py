@@ -314,6 +314,32 @@ def test_an_unknown_group_is_a_script_error_at_its_declaration(tmp_path, capsys)
     assert err == "error: unknown symmetry group 'swap9'\n"
 
 
+@pytest.mark.parametrize(
+    "script, where, char",
+    [
+        ("F = \u00b2\n", "1:5", "\u00b2"),
+        ("F = 1 + X\nmu F budget \u00b2\n", "2:13", "\u00b2"),
+        ("F = 1 + X^\u00b3\n", "1:11", "\u00b3"),
+        ("sig S = a:\u00b2\n", "1:11", "\u00b2"),
+    ],
+    ids=["constant", "option", "power", "arity"],
+)
+def test_a_superscript_digit_is_a_syntax_error(tmp_path, capsys, script, where, char):
+    # str.isdigit accepts a superscript, which int() refuses
+    code, out, err = run_cli(tmp_path, capsys, script)
+    assert (code, out) == (1, "")
+    assert err == f"error: {where}: unexpected character {char!r}\n"
+
+
+def test_a_decimal_digit_of_any_script_is_a_numeral(tmp_path, capsys):
+    # an Arabic-Indic one is a decimal digit, and a superscript in a name
+    # is a letter of the name
+    script = "F\u00b2 = 1 + X^\u0661\niterate F\u00b2 depth \u0663\n"
+    code, payload, _ = run_json(tmp_path, capsys, script)
+    assert code == 0
+    assert [s["size"] for s in payload["reports"][0]["stages"]] == [0, 1, 2]
+
+
 def test_an_unknown_group_after_a_budget_stop_keeps_the_stop(tmp_path, capsys):
     head = "F = 1 + X\nmu F budget 2\n"
     text = head + "P = sym<swap9> X\niterate P depth 2\n"
@@ -537,6 +563,33 @@ def test_no_fixpoint_command_reaches_the_colimit_engine(tmp_path, capsys, monkey
     assert kinds == ["iterate", "mu", "free", "cata", "cata", "nu", "mu", "cata"]
     assert payload["reports"][-2]["mu"] == {"size": 2}
     assert payload["reports"][-1]["fold"]["table"] == [1, 0]
+
+
+SIZED = """\
+M = mu Y. X*X + 0*Y
+F = 1 + compose(M, X)
+G = 3
+alg B : G 3 = 2 0 1
+iterate F depth 5
+cata G B
+mu F budget 20
+"""
+
+
+def test_a_size_only_read_of_a_fixpoint_builds_no_chain_map(tmp_path, capsys, monkeypatch):
+    # a nested mu's carrier, and the stage a cata without one folds at,
+    # come from sizes alone; only an iota needs the chain map and its inverse
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a size-only read built a chain map")
+
+    monkeypatch.setattr("muiter.iteration._chain_map", unreachable)
+    monkeypatch.setattr("muiter.finset.FiniteFn.inverse", unreachable)
+    code, payload, err = run_json(tmp_path, capsys, SIZED)
+    assert (code, err) == (2, "")
+    iterate, cata, mu = payload["reports"]
+    assert [s["size"] for s in iterate["stages"]] == [0, 1, 2, 5, 26]
+    assert (cata["stage"], cata["fold"]["table"]) == (2, [2, 0, 1])
+    assert mu["error"]["type"] == "budget-exceeded"
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -11,6 +12,7 @@ from muiter.functors import (
     Compose,
     Constant,
     Container,
+    FunctorExpr,
     Identity,
     MuParam,
     Product,
@@ -46,7 +48,7 @@ from reference import (
     reference_nu,
     wtype_enumerate,
 )
-from test_functors import BATTERY
+from test_functors import BATTERY, FUSED
 
 BIN = Signature.of(0, 2, labels=["leaf", "node"])
 TREES = Container(BIN)
@@ -339,7 +341,7 @@ def test_tower_fold_validates_structure_domain():
 
 
 def test_a_deep_tower_fold_needs_no_recursion():
-    # catamorphism recurses about five frames per stage; the loop does not
+    # a loop: no interpreter frame per stage
     alg = AlgebraSpec(FiniteSet(1), FiniteFn(FiniteSet(2), FiniteSet(1), (0, 0)))
     fold = tower_fold(Sum((Constant(FiniteSet(1)), Identity())), alg, 2000)
     assert fold.table == (0,) * 2000
@@ -432,6 +434,42 @@ def test_chain_maps_stay_ranges_in_linear_space():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+# 1 + X into {0, 1}: nil goes to 0, a successor flips its predecessor
+SUCC_PARITY = AlgebraSpec(FiniteSet(2), FiniteFn(FiniteSet(3), FiniteSet(2), (0, 1, 0)))
+
+
+def test_deep_nat_stages_and_their_fold_need_no_recursion():
+    # each stage's basis is the one before, past the interpreter's 1,000
+    # frames when walked by recursion
+    start = time.perf_counter()
+    state = inflationary_iterate(SUCC, nat_backend(), [1500], budget=3000)
+    assert len(state.stages) == 1501
+    fold = catamorphism(state, SUCC_PARITY, 1500)
+    assert fold == tower_fold(SUCC, SUCC_PARITY, 1500)
+    assert time.perf_counter() - start < 10
+
+
+def test_a_deep_plump_stage_needs_no_recursion():
+    backend = kappa_sigma(Signature.of())
+    index = backend.bottom()
+    for _ in range(1200):
+        index = backend.succ(index)
+    start = time.perf_counter()
+    state = inflationary_iterate(SUCC, backend, [index], budget=3000)
+    assert state.stage(index).carrier.size == 1200
+    assert time.perf_counter() - start < 10
+
+
+def test_a_fold_over_stages_built_one_at_a_time_needs_no_recursion():
+    state = IterationState(SUCC, nat_backend(), budget=300)
+    for n in range(251):
+        state.stage(n)
+    start = time.perf_counter()
+    fold = catamorphism(state, SUCC_PARITY, 250)
+    assert fold == tower_fold(SUCC, SUCC_PARITY, 250)
+    assert time.perf_counter() - start < 10
 
 
 def test_long_chain_stops_at_the_budget_in_bounded_time_and_memory(tmp_path):
@@ -673,6 +711,51 @@ MU_CASES = [(e, {}) for e in BATTERY] + [
 ]
 
 
+def mu_nodes(e):
+    """Every MuParam node in the expression, outermost first."""
+    if isinstance(e, MuParam):
+        yield e
+    for field in e._fields():
+        for child in field if isinstance(field, tuple) else (field,):
+            if isinstance(child, FunctorExpr):
+                yield from mu_nodes(child)
+
+
+def nested_outcome(run):
+    try:
+        return run()
+    except BudgetExceeded as stop:
+        return type(stop), str(stop), stop.profile
+
+
+# the nested fixpoints of the batteries, and lists over 0..4 letters, which
+# stop at the budget or the cap from one letter on
+NESTED_MU = [MuParam(LISTS_BODY), MuParam(LISTS_BODY, budget=6)] + list(
+    dict.fromkeys(
+        node
+        for e in FUSED + FOLD_FUNCTORS + [e for e, _ in MU_CASES]
+        for node in mu_nodes(e)
+    )
+)
+
+
+@pytest.mark.parametrize("node", NESTED_MU, ids=[f"nested-{k}" for k in range(len(NESTED_MU))])
+def test_a_nested_mu_is_sized_as_its_table_built_chain(node):
+    for n in range(5):
+        x = FiniteSet(n)
+        fixed = Compose(node.body, (Constant(x), Identity()))
+
+        def by_sizes():
+            carrier = eval_functor(node, (x,))
+            return carrier, len(tower(fixed, nat_backend(), node.budget)[0]) - 1
+
+        def by_tables():
+            mu = mu_parameterized(node.body, x, nat_backend(), node.budget)
+            return mu.carrier, mu.stationary_at
+
+        assert nested_outcome(by_sizes) == nested_outcome(by_tables)
+
+
 @pytest.mark.parametrize("size", ["nat", "plump"])
 @pytest.mark.parametrize(
     "functor, limits", MU_CASES, ids=[f"mu-{k}" for k in range(len(MU_CASES))]
@@ -703,7 +786,7 @@ def test_a_stationary_chain_map_that_is_not_a_bijection_is_a_defect(monkeypatch)
     # the sizes 0, 3, 3 repeat, so the chain map from stage 1 to stage 2
     # must be a bijection; a functor map that does not keep injections
     # shows there
-    def merging(functor, fns):
+    def merging(functor, fns, then=None):
         return FiniteFn.constant(FiniteSet(3), FiniteSet(3), 0)
 
     monkeypatch.setattr("muiter.iteration.eval_functor_mor", merging)
@@ -800,7 +883,7 @@ def test_a_stopped_dual_chain_builds_no_map(monkeypatch):
 def test_a_stationary_comparison_that_is_not_a_bijection_is_a_defect(monkeypatch):
     # the sizes 1, 3, 3 repeat, so the comparison must be a bijection; a
     # functor map that breaks functoriality shows there
-    def merging(functor, fns):
+    def merging(functor, fns, then=None):
         return FiniteFn.constant(FiniteSet(3), FiniteSet(3), 0)
 
     monkeypatch.setattr("muiter.iteration.eval_functor_mor", merging)

@@ -57,6 +57,7 @@ REMOVED = [
     "signature.Signature.arity",
     "signature.WTree.sort_key",
     "signature.WTree.node_count",
+    "signature.WTree.render",
     "signature.validate_tree",
     "signature.container_apply",
     "signature.wtype_enumerate",
@@ -66,6 +67,8 @@ REMOVED = [
     "iteration.MuResult.state",
     "iteration.MuResult.witness_index",
     "iteration.fold_equation_holds",
+    "iteration.mu_of_parameterized",
+    "iteration.IterationState._apply_mor",
     "dsl.format_script",
     "dsl.format_statement",
     "dsl.lower_expr",

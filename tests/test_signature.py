@@ -52,8 +52,6 @@ def test_wtree_basics():
     t = WTree(1, (leaf, WTree(1, (leaf, leaf))))
     assert leaf.height() == 0
     assert t.height() == 2
-    assert t.render(BIN) == "node(leaf, node(leaf, leaf))"
-    assert leaf.render() == "0"
     assert t == WTree(1, (leaf, WTree(1, (leaf, leaf))))
     assert hash(t) == hash(WTree(1, (leaf, WTree(1, (leaf, leaf)))))
     assert t != leaf
