@@ -320,7 +320,10 @@ def render_text(payload: dict) -> str:
             lines.append(f"  nu size={report['nu']['size']}")
         for k in ("iota", "unit", "fold"):
             if k in report:
-                lines.append(f"  {k}: {list(report[k]['table'])}")
+                table = report[k]["table"]
+                digits = _digit_items(table, ", ")
+                shown = str(list(table)) if digits is None else f"[{digits}]"
+                lines.append(f"  {k}: {shown}")
         for c in report.get("checks", ()):
             mark = "ok  " if c["ok"] else "FAIL"
             lines.append(f"  {mark} {c['name']}: {c['detail']}")
@@ -335,11 +338,13 @@ def render_json(payload: dict) -> str:
 
     Byte for byte the same text, but the stdlib falls back to its
     pure-Python encoder under ``indent`` and walks a fold table one entry
-    at a time.  Here every list of plain ints is written whole, through
-    ``bytes`` when its values are all digits and otherwise by one C encoder
-    call, and its items are then split onto lines; every other leaf is its
-    own ``json.dumps``.  A value outside the types written below raises
-    TypeError.
+    at a time.  Here every list of plain ints, and every ``bytes`` table
+    (written as the list of its ints), is written whole: through ``bytes``
+    when its values are all digits and otherwise by one C encoder call,
+    its items then split onto lines.  A dict whose values are all plain
+    strs and ints, such as a profile's stage, is written in one pass; every
+    other leaf is its own ``json.dumps``.  A value outside the types
+    written below raises TypeError.
     """
     out: list = []
     _write_json(payload, "\n", out)
@@ -358,16 +363,24 @@ def _write_json(value, newline: str, out: list) -> None:
         for key in value:
             if type(key) is not str:
                 raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
+        if all(type(v) is str or type(v) is int for v in value.values()):
+            # json.dumps writes a str through _quote and an int by its repr
+            items = ("," + inner).join([
+                f"{_quote(k)}: {_quote(v) if type(v) is str else int.__repr__(v)}"
+                for k, v in sorted(value.items())
+            ])
+            out.append("{" + inner + items + newline + "}")
+            return
         sep = "{" + inner
         for key in sorted(value):
             out.append(sep + json.dumps(key) + ": ")
             _write_json(value[key], inner, out)
             sep = "," + inner
         out.append(newline + "}")
-    elif kind is list or kind is tuple:
+    elif kind is list or kind is tuple or kind is bytes:
         if not value:
             out.append("[]")
-        elif set(map(type, value)) == {int}:
+        elif kind is bytes or set(map(type, value)) == {int}:
             out.extend(("[" + inner, _int_items(value, "," + inner), newline + "]"))
         else:
             sep = "[" + inner
@@ -382,26 +395,41 @@ def _write_json(value, newline: str, out: list) -> None:
         raise TypeError(f"{kind.__name__} is not a JSON payload type")
 
 
-# the values 0..9 as bytes, and the table that writes each as its digit
+# json.dumps's writer of a str, and the values 0..9 as bytes with the table
+# that writes each as its digit
+_quote = json.encoder.encode_basestring_ascii
 _DIGIT_VALUES = bytes(range(10))
 _DIGITS = bytes.maketrans(_DIGIT_VALUES, b"0123456789")
 
 
 def _int_items(value, sep: str) -> str:
-    """The JSON items of a list of plain ints, with sep between them.
+    """The JSON items of a list of plain ints or of bytes, with sep between
+    them: digits as _digit_items writes them, anything else by one C
+    encoder call, its items split at ", "."""
+    digits = _digit_items(value, sep)
+    if digits is None:
+        return json.dumps(list(value))[1:-1].replace(", ", sep)
+    return digits
 
-    When every value is a digit 0..9, as in the table of a fold into a
-    small algebra, bytes(value) holds one byte per item; translated to
-    ASCII digits, each character is an item.  Any other list is one C
-    encoder call, its items split at ", ".
+
+def _digit_items(value, sep: str) -> Optional[str]:
+    """The ints of value written with sep between them when every one is a
+    digit 0..9, as in the table of a fold into a small algebra; else None.
+
+    bytes(value) then holds one byte per item, and each item is one ASCII
+    digit: the separators are laid down once, and the digits written into
+    every (1 + len(sep))-th place.
     """
     try:
-        raw = bytes(value)
+        raw = bytes(value)  # bytes come back as they are
     except ValueError:  # a value outside 0..255
-        raw = None
-    if raw is not None and not raw.translate(None, _DIGIT_VALUES):
-        return sep.join(raw.translate(_DIGITS).decode())
-    return json.dumps(value)[1:-1].replace(", ", sep)
+        return None
+    if raw.translate(None, _DIGIT_VALUES):
+        return None
+    buf = bytearray(b"0" + sep.encode()) * len(raw)
+    buf[:: 1 + len(sep)] = raw.translate(_DIGITS)
+    del buf[len(buf) - len(sep) :]
+    return buf.decode()
 
 
 # -- entry point -------------------------------------------------------------

@@ -11,6 +11,13 @@ v_0 + n_0 * (v_1 + n_1 * (...)); a power X**A is the product of |A|
 copies of X.  Maps are built as whole tables in these layouts
 (sum_slices, product_table), each followed by a post table, so a map and
 what it is composed with come out as one table.
+
+A table is one of three things: a step-1 range inside its codomain, bytes
+(only when every value is below 256), or a tuple.  FiniteFn stores bytes
+whenever its codomain has at most 256 elements, and a table followed by a
+bytes post is bytes again, so a fold into a small algebra is built,
+composed and laid end to end by C loops over bytes.  The three read alike
+by index, slice, len and iteration; only this module tells them apart.
 """
 
 from __future__ import annotations
@@ -72,28 +79,40 @@ class FiniteSet:
 class FiniteFn:
     """A total function between finite sets, stored as a lookup table.
 
-    The table is a tuple, or a step-1 range inside the codomain: identities
-    and the inclusions of block layouts stay ranges, so composing, summing
-    and multiplying them costs O(1).  Equality and hashing go by value.
+    The table is a step-1 range inside the codomain, bytes when the
+    codomain has at most 256 elements, or else a tuple: identities and the
+    inclusions of block layouts stay ranges, so composing, summing and
+    multiplying them costs O(1).  Equality and hashing go by value.
     """
 
     __slots__ = ("dom", "cod", "table")
 
     def __init__(self, dom: FiniteSet, cod: FiniteSet, table: Sequence[int]):
         # a step-1 range lies in the codomain exactly when its endpoints do;
-        # it is kept as it is, and any other table becomes a tuple
+        # it is kept as it is, and any other table becomes bytes into a
+        # codomain of at most 256 elements, else a tuple
         in_cod = (
             isinstance(table, range)
             and table.step == 1
             and (not table or (table.start >= 0 and table.stop <= cod.size))
         )
         if not in_cod:
-            table = tuple(table)
+            try:
+                table = bytes(table) if cod.size <= 256 else tuple(table)
+            except ValueError:  # a value outside 0..255, named below
+                table = tuple(table)
         if len(table) != dom.size:
             raise ShapeMismatch(
                 f"table of length {len(table)} for domain of size {dom.size}"
             )
-        if not in_cod and table and (min(table) < 0 or max(table) >= cod.size):
+        if type(table) is bytes:
+            # what is left once the codomain's values are deleted, in C
+            outside = table.translate(None, bytes(range(cod.size)))
+        else:
+            outside = not in_cod and table and (
+                min(table) < 0 or max(table) >= cod.size
+            )
+        if outside:
             bad = next(v for v in table if not 0 <= v < cod.size)
             raise ShapeMismatch(
                 f"table value {bad} outside codomain of size {cod.size}"
@@ -107,8 +126,8 @@ class FiniteFn:
     def unchecked(dom: FiniteSet, cod: FiniteSet, table: Sequence[int]) -> "FiniteFn":
         """A map on a table its caller vouches for, built without checks.
 
-        The table must be a tuple or a step-1 range of dom.size values in
-        cod, as the constructor would leave it.
+        The table must be a step-1 range, bytes or a tuple of dom.size
+        values in cod; bytes only when every value is below 256.
         """
         out = object.__new__(FiniteFn)
         _init(out, dom, cod, table)
@@ -171,7 +190,8 @@ class FiniteFn:
         return f"FiniteFn({self.dom.size}->{self.cod.size}, {list(self.table)})"
 
     def to_json(self):
-        """The payload form: a tuple table goes out as it is, a range as a list."""
+        """The payload form: a tuple or bytes table goes out as it is, a range
+        as a list; cli.render_json writes bytes as a list of ints."""
         table = self.table
         if isinstance(table, range):
             table = list(table)
@@ -239,28 +259,36 @@ def then_table(table: Sequence[int], post: Sequence[int]) -> Sequence[int]:
     """post[v] for each value v of table: table followed by post.
 
     A step-1 range from 0 sends every value to itself, so table comes back
-    as it is; a step-1 range table takes post's slice; anything else is a
-    tuple.
+    as it is; a step-1 range table takes post's slice.  Into a bytes post
+    the result is bytes: a translation when post has at most 256 entries,
+    so every value of table is a byte, else a lookup per entry.  Anything
+    else is a tuple.
     """
     if isinstance(post, range) and post.start == 0 and post.step == 1:
         return table
     if isinstance(table, range) and table.step == 1:
         return post[table.start : table.stop]
+    if type(post) is bytes:
+        if len(post) <= 256:
+            return bytes(table).translate(post.ljust(256, b"\0"))
+        return bytes(map(post.__getitem__, table))
     return tuple(map(post.__getitem__, table))
 
 
 def concat_tables(tables: Sequence[Sequence[int]]) -> Sequence[int]:
     """The tables laid end to end.
 
-    One table comes back as it is; contiguous step-1 ranges (empty tables
-    aside) join into one range; anything else is copied into a tuple.
+    Empty tables aside: one table comes back as it is, bytes join into
+    bytes and contiguous step-1 ranges into one range; anything else is
+    copied into a tuple, and no table at all is ().
     """
+    tables = [t for t in tables if t]
     if len(tables) == 1:
         return tables[0]
+    if tables and all(type(t) is bytes for t in tables):
+        return b"".join(tables)
     joined = None
     for t in tables:
-        if not t:
-            continue
         if not (isinstance(t, range) and t.step == 1) or (
             joined and joined.stop != t.start
         ):
@@ -324,13 +352,11 @@ def product_table(
                 then_table(table, out[weight * v : weight * (v + 1)])
                 for v in range(n)
             ]
-            table = tuple(chain.from_iterable(map(rows.__getitem__, values)))
+            table = concat_tables(list(map(rows.__getitem__, values)))
         else:
-            table = tuple(
-                chain.from_iterable(
-                    then_table(table, out[weight * v : weight * (v + 1)])
-                    for v in values
-                )
-            )
+            table = concat_tables([
+                then_table(table, out[weight * v : weight * (v + 1)])
+                for v in values
+            ])
         weight *= n
     return table

@@ -267,7 +267,7 @@ def _mor(e: FunctorExpr, fns: tuple, post):
     the identity's slices being the ranges of the parts' offsets; a product
     maps the rows of its last factor through post; a container does both;
     every other node is built and then composed with post.  The table is a
-    tuple or a step-1 range.
+    step-1 range, bytes or a tuple, bytes whenever post's is.
     """
     if isinstance(e, Identity):
         _need(fns, 1, e)

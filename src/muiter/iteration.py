@@ -84,7 +84,9 @@ def _over_cap(size: int, cap: int, profile) -> BudgetExceeded:
 def _post_order(root, basis_of, done):
     """(index, basis) for root and every index below it through basis_of
     that done lacks, each after its basis, in basis order; an explicit
-    stack stands in for the recursion, so a deep index is no deeper call."""
+    stack stands in for the recursion, so a deep index is no deeper call.
+    The maps between stages are resolved the same way, a map's basis being
+    the maps it reads."""
     stack = [(root, None)]
     while stack:
         idx, basis = stack.pop()
@@ -105,6 +107,7 @@ class IterationState:
     in post-order over the predecessor bases.  connect(j, i) is the canonical map between
     stages for laxly ordered indices; leg(j, i) is the canonical injection
     of the fresh layer F(stage j) into stage i for strictly ordered ones.
+    The two read each other, and are resolved in post-order too.
     """
 
     def __init__(
@@ -170,43 +173,72 @@ class IterationState:
         """Stage map for laxly ordered indices j and i."""
         if j == i:
             return FiniteFn.identity(self.stage(j).carrier)
-        got = self._connects.get((j, i))
-        if got is not None:
-            return got
-        src = self.stage(j)
-        dst = self.stage(i)
-        table = src.cocone.induce(
-            lambda m: self.leg(m, i).table,
-            lambda cls: IntegrityError(
-                f"stage map {self.backend.render(j)} -> "
-                f"{self.backend.render(i)} ill defined at class {cls}"
-            ),
-            _unrepresented,
-        )
-        out = FiniteFn(src.carrier, dst.carrier, table)
-        self._connects[(j, i)] = out
-        return out
+        return self._resolve(("connect", j, i))
 
     def leg(self, j, i) -> FiniteFn:
         """Fresh-layer injection F(stage j) -> stage i for j strictly below i."""
-        got = self._legs.get((j, i))
-        if got is not None:
-            return got
+        return self._resolve(("leg", j, i))
+
+    def _resolve(self, root: tuple) -> FiniteFn:
+        """The map that root, ("connect", j, i) or ("leg", j, i), names.
+
+        connect(j, i) reads leg(m, i) for every m in j's basis, and leg(j, i)
+        reads connect(j, b) for the first b in i's basis above j.  Each map
+        is built after those it reads, in post-order with an explicit stack
+        (_post_order), so indices far apart are no deeper call.
+        """
+        memos = {"connect": self._connects, "leg": self._legs}
+        built: Dict = {}
+        for task, needs in _post_order(root, self._needs, built):
+            kind, j, i = task
+            got = memos[kind].get((j, i))
+            if got is None:
+                got = memos[kind][(j, i)] = self._build(kind, j, i, needs)
+            built[task] = got
+        return built[root]
+
+    def _needs(self, task: tuple) -> tuple:
+        """The connects and legs that task reads; none once it is built.
+
+        The stages are computed in the order the maps read them: j, then i.
+        """
+        kind, j, i = task
+        if (j, i) in (self._connects if kind == "connect" else self._legs):
+            return ()
+        if kind == "connect":
+            src = self.stage(j)
+            self.stage(i)
+            return tuple(("leg", m, i) for m in src.basis)
         dst = self.stage(i)
-        direct = dst.cocone.legs.get(j)
-        if direct is not None:
-            self._legs[(j, i)] = direct
-            return direct
+        if j in dst.cocone.legs:
+            return ()
         for b in dst.basis:
             if self.backend.leq(j, b):
-                out = eval_functor_mor(
-                    self.functor, (self.connect(j, b),), then=dst.cocone.legs[b]
-                )
-                self._legs[(j, i)] = out
-                return out
+                return (("connect", j, b),)
         raise IntegrityError(
             f"predecessor basis of {self.backend.render(i)} has no bound "
             f"for {self.backend.render(j)}"
+        )
+
+    def _build(self, kind: str, j, i, needs: tuple) -> FiniteFn:
+        """connect(j, i) or leg(j, i) from the maps in needs, all built."""
+        dst = self.stages[i]
+        if kind == "connect":
+            src = self.stages[j]
+            table = src.cocone.induce(
+                lambda m: self._legs[(m, i)].table,
+                lambda cls: IntegrityError(
+                    f"stage map {self.backend.render(j)} -> "
+                    f"{self.backend.render(i)} ill defined at class {cls}"
+                ),
+                _unrepresented,
+            )
+            return FiniteFn(src.carrier, dst.carrier, table)
+        if not needs:
+            return dst.cocone.legs[j]
+        b = needs[0][2]  # the one connect(j, b) a leg through b reads
+        return eval_functor_mor(
+            self.functor, (self._connects[(j, b)],), then=dst.cocone.legs[b]
         )
 
 
@@ -335,8 +367,10 @@ def catamorphism(state: IterationState, alg: AlgebraSpec, i) -> FiniteFn:
             _unrepresented,
         )
         # induce gives one value per class, each a value of the checked
-        # structure table, so like FiniteFn.then the fold needs no check
-        done[idx] = FiniteFn.unchecked(rec.carrier, alg.carrier, tuple(table))
+        # structure table: a table laid end to end from the layers, or a
+        # list where classes were identified, which the constructor turns
+        # into a table
+        done[idx] = FiniteFn(rec.carrier, alg.carrier, table)
     return done[i]
 
 

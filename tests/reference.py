@@ -3,8 +3,9 @@
 None of these is reached by the command line: the element codecs of the
 sum, product and container layouts, relations with their quotients and
 kernels, colimits over arbitrary finite shapes by union-find, the fold
-equation at one pair of stages, the fold that maps each layer through the
-structure map after building it, the enumeration of well-founded trees by
+equation at one pair of stages, the stage maps and legs by recursion
+through each other, the fold that maps each layer through the structure
+map after building it, the enumeration of well-founded trees by
 height, the dual chain with every comparison map built, and the initial
 chain through the colimit engine, with every stage's cocone, leg and
 connecting map.
@@ -183,6 +184,55 @@ def fold_equation_holds(state, alg, h: FiniteFn, j, i) -> bool:
     inner = state.connect(j, i).then(h)
     rhs = eval_functor_mor(state.functor, (inner,)).then(alg.structure)
     return lhs == rhs
+
+
+class RecursiveIterationState(IterationState):
+    """IterationState with connect and leg recursing through each other,
+    one call per level between their indices, as they were written before
+    they became loops; only shallow towers fit the interpreter's stack."""
+
+    def connect(self, j, i) -> FiniteFn:
+        """Stage map for laxly ordered indices j and i."""
+        if j == i:
+            return FiniteFn.identity(self.stage(j).carrier)
+        got = self._connects.get((j, i))
+        if got is not None:
+            return got
+        src = self.stage(j)
+        dst = self.stage(i)
+        table = src.cocone.induce(
+            lambda m: self.leg(m, i).table,
+            lambda cls: IntegrityError(
+                f"stage map {self.backend.render(j)} -> "
+                f"{self.backend.render(i)} ill defined at class {cls}"
+            ),
+            _unrepresented,
+        )
+        out = FiniteFn(src.carrier, dst.carrier, table)
+        self._connects[(j, i)] = out
+        return out
+
+    def leg(self, j, i) -> FiniteFn:
+        """Fresh-layer injection F(stage j) -> stage i for j strictly below i."""
+        got = self._legs.get((j, i))
+        if got is not None:
+            return got
+        dst = self.stage(i)
+        direct = dst.cocone.legs.get(j)
+        if direct is not None:
+            self._legs[(j, i)] = direct
+            return direct
+        for b in dst.basis:
+            if self.backend.leq(j, b):
+                out = eval_functor_mor(
+                    self.functor, (self.connect(j, b),), then=dst.cocone.legs[b]
+                )
+                self._legs[(j, i)] = out
+                return out
+        raise IntegrityError(
+            f"predecessor basis of {self.backend.render(i)} has no bound "
+            f"for {self.backend.render(j)}"
+        )
 
 
 def reference_cata(state, alg: AlgebraSpec, i) -> FiniteFn:

@@ -12,7 +12,7 @@ import jsonschema
 import pytest
 
 import muiter
-from muiter.cli import MAX_SAMPLES, _write_json, main, render_json
+from muiter.cli import MAX_SAMPLES, _write_json, main, render_json, render_text
 from muiter.dsl import AlgDecl, Command, FuncDecl, SigDecl, parse_script
 from muiter.finset import FiniteFn, FiniteSet
 from muiter.functors import (
@@ -790,6 +790,46 @@ def test_render_json_writes_digit_lists_like_the_stdlib_encoder():
     fixed = [[0], (9,), [3, 0, 9], [10], [0, 10], [-1, 5], [True], [1, False]]
     for table in fixed + [digit_list(rng) for _ in range(300)]:
         payload = {"fold": {"size": 10, "table": table}, "tables": [table, [table]]}
+        assert render_json(payload) == stdlib_json(payload)
+    # a bytes table is written as the list of its ints: all digits, values
+    # 10..255, and empty
+    raws = [b"", b"\x00", b"\x09\x00\x03", bytes(range(10)) * 7, bytes(range(10, 256))]
+    raws += [bytes(rng.randrange(256) for _ in range(rng.choice([1, 5, 40]))) for _ in range(50)]
+    for raw in raws:
+        payload = {"fold": {"size": 256, "table": raw}, "tables": [raw, [raw]]}
+        listed = {"fold": {"size": 256, "table": list(raw)}, "tables": [list(raw), [list(raw)]]}
+        assert render_json(payload) == stdlib_json(listed)
+
+
+def test_render_text_writes_a_table_as_its_list():
+    # a table holds ints: bytes, a tuple, or a range's list
+    rng = random.Random(11)
+    tables = [b"", (), b"\x02\x00\x01", bytes(range(10, 20)), (0, 300), [7] * 9]
+    for _ in range(100):
+        table = [rng.randrange(10) for _ in range(rng.choice([1, 2, 5, 40]))]
+        if rng.random() < 0.5:
+            table.insert(rng.randrange(len(table) + 1), rng.choice([10, -1, 255, 256, 10**20]))
+        narrow = 0 <= min(table) and max(table) < 256
+        tables.append(rng.choice([bytes, tuple, list])(table) if narrow else table)
+    for table in tables:
+        payload = {"reports": [{"command": "cata", "fold": {"size": 9, "table": table}}]}
+        assert render_text(payload) == f"cata\n  fold: {list(table)}\n"
+
+
+def test_render_json_writes_profiles_like_the_stdlib_encoder():
+    # a flat dict of str and int values is written in one pass; a bool, a
+    # float or None among them takes the general path
+    rng = random.Random(16)
+    for _ in range(200):
+        stages = [
+            {"index": rng.choice(TRICKY_TEXT) + str(n), "size": rng.randint(-(10**30), 10**30)}
+            for n in range(rng.randrange(0, 12))
+        ]
+        flat = {
+            rng.choice(TRICKY_TEXT) + str(i): random_leaf(rng)
+            for i in range(rng.randrange(4))
+        }
+        payload = {"reports": [{"stages": stages, "flat": flat, "line": 3}]}
         assert render_json(payload) == stdlib_json(payload)
 
 

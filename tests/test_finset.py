@@ -1,13 +1,21 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from muiter.errors import ShapeMismatch
-from muiter.finset import Block, FiniteFn, FiniteSet, product_table
-from muiter.functors import Projection, Sum, eval_functor_mor
+from muiter.finset import (
+    Block,
+    FiniteFn,
+    FiniteSet,
+    concat_tables,
+    product_table,
+    then_table,
+)
+from muiter.functors import Product, Projection, Sum, eval_functor_mor
 from reference import (
     Relation,
     kernel,
@@ -58,15 +66,17 @@ def test_finite_fn_validation():
         FiniteFn(FiniteSet(1), FiniteSet(0), (0,))
     fn = FiniteFn(a, b, (2, 0))
     assert fn(0) == 2 and fn(1) == 0
-    # a tuple table is handed over as it is, a range as a list
-    assert fn.to_json() == {"size": 3, "table": (2, 0)}
+    # a bytes or tuple table is handed over as it is, a range as a list
+    assert fn.to_json() == {"size": 3, "table": b"\x02\x00"}
+    wide = FiniteFn(a, FiniteSet(300), (299, 0))
+    assert wide.to_json() == {"size": 300, "table": (299, 0)}
     assert FiniteFn.identity(b).to_json() == {"size": 3, "table": [0, 1, 2]}
 
 
 def test_range_tables_are_checked_by_their_endpoints_like_any_table():
     # every range of length <= 4 with start, stop in -2..6 and step -2..2,
     # into codomains of size 0..4: same verdict and message as its tuple;
-    # a step-1 range inside the codomain is kept, anything else is a tuple
+    # a step-1 range inside the codomain is kept, anything else is bytes
     for start, stop, step, size in itertools.product(
         range(-2, 7), range(-2, 7), (-2, -1, 1, 2), range(5)
     ):
@@ -80,7 +90,7 @@ def test_range_tables_are_checked_by_their_endpoints_like_any_table():
         else:
             got = FiniteFn(dom, cod, r)
             kept = step == 1 and all(0 <= v < size for v in r)
-            assert got == want and type(got.table) is (range if kept else tuple)
+            assert got == want and type(got.table) is (range if kept else bytes)
     assert FiniteFn.identity(FiniteSet(3)).table == range(3)
 
 
@@ -90,9 +100,13 @@ def test_range_and_tuple_tables_are_equal_by_value():
         (FiniteFn.identity(a), FiniteFn(a, a, (0, 1, 2))),
         (FiniteFn(a, b, range(2, 5)), FiniteFn(a, b, [2, 3, 4])),
         (FiniteFn.identity(FiniteSet(0)), FiniteFn(FiniteSet(0), FiniteSet(0), ())),
+        (FiniteFn(a, FiniteSet(300), range(2, 5)), FiniteFn(a, FiniteSet(300), [2, 3, 4])),
     ]
     for ranged, tupled in pairs:
-        assert type(ranged.table) is range and type(tupled.table) is tuple
+        # bytes into at most 256 values, else a tuple
+        narrow = tupled.cod.size <= 256
+        assert type(ranged.table) is range
+        assert type(tupled.table) is (bytes if narrow else tuple)
         assert ranged == tupled and tupled == ranged
         assert hash(ranged) == hash(tupled)
         assert len({ranged, tupled}) == 1
@@ -106,7 +120,7 @@ def test_composition_and_identity():
     g = FiniteFn(b, c, (0, 1, 1))
     fg = f.then(g)
     assert fg.dom == a and fg.cod == c
-    assert fg.table == (1, 1)
+    assert tuple(fg.table) == (1, 1)
     assert FiniteFn.identity(a).then(f) == f
     assert f.then(FiniteFn.identity(b)) == f
     with pytest.raises(ShapeMismatch):
@@ -119,7 +133,7 @@ def test_then_an_identity_keeps_the_table():
     assert f.then(FiniteFn.identity(b)).table is f.table
     # an inclusion of a prefix is no identity: its values are looked up
     g = FiniteFn(b, FiniteSet(5), range(4))
-    assert f.then(g).table == (3, 0, 3) and f.then(g).cod == FiniteSet(5)
+    assert tuple(f.then(g).table) == (3, 0, 3) and f.then(g).cod == FiniteSet(5)
 
 
 @st.composite
@@ -191,6 +205,87 @@ def test_range_fast_paths_match_the_per_element_tables(data):
     assert tuple(f.then(g).table) == tuple(g.table[v] for v in f.table)
 
 
+# codomain sizes on both sides of the bytes bound, and the empty one
+WIDE = [0, 1, 255, 256, 257]
+
+
+def drawn_table(data, n: int, c: int):
+    """A table of length n into {0..c-1}: a step-1 range where one fits,
+    bytes where every value is below 256, or a tuple."""
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    values = [rng.randrange(c) for _ in range(n)]
+    kinds = ["tuple"] + ["bytes"] * (max(values, default=0) < 256) + ["range"] * (n <= c)
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "range":
+        start = data.draw(st.integers(0, c - n))
+        return range(start, start + n)
+    return bytes(values) if kind == "bytes" else tuple(values)
+
+
+def drawn_fn(data, n: int, c: int) -> FiniteFn:
+    """A map n -> c through the constructor, checked against the table rule:
+    a step-1 range stays, anything else is bytes into at most 256 values."""
+    table = drawn_table(data, n, c)
+    fn = FiniteFn(FiniteSet(n), FiniteSet(c), table)
+    assert tuple(fn.table) == tuple(table)
+    assert type(fn.table) is (range if type(table) is range else bytes if c <= 256 else tuple)
+    return fn
+
+
+def assert_table(got, want, post):
+    """got has want's values; bytes holds only values below 256, and a
+    table into a bytes post is bytes unless empty."""
+    assert tuple(got) == tuple(want)
+    assert type(got) in (range, bytes, tuple)
+    assert type(got) is not range or got.step == 1
+    assert type(post) is not bytes or type(got) is bytes or not got
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_bytes_tuple_and_range_tables_match_the_per_element_tables(data):
+    # then: f followed by g, across the bytes bound
+    b = data.draw(st.sampled_from(WIDE))
+    c = data.draw(st.sampled_from(WIDE[1:] if b else WIDE))
+    a = data.draw(st.integers(0, 6 if b else 0))
+    f, g = drawn_fn(data, a, b), drawn_fn(data, b, c)
+    composite = [g.table[v] for v in f.table]
+    assert_table(then_table(f.table, g.table), composite, g.table)
+    assert_table(f.then(g).table, composite, g.table)
+
+    # a product and a sum of unchecked blocks, one with a wide codomain and
+    # the rest into at most 2 values; empty tables of every kind among them
+    fns = []
+    for k in range(data.draw(st.integers(1, 3))):
+        c = data.draw(st.sampled_from(WIDE if k == 0 else [0, 1, 2]))
+        n = data.draw(st.integers(0, 3 if c else 0))
+        fns.append(Block(FiniteSet(n), FiniteSet(c), drawn_table(data, n, c)))
+    fns = data.draw(st.permutations(fns))
+    cods = [fn.cod.size for fn in fns]
+    product = product_oracle(fns)
+    assert tuple(product_table(fns)) == product
+    post = drawn_fn(data, math.prod(cods), data.draw(st.sampled_from(WIDE[1:])))
+    want = [post.table[v] for v in product]
+    assert_table(product_table(fns, post.table), want, post.table)
+    tables = [fn.table for fn in fns] + [post.table, ()]
+    assert_table(concat_tables(tables), [v for t in tables for v in t], None)
+    if all(type(t) is bytes for t in tables if t) and any(tables):
+        assert type(concat_tables(tables)) is bytes
+
+    # the product beside each factor, followed by a map into a narrow or a
+    # wide codomain
+    parts = (Product(tuple(map(Projection, range(len(fns))))),) + tuple(
+        map(Projection, range(len(fns)))
+    )
+    sizes = [math.prod(cods)] + cods
+    laid = [sum_encode(sizes, 0, v) for v in product] + [
+        sum_encode(sizes, k + 1, v) for k, fn in enumerate(fns) for v in fn.table
+    ]
+    g = drawn_fn(data, sum(sizes), data.draw(st.sampled_from(WIDE[1:])))
+    got = eval_functor_mor(Sum(parts), fns, then=g)
+    assert_table(got.table, [g.table[v] for v in laid], g.table)
+
+
 @st.composite
 def repeating_fns(draw):
     """A map whose table is longer than its codomain, or an empty one."""
@@ -224,7 +319,7 @@ def test_injective_surjective_bijective_inverse():
     a = FiniteSet(3)
     perm = FiniteFn(a, a, (2, 0, 1))
     assert perm.is_injective() and set(perm.table) == set(a) and perm.is_bijection()
-    assert perm.inverse().table == (1, 2, 0)
+    assert tuple(perm.inverse().table) == (1, 2, 0)
     assert perm.then(perm.inverse()) == FiniteFn.identity(a)
     squash = FiniteFn(a, FiniteSet(2), (0, 0, 1))
     assert set(squash.table) == set(squash.cod) and not squash.is_injective()
@@ -236,8 +331,8 @@ def test_injective_surjective_bijective_inverse():
 
 def test_constant_fn():
     c = FiniteFn.constant(FiniteSet(3), FiniteSet(2), 1)
-    assert c.table == (1, 1, 1)
-    assert FiniteFn.constant(FiniteSet(0), FiniteSet(2), 0).table == ()
+    assert tuple(c.table) == (1, 1, 1)
+    assert tuple(FiniteFn.constant(FiniteSet(0), FiniteSet(2), 0).table) == ()
 
 
 # -- quotients ---------------------------------------------------------------
@@ -289,7 +384,7 @@ def test_quotient_classes_ordered_by_least_member():
     classes, proj = quotient(base, Relation(base, [(3, 1), (4, 2)]))
     assert classes.size == 3
     # class of 0 first, then class {1,3}, then class {2,4}
-    assert proj.table == (0, 1, 2, 1, 2)
+    assert tuple(proj.table) == (0, 1, 2, 1, 2)
 
 
 def test_quotient_of_empty_relation_is_identity():
@@ -307,7 +402,7 @@ def test_kernel_roundtrip():
     assert (0, 1) not in ker
     classes, proj = quotient(a, ker)
     assert classes.size == 2
-    assert proj.table == (0, 1, 0, 1)
+    assert tuple(proj.table) == (0, 1, 0, 1)
 
 
 @settings(max_examples=40, deadline=None)

@@ -40,6 +40,7 @@ from muiter.signature import Signature, WTree
 from muiter.size import kappa_sigma, nat_backend, successor_tower
 from launch import run_limited
 from reference import (
+    RecursiveIterationState,
     container_decode,
     container_encode,
     fold_equation_holds,
@@ -344,7 +345,7 @@ def test_a_deep_tower_fold_needs_no_recursion():
     # a loop: no interpreter frame per stage
     alg = AlgebraSpec(FiniteSet(1), FiniteFn(FiniteSet(2), FiniteSet(1), (0, 0)))
     fold = tower_fold(Sum((Constant(FiniteSet(1)), Identity())), alg, 2000)
-    assert fold.table == (0,) * 2000
+    assert tuple(fold.table) == (0,) * 2000
 
 
 def tower_outcome(run):
@@ -470,6 +471,44 @@ def test_a_fold_over_stages_built_one_at_a_time_needs_no_recursion():
     fold = catamorphism(state, SUCC_PARITY, 250)
     assert fold == tower_fold(SUCC, SUCC_PARITY, 250)
     assert time.perf_counter() - start < 10
+
+
+def test_stage_maps_between_far_stages_need_no_recursion():
+    # connect(1400, 1500) reads leg(1399, 1500), which reads connect(1399,
+    # 1499), and so on down 1,400 levels
+    def inclusion(m: int, n: int) -> FiniteFn:
+        return FiniteFn(FiniteSet(m), FiniteSet(n), range(m))
+
+    state = inflationary_iterate(SUCC, nat_backend(), [1500], budget=3000)
+    start = time.perf_counter()
+    assert state.connect(1400, 1500) == inclusion(1400, 1500)
+    assert state.leg(1300, 1500) == inclusion(1301, 1500)
+    assert state.leg(1400, 1500) == inclusion(1401, 1500)
+    assert time.perf_counter() - start < 10
+
+
+@pytest.mark.parametrize("size", ["nat", "plump"])
+@pytest.mark.parametrize("functor", [POLY, SUCC, Container(BIN)], ids=["poly", "succ", "bin"])
+def test_stage_maps_and_legs_match_the_recursive_reference(functor, size):
+    # tower indices of height 0..4; under plump also joins of two of them,
+    # a basis of two members, and a join over a join
+    backend = nat_backend() if size == "nat" else kappa_sigma(Signature.of())
+    indices = successor_tower(backend, 5)
+    if size == "plump":
+        joins = [backend.join(a, b) for a, b in itertools.combinations(indices[:4], 2)]
+        indices += joins + [backend.join(joins[-1], indices[2])]
+    loops = inflationary_iterate(functor, backend, indices, budget=64)
+    recursive = RecursiveIterationState(functor, backend, budget=64)
+    for i in indices:
+        recursive.stage(i)
+    pairs = [(j, i) for j in indices for i in indices if backend.leq(j, i)]
+    assert len(pairs) > len(indices)
+    for j, i in pairs:
+        assert loops.connect(j, i) == recursive.connect(j, i)
+        if backend.lt(j, i):
+            assert loops.leg(j, i) == recursive.leg(j, i)
+    assert loops._connects.keys() == recursive._connects.keys()
+    assert loops._legs.keys() == recursive._legs.keys()
 
 
 def test_long_chain_stops_at_the_budget_in_bounded_time_and_memory(tmp_path):
@@ -608,7 +647,7 @@ def test_free_algebra_over_constant_base():
 def test_free_algebra_without_generators_is_plain_mu():
     result = free_algebra(Product((Identity(), Identity())), FiniteSet(0), nat_backend())
     assert result.mu.carrier.size == 0
-    assert result.unit.table == ()
+    assert tuple(result.unit.table) == ()
 
 
 def test_free_algebra_of_squaring_counts_binary_trees():
