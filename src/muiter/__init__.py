@@ -20,7 +20,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .finset import FiniteFn, FiniteSet
-from .signature import Signature, WTree, container_map, signature_sum
+from .signature import Signature, WTree, signature_sum
 from .size import (
     filtered_sample_check,
     height,
@@ -39,6 +39,7 @@ from .functors import (
     FunctorExpr,
     Identity,
     MuParam,
+    Power,
     Product,
     Projection,
     Sum,
@@ -84,7 +85,6 @@ __all__ = [
     "Signature",
     "WTree",
     "signature_sum",
-    "container_map",
     "nat_backend",
     "kappa_sigma",
     "filtered_sample_check",
@@ -98,6 +98,7 @@ __all__ = [
     "Constant",
     "Sum",
     "Product",
+    "Power",
     "Compose",
     "Container",
     "SymContainer",

@@ -36,7 +36,7 @@ from .errors import (
     NonFunctorialDiagram,
 )
 from .finset import FiniteFn, FiniteSet
-from .functors import eval_functor, expr_arity, infer_signature
+from .functors import FunctorExpr, eval_functor, expr_arity, infer_signature
 from .iteration import (
     DEFAULT_BUDGET,
     AlgebraSpec,
@@ -85,15 +85,16 @@ class _Env:
         return expr
 
 
-def _backend_for(env: _Env, spec: str, line: int, plump_sig: Signature):
+def _backend_for(env: _Env, spec: str, line: int, expr: Optional[FunctorExpr]):
     """The size backend that spec names: nat, plump, or plump:<sig>.
 
-    Bare plump orders trees over plump_sig.
+    Bare plump orders trees over expr's signature, or over no operations
+    without an expression; only this branch infers it.
     """
     if spec == "nat":
         return nat_backend()
     if spec == "plump":
-        return kappa_sigma(plump_sig)
+        return kappa_sigma(Signature.of() if expr is None else infer_signature(expr))
     if spec.startswith("plump:"):
         name = spec.split(":", 1)[1]
         if name not in env.sigs:
@@ -161,7 +162,7 @@ class Runner:
                 )
         size = self.opt_size(cmd)
         budget = self.opt_budget(cmd)
-        backend = _backend_for(self.env, size, cmd.line, infer_signature(expr))
+        backend = _backend_for(self.env, size, cmd.line, expr)
         return expr, size, budget, backend
 
     def base_report(self, cmd: Command, size: Optional[str], budget: Optional[int]) -> dict:
@@ -272,7 +273,7 @@ class Runner:
             )
         seed = cmd.option("seed", self.defaults.get("seed", 0))
         depth = cmd.option("depth", self.defaults.get("depth", 3))
-        backend = _backend_for(self.env, size, cmd.line, Signature.of())
+        backend = _backend_for(self.env, size, cmd.line, None)
         results = run_checks(
             backend,
             functors=self.env.functors,

@@ -47,6 +47,7 @@ from .functors import (
     FunctorExpr,
     Identity,
     MuParam,
+    Power,
     Product,
     Projection,
     Sum,
@@ -365,7 +366,7 @@ class Parser:
         atom = self.parse_atom(in_mu)
         if self.peek().kind == "^":
             self.advance()
-            return Product((atom,) * self.expect_nat())
+            return Power(atom, self.expect_nat())
         return atom
 
     def parse_atom(self, in_mu: bool) -> FunctorExpr:

@@ -7,10 +7,11 @@ Sums and products of sets have one layout each, fixed by their sizes
 alone.  A sum lays its parts out block by block: part k starts at the sum
 of the sizes before it.  A product numbers its tuples in mixed radix, the
 first component least significant, so (v_0, v_1, ...) is
-v_0 + n_0 * (v_1 + n_1 * (...)); a power X**A is the product of |A|
-copies of X.  Maps are built as whole tables in these layouts
-(sum_slices, product_table), each followed by a post table, so a map and
-what it is composed with come out as one table.
+v_0 + n_0 * (v_1 + n_1 * (...)).  A power X**n is the product of n
+copies of X, and a container, the sum over its operations of
+X**|arity|, is laid out by the two together.  Maps are built as whole
+tables in these layouts (sum_slices, product_table), each followed by a
+post table, so a map and what it is composed with come out as one table.
 
 A table is one of three things: a step-1 range inside its codomain, bytes
 (only when every value is below 256), or a tuple.  FiniteFn stores bytes
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from itertools import chain
 from math import prod
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ShapeMismatch
 
@@ -241,18 +242,6 @@ def quotient_pairs(base: FiniteSet, pairs: Iterable[tuple]) -> tuple:
             proj[x] = proj[p]
     classes = FiniteSet(count)
     return classes, FiniteFn(base, classes, proj)
-
-
-class Block(NamedTuple):
-    """A function table not checked yet, with its domain and codomain.
-
-    product_table and container_map read a Block as they read a FiniteFn,
-    so a table assembled from blocks is checked once, as a whole.
-    """
-
-    dom: FiniteSet
-    cod: FiniteSet
-    table: Sequence[int]
 
 
 def then_table(table: Sequence[int], post: Sequence[int]) -> Sequence[int]:

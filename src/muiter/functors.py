@@ -17,7 +17,6 @@ from typing import Tuple
 from .colimit import Diagram, subdiagram_colimit
 from .errors import IntegrityError, ShapeMismatch
 from .finset import (
-    Block,
     FiniteFn,
     FiniteSet,
     concat_tables,
@@ -25,13 +24,7 @@ from .finset import (
     sum_slices,
     then_table,
 )
-from .signature import (
-    Signature,
-    container_map,
-    container_size,
-    empty_signature,
-    signature_sum,
-)
+from .signature import Signature, empty_signature, signature_sum
 from .size import nat_backend
 
 
@@ -130,6 +123,12 @@ class Product(FunctorExpr):
     __slots__ = ("parts",)
 
 
+class Power(FunctorExpr):
+    """The product of exponent copies of base, so base**0 is one point."""
+
+    __slots__ = ("base", "exponent")
+
+
 class Compose(FunctorExpr):
     """outer applied to the results of the inner expressions, stored as a tuple."""
 
@@ -182,6 +181,8 @@ def expr_arity(e: FunctorExpr) -> int:
         return 0
     if isinstance(e, (Sum, Product)):
         return max((expr_arity(p) for p in e.parts), default=0)
+    if isinstance(e, Power):
+        return expr_arity(e.base) if e.exponent else 0
     if isinstance(e, Compose):
         if expr_arity(e.outer) > len(e.inner):
             raise ShapeMismatch(
@@ -220,12 +221,16 @@ def eval_functor(e: FunctorExpr, env: Tuple[FiniteSet, ...]):
         return FiniteSet(sum(eval_functor(p, env).size for p in e.parts))
     if isinstance(e, Product):
         return FiniteSet(prod(eval_functor(p, env).size for p in e.parts))
+    if isinstance(e, Power):
+        if not e.exponent:
+            return FiniteSet(1)
+        return FiniteSet(eval_functor(e.base, env).size ** e.exponent)
     if isinstance(e, Compose):
         vals = tuple(eval_functor(g, env) for g in e.inner)
         return eval_functor(e.outer, vals)
     if isinstance(e, Container):
         _need(env, 1, e)
-        return FiniteSet(container_size(e.sig, env[0].size))
+        return FiniteSet(sum(env[0].size ** a.size for a in e.sig.arities))
     if isinstance(e, SymContainer):
         _need(env, 1, e)
         return FiniteSet(_multisets(env[0].size, e.arity))
@@ -260,14 +265,15 @@ def eval_functor_mor(e: FunctorExpr, fns: Tuple[FiniteFn, ...], then=None):
 
 
 def _mor(e: FunctorExpr, fns: tuple, post):
-    """e's morphism part on fns followed by post, as a Block or FiniteFn.
+    """e's morphism part on fns followed by post, as an unchecked FiniteFn.
 
-    post is a map (a FiniteFn or Block) out of e applied to the codomains;
-    None stands for the identity.  A sum hands each part its slice of post,
-    the identity's slices being the ranges of the parts' offsets; a product
-    maps the rows of its last factor through post; a container does both;
-    every other node is built and then composed with post.  The table is a
-    step-1 range, bytes or a tuple, bytes whenever post's is.
+    post is a map out of e applied to the codomains; None stands for the
+    identity.  A sum hands each part its slice of post, the identity's
+    slices being the ranges of the parts' offsets; a product or power maps
+    the rows of its last factor through post; a container is the sum over
+    its operations of the powers of X; every other node is built and then
+    composed with post.  The table is a step-1 range, bytes or a tuple,
+    bytes whenever post's is.
     """
     if isinstance(e, Identity):
         _need(fns, 1, e)
@@ -276,35 +282,37 @@ def _mor(e: FunctorExpr, fns: tuple, post):
         _need(fns, e.slot + 1, e)
         return _then(fns[e.slot], post)
     if isinstance(e, Constant):
-        if post is None:
-            return Block(e.value, e.value, range(e.value.size))
-        return Block(e.value, post.cod, post.table)
+        return _then(FiniteFn.identity(e.value), post)
     if isinstance(e, Sum):
         cods = tuple(f.cod for f in fns)
         parts = [eval_functor(p, cods) for p in e.parts]
         sizes = [part.size for part in parts]
         if post is None:
-            total = FiniteSet(sum(sizes))
-            post = Block(total, total, range(total.size))
+            post = FiniteFn.identity(FiniteSet(sum(sizes)))
         dom, tables = 0, []
         for p, part, out in zip(e.parts, parts, sum_slices(post.table, sizes)):
-            m = _mor(p, fns, Block(part, post.cod, out))
+            m = _mor(p, fns, FiniteFn.unchecked(part, post.cod, out))
             dom += m.dom.size
             tables.append(m.table)
-        return Block(FiniteSet(dom), post.cod, concat_tables(tables))
-    if isinstance(e, Product):
-        mors = [_mor(p, fns, None) for p in e.parts]
+        return FiniteFn.unchecked(FiniteSet(dom), post.cod, concat_tables(tables))
+    if isinstance(e, (Product, Power)):
+        if isinstance(e, Product):
+            mors = [_mor(p, fns, None) for p in e.parts]
+        else:
+            # the base's map once, repeated; a zeroth power never reads it
+            mors = [_mor(e.base, fns, None)] * e.exponent if e.exponent else []
         dom = FiniteSet(prod(m.dom.size for m in mors))
         if post is None:
             cod = FiniteSet(prod(m.cod.size for m in mors))
-            return Block(dom, cod, product_table(mors))
-        return Block(dom, post.cod, product_table(mors, post.table))
+            return FiniteFn.unchecked(dom, cod, product_table(mors))
+        return FiniteFn.unchecked(dom, post.cod, product_table(mors, post.table))
     if isinstance(e, Compose):
         vals = tuple(eval_functor_mor(g, fns) for g in e.inner)
         return _mor(e.outer, vals, post)
     if isinstance(e, Container):
         _need(fns, 1, e)
-        return container_map(e.sig, fns[0], post)
+        powers = tuple(Power(Identity(), a.size) for a in e.sig.arities)
+        return _mor(Sum(powers), fns, post)
     if isinstance(e, SymContainer):
         _need(fns, 1, e)
         return _then(_sym_map(e.arity, fns[0]), post)
@@ -320,7 +328,7 @@ def _then(f, post):
     """f followed by post, None standing for the identity."""
     if post is None:
         return f
-    return Block(f.dom, post.cod, then_table(f.table, post.table))
+    return FiniteFn.unchecked(f.dom, post.cod, then_table(f.table, post.table))
 
 
 def _multisets(n: int, k: int) -> int:
@@ -358,6 +366,10 @@ def infer_signature(e: FunctorExpr) -> Signature:
         return Signature.of(e.arity)
     if isinstance(e, (Sum, Product)):
         return signature_sum([infer_signature(p) for p in e.parts])
+    if isinstance(e, Power):
+        sig = infer_signature(e.base) if e.exponent else empty_signature()
+        # n copies of no operations are no operations: build no list
+        return signature_sum([sig] * e.exponent) if sig.ops.size else sig
     if isinstance(e, Compose):
         children = (e.outer,) + e.inner
         return signature_sum([infer_signature(c) for c in children])

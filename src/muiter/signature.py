@@ -1,9 +1,10 @@
 """Operation signatures and the well-founded trees they generate.
 
 A signature is a finite set of operation symbols, each with a finite arity
-set.  Applying a signature to a set X yields the tagged sum over operations
-of the tables arity(op) -> X; iterating that from the empty set enumerates
-trees of bounded height.
+set.  Applying a signature to a set X (functors.Container) yields the
+tagged sum over operations of the tables arity(op) -> X, the powers
+X**|arity(op)|; iterating that from the empty set enumerates trees of
+bounded height.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .errors import ShapeMismatch
-from .finset import FiniteFn, FiniteSet, concat_tables, product_table, sum_slices
+from .finset import FiniteSet
 
 
 class Signature:
@@ -113,35 +114,3 @@ class WTree:
     def __repr__(self):
         # O(1) in the depth: a shared tree written out is exponential in it
         return f"WTree(op={self.op}, height={self._height})"
-
-
-def container_size(sig: Signature, n: int) -> int:
-    """|sig(X)| for |X| = n: one block of n ** |arity| tables per op."""
-    return sum(n ** a.size for a in sig.arities)
-
-
-def container_map(sig: Signature, f: FiniteFn, then=None) -> FiniteFn:
-    """Apply f to every argument position, preserving the op tag.
-
-    Block op is the product of |arity(op)| copies of f, from dom ** arity
-    to cod ** arity.  With then, a map out of sig(f.cod), the result is the
-    container map followed by then, built as one table: each block is
-    followed by its slice of then's table, so like FiniteFn.then it needs
-    no check.
-    """
-    m, n = f.dom.size, f.cod.size
-    cod = FiniteSet(container_size(sig, n))
-    if then is not None and then.dom != cod:
-        raise ShapeMismatch(
-            f"cannot compose: codomain {cod.size} vs domain {then.dom.size}"
-        )
-    post = range(cod.size) if then is None else then.table
-    sizes = [n ** a.size for a in sig.arities]
-    table = concat_tables([
-        product_table([f] * a.size, out)
-        for a, out in zip(sig.arities, sum_slices(post, sizes))
-    ])
-    dom = FiniteSet(container_size(sig, m))
-    if then is None:
-        return FiniteFn(dom, cod, table)
-    return FiniteFn.unchecked(dom, then.cod, table)

@@ -21,6 +21,7 @@ from muiter.functors import (
     Container,
     Identity,
     MuParam,
+    Power,
     Product,
     Projection,
     Sum,
@@ -90,7 +91,7 @@ def test_golden_declarations_parse_to_their_functor_expressions():
         ),
         FuncDecl(
             "Sq",
-            Compose(Product((Identity(), Identity())), (Sum((one, Identity())),)),
+            Compose(Power(Identity(), 2), (Sum((one, Identity())),)),
             line=7,
         ),
         AlgDecl("lparity", "F", 2, (1, 0, 1, 1, 0), line=8),
@@ -130,7 +131,7 @@ def test_references_inline_and_sym_binds_tighter_than_a_power():
     _, p, q = parse_script("I = X\nP = sym<swap3> I\nQ = sym<swap2> (1 + X)^2\n")
     assert p.expr == SymContainer(3)
     pairs = Compose(SymContainer(2), (Sum((Constant(FiniteSet(1)), Identity())),))
-    assert q.expr == Product((pairs, pairs))
+    assert q.expr == Power(pairs, 2)
 
 
 def test_an_unknown_group_is_kept_on_its_declaration():
@@ -514,8 +515,9 @@ def test_long_successor_chains_run_in_bounded_time_and_memory(
     [
         ("F = 1 + X^20000\niterate F depth 4\n", 20000),
         ("sig S = a:0 | b:100000000\nT = S\niterate T depth 4\n", 100000000),
+        ("F = 1 + X^100000000\niterate F depth 4\n", 100000000),
     ],
-    ids=["power", "wide-op"],
+    ids=["power", "wide-op", "huge-power"],
 )
 def test_a_cap_stop_on_a_carrier_of_unbounded_length_is_a_report(tmp_path, text, bits):
     # the carrier, 1 + 2**bits, has too many digits for str()
@@ -527,6 +529,29 @@ def test_a_cap_stop_on_a_carrier_of_unbounded_length_is_a_report(tmp_path, text,
         "message": f"carrier of size at least 2**{bits} exceeds the cap 500000",
     }
     assert [s["size"] for s in report["stages"]] == [0, 1, 2]
+    assert wall < 5
+    assert rss < 100 * 2**20
+
+
+# A^n is one power node, sized |A| ** n, and only bare plump infers a
+# signature, which is linear in n for a container base
+@pytest.mark.parametrize(
+    "text, code",
+    [
+        ("F = 1 + X^100000000\nnu F budget 2\n", 2),
+        ("sig S = a:0 | b:2\nF = 1 + S^1000000\nmu F\n", 2),
+        ("F = X^0\ncheck samples 40\n", 0),
+    ],
+    ids=["nu-huge-power", "mu-container-power", "check-zeroth-power"],
+)
+def test_powers_run_in_bounded_time_and_memory(tmp_path, text, code):
+    got, payload, wall, rss = run_limited(tmp_path, text)
+    assert got == code
+    report = payload["reports"][0]
+    if code == 2:
+        assert report["error"]["type"] == "budget-exceeded"
+    else:
+        assert all(c["ok"] for c in report["checks"])
     assert wall < 5
     assert rss < 100 * 2**20
 

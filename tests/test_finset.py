@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from muiter.errors import ShapeMismatch
 from muiter.finset import (
-    Block,
     FiniteFn,
     FiniteSet,
     concat_tables,
@@ -160,18 +159,18 @@ def tables(draw, n: int, c: int):
 
 @st.composite
 def blocks(draw):
-    """A map as an unchecked Block: an identity, an inclusion of a prefix or
-    of a shifted run, or any table."""
+    """A map built unchecked: an identity, an inclusion of a prefix or of a
+    shifted run, or any table."""
     c = draw(st.integers(0, 4))
     kind = draw(st.sampled_from(["identity", "prefix", "shifted", "any"]))
     if kind == "identity":
-        return Block(FiniteSet(c), FiniteSet(c), range(c))
+        return FiniteFn.unchecked(FiniteSet(c), FiniteSet(c), range(c))
     if kind != "any":
         n = draw(st.integers(0, c))
         start = 0 if kind == "prefix" else draw(st.integers(0, c - n))
-        return Block(FiniteSet(n), FiniteSet(c), range(start, start + n))
+        return FiniteFn.unchecked(FiniteSet(n), FiniteSet(c), range(start, start + n))
     n = draw(st.integers(0, 4 if c else 0))
-    return Block(FiniteSet(n), FiniteSet(c), draw(tables(n, c)))
+    return FiniteFn.unchecked(FiniteSet(n), FiniteSet(c), draw(tables(n, c)))
 
 
 def product_oracle(fns) -> tuple:
@@ -253,13 +252,13 @@ def test_bytes_tuple_and_range_tables_match_the_per_element_tables(data):
     assert_table(then_table(f.table, g.table), composite, g.table)
     assert_table(f.then(g).table, composite, g.table)
 
-    # a product and a sum of unchecked blocks, one with a wide codomain and
+    # a product and a sum of unchecked maps, one with a wide codomain and
     # the rest into at most 2 values; empty tables of every kind among them
     fns = []
     for k in range(data.draw(st.integers(1, 3))):
         c = data.draw(st.sampled_from(WIDE if k == 0 else [0, 1, 2]))
         n = data.draw(st.integers(0, 3 if c else 0))
-        fns.append(Block(FiniteSet(n), FiniteSet(c), drawn_table(data, n, c)))
+        fns.append(FiniteFn.unchecked(FiniteSet(n), FiniteSet(c), drawn_table(data, n, c)))
     fns = data.draw(st.permutations(fns))
     cods = [fn.cod.size for fn in fns]
     product = product_oracle(fns)

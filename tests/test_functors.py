@@ -4,6 +4,8 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from muiter.checks import check_cocone_laws, check_functor_laws
 from muiter.colimit import Diagram, subdiagram_colimit
@@ -14,8 +16,10 @@ from muiter.functors import (
     Compose,
     Constant,
     Container,
+    FunctorExpr,
     Identity,
     MuParam,
+    Power,
     Product,
     Projection,
     Sum,
@@ -27,7 +31,7 @@ from muiter.functors import (
     infer_signature,
     preserves_chain_colimit,
 )
-from muiter.signature import Signature, container_map, empty_signature
+from muiter.signature import Signature, empty_signature
 from reference import (
     Relation,
     container_blocks,
@@ -132,7 +136,8 @@ def test_morphism_respects_block_layout():
 
 # BATTERY has a container with a nullary op, sym<swap2> and a composite;
 # these add a nested fixpoint, alone and as a summand, a container with
-# two nullary ops and a unary one, and products of one and of no factors
+# two nullary ops and a unary one, products of one and of no factors, a
+# square and a zeroth power
 FUSED = BATTERY + [
     MuParam(Sum((Projection(0), Product((Projection(1), Constant(FiniteSet(0))))))),
     Sum((Constant(FiniteSet(1)), MuParam(Projection(0)))),
@@ -140,6 +145,8 @@ FUSED = BATTERY + [
     Product((Identity(),)),
     Sum(()),
     Product(()),
+    Power(Sum((Constant(FiniteSet(1)), Identity())), 2),
+    Power(Container(BIN), 0),
 ]
 
 
@@ -181,7 +188,7 @@ def test_then_must_start_where_the_map_ends():
     with pytest.raises(ShapeMismatch, match="cannot compose"):
         eval_functor_mor(POLY, (f,), then=FiniteFn.identity(FiniteSet(4)))
     with pytest.raises(ShapeMismatch, match="cannot compose"):
-        container_map(BIN, f, then=FiniteFn.identity(FiniteSet(4)))
+        eval_functor_mor(Container(BIN), (f,), then=FiniteFn.identity(FiniteSet(4)))
 
 
 # -- block tables against a per-element reference ---------------------------------
@@ -232,6 +239,8 @@ def reference_mor(e, fns):
             for x in range(math.prod(dom))
         ]
         return FiniteFn(FiniteSet(math.prod(dom)), FiniteSet(math.prod(cod)), table)
+    if isinstance(e, Power):
+        return reference_mor(Product((e.base,) * e.exponent), fns)
     f = fns[0]
     if isinstance(e, Container):
         sig, m, n = e.sig, f.dom.size, f.cod.size
@@ -323,6 +332,75 @@ def test_infer_signature():
     assert both.ops.size == 3
     assert [a.size for a in both.arities] == [0, 2, 2]
     assert infer_signature(MuParam(Container(BIN))) == BIN
+
+
+# one of each node kind; a node missing here is missing from a dispatcher's test
+NODES = {
+    Identity: Identity(),
+    Projection: Projection(1),
+    Constant: Constant(FiniteSet(2)),
+    Sum: POLY,
+    Product: Product((Identity(), Projection(1))),
+    Power: Power(Identity(), 3),
+    Compose: Compose(POLY, (Projection(1),)),
+    Container: Container(BIN),
+    SymContainer: SymContainer(2),
+    MuParam: MuParam(Sum((Projection(0), Product((Projection(1), Constant(FiniteSet(0))))))),
+}
+
+
+def test_every_node_kind_is_handled_by_every_dispatcher():
+    assert set(NODES) == set(FunctorExpr.__subclasses__())
+    f = FiniteFn(FiniteSet(2), FiniteSet(3), (2, 0))
+    for e in NODES.values():
+        # each raises "unknown expression node" on a kind it does not handle
+        expr_arity(e)
+        infer_signature(e)
+        fe = eval_functor(e, (f.cod, f.cod))
+        assert eval_functor_mor(e, (f, f)).cod == fe
+        post = FiniteFn.identity(fe)
+        assert eval_functor_mor(e, (f, f), then=post) == eval_functor_mor(e, (f, f))
+
+
+# the bases of the powers below: the first and the second argument, a sum, a
+# container and a symmetric power
+POWER_BASES = [
+    Identity(),
+    Projection(1),
+    Sum((Constant(FiniteSet(1)), Identity())),
+    Container(BIN),
+    SymContainer(2),
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(POWER_BASES),
+    st.integers(0, 4),
+    st.lists(st.tuples(st.integers(0, 2), st.integers(1, 2)), min_size=2, max_size=2),
+    st.randoms(use_true_random=False),
+)
+def test_a_power_is_the_product_of_its_copies(base, n, sizes, rng):
+    power, product = Power(base, n), Product((base,) * n)
+    assert expr_arity(power) == expr_arity(product)
+    assert repr(infer_signature(power)) == repr(infer_signature(product))
+    assert infer_signature(power) == infer_signature(product)
+    if expr_arity(product) == 0:
+        # no arguments at all: the base is never evaluated
+        assert eval_functor(power, ()) == eval_functor(product, ()) == FiniteSet(1)
+        assert eval_functor_mor(power, ()) == eval_functor_mor(product, ())
+    fns = tuple(
+        FiniteFn(FiniteSet(a), FiniteSet(b), [rng.randrange(b) for _ in range(a)])
+        for a, b in sizes
+    )
+    doms = tuple(f.dom for f in fns)
+    assert eval_functor(power, doms) == eval_functor(product, doms)
+    mapped = eval_functor_mor(power, fns)
+    assert mapped == eval_functor_mor(product, fns)
+    c = rng.randrange(1, 4)
+    post = FiniteFn(mapped.cod, FiniteSet(c), [rng.randrange(c) for _ in mapped.cod])
+    assert eval_functor_mor(power, fns, then=post) == mapped.then(post)
+    assert eval_functor_mor(product, fns, then=post) == mapped.then(post)
 
 
 def test_container_sizes_follow_signature():

@@ -15,6 +15,7 @@ from muiter.functors import (
     FunctorExpr,
     Identity,
     MuParam,
+    Power,
     Product,
     Projection,
     Sum,
@@ -747,6 +748,7 @@ MU_CASES = [(e, {}) for e in BATTERY] + [
         {},
     ),
     (Sum((Constant(FiniteSet(1)), Compose(SymContainer(2), (Constant(FiniteSet(2)),)))), {}),
+    (Sum((Constant(FiniteSet(1)), Power(Identity(), 2))), {"budget": 5}),
 ]
 
 
@@ -896,6 +898,7 @@ NU_CASES = [(e, {}) for e in BATTERY] + [
     ),
     # mu Y. 1 + X: stationary at 1 + |X|, so the dual chain grows to the budget
     (MuParam(Sum((Constant(FiniteSet(1)), Projection(0)))), {"budget": 5}),
+    (Sum((Constant(FiniteSet(1)), Power(Identity(), 2))), {"budget": 7}),
 ]
 
 

@@ -10,8 +10,8 @@ PUBLIC = [
     "FiniteFn", "FiniteSet", "FreeResult", "FunctorExpr", "Identity",
     "IllTypedArrow", "IntegrityError", "IterationState", "MuParam", "MuResult",
     "MuiterError", "NoAlgebra", "NoSuchIndex", "NonFunctorialDiagram",
-    "NuResult", "Product", "Projection", "ShapeMismatch", "Signature", "Sum",
-    "SymContainer", "WTree", "__version__", "catamorphism", "container_map",
+    "NuResult", "Power", "Product", "Projection", "ShapeMismatch", "Signature", "Sum",
+    "SymContainer", "WTree", "__version__", "catamorphism",
     "deflationary_nu", "eval_functor", "eval_functor_mor",
     "filtered_sample_check", "free_algebra", "height",
     "infer_signature", "inflationary_iterate", "kappa_sigma",
@@ -54,6 +54,7 @@ REMOVED = [
     "finset.Cartesian",
     "finset.TaggedSum",
     "finset.radix_table",
+    "finset.Block",
     "signature.Signature.arity",
     "signature.WTree.sort_key",
     "signature.WTree.node_count",
@@ -63,6 +64,8 @@ REMOVED = [
     "signature.wtype_enumerate",
     "signature.ContainerLayout",
     "signature.container_layout",
+    "signature.container_map",
+    "signature.container_size",
     "iteration.partial_application",
     "iteration.MuResult.state",
     "iteration.MuResult.witness_index",

@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 
 from muiter.errors import ShapeMismatch
 from muiter.finset import FiniteFn, FiniteSet
-from muiter.functors import Container, eval_functor
+from muiter.functors import Container, eval_functor, eval_functor_mor
 from muiter.signature import (
     Signature,
     WTree,
-    container_map,
     empty_signature,
     signature_sum,
 )
@@ -119,7 +118,7 @@ def test_container_apply_sizes_match_enumeration():
             count = enumerated_container_size(sig, n)
             assert eval_functor(Container(sig), (FiniteSet(n),)).size == count
             inclusion = FiniteFn(FiniteSet(n), FiniteSet(n + 1), range(n))
-            mapped = container_map(sig, inclusion)
+            mapped = eval_functor_mor(Container(sig), (inclusion,))
             assert mapped.dom.size == count
             assert mapped.cod.size == enumerated_container_size(sig, n + 1)
     # 0 ** 0 = 1 and 0 ** k = 0: over no elements only the nullary op has a shape
@@ -128,13 +127,15 @@ def test_container_apply_sizes_match_enumeration():
 
 def test_container_map_relabels_positions():
     f = FiniteFn(FiniteSet(2), FiniteSet(3), (2, 0))
-    mapped = container_map(BIN, f)
-    assert mapped.dom.size == 5
-    assert mapped.cod.size == 10
-    for idx in range(5):
-        op, args = container_decode(BIN, 2, idx)
-        expected = container_encode(BIN, 3, op, tuple(f(a) for a in args))
-        assert mapped.table[idx] == expected
+    plain = eval_functor_mor(Container(BIN), (f,))
+    fused = eval_functor_mor(Container(BIN), (f,), then=FiniteFn.identity(FiniteSet(10)))
+    for mapped in (plain, fused):
+        assert mapped.dom.size == 5
+        assert mapped.cod.size == 10
+        for idx in range(5):
+            op, args = container_decode(BIN, 2, idx)
+            expected = container_encode(BIN, 3, op, tuple(f(a) for a in args))
+            assert mapped.table[idx] == expected
 
 
 @settings(max_examples=30, deadline=None)
@@ -149,9 +150,12 @@ def test_container_map_functorial(data):
     g = FiniteFn(
         FiniteSet(m), FiniteSet(k), tuple(data.draw(st.integers(0, k - 1)) for _ in range(m))
     )
-    assert container_map(BIN, f.then(g)) == container_map(BIN, f).then(container_map(BIN, g))
-    assert container_map(BIN, FiniteFn.identity(FiniteSet(n))) == FiniteFn.identity(
-        eval_functor(Container(BIN), (FiniteSet(n),))
+    tree = Container(BIN)
+    composite = eval_functor_mor(tree, (f.then(g),))
+    assert composite == eval_functor_mor(tree, (f,)).then(eval_functor_mor(tree, (g,)))
+    assert composite == eval_functor_mor(tree, (f,), then=eval_functor_mor(tree, (g,)))
+    assert eval_functor_mor(tree, (FiniteFn.identity(FiniteSet(n)),)) == FiniteFn.identity(
+        eval_functor(tree, (FiniteSet(n),))
     )
 
 
