@@ -293,7 +293,7 @@ class Runner:
 
 
 def render_text(payload: dict) -> str:
-    lines = []
+    out = []  # lines with their newlines, and a digit table in three parts
     for report in payload["reports"]:
         header = report["command"]
         for k in ("functor", "algebra"):
@@ -308,27 +308,29 @@ def render_text(payload: dict) -> str:
         ]
         if opts:
             header += "  (" + ", ".join(opts) + ")"
-        lines.append(header)
+        out.append(header + "\n")
         if "error" in report:
-            lines.append(f"  error[{report['error']['type']}]: {report['error']['message']}")
+            out.append(f"  error[{report['error']['type']}]: {report['error']['message']}\n")
         for stage in report.get("stages", ()):
-            lines.append(f"  D[{stage['index']}] size={stage['size']}")
+            out.append(f"  D[{stage['index']}] size={stage['size']}\n")
         if "stationaryAt" in report:
-            lines.append(f"  stationary at stage {report['stationaryAt']}")
+            out.append(f"  stationary at stage {report['stationaryAt']}\n")
         if "mu" in report:
-            lines.append(f"  mu size={report['mu']['size']}")
+            out.append(f"  mu size={report['mu']['size']}\n")
         if "nu" in report:
-            lines.append(f"  nu size={report['nu']['size']}")
+            out.append(f"  nu size={report['nu']['size']}\n")
         for k in ("iota", "unit", "fold"):
             if k in report:
                 table = report[k]["table"]
                 digits = _digit_items(table, ", ")
-                shown = str(list(table)) if digits is None else f"[{digits}]"
-                lines.append(f"  {k}: {shown}")
+                if digits is None:
+                    out.append(f"  {k}: {list(table)}\n")
+                else:
+                    out.extend((f"  {k}: [{digits[0]}", digits[1], "]\n"))
         for c in report.get("checks", ()):
             mark = "ok  " if c["ok"] else "FAIL"
-            lines.append(f"  {mark} {c['name']}: {c['detail']}")
-    return "\n".join(lines) + ("\n" if lines else "")
+            out.append(f"  {mark} {c['name']}: {c['detail']}\n")
+    return "".join(out)
 
 
 _LEAF_TYPES = (str, int, float, bool, type(None))
@@ -340,12 +342,14 @@ def render_json(payload: dict) -> str:
     Byte for byte the same text, but the stdlib falls back to its
     pure-Python encoder under ``indent`` and walks a fold table one entry
     at a time.  Here every list of plain ints, and every ``bytes`` table
-    (written as the list of its ints), is written whole: through ``bytes``
-    when its values are all digits and otherwise by one C encoder call,
-    its items then split onto lines.  A dict whose values are all plain
-    strs and ints, such as a profile's stage, is written in one pass; every
-    other leaf is its own ``json.dumps``.  A value outside the types
-    written below raises TypeError.
+    (written as the list of its ints), is written whole: when its values
+    are all digits, by one pass that interleaves its digits with the line
+    separators, and otherwise by one C encoder call, its items then split
+    onto lines.  The final join is then the only other copy of a table's
+    text.  A dict whose values are all plain strs and ints, such as a
+    profile's stage, is written in one pass; every other leaf is its own
+    ``json.dumps``.  A value outside the types written below raises
+    TypeError.
     """
     out: list = []
     _write_json(payload, "\n", out)
@@ -382,7 +386,8 @@ def _write_json(value, newline: str, out: list) -> None:
         if not value:
             out.append("[]")
         elif kind is bytes or set(map(type, value)) == {int}:
-            out.extend(("[" + inner, _int_items(value, "," + inner), newline + "]"))
+            head, rest = _int_items(value, "," + inner)
+            out.extend(("[" + inner + head, rest, newline + "]"))
         else:
             sep = "[" + inner
             for item in value:
@@ -403,23 +408,26 @@ _DIGIT_VALUES = bytes(range(10))
 _DIGITS = bytes.maketrans(_DIGIT_VALUES, b"0123456789")
 
 
-def _int_items(value, sep: str) -> str:
+def _int_items(value, sep: str) -> Tuple[str, str]:
     """The JSON items of a list of plain ints or of bytes, with sep between
-    them: digits as _digit_items writes them, anything else by one C
-    encoder call, its items split at ", "."""
+    them, as _digit_items splits them: digits as it writes them, anything
+    else by one C encoder call, its items split at ", "."""
     digits = _digit_items(value, sep)
     if digits is None:
-        return json.dumps(list(value))[1:-1].replace(", ", sep)
+        return "", json.dumps(list(value))[1:-1].replace(", ", sep)
     return digits
 
 
-def _digit_items(value, sep: str) -> Optional[str]:
+def _digit_items(value, sep: str) -> Optional[Tuple[str, str]]:
     """The ints of value written with sep between them when every one is a
     digit 0..9, as in the table of a fold into a small algebra; else None.
 
-    bytes(value) then holds one byte per item, and each item is one ASCII
-    digit: the separators are laid down once, and the digits written into
-    every (1 + len(sep))-th place.
+    The text comes in two parts: the first item, then a sep and an item
+    for each item after it.  bytes(value) holds one byte per item, which
+    translates to one ASCII digit; str.replace of "" then writes sep
+    before each digit after the first, in one pass into a buffer of the
+    final size.  An empty value is ("", ""), since replace reads a count
+    of -1 as every place.
     """
     try:
         raw = bytes(value)  # bytes come back as they are
@@ -427,10 +435,8 @@ def _digit_items(value, sep: str) -> Optional[str]:
         return None
     if raw.translate(None, _DIGIT_VALUES):
         return None
-    buf = bytearray(b"0" + sep.encode()) * len(raw)
-    buf[:: 1 + len(sep)] = raw.translate(_DIGITS)
-    del buf[len(buf) - len(sep) :]
-    return buf.decode()
+    digits = raw.translate(_DIGITS).decode()
+    return digits[:1], digits[1:].replace("", sep, max(len(digits) - 1, 0))
 
 
 # -- entry point -------------------------------------------------------------

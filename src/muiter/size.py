@@ -72,7 +72,7 @@ class PlumpBackend:
 
     name = "plump"
 
-    __slots__ = ("base", "extended", "bottom_op", "join_op")
+    __slots__ = ("base", "extended", "bottom_op", "join_op", "nullary")
 
     def __init__(self, base: Signature):
         labels = [base.op_label(op) for op in base.ops]
@@ -83,6 +83,7 @@ class PlumpBackend:
         self.extended = Signature(ops, arities)
         self.bottom_op = base.ops.size
         self.join_op = base.ops.size + 1
+        self.nullary = tuple(op for op, a in enumerate(arities) if a.size == 0)
 
     def lt(self, i: WTree, j: WTree) -> bool:
         return i.height() < j.height()
@@ -132,18 +133,37 @@ class PlumpBackend:
         ]
 
     def sample_tree(self, rng: random.Random, max_height: int) -> WTree:
-        """A uniform-ish random tree of height at most max_height."""
-        nullary = [
-            op for op in self.extended.ops if self.extended.arities[op].size == 0
-        ]
-        if max_height == 0:
-            return WTree(rng.choice(nullary))
-        op = rng.randrange(self.extended.ops.size)
-        kids = tuple(
-            self.sample_tree(rng, max_height - 1)
-            for _ in range(self.extended.arities[op].size)
-        )
-        return WTree(op, kids)
+        """A uniform-ish random tree of height at most max_height.
+
+        Drawn in pre-order: a node at height budget 0 is a uniform nullary
+        op, any other node a uniform op whose children are drawn left to
+        right at one less.  The nodes still waiting for children sit on a
+        stack, so the depth of the tree costs no recursion.
+        """
+        arities = [a.size for a in self.extended.arities]
+        open_nodes: list = []  # (op, children drawn so far), root first
+        while True:
+            # draw one node with max_height left
+            if max_height == 0:
+                tree = WTree(rng.choice(self.nullary))
+            else:
+                op = rng.randrange(len(arities))
+                if arities[op]:
+                    open_nodes.append((op, []))
+                    max_height -= 1
+                    continue
+                tree = WTree(op)
+            # hand it to its parent, closing every node it completes
+            while open_nodes:
+                op, kids = open_nodes[-1]
+                kids.append(tree)
+                if len(kids) < arities[op]:
+                    break
+                open_nodes.pop()
+                tree = WTree(op, kids)
+                max_height += 1
+            else:
+                return tree
 
 
 def kappa_sigma(sig: Signature) -> PlumpBackend:

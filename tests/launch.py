@@ -50,7 +50,8 @@ def run_limited(tmp_path, text):
     """Run a script in a child limited to 1 GiB of address space.
 
     Returns the exit code, the JSON payload, the wall time in seconds and
-    the child's peak RSS in bytes (ru_maxrss is in KiB on Linux).
+    the child's peak RSS in bytes (ru_maxrss is in KiB on Linux).  A
+    traceback on the child's stderr fails the calling test.
     """
     script, out = tmp_path / "script.mi", tmp_path / "out.json"
     script.write_text(text)
@@ -64,6 +65,7 @@ def run_limited(tmp_path, text):
         check=True,
     )
     wall = time.perf_counter() - start
+    assert "Traceback" not in done.stderr, done.stderr
     code, maxrss = map(int, done.stdout.split())
     payload = json.loads(out.read_text()) if out.stat().st_size else None
     return code, payload, wall, maxrss * 1024

@@ -310,6 +310,21 @@ def _tuples(pool: Sequence, n: int) -> Iterable[tuple]:
             yield (head,) + rest
 
 
+def reference_sample_tree(backend, rng, max_height: int) -> WTree:
+    """PlumpBackend.sample_tree by recursion: the same rng calls in the same
+    order, one frame per level of the tree."""
+    ext = backend.extended
+    nullary = [op for op in ext.ops if ext.arities[op].size == 0]
+    if max_height == 0:
+        return WTree(rng.choice(nullary))
+    op = rng.randrange(ext.ops.size)
+    kids = tuple(
+        reference_sample_tree(backend, rng, max_height - 1)
+        for _ in range(ext.arities[op].size)
+    )
+    return WTree(op, kids)
+
+
 def reference_nu(
     functor: FunctorExpr,
     budget: int = DEFAULT_BUDGET,

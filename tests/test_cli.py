@@ -556,6 +556,17 @@ def test_powers_run_in_bounded_time_and_memory(tmp_path, text, code):
     assert rss < 100 * 2**20
 
 
+def test_check_samples_deep_trees_in_bounded_time_and_memory(tmp_path):
+    # trees of height up to 900 over bottom and join: a few pass 500 levels,
+    # past the recursion limit of a sampler that recurses per level
+    text = "check size plump samples 200 depth 900 seed 1\n"
+    code, payload, wall, rss = run_limited(tmp_path, text)
+    assert code == 0
+    assert all(c["ok"] for c in payload["reports"][0]["checks"])
+    assert wall < 5
+    assert rss < 100 * 2**20
+
+
 GUARDED = """\
 F = 1 + X*X
 G = 3
@@ -751,6 +762,21 @@ def test_json_output_bytes_are_pinned(tmp_path, capsys, script, exit_code, diges
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the text output, taken from the commit before digit tables were
+# written by one interleave pass: the text writer's 458,330-entry table
+PINNED_TEXT = {
+    "cata-stage-6": "22047ea286dff169beaea089f242f4b721d9c19e56a4ef5ea67adf0cc82fc7b5",
+}
+
+
+@pytest.mark.parametrize("name", PINNED_TEXT)
+def test_text_output_bytes_are_pinned(tmp_path, capsys, name):
+    script, exit_code, _ = PINNED_JSON[name]
+    code, out, err = run_cli(tmp_path, capsys, script)
+    assert (code, err) == (exit_code, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_TEXT[name]
+
+
 def stdlib_json(payload) -> str:
     """The reference rendering render_json must match byte for byte."""
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -838,6 +864,20 @@ def test_render_text_writes_a_table_as_its_list():
         tables.append(rng.choice([bytes, tuple, list])(table) if narrow else table)
     for table in tables:
         payload = {"reports": [{"command": "cata", "fold": {"size": 9, "table": table}}]}
+        assert render_text(payload) == f"cata\n  fold: {list(table)}\n"
+
+
+@pytest.mark.parametrize("length", [0, 1, 2, 100_001])
+def test_digit_tables_of_any_length_render_as_their_list(length):
+    # the first digit is written apart from the rest, and none is dropped
+    raw = bytes(random.Random(length).choices(range(10), k=length))
+    for table in (raw, tuple(raw), list(raw)):
+        for nest in (
+            lambda t: {"table": t},
+            lambda t: {"reports": [{"fold": {"size": 10, "table": t}}]},
+        ):
+            assert render_json(nest(table)) == stdlib_json(nest(list(table)))
+        payload = {"reports": [{"command": "cata", "fold": {"size": 10, "table": table}}]}
         assert render_text(payload) == f"cata\n  fold: {list(table)}\n"
 
 

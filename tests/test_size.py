@@ -15,7 +15,7 @@ from muiter.size import (
     nat_backend,
     successor_tower,
 )
-from reference import wtype_enumerate
+from reference import reference_sample_tree, wtype_enumerate
 
 BIN = Signature.of(0, 2, labels=["leaf", "node"])
 
@@ -228,6 +228,43 @@ def test_filtered_sample_check_rejects_wrong_width():
     backend = kappa_sigma(BIN)
     with pytest.raises(ShapeMismatch):
         filtered_sample_check(backend, [(1, (backend.bottom(),))])
+
+
+# -- sampling -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "sig", [Signature.of(), Signature.of(0, 2), Signature.of(0, 1, 3)], ids=str
+)
+def test_sample_tree_draws_the_trees_of_the_recursive_reference(sig):
+    backend = kappa_sigma(sig)
+    for seed in range(200):
+        rng, ref = random.Random(seed), random.Random(seed)
+        got = backend.sample_indices(rng, 5, 6)
+        want = [reference_sample_tree(backend, ref, ref.randint(0, 6)) for _ in range(5)]
+        assert all(g is w for g, w in zip(got, want))
+        assert rng.getstate() == ref.getstate()
+
+
+class AlwaysFirst:
+    """An rng stub that draws op 0, and the first nullary op at height 0."""
+
+    def randrange(self, n):
+        return 0
+
+    def choice(self, seq):
+        return seq[0]
+
+
+def test_sample_tree_builds_a_deep_path_without_recursion():
+    # op 0 is unary: the tree is a path of 5,000 of them over bottom
+    backend = kappa_sigma(Signature.of(1))
+    tree = backend.sample_tree(AlwaysFirst(), 5000)
+    assert tree.height() == 5000
+    for _ in range(5000):
+        assert tree.op == 0
+        (tree,) = tree.children
+    assert tree is backend.bottom()
 
 
 # -- hash-consing ---------------------------------------------------------------
