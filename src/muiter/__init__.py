@@ -20,7 +20,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .finset import FiniteFn, FiniteSet
-from .signature import Signature, WTree, signature_sum
+from .signature import Signature, WTree
 from .size import (
     filtered_sample_check,
     height,
@@ -46,7 +46,6 @@ from .functors import (
     SymContainer,
     eval_functor,
     eval_functor_mor,
-    infer_signature,
 )
 from .iteration import (
     AlgebraSpec,
@@ -84,7 +83,6 @@ __all__ = [
     "FiniteFn",
     "Signature",
     "WTree",
-    "signature_sum",
     "nat_backend",
     "kappa_sigma",
     "filtered_sample_check",
@@ -105,7 +103,6 @@ __all__ = [
     "MuParam",
     "eval_functor",
     "eval_functor_mor",
-    "infer_signature",
     "IterationState",
     "AlgebraSpec",
     "inflationary_iterate",

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional
 from .colimit import Diagram, subdiagram_colimit
 from .errors import BudgetExceeded
 from .finset import FiniteFn, FiniteSet
-from .functors import FunctorExpr, eval_functor, eval_functor_mor, expr_arity, preserves_chain_colimit
+from .functors import FunctorExpr, eval_functor_mor, expr_arity, preserves_chain_colimit
 from .size import PlumpBackend, filtered_sample_check, height
 
 

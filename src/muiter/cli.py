@@ -36,7 +36,7 @@ from .errors import (
     NonFunctorialDiagram,
 )
 from .finset import FiniteFn, FiniteSet
-from .functors import FunctorExpr, eval_functor, expr_arity, infer_signature
+from .functors import eval_functor, expr_arity
 from .iteration import (
     DEFAULT_BUDGET,
     AlgebraSpec,
@@ -85,16 +85,18 @@ class _Env:
         return expr
 
 
-def _backend_for(env: _Env, spec: str, line: int, expr: Optional[FunctorExpr]):
+def _backend_for(env: _Env, spec: str, line: int):
     """The size backend that spec names: nat, plump, or plump:<sig>.
 
-    Bare plump orders trees over expr's signature, or over no operations
-    without an expression; only this branch infers it.
+    Bare plump orders the trees built from bottom and join alone, over no
+    operations; plump:<sig> adds the operations of a declared signature.
+    The signature of indexes is chosen with the order, not read off the
+    functor.
     """
     if spec == "nat":
         return nat_backend()
     if spec == "plump":
-        return kappa_sigma(Signature.of() if expr is None else infer_signature(expr))
+        return kappa_sigma(Signature.of())
     if spec.startswith("plump:"):
         name = spec.split(":", 1)[1]
         if name not in env.sigs:
@@ -162,7 +164,7 @@ class Runner:
                 )
         size = self.opt_size(cmd)
         budget = self.opt_budget(cmd)
-        backend = _backend_for(self.env, size, cmd.line, expr)
+        backend = _backend_for(self.env, size, cmd.line)
         return expr, size, budget, backend
 
     def base_report(self, cmd: Command, size: Optional[str], budget: Optional[int]) -> dict:
@@ -273,7 +275,7 @@ class Runner:
             )
         seed = cmd.option("seed", self.defaults.get("seed", 0))
         depth = cmd.option("depth", self.defaults.get("depth", 3))
-        backend = _backend_for(self.env, size, cmd.line, None)
+        backend = _backend_for(self.env, size, cmd.line)
         results = run_checks(
             backend,
             functors=self.env.functors,

@@ -1,11 +1,8 @@
-"""Functor expressions over finite sets: evaluation and signature inference.
+"""Functor expressions over finite sets: evaluation on objects and maps.
 
 Expressions form a small AST.  eval_functor computes the object part on a
 tuple of argument sets, eval_functor_mor the morphism part on a tuple of
-functions.  infer_signature attributes to every expression the operation
-signature that bounds its branching: leaves contribute nothing, containers
-contribute their own signature, and every composite contributes the tagged
-sum of its children's attributions.
+functions.
 """
 
 from __future__ import annotations
@@ -24,7 +21,6 @@ from .finset import (
     sum_slices,
     then_table,
 )
-from .signature import Signature, empty_signature, signature_sum
 from .size import nat_backend
 
 
@@ -354,28 +350,6 @@ def _sym_map(k: int, f: FiniteFn) -> FiniteFn:
         for ms in combinations_with_replacement(range(f.dom.size), k)
     ]
     return FiniteFn(FiniteSet(len(table)), FiniteSet(last + 1), table)
-
-
-def infer_signature(e: FunctorExpr) -> Signature:
-    """Attribute a bounding signature to the expression."""
-    if isinstance(e, (Identity, Projection, Constant)):
-        return empty_signature()
-    if isinstance(e, Container):
-        return e.sig
-    if isinstance(e, SymContainer):
-        return Signature.of(e.arity)
-    if isinstance(e, (Sum, Product)):
-        return signature_sum([infer_signature(p) for p in e.parts])
-    if isinstance(e, Power):
-        sig = infer_signature(e.base) if e.exponent else empty_signature()
-        # n copies of no operations are no operations: build no list
-        return signature_sum([sig] * e.exponent) if sig.ops.size else sig
-    if isinstance(e, Compose):
-        children = (e.outer,) + e.inner
-        return signature_sum([infer_signature(c) for c in children])
-    if isinstance(e, MuParam):
-        return infer_signature(e.body)
-    raise ShapeMismatch(f"unknown expression node {type(e).__name__}")
 
 
 def apply_diagram(e: FunctorExpr, d: Diagram) -> Diagram:

@@ -4,7 +4,9 @@ A signature is a finite set of operation symbols, each with a finite arity
 set.  Applying a signature to a set X (functors.Container) yields the
 tagged sum over operations of the tables arity(op) -> X, the powers
 X**|arity(op)|; iterating that from the empty set enumerates trees of
-bounded height.
+bounded height.  A signature also indexes the tree order
+(size.kappa_sigma): Signature.of() for bare plump, a declared one for
+plump:<sig>.  It is chosen with the order, never read off a functor.
 """
 
 from __future__ import annotations
@@ -56,21 +58,6 @@ class Signature:
             f"{self.op_label(op)}:{self.arities[op].size}" for op in self.ops
         )
         return f"Signature({body})"
-
-
-def empty_signature() -> Signature:
-    return Signature(FiniteSet(0), [])
-
-
-def signature_sum(parts: Sequence[Signature]) -> Signature:
-    """Disjoint union of signatures; operations become tagged pairs."""
-    labels = []
-    arities = []
-    for tag, sig in enumerate(parts):
-        for op in sig.ops:
-            labels.append(f"{tag}.{sig.op_label(op)}")
-            arities.append(sig.arities[op])
-    return Signature(FiniteSet(len(arities), labels=labels), arities)
 
 
 # every tree ever built, keyed by (op, children); children are interned

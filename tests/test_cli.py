@@ -533,8 +533,7 @@ def test_a_cap_stop_on_a_carrier_of_unbounded_length_is_a_report(tmp_path, text,
     assert rss < 100 * 2**20
 
 
-# A^n is one power node, sized |A| ** n, and only bare plump infers a
-# signature, which is linear in n for a container base
+# A^n is one power node, sized |A| ** n, so a stop costs nothing linear in n
 @pytest.mark.parametrize(
     "text, code",
     [
@@ -554,6 +553,56 @@ def test_powers_run_in_bounded_time_and_memory(tmp_path, text, code):
         assert all(c["ok"] for c in report["checks"])
     assert wall < 5
     assert rss < 100 * 2**20
+
+
+def test_bare_plump_reads_nothing_of_a_power_of_a_container(tmp_path):
+    # bare plump orders trees over no operations, whatever the functor
+    text = "sig S = a:0 | b:2\nF = 1 + S^1000000\nmu F size plump\n"
+    code, payload, wall, rss = run_limited(tmp_path, text)
+    assert code == 2
+    report = payload["reports"][0]
+    assert report["error"] == {
+        "type": "budget-exceeded",
+        "message": "carrier of size at least 2**2321928 exceeds the cap 500000",
+    }
+    assert report["stages"] == [
+        {"index": "bot", "size": 0},
+        {"index": "succ(bot)", "size": 2},
+    ]
+    assert wall < 1
+    assert rss < 64 * 2**20
+
+
+CONTAINERS = """\
+sig Tree = leaf:0 | node:2
+T = 1 + Tree*Tree
+K = 1 + compose(Tree, 2)
+alg A : T 2 = 0 1 1 0 0 1 0 1 1 0 0 1 0 1 1 0 0 1 0 1 1 0 0 1 0 1
+alg B : K 3 = 0 1 2 0 1 2
+iterate T depth 3
+mu K
+cata T A stage 2
+cata K B
+"""
+
+
+def test_the_signature_of_a_plump_order_changes_only_the_size_header(tmp_path, capsys):
+    # the tower's indices are bottom and its successors under any signature,
+    # so a functor's containers need not reach the order
+    runs = {}
+    for size in ("plump", "plump:Tree"):
+        code, payload, _ = run_json(tmp_path, capsys, CONTAINERS, "--size", size)
+        assert code == 0
+        assert [r.pop("size") for r in payload["reports"]] == [size] * 4
+        runs[size] = payload
+    assert runs["plump"] == runs["plump:Tree"]
+    iterate, mu, cata_stage, cata = runs["plump"]["reports"]
+    assert [s["index"] for s in iterate["stages"]] == [
+        "bot", "succ(bot)", "succ(succ(bot))"
+    ]
+    assert mu["stationaryAt"] == 2 and mu["iota"]["size"] == 6
+    assert len(cata_stage["fold"]["table"]) == 26
+    assert cata["fold"]["size"] == 3
 
 
 def test_check_samples_deep_trees_in_bounded_time_and_memory(tmp_path):

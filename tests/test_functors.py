@@ -28,10 +28,9 @@ from muiter.functors import (
     eval_functor,
     eval_functor_mor,
     expr_arity,
-    infer_signature,
     preserves_chain_colimit,
 )
-from muiter.signature import Signature, empty_signature
+from muiter.signature import Signature
 from reference import (
     Relation,
     container_blocks,
@@ -318,22 +317,6 @@ def test_sym_container_map_acts_on_multisets():
         assert mor.table[src(enc)] == dst(product_encode(dst_sizes, u))
 
 
-# -- signature attribution ---------------------------------------------------------
-
-
-def test_infer_signature():
-    assert infer_signature(Identity()) == empty_signature()
-    assert infer_signature(Constant(FiniteSet(5))) == empty_signature()
-    assert infer_signature(Container(BIN)) == BIN
-    sym = infer_signature(SymContainer(3))
-    assert sym.ops.size == 1 and sym.arities[0].size == 3
-    assert infer_signature(POLY) == empty_signature()
-    both = infer_signature(Sum((Container(BIN), SymContainer(2))))
-    assert both.ops.size == 3
-    assert [a.size for a in both.arities] == [0, 2, 2]
-    assert infer_signature(MuParam(Container(BIN))) == BIN
-
-
 # one of each node kind; a node missing here is missing from a dispatcher's test
 NODES = {
     Identity: Identity(),
@@ -355,7 +338,6 @@ def test_every_node_kind_is_handled_by_every_dispatcher():
     for e in NODES.values():
         # each raises "unknown expression node" on a kind it does not handle
         expr_arity(e)
-        infer_signature(e)
         fe = eval_functor(e, (f.cod, f.cod))
         assert eval_functor_mor(e, (f, f)).cod == fe
         post = FiniteFn.identity(fe)
@@ -383,8 +365,6 @@ POWER_BASES = [
 def test_a_power_is_the_product_of_its_copies(base, n, sizes, rng):
     power, product = Power(base, n), Product((base,) * n)
     assert expr_arity(power) == expr_arity(product)
-    assert repr(infer_signature(power)) == repr(infer_signature(product))
-    assert infer_signature(power) == infer_signature(product)
     if expr_arity(product) == 0:
         # no arguments at all: the base is never evaluated
         assert eval_functor(power, ()) == eval_functor(product, ()) == FiniteSet(1)

@@ -22,7 +22,6 @@ from muiter.functors import (
     SymContainer,
     eval_functor,
     eval_functor_mor,
-    infer_signature,
 )
 from muiter.iteration import (
     AlgebraSpec,
@@ -302,7 +301,7 @@ FOLD_FUNCTORS = [
 def test_catamorphism_matches_the_two_step_reference(functor, size):
     # the reference builds F(fold_j) and then maps it through the structure
     backend = (
-        nat_backend() if size == "nat" else kappa_sigma(infer_signature(functor))
+        nat_backend() if size == "nat" else kappa_sigma(Signature.of())
     )
     tower = successor_tower(backend, 6)
     state = inflationary_iterate(functor, backend, tower)
@@ -322,7 +321,7 @@ def test_catamorphism_matches_the_two_step_reference(functor, size):
 )
 def test_tower_fold_matches_the_colimit_fold_at_every_stage(functor, size):
     backend = (
-        nat_backend() if size == "nat" else kappa_sigma(infer_signature(functor))
+        nat_backend() if size == "nat" else kappa_sigma(Signature.of())
     )
     indices = successor_tower(backend, 6)
     state = inflationary_iterate(functor, backend, indices)
@@ -803,7 +802,7 @@ def test_a_nested_mu_is_sized_as_its_table_built_chain(node):
 )
 def test_mu_by_sizes_agrees_with_the_colimit_chain(functor, limits, size):
     backend = (
-        nat_backend() if size == "nat" else kappa_sigma(infer_signature(functor))
+        nat_backend() if size == "nat" else kappa_sigma(Signature.of())
     )
     assert mu_outcome(mu_initial_algebra, functor, backend, **limits) == mu_outcome(
         reference_mu, functor, backend, **limits

@@ -9,12 +9,7 @@ from hypothesis import strategies as st
 from muiter.errors import ShapeMismatch
 from muiter.finset import FiniteFn, FiniteSet
 from muiter.functors import Container, eval_functor, eval_functor_mor
-from muiter.signature import (
-    Signature,
-    WTree,
-    empty_signature,
-    signature_sum,
-)
+from muiter.signature import Signature, WTree
 from launch import child_env
 from reference import container_decode, container_encode, wtype_enumerate
 
@@ -26,7 +21,7 @@ def test_signature_of():
     assert BIN.arities[0].size == 0
     assert BIN.arities[1].size == 2
     assert BIN.op_label(1) == "node"
-    assert empty_signature().ops.size == 0
+    assert Signature.of().ops.size == 0
     with pytest.raises(ShapeMismatch):
         Signature(FiniteSet(2), [FiniteSet(0)])
 
@@ -35,15 +30,6 @@ def test_signature_equality_is_structural():
     assert BIN == Signature.of(0, 2)
     assert BIN != Signature.of(0, 1)
     assert hash(BIN) == hash(Signature.of(0, 2))
-
-
-def test_signature_sum_concatenates():
-    s = signature_sum([BIN, Signature.of(1, labels=["wrap"])])
-    assert s.ops.size == 3
-    assert [a.size for a in s.arities] == [0, 2, 1]
-    # labels carry the originating part to keep same-named ops apart
-    assert s.op_label(2) == "1.wrap"
-    assert s.op_label(0) == "0.leaf"
 
 
 def test_wtree_basics():
@@ -110,7 +96,7 @@ def test_container_apply_sizes_match_enumeration():
         BIN,
         Signature.of(0, 1, 3),
         Signature.of(0, 0),
-        empty_signature(),
+        Signature.of(),
         Signature.of(2,),
     )
     for sig in sigs:
@@ -205,4 +191,4 @@ def test_wtype_enumerate_counts_iterated_application():
 
 
 def test_wtype_enumerate_empty_signature():
-    assert wtype_enumerate(empty_signature(), 3) == []
+    assert wtype_enumerate(Signature.of(), 3) == []
