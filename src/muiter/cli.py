@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 for usage, parse, or script-level errors, 2 when
 an iteration hits its stage budget (the partial profile is still printed),
-3 for internal invariant violations (including failed `check` suites).
+3 for internal invariant violations (including failed `check` suites).  A
+reader of stdout that goes away before the report is written gives 1, with
+the rest of the report dropped and no traceback.
 
 `check samples N` takes at most MAX_SAMPLES (100,000) samples; a larger N
 is a usage error, raised before any sampling.  At `depth 0` (or --depth 0)
@@ -20,6 +22,7 @@ usage and help texts are fixed at 80 columns.  A bad argv, and a negative
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
 from typing import Dict, List, Optional, Tuple
@@ -294,8 +297,13 @@ class Runner:
 # -- rendering -------------------------------------------------------------
 
 
-def render_text(payload: dict) -> str:
-    out = []  # lines with their newlines, and a digit table in three parts
+def render_text(payload: dict, write=None) -> Optional[str]:
+    """Hand payload's text report to write in pieces, or return it whole
+    when no write is given.  A table is written as its list."""
+    if write is None:
+        out: list = []
+        render_text(payload, out.append)
+        return "".join(out)
     for report in payload["reports"]:
         header = report["command"]
         for k in ("functor", "algebra"):
@@ -310,135 +318,128 @@ def render_text(payload: dict) -> str:
         ]
         if opts:
             header += "  (" + ", ".join(opts) + ")"
-        out.append(header + "\n")
+        write(header + "\n")
         if "error" in report:
-            out.append(f"  error[{report['error']['type']}]: {report['error']['message']}\n")
-        for stage in report.get("stages", ()):
-            out.append(f"  D[{stage['index']}] size={stage['size']}\n")
+            write(f"  error[{report['error']['type']}]: {report['error']['message']}\n")
+        stages = report.get("stages", ())
+        write("".join([f"  D[{s['index']}] size={s['size']}\n" for s in stages]))
         if "stationaryAt" in report:
-            out.append(f"  stationary at stage {report['stationaryAt']}\n")
+            write(f"  stationary at stage {report['stationaryAt']}\n")
         if "mu" in report:
-            out.append(f"  mu size={report['mu']['size']}\n")
+            write(f"  mu size={report['mu']['size']}\n")
         if "nu" in report:
-            out.append(f"  nu size={report['nu']['size']}\n")
+            write(f"  nu size={report['nu']['size']}\n")
         for k in ("iota", "unit", "fold"):
             if k in report:
                 table = report[k]["table"]
-                digits = _digit_items(table, ", ")
-                if digits is None:
-                    out.append(f"  {k}: {list(table)}\n")
-                else:
-                    out.extend((f"  {k}: [{digits[0]}", digits[1], "]\n"))
+                write(f"  {k}: [")
+                if table:
+                    _write_table(table, ", ", write)
+                write("]\n")
         for c in report.get("checks", ()):
             mark = "ok  " if c["ok"] else "FAIL"
-            out.append(f"  {mark} {c['name']}: {c['detail']}\n")
-    return "".join(out)
+            write(f"  {mark} {c['name']}: {c['detail']}\n")
 
 
-_LEAF_TYPES = (str, int, float, bool, type(None))
+def render_json(payload: dict, write=None) -> Optional[str]:
+    """Hand ``json.dumps(payload, sort_keys=True, indent=2)`` and a newline
+    to write in pieces, or return it whole when no write is given.
 
-
-def render_json(payload: dict) -> str:
-    """``json.dumps(payload, sort_keys=True, indent=2)`` plus a newline.
-
-    Byte for byte the same text, but the stdlib falls back to its
-    pure-Python encoder under ``indent`` and walks a fold table one entry
-    at a time.  Here every list of plain ints, and every ``bytes`` table
-    (written as the list of its ints), is written whole: when its values
-    are all digits, by one pass that interleaves its digits with the line
-    separators, and otherwise by one C encoder call, its items then split
-    onto lines.  The final join is then the only other copy of a table's
-    text.  A dict whose values are all plain strs and ints, such as a
-    profile's stage, is written in one pass; every other leaf is its own
-    ``json.dumps``.  A value outside the types written below raises
-    TypeError.
+    The stdlib's indenting encoder walks a table one entry at a time; here
+    a list of plain ints, or ``bytes`` (the list of its ints), goes by
+    _write_table, and a dict of plain strs and ints (a profile's stage) is
+    one piece, as is a list of them.  Any other type raises TypeError.
     """
-    out: list = []
-    _write_json(payload, "\n", out)
-    out.append("\n")
-    return "".join(out)
+    if write is None:
+        out: list = []
+        _write_json(payload, "\n", out.append)
+        out.append("\n")
+        return "".join(out)
+    _write_json(payload, "\n", write)
+    write("\n")
 
 
-def _write_json(value, newline: str, out: list) -> None:
-    """Append value's indented JSON; newline is "\\n" plus its indent."""
+def _write_json(value, newline: str, write) -> None:
+    """Write value's indented JSON; newline is "\\n" plus its indent."""
     kind = type(value)
     inner = newline + "  "
-    if kind is dict:
-        if not value:
-            out.append("{}")
-            return
+    flat = _flat_json(value, newline)
+    if flat is not None:
+        write(flat)
+    elif kind is dict:
         for key in value:
             if type(key) is not str:
                 raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
-        if all(type(v) is str or type(v) is int for v in value.values()):
-            # json.dumps writes a str through _quote and an int by its repr
-            items = ("," + inner).join([
-                f"{_quote(k)}: {_quote(v) if type(v) is str else int.__repr__(v)}"
-                for k, v in sorted(value.items())
-            ])
-            out.append("{" + inner + items + newline + "}")
-            return
         sep = "{" + inner
         for key in sorted(value):
-            out.append(sep + json.dumps(key) + ": ")
-            _write_json(value[key], inner, out)
+            write(sep + json.dumps(key) + ": ")
+            _write_json(value[key], inner, write)
             sep = "," + inner
-        out.append(newline + "}")
+        write(newline + "}")
     elif kind is list or kind is tuple or kind is bytes:
         if not value:
-            out.append("[]")
+            write("[]")
         elif kind is bytes or set(map(type, value)) == {int}:
-            head, rest = _int_items(value, "," + inner)
-            out.extend(("[" + inner + head, rest, newline + "]"))
+            write("[" + inner)
+            _write_table(value, "," + inner, write)
+            write(newline + "]")
         else:
+            flats = [_flat_json(item, inner) for item in value]
+            if None not in flats:  # a profile
+                write("[" + inner + ("," + inner).join(flats) + newline + "]")
+                return
             sep = "[" + inner
             for item in value:
-                out.append(sep)
-                _write_json(item, inner, out)
+                write(sep)
+                _write_json(item, inner, write)
                 sep = "," + inner
-            out.append(newline + "]")
-    elif kind in _LEAF_TYPES:
-        out.append(json.dumps(value))
+            write(newline + "]")
+    elif kind in (str, int, float, bool, type(None)):
+        write(json.dumps(value))
     else:
         raise TypeError(f"{kind.__name__} is not a JSON payload type")
 
 
-# json.dumps's writer of a str, and the values 0..9 as bytes with the table
-# that writes each as its digit
+def _flat_json(value, newline: str) -> Optional[str]:
+    """The JSON of a dict of str keys and plain str and int values, a str
+    as json.dumps writes it (_quote) and an int by its repr; else None."""
+    if type(value) is not dict:
+        return None
+    for k, v in value.items():
+        if type(k) is not str or (type(v) is not str and type(v) is not int):
+            return None
+    inner = newline + "  "
+    return "{" + inner + ("," + inner).join([
+        f"{_quote(k)}: {_quote(v) if type(v) is str else int.__repr__(v)}"
+        for k, v in sorted(value.items())
+    ]) + newline + "}" if value else "{}"
+
+
+# json.dumps's writer of a str; the values 0..9 as bytes, with the table
+# that writes each as its digit; and a piece's item count
 _quote = json.encoder.encode_basestring_ascii
 _DIGIT_VALUES = bytes(range(10))
 _DIGITS = bytes.maketrans(_DIGIT_VALUES, b"0123456789")
+_CHUNK = 4096
 
 
-def _int_items(value, sep: str) -> Tuple[str, str]:
-    """The JSON items of a list of plain ints or of bytes, with sep between
-    them, as _digit_items splits them: digits as it writes them, anything
-    else by one C encoder call, its items split at ", "."""
-    digits = _digit_items(value, sep)
-    if digits is None:
-        return "", json.dumps(list(value))[1:-1].replace(", ", sep)
-    return digits
-
-
-def _digit_items(value, sep: str) -> Optional[Tuple[str, str]]:
-    """The ints of value written with sep between them when every one is a
-    digit 0..9, as in the table of a fold into a small algebra; else None.
-
-    The text comes in two parts: the first item, then a sep and an item
-    for each item after it.  bytes(value) holds one byte per item, which
-    translates to one ASCII digit; str.replace of "" then writes sep
-    before each digit after the first, in one pass into a buffer of the
-    final size.  An empty value is ("", ""), since replace reads a count
-    of -1 as every place.
-    """
-    try:
-        raw = bytes(value)  # bytes come back as they are
-    except ValueError:  # a value outside 0..255
-        return None
-    if raw.translate(None, _DIGIT_VALUES):
-        return None
-    digits = raw.translate(_DIGITS).decode()
-    return digits[:1], digits[1:].replace("", sep, max(len(digits) - 1, 0))
+def _write_table(table, sep: str, write) -> None:
+    """Write the ints of a nonempty table with sep between them: the first
+    item, then pieces of _CHUNK items with sep before each item.  A piece
+    of digits 0..9, as a fold into a small algebra holds, becomes ASCII
+    digits that one str.replace of "" interleaves with sep; any other
+    piece is one sep.join of its ints' reprs."""
+    write(int.__repr__(table[0]))
+    for at in range(1, len(table), _CHUNK):
+        part = table[at:at + _CHUNK]
+        try:
+            raw = bytes(part)  # bytes come back as they are
+        except ValueError:  # a value outside 0..255
+            raw = b"\xff"  # so the piece is not written as digits
+        if raw.translate(None, _DIGIT_VALUES):
+            write(sep + sep.join(map(int.__repr__, part)))
+        else:
+            write(raw.translate(_DIGITS).decode().replace("", sep, len(raw)))
 
 
 # -- entry point -------------------------------------------------------------
@@ -626,7 +627,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         sys.stderr.write(f"error: {e}\n")
         return 1
     render = render_json if args["format"] == "json" else render_text
-    sys.stdout.write(render(payload))
+    try:
+        render(payload, sys.stdout.write)
+        sys.stdout.flush()  # a closed reader shows here, not at exit
+    except BrokenPipeError:  # the flush at exit then writes to nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return code
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import jsonschema
 import pytest
 
 import muiter
+from muiter import cli
 from muiter.cli import MAX_SAMPLES, _write_json, main, render_json, render_text
 from muiter.dsl import AlgDecl, Command, FuncDecl, SigDecl, parse_script
 from muiter.finset import FiniteFn, FiniteSet
@@ -873,7 +875,7 @@ def test_render_json_matches_the_stdlib_encoder_on_random_payloads():
     for _ in range(400):
         payload = {"reports": random_payload(rng, 4), "version": random_leaf(rng)}
         assert render_json(payload) == stdlib_json(payload)
-        _write_json(payload, "\n", [])  # covered without the stdlib fallback
+        _write_json(payload, "\n", [].append)  # covered without the stdlib fallback
 
 
 def digit_list(rng: random.Random):
@@ -945,6 +947,13 @@ def test_render_json_writes_profiles_like_the_stdlib_encoder():
         }
         payload = {"reports": [{"stages": stages, "flat": flat, "line": 3}]}
         assert render_json(payload) == stdlib_json(payload)
+    # a long profile is one piece, as is a list holding an empty dict; a
+    # list that mixes flat and nested dicts is written item by item
+    stages = [{"index": "succ(" * (n % 7) + "bot" + ")" * (n % 7), "size": n} for n in range(1500)]
+    nested = {"index": "x", "sizes": [1, 2], "deeper": {"a": 1}}
+    for items in (stages, [stages[0], nested, stages[1]], [nested, {}], [{}, {"a": "b"}]):
+        payload = {"reports": [{"stages": items, "line": 3}]}
+        assert render_json(payload) == stdlib_json(payload)
 
 
 def test_render_json_rejects_values_outside_the_payload_types():
@@ -955,6 +964,98 @@ def test_render_json_rejects_values_outside_the_payload_types():
     ):
         with pytest.raises(TypeError, match=rf"\b{kind}\b"):
             render_json(payload)
+
+
+C = cli._CHUNK
+
+# (name, values a table draws from): digits only, values 10..255 among
+# digits, values of 256 and above, and negative values
+TABLE_VALUES = [
+    ("digits", range(10)),
+    ("bytes", range(256)),
+    ("wide", range(1000)),
+    ("negative", range(-20, 10)),
+]
+
+
+def chunk_tables():
+    """Tables of every length around the piece size, as bytes, tuple and list."""
+    rng = random.Random(C)
+    for length in (0, 1, C - 1, C, C + 1, 2 * C, 2 * C + 1, 2 * C + 2):
+        for name, values in TABLE_VALUES:
+            items = rng.choices(values, k=length)
+            if length > C + 1:
+                # one piece of digits only, the next with a wide value last
+                items[1:C + 1] = rng.choices(range(10), k=C)
+                items[-1] = max(values)
+            kinds = (bytes, tuple, list) if min(values) >= 0 and max(values) < 256 else (tuple, list)
+            for kind in kinds:
+                yield f"{name}-{length}-{kind.__name__}", kind(items)
+
+
+def test_tables_at_the_piece_boundaries_render_as_their_list():
+    for name, table in chunk_tables():
+        payload = {"reports": [{"command": "cata", "fold": {"size": 9, "table": table}}]}
+        listed = {"reports": [{"command": "cata", "fold": {"size": 9, "table": list(table)}}]}
+        assert render_json(payload) == stdlib_json(listed), name
+        assert render_text(payload) == f"cata\n  fold: {list(table)}\n", name
+
+
+def test_main_writes_the_same_text_as_the_renderers(tmp_path, monkeypatch):
+    reports = [
+        {"command": "cata", "line": n, "fold": {"size": 9, "table": table}}
+        for n, (_, table) in enumerate(chunk_tables())
+    ]
+    payload = {"version": muiter.__version__, "reports": reports}
+    monkeypatch.setattr(cli.Runner, "run", lambda self: (0, payload))
+    script = tmp_path / "script.mi"
+    script.write_text("F = 1 + X\n")
+    for flags, render in (((), render_text), (("--format", "json"), render_json)):
+        sink = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", sink)
+        assert main([str(script), *flags]) == 0
+        assert sink.getvalue() == render(payload)
+
+
+FOLD_2 = PINNED_JSON["cata-stage-6"][0]
+FOLD_12 = PINNED_JSON["cata-12-stage-6"][0]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "text", ["F = 1 + X\niterate F depth 2\n", FOLD_2], ids=["tiny", "fold"]
+)
+def test_a_closed_reader_of_stdout_exits_1_without_a_traceback(tmp_path, text, fmt):
+    script = tmp_path / "script.mi"
+    script.write_text(text)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "muiter", str(script), "--format", fmt],
+            env=child_env(),
+            stdout=write,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert "Exception ignored" not in done.stderr
+
+
+@pytest.mark.parametrize("text", [FOLD_2, FOLD_12], ids=["2-element", "12-element"])
+def test_a_fold_report_is_written_in_bounded_memory(tmp_path, text):
+    # the 458,330-entry table's 6 MB of JSON goes out a piece at a time, so
+    # the run peaks about where a tiny script does
+    code, _, _, tiny_rss = run_limited(tmp_path, "F = 1 + X\niterate F depth 2\n")
+    assert code == 0
+    code, payload, _, rss = run_limited(tmp_path, text)
+    assert code == 0
+    assert len(payload["reports"][0]["fold"]["table"]) == 458330
+    assert rss - tiny_rss < 4 * 2**20
 
 
 def test_missing_file_is_a_usage_error(capsys):
