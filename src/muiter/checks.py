@@ -156,7 +156,7 @@ def check_chain_preservation(
         table = tuple(sorted(rng.sample(range(cod.size), dom.size)))
         arrows[(k, k + 1)] = FiniteFn(dom, cod, table)
     arrows[(0, 2)] = arrows[(0, 1)].then(arrows[(1, 2)])
-    chain = Diagram((0, 1, 2), ((0, 1), (1, 2), (0, 2)), objects, arrows)
+    chain = Diagram(objects, arrows)
     try:
         preserved = preserves_chain_colimit(expr, chain)
     except BudgetExceeded:
@@ -178,15 +178,13 @@ def check_cocone_laws(rng: random.Random, samples: int, depth: int) -> Dict:
             arrows[(1, 2)] = _random_fn(rng, objects[1], objects[2])
         if n1 and n2:
             arrows[(0, 2)] = arrows[(0, 1)].then(arrows[(1, 2)])
-        edges = list(arrows)
-        diagram = Diagram((0, 1, 2), tuple(edges), objects, arrows)
+        diagram = Diagram(objects, arrows)
         if not diagram.is_directed():
             continue
         cocone = subdiagram_colimit(diagram)
-        for (a, b) in edges:
-            lhs = diagram.arrows[(a, b)].then(cocone.legs[b])
-            if lhs != cocone.legs[a]:
-                return _fail(name, f"leg mismatch on edge {(a, b)} in trial {trial}")
+        for (a, b), f in arrows.items():
+            if f.then(cocone.legs[b]) != cocone.legs[a]:
+                return _fail(name, f"leg mismatch on arrow {(a, b)} in trial {trial}")
         covered = set()
         for leg in cocone.legs.values():
             covered.update(leg.table)

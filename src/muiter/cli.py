@@ -297,13 +297,9 @@ class Runner:
 # -- rendering -------------------------------------------------------------
 
 
-def render_text(payload: dict, write=None) -> Optional[str]:
-    """Hand payload's text report to write in pieces, or return it whole
-    when no write is given.  A table is written as its list."""
-    if write is None:
-        out: list = []
-        render_text(payload, out.append)
-        return "".join(out)
+def render_text(payload: dict, write) -> None:
+    """Hand payload's text report to write in pieces.  A table is written
+    as its list."""
     for report in payload["reports"]:
         header = report["command"]
         for k in ("functor", "algebra"):
@@ -341,20 +337,15 @@ def render_text(payload: dict, write=None) -> Optional[str]:
             write(f"  {mark} {c['name']}: {c['detail']}\n")
 
 
-def render_json(payload: dict, write=None) -> Optional[str]:
+def render_json(payload: dict, write) -> None:
     """Hand ``json.dumps(payload, sort_keys=True, indent=2)`` and a newline
-    to write in pieces, or return it whole when no write is given.
+    to write in pieces.
 
     The stdlib's indenting encoder walks a table one entry at a time; here
     a list of plain ints, or ``bytes`` (the list of its ints), goes by
     _write_table, and a dict of plain strs and ints (a profile's stage) is
     one piece, as is a list of them.  Any other type raises TypeError.
     """
-    if write is None:
-        out: list = []
-        _write_json(payload, "\n", out.append)
-        out.append("\n")
-        return "".join(out)
     _write_json(payload, "\n", write)
     write("\n")
 

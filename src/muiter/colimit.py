@@ -1,15 +1,17 @@
 """Colimits of finite-set diagrams as explicit quotients of disjoint sums.
 
-A Diagram indexes finite sets over an arbitrary hashable index type with a
-set of ordered edges; arrows must type-check and compose whenever all three
-edges of a triangle are present.  Colimits are computed by quotienting the
-tagged sum of the objects by the equivalence closure of single-edge
-witnesses: x in D(j) is identified with arrow(j,i)(x).
+A Diagram is its objects and its arrows: finite sets over hashable
+indices, whose order is the order the objects are given in, and
+functions between them keyed by (source, target) index pairs.  Arrows
+must type-check and compose whenever all three arrows of a triangle are
+present.  Colimits are computed by quotienting the tagged sum of the
+objects by the equivalence closure of single-arrow witnesses: x in D(j)
+is identified with arrow(j,i)(x).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Sequence, Tuple
+from typing import Dict, Hashable, Sequence, Tuple
 
 from .errors import (
     IllTypedArrow,
@@ -24,65 +26,48 @@ from .finset import FiniteFn, FiniteSet, concat_tables, quotient_pairs
 class Diagram:
     """Finite indexed family of sets and connecting functions.
 
-    indices: ordered sequence of distinct hashable index values.
-    edges: set of (j, i) pairs meaning j strictly precedes i.
-    objects: index -> FiniteSet.
+    objects: index -> FiniteSet; the index order is their insertion order,
+    read as the tuple indices.
     arrows: (j, i) -> FiniteFn from objects[j] to objects[i].
     """
 
-    __slots__ = ("indices", "edges", "objects", "arrows")
+    __slots__ = ("indices", "objects", "arrows")
 
     def __init__(
         self,
-        indices: Sequence[Hashable],
-        edges: Iterable[Tuple[Hashable, Hashable]],
         objects: Dict[Hashable, FiniteSet],
         arrows: Dict[Tuple[Hashable, Hashable], FiniteFn],
     ):
-        self.indices = tuple(indices)
-        self.edges = frozenset(edges)
         self.objects = dict(objects)
         self.arrows = dict(arrows)
+        self.indices = tuple(self.objects)
         self._validate()
 
     def _validate(self):
-        seen = set()
-        for i in self.indices:
-            if i in seen:
-                raise NonFunctorialDiagram(f"duplicate index {i!r}")
-            seen.add(i)
-            if i not in self.objects:
-                raise NonFunctorialDiagram(f"index {i!r} has no object")
-        for j, i in self.edges:
-            if j not in seen or i not in seen:
-                raise NoSuchIndex(f"edge ({j!r}, {i!r}) uses unknown index")
+        objects, arrows = self.objects, self.arrows
+        for (j, i), f in arrows.items():
+            if j not in objects or i not in objects:
+                raise NoSuchIndex(f"arrow ({j!r}, {i!r}) uses unknown index")
             if j == i:
-                raise NonFunctorialDiagram(f"self edge at {i!r}")
-            if (j, i) not in self.arrows:
-                raise NonFunctorialDiagram(f"edge ({j!r}, {i!r}) has no arrow")
-        for (j, i), f in self.arrows.items():
-            if (j, i) not in self.edges:
-                raise NonFunctorialDiagram(f"arrow ({j!r}, {i!r}) has no edge")
-            if f.dom != self.objects[j] or f.cod != self.objects[i]:
+                raise NonFunctorialDiagram(f"self arrow at {i!r}")
+            if f.dom != objects[j] or f.cod != objects[i]:
                 raise IllTypedArrow(
                     f"arrow ({j!r}, {i!r}) is {f.dom.size}->{f.cod.size}, "
-                    f"objects are {self.objects[j].size}->{self.objects[i].size}"
+                    f"objects are {objects[j].size}->{objects[i].size}"
                 )
         # triangles that are fully present must commute
-        for k, j in self.edges:
+        for k, j in arrows:
             for i in self.indices:
-                if (j, i) in self.edges and (k, i) in self.edges:
-                    left = self.arrows[(k, j)].then(self.arrows[(j, i)])
-                    if left != self.arrows[(k, i)]:
+                if (j, i) in arrows and (k, i) in arrows:
+                    left = arrows[(k, j)].then(arrows[(j, i)])
+                    if left != arrows[(k, i)]:
                         raise NonFunctorialDiagram(
                             f"triangle {k!r} -> {j!r} -> {i!r} does not commute"
                         )
 
     def is_directed(self) -> bool:
         """Every pair of indices laxly reaches a common index."""
-        reach = {
-            (j, i) for j, i in self.edges
-        } | {(i, i) for i in self.indices}
+        reach = set(self.arrows) | {(i, i) for i in self.indices}
         for a in self.indices:
             for b in self.indices:
                 if not any(
@@ -170,7 +155,7 @@ def subdiagram_colimit(d: Diagram) -> Cocone:
     """Colimit of a directed (or empty) diagram fragment.
 
     The apex is the sum of the objects, laid out block by block in index
-    order, modulo the closure of x ~ arrow(x) over every edge; classes are
+    order, modulo the closure of x ~ arrow(x) over every arrow; classes are
     numbered by least member of the sum, so the result is deterministic in
     the index order.  The quotient map's table on the sum is sliced into
     the legs.  Without arrows the quotient is the identity, so the apex is

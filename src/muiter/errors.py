@@ -14,7 +14,7 @@ class NonFunctorialDiagram(MuiterError):
 
 
 class NoSuchIndex(MuiterError):
-    """A referenced diagram index or edge does not exist."""
+    """A referenced diagram index does not exist."""
 
 
 class IllTypedArrow(MuiterError):

@@ -358,7 +358,7 @@ def apply_diagram(e: FunctorExpr, d: Diagram) -> Diagram:
     arrows = {
         edge: eval_functor_mor(e, (f,)) for edge, f in d.arrows.items()
     }
-    return Diagram(d.indices, d.edges, objects, arrows)
+    return Diagram(objects, arrows)
 
 
 def preserves_chain_colimit(e: FunctorExpr, d: Diagram) -> bool:

@@ -148,16 +148,13 @@ class IterationState:
                     f"stage budget {self.budget} exhausted", self.profile()
                 )
             objects = {j: self._apply_object(self.stages[j].carrier) for j in basis}
-            edges = []
-            arrows = {}
-            for a in basis:
-                for b in basis:
-                    if a != b and self.backend.leq(a, b):
-                        edges.append((a, b))
-                        arrows[(a, b)] = eval_functor_mor(
-                            self.functor, (self.connect(a, b),)
-                        )
-            cocone = subdiagram_colimit(Diagram(basis, edges, objects, arrows))
+            arrows = {
+                (a, b): eval_functor_mor(self.functor, (self.connect(a, b),))
+                for a in basis
+                for b in basis
+                if a != b and self.backend.leq(a, b)
+            }
+            cocone = subdiagram_colimit(Diagram(objects, arrows))
             self.stages[idx] = StageRecord(idx, basis, cocone)
         return self.stages[i]
 

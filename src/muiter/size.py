@@ -111,18 +111,10 @@ class PlumpBackend:
         while i.op == self.join_op and i.children[0] == i.children[1]:
             i = i.children[0]
             depth += 1
+        base = self.extended.ops.labels[i.op]
         if i.children:
-            inner = ", ".join(self.render(c) for c in i.children)
-            base = f"{self._op_label(i.op)}({inner})"
-        else:
-            base = self._op_label(i.op)
+            base += "(" + ", ".join(self.render(c) for c in i.children) + ")"
         return "succ(" * depth + base + ")" * depth
-
-    def _op_label(self, op: int) -> str:
-        labels = self.extended.ops.labels
-        if labels is not None and op < len(labels):
-            return labels[op]
-        return f"op{op}"
 
     def sample_indices(
         self, rng: random.Random, count: int, max_height: int
@@ -184,23 +176,27 @@ def filtered_sample_check(
     """Check that each sampled arity-indexed family has a strict upper bound.
 
     Each sample is (op, family) where op indexes an operation of the
-    backend's base signature (ignored by the numeric backend) and family is
-    a tuple of indices.  Returns (all_bounded, witnesses) with one witness
-    bound per sample.
+    backend's base signature and family is a tuple of indices.  A family
+    of an operation is bounded by that operation's node over it; one with
+    no base operation (any family under nat, or a tree backend's op past
+    its base signature) by the backend's join folded from bottom.
+    Returns (all_bounded, witnesses) with one witness bound per sample.
     """
     witnesses = []
     ok = True
     for op, family in samples:
         family = tuple(family)
-        if isinstance(backend, PlumpBackend):
-            want = backend.base.arities[op].size if op < backend.base.ops.size else None
-            if want is not None and want != len(family):
+        if isinstance(backend, PlumpBackend) and op < backend.base.ops.size:
+            want = backend.base.arities[op].size
+            if want != len(family):
                 raise ShapeMismatch(
                     f"family of size {len(family)} for op of arity {want}"
                 )
-            witness = WTree(op, family) if family else backend.bottom()
+            witness = WTree(op, family)
         else:
-            witness = max((i + 1 for i in family), default=backend.bottom())
+            witness = backend.bottom()
+            for member in family:
+                witness = backend.join(witness, member)
         witnesses.append(witness)
         for member in family:
             if not backend.lt(member, witness):

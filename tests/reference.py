@@ -164,7 +164,7 @@ def finite_cat_colimit(
                 f"arrow {src}->{dst} is {h.dom.size}->{h.cod.size}, "
                 f"objects are {objects[src].size}->{objects[dst].size}"
             )
-    shape = Diagram(indices, [], {i: objects[i] for i in indices}, {})
+    shape = Diagram({i: objects[i] for i in indices}, {})
     sizes = [o.size for o in objects]
     total = FiniteSet(sum(sizes))
     if not arrows:

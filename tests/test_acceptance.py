@@ -124,7 +124,7 @@ def chain2_diagrams(limit):
     for a, b in itertools.product(range(limit + 1), repeat=2):
         for t in all_tables(a, b):
             x, y = FiniteSet(a), FiniteSet(b)
-            yield Diagram((0, 1), [(0, 1)], {0: x, 1: y}, {(0, 1): FiniteFn(x, y, t)})
+            yield Diagram({0: x, 1: y}, {(0, 1): FiniteFn(x, y, t)})
 
 
 def three_index_diagrams(limit):
@@ -135,16 +135,12 @@ def three_index_diagrams(limit):
             for t2 in all_tables(b, c):
                 g = FiniteFn(y, z, t2)
                 yield Diagram(
-                    (0, 1, 2),
-                    [(0, 1), (1, 2), (0, 2)],
                     {0: x, 1: y, 2: z},
                     {(0, 1): f, (1, 2): g, (0, 2): f.then(g)},
                 )
         for t1 in all_tables(a, c):
             for t2 in all_tables(b, c):
                 yield Diagram(
-                    (0, 1, 2),
-                    [(0, 2), (1, 2)],
                     {0: x, 1: y, 2: z},
                     {(0, 2): FiniteFn(x, z, t1), (1, 2): FiniteFn(y, z, t2)},
                 )
@@ -171,8 +167,6 @@ def test_colimits_match_the_union_find_oracle():
         f = FiniteFn(x, y, tuple(rng.randrange(b) for _ in range(a)))
         g = FiniteFn(y, z, tuple(rng.randrange(c) for _ in range(b)))
         diagram = Diagram(
-            (0, 1, 2),
-            [(0, 1), (1, 2), (0, 2)],
             {0: x, 1: y, 2: z},
             {(0, 1): f, (1, 2): g, (0, 2): f.then(g)},
         )
@@ -310,7 +304,7 @@ def inclusion_chain(sizes):
     for j in range(len(sizes)):
         for i in range(j + 1, len(sizes)):
             arrows[(j, i)] = FiniteFn(objects[j], objects[i], tuple(range(sizes[j])))
-    return Diagram(tuple(range(len(sizes))), list(arrows), objects, arrows)
+    return Diagram(objects, arrows)
 
 
 def test_canonical_chain_comparison_is_bijective():

@@ -828,6 +828,13 @@ def test_text_output_bytes_are_pinned(tmp_path, capsys, name):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_TEXT[name]
 
 
+def rendered(render, payload) -> str:
+    """The whole text render_json or render_text hands its writer."""
+    out: list = []
+    render(payload, out.append)
+    return "".join(out)
+
+
 def stdlib_json(payload) -> str:
     """The reference rendering render_json must match byte for byte."""
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -874,7 +881,7 @@ def test_render_json_matches_the_stdlib_encoder_on_random_payloads():
     rng = random.Random(20211018)
     for _ in range(400):
         payload = {"reports": random_payload(rng, 4), "version": random_leaf(rng)}
-        assert render_json(payload) == stdlib_json(payload)
+        assert rendered(render_json, payload) == stdlib_json(payload)
         _write_json(payload, "\n", [].append)  # covered without the stdlib fallback
 
 
@@ -892,7 +899,7 @@ def test_render_json_writes_digit_lists_like_the_stdlib_encoder():
     fixed = [[0], (9,), [3, 0, 9], [10], [0, 10], [-1, 5], [True], [1, False]]
     for table in fixed + [digit_list(rng) for _ in range(300)]:
         payload = {"fold": {"size": 10, "table": table}, "tables": [table, [table]]}
-        assert render_json(payload) == stdlib_json(payload)
+        assert rendered(render_json, payload) == stdlib_json(payload)
     # a bytes table is written as the list of its ints: all digits, values
     # 10..255, and empty
     raws = [b"", b"\x00", b"\x09\x00\x03", bytes(range(10)) * 7, bytes(range(10, 256))]
@@ -900,7 +907,7 @@ def test_render_json_writes_digit_lists_like_the_stdlib_encoder():
     for raw in raws:
         payload = {"fold": {"size": 256, "table": raw}, "tables": [raw, [raw]]}
         listed = {"fold": {"size": 256, "table": list(raw)}, "tables": [list(raw), [list(raw)]]}
-        assert render_json(payload) == stdlib_json(listed)
+        assert rendered(render_json, payload) == stdlib_json(listed)
 
 
 def test_render_text_writes_a_table_as_its_list():
@@ -915,7 +922,7 @@ def test_render_text_writes_a_table_as_its_list():
         tables.append(rng.choice([bytes, tuple, list])(table) if narrow else table)
     for table in tables:
         payload = {"reports": [{"command": "cata", "fold": {"size": 9, "table": table}}]}
-        assert render_text(payload) == f"cata\n  fold: {list(table)}\n"
+        assert rendered(render_text, payload) == f"cata\n  fold: {list(table)}\n"
 
 
 @pytest.mark.parametrize("length", [0, 1, 2, 100_001])
@@ -927,9 +934,9 @@ def test_digit_tables_of_any_length_render_as_their_list(length):
             lambda t: {"table": t},
             lambda t: {"reports": [{"fold": {"size": 10, "table": t}}]},
         ):
-            assert render_json(nest(table)) == stdlib_json(nest(list(table)))
+            assert rendered(render_json, nest(table)) == stdlib_json(nest(list(table)))
         payload = {"reports": [{"command": "cata", "fold": {"size": 10, "table": table}}]}
-        assert render_text(payload) == f"cata\n  fold: {list(table)}\n"
+        assert rendered(render_text, payload) == f"cata\n  fold: {list(table)}\n"
 
 
 def test_render_json_writes_profiles_like_the_stdlib_encoder():
@@ -946,14 +953,14 @@ def test_render_json_writes_profiles_like_the_stdlib_encoder():
             for i in range(rng.randrange(4))
         }
         payload = {"reports": [{"stages": stages, "flat": flat, "line": 3}]}
-        assert render_json(payload) == stdlib_json(payload)
+        assert rendered(render_json, payload) == stdlib_json(payload)
     # a long profile is one piece, as is a list holding an empty dict; a
     # list that mixes flat and nested dicts is written item by item
     stages = [{"index": "succ(" * (n % 7) + "bot" + ")" * (n % 7), "size": n} for n in range(1500)]
     nested = {"index": "x", "sizes": [1, 2], "deeper": {"a": 1}}
     for items in (stages, [stages[0], nested, stages[1]], [nested, {}], [{}, {"a": "b"}]):
         payload = {"reports": [{"stages": items, "line": 3}]}
-        assert render_json(payload) == stdlib_json(payload)
+        assert rendered(render_json, payload) == stdlib_json(payload)
 
 
 def test_render_json_rejects_values_outside_the_payload_types():
@@ -963,7 +970,7 @@ def test_render_json_rejects_values_outside_the_payload_types():
         ({"keys": {2: "two"}}, "int"),
     ):
         with pytest.raises(TypeError, match=rf"\b{kind}\b"):
-            render_json(payload)
+            rendered(render_json, payload)
 
 
 C = cli._CHUNK
@@ -997,8 +1004,8 @@ def test_tables_at_the_piece_boundaries_render_as_their_list():
     for name, table in chunk_tables():
         payload = {"reports": [{"command": "cata", "fold": {"size": 9, "table": table}}]}
         listed = {"reports": [{"command": "cata", "fold": {"size": 9, "table": list(table)}}]}
-        assert render_json(payload) == stdlib_json(listed), name
-        assert render_text(payload) == f"cata\n  fold: {list(table)}\n", name
+        assert rendered(render_json, payload) == stdlib_json(listed), name
+        assert rendered(render_text, payload) == f"cata\n  fold: {list(table)}\n", name
 
 
 def test_main_writes_the_same_text_as_the_renderers(tmp_path, monkeypatch):
@@ -1014,7 +1021,7 @@ def test_main_writes_the_same_text_as_the_renderers(tmp_path, monkeypatch):
         sink = io.StringIO()
         monkeypatch.setattr(sys, "stdout", sink)
         assert main([str(script), *flags]) == 0
-        assert sink.getvalue() == render(payload)
+        assert sink.getvalue() == rendered(render, payload)
 
 
 FOLD_2 = PINNED_JSON["cata-stage-6"][0]

@@ -27,11 +27,11 @@ def all_tables(a: int, b: int):
 # -- reference construction ---------------------------------------------------
 
 
-def reference_colimit(sizes, edges, tables):
+def reference_colimit(sizes, tables):
     """Independent quotient of the disjoint sum by generated equivalence.
 
-    sizes: list of object sizes in index order; edges: list of (j, i);
-    tables: dict edge -> tuple.  Returns (class_count, legs) with legs a
+    sizes: list of object sizes in index order; tables: dict (j, i) ->
+    tuple, one per arrow.  Returns (class_count, legs) with legs a
     list of tuples, classes numbered by least member of the block layout.
     """
     offsets = []
@@ -52,9 +52,9 @@ def reference_colimit(sizes, edges, tables):
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
 
-    for (j, i) in edges:
+    for (j, i), table in tables.items():
         for x in range(sizes[j]):
-            union(offsets[j] + x, offsets[i] + tables[(j, i)][x])
+            union(offsets[j] + x, offsets[i] + table[x])
     roots = sorted({find(x) for x in range(total)})
     number = {r: c for c, r in enumerate(roots)}
     legs = [
@@ -76,7 +76,7 @@ def partitions(items):
         yield [(first,)] + part
 
 
-def is_smallest_compatible_partition(sizes, edges, tables, class_count, legs):
+def is_smallest_compatible_partition(sizes, tables, class_count, legs):
     """The computed quotient must be the finest partition gluing the arrows.
 
     Enumerates every partition of the disjoint sum, keeps those where each
@@ -89,8 +89,8 @@ def is_smallest_compatible_partition(sizes, edges, tables, class_count, legs):
         offsets.append(total)
         total += n
     wanted = [
-        (offsets[j] + x, offsets[i] + tables[(j, i)][x])
-        for (j, i) in edges
+        (offsets[j] + x, offsets[i] + table[x])
+        for (j, i), table in tables.items()
         for x in range(sizes[j])
     ]
     computed_block = {}
@@ -120,12 +120,12 @@ def is_smallest_compatible_partition(sizes, edges, tables, class_count, legs):
     return found_self
 
 
-def run_engine(sizes, edges, tables):
+def run_engine(sizes, tables):
     objects = {k: FiniteSet(n) for k, n in enumerate(sizes)}
     arrows = {
-        e: FiniteFn(objects[e[0]], objects[e[1]], tables[e]) for e in edges
+        (j, i): FiniteFn(objects[j], objects[i], t) for (j, i), t in tables.items()
     }
-    diagram = Diagram(tuple(range(len(sizes))), edges, objects, arrows)
+    diagram = Diagram(objects, arrows)
     cocone = subdiagram_colimit(diagram)
     legs = [tuple(cocone.legs[k].table) for k in range(len(sizes))]
     return diagram, cocone, legs
@@ -153,8 +153,8 @@ def random_fn(rng, a: int, b: int) -> FiniteFn:
 
 
 def assert_cocone_laws(diagram, cocone):
-    for (j, i) in diagram.edges:
-        assert diagram.arrows[(j, i)].then(cocone.legs[i]) == cocone.legs[j]
+    for (j, i), f in diagram.arrows.items():
+        assert f.then(cocone.legs[i]) == cocone.legs[j]
     covered = set()
     for leg in cocone.legs.values():
         covered.update(leg.table)
@@ -166,7 +166,7 @@ def assert_cocone_laws(diagram, cocone):
 
 def test_single_object_diagrams():
     for n in range(5):
-        diagram, cocone, legs = run_engine([n], [], {})
+        diagram, cocone, legs = run_engine([n], {})
         assert cocone.apex.size == n
         assert legs == [tuple(range(n))]
         assert_cocone_laws(diagram, cocone)
@@ -203,7 +203,7 @@ def random_directed_diagram(rng):
     else:
         for k in range(n):
             arrows[(k, n)] = random_fn(rng, sizes[k], sizes[n])
-    return Diagram(tuple(range(n + 1)), list(arrows), objects, arrows)
+    return Diagram(objects, arrows)
 
 
 def test_subdiagram_colimit_legs_match_the_relation_quotient():
@@ -410,16 +410,15 @@ def test_two_index_chains_exhaustive():
     checked = 0
     for a, b in itertools.product(range(5), repeat=2):
         for table in all_tables(a, b):
-            edges = [(0, 1)]
             tables = {(0, 1): table}
-            diagram, cocone, legs = run_engine([a, b], edges, tables)
-            count, ref_legs = reference_colimit([a, b], edges, tables)
+            diagram, cocone, legs = run_engine([a, b], tables)
+            count, ref_legs = reference_colimit([a, b], tables)
             assert cocone.apex.size == count
             assert legs == ref_legs
             assert_cocone_laws(diagram, cocone)
             if a + b <= 6:
                 assert is_smallest_compatible_partition(
-                    [a, b], edges, tables, count, legs
+                    [a, b], tables, count, legs
                 )
             checked += 1
     assert checked == 499
@@ -430,16 +429,15 @@ def test_vee_diagrams_exhaustive():
     for a, b, c in itertools.product(range(3), repeat=3):
         for t0 in all_tables(a, c):
             for t1 in all_tables(b, c):
-                edges = [(0, 2), (1, 2)]
                 tables = {(0, 2): t0, (1, 2): t1}
-                diagram, cocone, legs = run_engine([a, b, c], edges, tables)
-                count, ref_legs = reference_colimit([a, b, c], edges, tables)
+                diagram, cocone, legs = run_engine([a, b, c], tables)
+                count, ref_legs = reference_colimit([a, b, c], tables)
                 assert cocone.apex.size == count
                 assert legs == ref_legs
                 assert_cocone_laws(diagram, cocone)
                 if a + b + c <= 6:
                     assert is_smallest_compatible_partition(
-                        [a, b, c], edges, tables, count, legs
+                        [a, b, c], tables, count, legs
                     )
                 checked += 1
     assert checked == 59
@@ -451,16 +449,15 @@ def test_three_index_chains_exhaustive():
         for t01 in all_tables(a, b):
             for t12 in all_tables(b, c):
                 t02 = tuple(t12[v] for v in t01)
-                edges = [(0, 1), (1, 2), (0, 2)]
                 tables = {(0, 1): t01, (1, 2): t12, (0, 2): t02}
-                diagram, cocone, legs = run_engine([a, b, c], edges, tables)
-                count, ref_legs = reference_colimit([a, b, c], edges, tables)
+                diagram, cocone, legs = run_engine([a, b, c], tables)
+                count, ref_legs = reference_colimit([a, b, c], tables)
                 assert cocone.apex.size == count
                 assert legs == ref_legs
                 assert_cocone_laws(diagram, cocone)
                 if a + b + c <= 6:
                     assert is_smallest_compatible_partition(
-                        [a, b, c], edges, tables, count, legs
+                        [a, b, c], tables, count, legs
                     )
                 checked += 1
     assert checked == 47
@@ -472,7 +469,6 @@ def test_three_index_diagrams_sampled_at_size_four():
         for _ in range(150):
             a, b, c = (rng.randrange(0, 5) for _ in range(3))
             if shape == "vee":
-                edges = [(0, 2), (1, 2)]
                 tables = {
                     (0, 2): tuple(rng.randrange(c) for _ in range(a)) if c else (),
                     (1, 2): tuple(rng.randrange(c) for _ in range(b)) if c else (),
@@ -489,9 +485,8 @@ def test_three_index_diagrams_sampled_at_size_four():
                     (1, 2): t12,
                     (0, 2): tuple(t12[v] for v in t01),
                 }
-                edges = [(0, 1), (1, 2), (0, 2)]
-            diagram, cocone, legs = run_engine([a, b, c], edges, tables)
-            count, ref_legs = reference_colimit([a, b, c], edges, tables)
+            diagram, cocone, legs = run_engine([a, b, c], tables)
+            count, ref_legs = reference_colimit([a, b, c], tables)
             assert cocone.apex.size == count
             assert legs == ref_legs
             assert_cocone_laws(diagram, cocone)
@@ -502,7 +497,7 @@ def test_three_index_diagrams_sampled_at_size_four():
 
 def test_inclusion_chain_collapses_to_top():
     # 2 included into 3: nothing is glued, the apex is the top object
-    diagram, cocone, legs = run_engine([2, 3], [(0, 1)], {(0, 1): (0, 1)})
+    diagram, cocone, legs = run_engine([2, 3], {(0, 1): (0, 1)})
     assert cocone.apex.size == 3
     assert legs[1] == (0, 1, 2)
     assert legs[0] == (0, 1)
@@ -512,9 +507,7 @@ def test_two_cycle_quotients_to_orbits():
     # lax comparisons can point both ways; the swap two-cycle glues orbits
     objects = {0: FiniteSet(2), 1: FiniteSet(2)}
     swap = fn(2, 2, (1, 0))
-    diagram = Diagram(
-        (0, 1), [(0, 1), (1, 0)], objects, {(0, 1): swap, (1, 0): swap}
-    )
+    diagram = Diagram(objects, {(0, 1): swap, (1, 0): swap})
     cocone = subdiagram_colimit(diagram)
     assert cocone.apex.size == 2
     assert tuple(cocone.legs[0].table) == (0, 1)
@@ -522,7 +515,7 @@ def test_two_cycle_quotients_to_orbits():
 
 
 def test_empty_diagram_has_empty_colimit():
-    diagram = Diagram((), [], {}, {})
+    diagram = Diagram({}, {})
     cocone = subdiagram_colimit(diagram)
     assert cocone.apex.size == 0
 
@@ -530,18 +523,67 @@ def test_empty_diagram_has_empty_colimit():
 def test_collapsing_chain():
     # both points map to one, then onwards: everything in one class
     diagram, cocone, legs = run_engine(
-        [2, 1, 1], [(0, 1), (1, 2), (0, 2)],
-        {(0, 1): (0, 0), (1, 2): (0,), (0, 2): (0, 0)},
+        [2, 1, 1], {(0, 1): (0, 0), (1, 2): (0,), (0, 2): (0, 0)}
     )
     assert cocone.apex.size == 1
 
 
 def test_class_of_matches_legs():
-    diagram, cocone, legs = run_engine([3, 2], [(0, 1)], {(0, 1): (0, 0, 1)})
+    diagram, cocone, legs = run_engine([3, 2], {(0, 1): (0, 0, 1)})
     assert legs == [(0, 0, 1), (0, 1)]
     assert cocone.apex.size == 2
     assert tuple(cocone.legs[0].table) == (0, 0, 1)
     assert tuple(cocone.legs[1].table) == (0, 1)
+
+
+# -- the index order is the order the objects are given in --------------------
+
+
+def test_objects_out_of_key_order_lay_out_the_colimit_in_their_order():
+    # blocks 2, 0, 1 sit at 0..1, 2 and 3..4 of the sum: {0, 4} and {1, 2, 3}
+    objects = {2: FiniteSet(2), 0: FiniteSet(1), 1: FiniteSet(2)}
+    diagram = Diagram(objects, {(0, 2): fn(1, 2, (1,)), (1, 2): fn(2, 2, (1, 0))})
+    assert diagram.indices == (2, 0, 1)
+    cocone = subdiagram_colimit(diagram)
+    assert cocone.apex.size == 2
+    assert list(cocone.legs) == [2, 0, 1]
+    assert [tuple(leg.table) for leg in cocone.legs.values()] == [(0, 1), (1,), (1, 0)]
+    calls = []
+
+    def values(k):
+        calls.append(k)
+        return {2: (5, 6), 0: (6,), 1: (6, 5)}[k]
+
+    table = cocone.induce(values, None)
+    assert calls == [2, 0, 1]
+    assert list(table) == [5, 6]
+
+
+def test_relabelled_diagrams_match_the_union_find_reference_in_object_order():
+    # a directed diagram on 0..n, its index k relabelled label[k] and its
+    # objects given in that order, against the reference over positions
+    rng = random.Random(18)
+    for _ in range(300):
+        d = random_directed_diagram(rng)
+        label = rng.sample(range(len(d.indices)), len(d.indices))
+        relabelled = Diagram(
+            {label[k]: d.objects[k] for k in d.indices},
+            {(label[j], label[i]): f for (j, i), f in d.arrows.items()},
+        )
+        assert relabelled.indices == tuple(label)
+        sizes = [d.objects[k].size for k in d.indices]
+        tables = {e: f.table for e, f in d.arrows.items()}
+        count, ref_legs = reference_colimit(sizes, tables)
+        cocone = subdiagram_colimit(relabelled)
+        assert cocone.apex.size == count
+        assert list(cocone.legs) == label
+        assert [tuple(cocone.legs[label[k]].table) for k in d.indices] == ref_legs
+        assert_cocone_laws(relabelled, cocone)
+        values = random_values(rng, cocone, ref_legs)
+        position = {name: k for k, name in enumerate(label)}
+        want = reference_induce(count, ref_legs, values.__getitem__)
+        got = engine_induce(cocone, lambda name: values[position[name]])
+        assert got == want
 
 
 # -- validation ------------------------------------------------------------------
@@ -550,22 +592,17 @@ def test_class_of_matches_legs():
 def test_diagram_validation():
     a, b = FiniteSet(2), FiniteSet(2)
     with pytest.raises(NoSuchIndex):
-        Diagram((0,), [(0, 1)], {0: a}, {})
+        Diagram({0: a}, {(0, 1): fn(2, 2, (0, 1))})
+    with pytest.raises(NoSuchIndex):
+        Diagram({1: b}, {(0, 1): fn(2, 2, (0, 1))})
     with pytest.raises(NonFunctorialDiagram):
-        Diagram((0, 1), [(0, 1)], {0: a, 1: b}, {})
-    with pytest.raises(NonFunctorialDiagram):
-        Diagram((0,), [(0, 0)], {0: a}, {(0, 0): FiniteFn.identity(a)})
+        Diagram({0: a}, {(0, 0): FiniteFn.identity(a)})
     with pytest.raises(IllTypedArrow):
-        Diagram((0, 1), [(0, 1)], {0: a, 1: FiniteSet(3)}, {(0, 1): fn(2, 2, (0, 1))})
-    with pytest.raises(NonFunctorialDiagram):
-        # arrow with no matching edge
-        Diagram((0, 1), [], {0: a, 1: b}, {(0, 1): fn(2, 2, (0, 1))})
+        Diagram({0: a, 1: FiniteSet(3)}, {(0, 1): fn(2, 2, (0, 1))})
     with pytest.raises(NonFunctorialDiagram):
         # non-commuting triangle
         run_engine(
-            [1, 1, 2],
-            [(0, 1), (1, 2), (0, 2)],
-            {(0, 1): (0,), (1, 2): (0,), (0, 2): (1,)},
+            [1, 1, 2], {(0, 1): (0,), (1, 2): (0,), (0, 2): (1,)}
         )
 
 
@@ -578,15 +615,15 @@ def test_triangles_commute_whether_tables_are_ranges_or_tuples():
         (0, 2): FiniteFn(sizes[0], sizes[2], (1, 2)),
     }
     assert type(arrows[(0, 1)].then(arrows[(1, 2)]).table) is range
-    Diagram((0, 1, 2), list(arrows), sizes, arrows)
+    Diagram(sizes, arrows)
     arrows[(0, 2)] = FiniteFn(sizes[0], sizes[2], (1, 3))
     with pytest.raises(NonFunctorialDiagram):
-        Diagram((0, 1, 2), list(arrows), sizes, arrows)
+        Diagram(sizes, arrows)
 
 
 def test_not_directed_is_rejected():
     objects = {0: FiniteSet(1), 1: FiniteSet(1)}
-    diagram = Diagram((0, 1), [], objects, {})
+    diagram = Diagram(objects, {})
     assert not diagram.is_directed()
     with pytest.raises(NonFunctorialDiagram):
         subdiagram_colimit(diagram)
@@ -596,10 +633,9 @@ def test_not_directed_is_rejected():
 
 
 def chain_diagram(sizes, tables):
-    edges = [(0, 1)]
     objects = {k: FiniteSet(n) for k, n in enumerate(sizes)}
     arrows = {(0, 1): FiniteFn(objects[0], objects[1], tables[(0, 1)])}
-    return Diagram((0, 1), edges, objects, arrows)
+    return Diagram(objects, arrows)
 
 
 def test_finite_powers_commute_with_directed_colimits():

@@ -224,6 +224,40 @@ def test_filtered_sample_check_plump():
             assert backend.lt(member, w)
 
 
+def is_tree_of(sig, tree) -> bool:
+    """Every node of tree has as many children as its op's arity in sig."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node.op >= sig.ops.size or len(node.children) != sig.arities[node.op].size:
+            return False
+        stack.extend(node.children)
+    return True
+
+
+def test_filtered_sample_check_witnesses_are_trees_of_the_extended_signature():
+    # a family of no base operation (any op of bare plump, or an op past
+    # the base signature) is bounded by joins from bottom, not a node over it
+    rng = random.Random(9)
+    for backend in (kappa_sigma(Signature.of()), kappa_sigma(BIN)):
+        bot = backend.bottom()
+        s = backend.succ(bot)
+        families = [(0, (s, bot, s)), (0, ()), (backend.bottom_op, (s, s))]
+        for width in (0, 1, 2, 3) * 10:
+            op = rng.randrange(backend.extended.ops.size)
+            families.append((op, tuple(backend.sample_tree(rng, 3) for _ in range(width))))
+        families = [
+            (op, family) for op, family in families
+            if op >= backend.base.ops.size or backend.base.arities[op].size == len(family)
+        ]
+        assert len(families) > 20
+        ok, witnesses = filtered_sample_check(backend, families)
+        assert ok
+        for (_, family), w in zip(families, witnesses):
+            assert is_tree_of(backend.extended, w)
+            assert all(backend.lt(member, w) for member in family)
+
+
 def test_filtered_sample_check_rejects_wrong_width():
     backend = kappa_sigma(BIN)
     with pytest.raises(ShapeMismatch):
