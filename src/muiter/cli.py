@@ -363,7 +363,7 @@ def _write_json(value, newline: str, write) -> None:
                 raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
         sep = "{" + inner
         for key in sorted(value):
-            write(sep + json.dumps(key) + ": ")
+            write(sep + _quote(key) + ": ")
             _write_json(value[key], inner, write)
             sep = "," + inner
         write(newline + "}")
@@ -385,7 +385,11 @@ def _write_json(value, newline: str, write) -> None:
                 _write_json(item, inner, write)
                 sep = "," + inner
             write(newline + "]")
-    elif kind in (str, int, float, bool, type(None)):
+    elif kind is str:
+        write(_quote(value))
+    elif kind is int:
+        write(int.__repr__(value))
+    elif kind in (float, bool, type(None)):
         write(json.dumps(value))
     else:
         raise TypeError(f"{kind.__name__} is not a JSON payload type")
@@ -406,31 +410,37 @@ def _flat_json(value, newline: str) -> Optional[str]:
     ]) + newline + "}" if value else "{}"
 
 
-# json.dumps's writer of a str; the values 0..9 as bytes, with the table
-# that writes each as its digit; and a piece's item count
+# json.dumps's writer of a str; the table that writes each value 0..9 as
+# its ASCII digit and every other byte as 0xff, which no digit is; and a
+# piece's item count
 _quote = json.encoder.encode_basestring_ascii
-_DIGIT_VALUES = bytes(range(10))
-_DIGITS = bytes.maketrans(_DIGIT_VALUES, b"0123456789")
+_DIGITS = b"0123456789".ljust(256, b"\xff")
 _CHUNK = 4096
 
 
 def _write_table(table, sep: str, write) -> None:
     """Write the ints of a nonempty table with sep between them: the first
-    item, then pieces of _CHUNK items with sep before each item.  A piece
-    of digits 0..9, as a fold into a small algebra holds, becomes ASCII
-    digits that one str.replace of "" interleaves with sep; any other
-    piece is one sep.join of its ints' reprs."""
+    item, then pieces of _CHUNK items with sep before each item.  In a
+    piece of values 0..9, as a fold into a small algebra holds, every item
+    is sep and one digit, so one buffer of at most _CHUNK copies of
+    sep + "0" serves the whole table: one strided slice assignment puts a
+    piece's digits in their slots, and the piece's items are written from
+    its start.  Any other piece is one sep.join of its ints' reprs."""
     write(int.__repr__(table[0]))
+    step = len(sep) + 1
+    buf = bytearray((sep + "0").encode() * min(_CHUNK, len(table) - 1))
     for at in range(1, len(table), _CHUNK):
         part = table[at:at + _CHUNK]
         try:
-            raw = bytes(part)  # bytes come back as they are
+            digits = bytes(part).translate(_DIGITS)
         except ValueError:  # a value outside 0..255
-            raw = b"\xff"  # so the piece is not written as digits
-        if raw.translate(None, _DIGIT_VALUES):
+            digits = b"\xff"  # so the piece is not written as digits
+        if b"\xff" in digits:
             write(sep + sep.join(map(int.__repr__, part)))
         else:
-            write(raw.translate(_DIGITS).decode().replace("", sep, len(raw)))
+            end = len(digits) * step
+            buf[step - 1:end:step] = digits
+            write(buf[:end].decode())
 
 
 # -- entry point -------------------------------------------------------------

@@ -988,10 +988,15 @@ TABLE_VALUES = [
 def chunk_tables():
     """Tables of every length around the piece size, as bytes, tuple and list."""
     rng = random.Random(C)
-    for length in (0, 1, C - 1, C, C + 1, 2 * C, 2 * C + 1, 2 * C + 2):
+    for length in (0, 1, C - 1, C, C + 1, 2 * C, 2 * C + 1, 2 * C + 2, 3 * C - 1):
         for name, values in TABLE_VALUES:
             items = rng.choices(values, k=length)
-            if length > C + 1:
+            if length == 3 * C - 1:
+                # a piece with a value outside 0..9 (unless all are digits),
+                # then a piece of digits only and a short one
+                items[C] = max(values)
+                items[C + 1:] = rng.choices(range(10), k=2 * C - 2)
+            elif length > C + 1:
                 # one piece of digits only, the next with a wide value last
                 items[1:C + 1] = rng.choices(range(10), k=C)
                 items[-1] = max(values)

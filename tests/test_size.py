@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from muiter.checks import check_filtered, check_join_bounds, check_order_laws
 from muiter.errors import ShapeMismatch
 
 from muiter.signature import Signature, WTree
@@ -278,6 +279,23 @@ def test_sample_tree_draws_the_trees_of_the_recursive_reference(sig):
         want = [reference_sample_tree(backend, ref, ref.randint(0, 6)) for _ in range(5)]
         assert all(g is w for g, w in zip(got, want))
         assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize(
+    "check, after",
+    [
+        (check_order_laws, 2978523055816782699),
+        (check_join_bounds, 3678339887190049727),
+        (check_filtered, 18171578477455850508),
+    ],
+    ids=["order-laws", "join-bounds", "filtered-bounds"],
+)
+def test_check_suites_draw_the_same_samples(check, after):
+    # a suite's report only counts its samples; the generator's next word
+    # pins every draw the suite made before it
+    rng = random.Random(7)
+    assert check(kappa_sigma(Signature.of()), rng, 60, 4)["ok"]
+    assert rng.getrandbits(64) == after
 
 
 class AlwaysFirst:
