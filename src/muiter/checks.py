@@ -29,28 +29,35 @@ def _pass(name: str, detail: str) -> Dict:
 def check_order_laws(backend, rng: random.Random, samples: int, depth: int) -> Dict:
     name = "order-laws"
     indices = backend.sample_indices(rng, max(samples, 3), depth)
+    lt, leq, bottom = backend.lt, backend.leq, backend.bottom()
     for i in indices:
-        if backend.lt(i, i):
+        if lt(i, i):
             return _fail(name, f"strict order is reflexive at {backend.render(i)}")
-        if not backend.leq(i, i):
+        if not leq(i, i):
             return _fail(name, f"lax order is irreflexive at {backend.render(i)}")
-        if not backend.leq(backend.bottom(), i):
+        if not leq(bottom, i):
             return _fail(name, f"bottom above {backend.render(i)}")
-        if not backend.lt(i, backend.succ(i)):
+        if not lt(i, backend.succ(i)):
             return _fail(name, f"successor not above {backend.render(i)}")
+    choice = rng.choice
     for _ in range(samples):
-        a, b, c = (rng.choice(indices) for _ in range(3))
-        if backend.lt(a, b) and not backend.leq(a, b):
+        a, b, c = choice(indices), choice(indices), choice(indices)
+        # each order on each of the three pairs, once
+        lt_ab, leq_ab = lt(a, b), leq(a, b)
+        lt_bc, leq_bc = lt(b, c), leq(b, c)
+        lt_ac, leq_ac = lt(a, c), leq(a, c)
+        if lt_ab and not leq_ab:
             return _fail(name, "strict without lax")
-        if backend.lt(a, b) and backend.leq(b, c) and not backend.lt(a, c):
+        if lt_ab and leq_bc and not lt_ac:
             return _fail(name, "lt;leq not strict")
-        if backend.leq(a, b) and backend.lt(b, c) and not backend.lt(a, c):
+        if leq_ab and lt_bc and not lt_ac:
             return _fail(name, "leq;lt not strict")
-        if backend.leq(a, b) and backend.leq(b, c) and not backend.leq(a, c):
+        if leq_ab and leq_bc and not leq_ac:
             return _fail(name, "lax order not transitive")
-        if backend.lt(a, b) != (height(a) < height(b)):
+        height_a, height_b = height(a), height(b)
+        if lt_ab != (height_a < height_b):
             return _fail(name, "strict order disagrees with rank")
-        if backend.leq(a, b) != (height(a) <= height(b)):
+        if leq_ab != (height_a <= height_b):
             return _fail(name, "lax order disagrees with rank")
     return _pass(name, f"{samples} triples over {len(indices)} indices")
 
@@ -58,11 +65,12 @@ def check_order_laws(backend, rng: random.Random, samples: int, depth: int) -> D
 def check_join_bounds(backend, rng: random.Random, samples: int, depth: int) -> Dict:
     name = "join-bounds"
     indices = backend.sample_indices(rng, max(samples, 2), depth)
+    choice, leq = rng.choice, backend.leq
     for _ in range(samples):
-        a = rng.choice(indices)
-        b = rng.choice(indices)
+        a = choice(indices)
+        b = choice(indices)
         j = backend.join(a, b)
-        if not (backend.leq(a, j) and backend.leq(b, j)):
+        if not (leq(a, j) and leq(b, j)):
             return _fail(
                 name,
                 f"join of {backend.render(a)} and {backend.render(b)} not an upper bound",

@@ -8,7 +8,10 @@ the rest of the report dropped and no traceback.
 
 `check samples N` takes at most MAX_SAMPLES (100,000) samples; a larger N
 is a usage error, raised before any sampling.  At `depth 0` (or --depth 0)
-it draws only leaf indices and sets of at most one element.
+it draws only leaf indices and sets of at most one element.  Under a plump
+order one `check` draws at most size.MAX_DRAWN (1,000,000) tree nodes,
+which bounds its time and memory at any depth: the next node stops it with
+exit 2 and a budget-exceeded report.
 
 Command line: `muiter [script] [--size S] [--budget N] [--depth N] [--seed N]
 [--format text|json]`, plus -h/--help and --version, which print to stdout
@@ -189,11 +192,28 @@ class Runner:
         return report
 
     def budget_report(self, cmd: Command, e: BudgetExceeded) -> dict:
-        # the dual chain runs on nat only
-        size = "nat" if cmd.kind == "nu" else self.opt_size(cmd)
-        report = self.base_report(cmd, size, self.opt_budget(cmd))
+        if cmd.kind == "check":  # its sampler drew too many tree nodes
+            report = self.check_header(cmd)
+        else:
+            # the dual chain runs on nat only
+            size = "nat" if cmd.kind == "nu" else self.opt_size(cmd)
+            report = self.base_report(cmd, size, self.opt_budget(cmd))
+            report["stages"] = e.profile
         report["error"] = {"type": "budget-exceeded", "message": str(e)}
-        report["stages"] = e.profile
+        return report
+
+    def check_header(self, cmd: Command) -> dict:
+        """A check command's report before its checks: size, samples, seed
+        and depth.  Samples over MAX_SAMPLES are a usage error."""
+        samples = cmd.option("samples", self.defaults.get("samples", 200))
+        if samples > MAX_SAMPLES:
+            raise UsageError(
+                f"line {cmd.line}: samples {samples} exceeds the cap {MAX_SAMPLES}"
+            )
+        report = self.base_report(cmd, self.opt_size(cmd), None)
+        report["samples"] = samples
+        report["seed"] = cmd.option("seed", self.defaults.get("seed", 0))
+        report["depth"] = cmd.option("depth", self.defaults.get("depth", 3))
         return report
 
     # -- commands ----------------------------------------------------------
@@ -270,27 +290,15 @@ class Runner:
         return report
 
     def cmd_check(self, cmd: Command) -> dict:
-        size = self.opt_size(cmd)
-        samples = cmd.option("samples", self.defaults.get("samples", 200))
-        if samples > MAX_SAMPLES:
-            raise UsageError(
-                f"line {cmd.line}: samples {samples} exceeds the cap {MAX_SAMPLES}"
-            )
-        seed = cmd.option("seed", self.defaults.get("seed", 0))
-        depth = cmd.option("depth", self.defaults.get("depth", 3))
-        backend = _backend_for(self.env, size, cmd.line)
-        results = run_checks(
+        report = self.check_header(cmd)
+        backend = _backend_for(self.env, report["size"], cmd.line)
+        report["checks"] = run_checks(
             backend,
             functors=self.env.functors,
-            samples=samples,
-            depth=depth,
-            seed=seed,
+            samples=report["samples"],
+            depth=report["depth"],
+            seed=report["seed"],
         )
-        report = self.base_report(cmd, size, None)
-        report["samples"] = samples
-        report["seed"] = seed
-        report["depth"] = depth
-        report["checks"] = results
         return report
 
 
@@ -343,8 +351,9 @@ def render_json(payload: dict, write) -> None:
 
     The stdlib's indenting encoder walks a table one entry at a time; here
     a list of plain ints, or ``bytes`` (the list of its ints), goes by
-    _write_table, and a dict of plain strs and ints (a profile's stage) is
-    one piece, as is a list of them.  Any other type raises TypeError.
+    _write_table, and a list of dicts of plain strs and ints under one set
+    of keys (a profile) is one piece, by _rows_json.  Any other type
+    raises TypeError.
     """
     _write_json(payload, "\n", write)
     write("\n")
@@ -354,13 +363,13 @@ def _write_json(value, newline: str, write) -> None:
     """Write value's indented JSON; newline is "\\n" plus its indent."""
     kind = type(value)
     inner = newline + "  "
-    flat = _flat_json(value, newline)
-    if flat is not None:
-        write(flat)
-    elif kind is dict:
+    if kind is dict:
         for key in value:
             if type(key) is not str:
                 raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
+        if not value:
+            write("{}")
+            return
         sep = "{" + inner
         for key in sorted(value):
             write(sep + _quote(key) + ": ")
@@ -375,9 +384,9 @@ def _write_json(value, newline: str, write) -> None:
             _write_table(value, "," + inner, write)
             write(newline + "]")
         else:
-            flats = [_flat_json(item, inner) for item in value]
-            if None not in flats:  # a profile
-                write("[" + inner + ("," + inner).join(flats) + newline + "]")
+            rows = _rows_json(value, newline)
+            if rows is not None:  # a profile
+                write(rows)
                 return
             sep = "[" + inner
             for item in value:
@@ -395,19 +404,37 @@ def _write_json(value, newline: str, write) -> None:
         raise TypeError(f"{kind.__name__} is not a JSON payload type")
 
 
-def _flat_json(value, newline: str) -> Optional[str]:
-    """The JSON of a dict of str keys and plain str and int values, a str
-    as json.dumps writes it (_quote) and an int by its repr; else None."""
-    if type(value) is not dict:
+def _rows_json(rows, newline: str) -> Optional[str]:
+    """The JSON of a list of dicts that share one nonempty set of str keys
+    and hold plain str or int values, a column's values all of one of the
+    two types (a profile); else None.  Each key is quoted once, into the
+    rows' template, and each column goes through one map."""
+    first = rows[0]
+    if type(first) is not dict or not first:
         return None
-    for k, v in value.items():
-        if type(k) is not str or (type(v) is not str and type(v) is not int):
+    keys = first.keys()
+    if any(type(key) is not str for key in keys):
+        return None
+    for row in rows:
+        if type(row) is not dict or row.keys() != keys:
             return None
     inner = newline + "  "
-    return "{" + inner + ("," + inner).join([
-        f"{_quote(k)}: {_quote(v) if type(v) is str else int.__repr__(v)}"
-        for k, v in sorted(value.items())
-    ]) + newline + "}" if value else "{}"
+    field_newline = inner + "  "
+    fields, columns = [], []
+    for key in sorted(keys):
+        column = [row[key] for row in rows]
+        kinds = set(map(type, column))
+        if kinds == {int}:
+            columns.append(map(int.__repr__, column))
+        elif kinds == {str}:
+            columns.append(map(_quote, column))
+        else:
+            return None
+        fields.append(_quote(key).replace("%", "%%") + ": %s")
+    template = "{" + field_newline + ("," + field_newline).join(fields) + inner + "}"
+    return "[" + inner + ("," + inner).join(
+        [template % cells for cells in zip(*columns)]
+    ) + newline + "]"
 
 
 # json.dumps's writer of a str; the table that writes each value 0..9 as

@@ -11,6 +11,7 @@ is identified with arrow(j,i)(x).
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Dict, Hashable, Sequence, Tuple
 
 from .errors import (
@@ -66,15 +67,14 @@ class Diagram:
                         )
 
     def is_directed(self) -> bool:
-        """Every pair of indices laxly reaches a common index."""
-        reach = set(self.arrows) | {(i, i) for i in self.indices}
-        for a in self.indices:
-            for b in self.indices:
-                if not any(
-                    (a, m) in reach and (b, m) in reach for m in self.indices
-                ):
-                    return False
-        return True
+        """Every pair of indices laxly reaches a common index: the up-sets
+        of any two, each index with the targets of its arrows, meet."""
+        ups = {i: {i} for i in self.indices}
+        for j, i in self.arrows:
+            ups[j].add(i)
+        return all(
+            not up.isdisjoint(other) for up, other in combinations(ups.values(), 2)
+        )
 
 
 def _no_representative(cls: int) -> Exception:

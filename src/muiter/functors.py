@@ -203,40 +203,67 @@ def _need(env: tuple, n: int, e: FunctorExpr):
 
 
 def eval_functor(e: FunctorExpr, env: Tuple[FiniteSet, ...]):
-    """Object part: the FiniteSet e makes of the argument sets."""
+    """Object part: the FiniteSet e makes of the argument sets.
+
+    An argument or a constant is that set itself, and so is what a
+    composite or a fixpoint makes of one; any other node is a set of the
+    size _size gives.
+    """
     env = tuple(env)
-    if isinstance(e, Identity):
-        _need(env, 1, e)
-        return env[0]
-    if isinstance(e, Projection):
-        _need(env, e.slot + 1, e)
-        return env[e.slot]
-    if isinstance(e, Constant):
+    kind = type(e)
+    if kind is Identity or kind is Projection:
+        slot = e.slot if kind is Projection else 0
+        _need(env, slot + 1, e)
+        return env[slot]
+    if kind is Constant:
         return e.value
-    if isinstance(e, Sum):
-        return FiniteSet(sum(eval_functor(p, env).size for p in e.parts))
-    if isinstance(e, Product):
-        return FiniteSet(prod(eval_functor(p, env).size for p in e.parts))
-    if isinstance(e, Power):
-        if not e.exponent:
-            return FiniteSet(1)
-        return FiniteSet(eval_functor(e.base, env).size ** e.exponent)
-    if isinstance(e, Compose):
-        vals = tuple(eval_functor(g, env) for g in e.inner)
-        return eval_functor(e.outer, vals)
-    if isinstance(e, Container):
-        _need(env, 1, e)
-        return FiniteSet(sum(env[0].size ** a.size for a in e.sig.arities))
-    if isinstance(e, SymContainer):
-        _need(env, 1, e)
-        return FiniteSet(_multisets(env[0].size, e.arity))
-    if isinstance(e, MuParam):
+    if kind is Compose:
+        return eval_functor(e.outer, tuple([eval_functor(g, env) for g in e.inner]))
+    if kind is MuParam:
         _need(env, 1, e)
         from . import iteration
 
         fixed = Compose(e.body, (Constant(env[0]), Identity()))
         return iteration.tower(fixed, nat_backend(), e.budget)[0][-1]
-    raise ShapeMismatch(f"unknown expression node {type(e).__name__}")
+    return FiniteSet(_size(e, env))
+
+
+def _size(e: FunctorExpr, env: tuple) -> int:
+    """The size of e applied to the argument sets in env.
+
+    Nodes are told apart by their exact type; a sum or a product adds up
+    or multiplies out its parts one at a time.
+    """
+    kind = type(e)
+    if kind is Sum:
+        total = 0
+        for part in e.parts:
+            total += _size(part, env)
+        return total
+    if kind is Identity:
+        _need(env, 1, e)
+        return env[0].size
+    if kind is Constant:
+        return e.value.size
+    if kind is Product:
+        total = 1
+        for part in e.parts:
+            total *= _size(part, env)
+        return total
+    if kind is Projection:
+        _need(env, e.slot + 1, e)
+        return env[e.slot].size
+    if kind is Power:
+        return _size(e.base, env) ** e.exponent if e.exponent else 1
+    if kind is Container:
+        _need(env, 1, e)
+        return sum(env[0].size ** a.size for a in e.sig.arities)
+    if kind is SymContainer:
+        _need(env, 1, e)
+        return _multisets(env[0].size, e.arity)
+    if kind is Compose or kind is MuParam:
+        return eval_functor(e, env).size
+    raise ShapeMismatch(f"unknown expression node {kind.__name__}")
 
 
 def eval_functor_mor(e: FunctorExpr, fns: Tuple[FiniteFn, ...], then=None):

@@ -63,6 +63,7 @@ class Signature:
 # every tree ever built, keyed by (op, children); children are interned
 # first, so one lookup per node makes structural equality identity
 _INTERNED: dict = {}
+_set = object.__setattr__  # a WTree's slots are written once, here
 
 
 class WTree:
@@ -82,12 +83,14 @@ class WTree:
         key = (op, children)
         tree = _INTERNED.get(key)
         if tree is None:
+            height = 0
+            for child in children:
+                if child._height >= height:
+                    height = child._height + 1
             tree = object.__new__(cls)
-            object.__setattr__(tree, "op", op)
-            object.__setattr__(tree, "children", children)
-            object.__setattr__(
-                tree, "_height", 1 + max((c._height for c in children), default=-1)
-            )
+            _set(tree, "op", op)
+            _set(tree, "children", children)
+            _set(tree, "_height", height)
             _INTERNED[key] = tree
         return tree
 

@@ -22,9 +22,12 @@ from __future__ import annotations
 import random
 from typing import Iterable, Sequence, Tuple
 
-from .errors import ShapeMismatch
+from .errors import BudgetExceeded, ShapeMismatch
 from .finset import FiniteSet
 from .signature import Signature, WTree
+
+# the most tree nodes the sampler of one PlumpBackend draws
+MAX_DRAWN = 1_000_000
 
 
 class NatBackend:
@@ -56,7 +59,8 @@ class NatBackend:
         return str(i)
 
     def sample_indices(self, rng: random.Random, count: int, max_height: int) -> list:
-        return [rng.randint(0, max_height) for _ in range(count)]
+        draw = rng.randint
+        return [draw(0, max_height) for _ in range(count)]
 
 
 def nat_backend() -> NatBackend:
@@ -68,11 +72,14 @@ class PlumpBackend:
 
     The original operations keep their indices; the two fresh ops sit at
     the end: a nullary one (the bottom index) and a binary one (the join).
+    drawn counts the tree nodes the sampler has drawn, at most MAX_DRAWN.
     """
 
     name = "plump"
 
-    __slots__ = ("base", "extended", "bottom_op", "join_op", "nullary")
+    __slots__ = (
+        "base", "extended", "bottom_op", "join_op", "arity_sizes", "nullary", "drawn"
+    )
 
     def __init__(self, base: Signature):
         labels = [base.op_label(op) for op in base.ops]
@@ -83,7 +90,9 @@ class PlumpBackend:
         self.extended = Signature(ops, arities)
         self.bottom_op = base.ops.size
         self.join_op = base.ops.size + 1
-        self.nullary = tuple(op for op, a in enumerate(arities) if a.size == 0)
+        self.arity_sizes = tuple(a.size for a in arities)
+        self.nullary = tuple(op for op, a in enumerate(self.arity_sizes) if a == 0)
+        self.drawn = 0
 
     def lt(self, i: WTree, j: WTree) -> bool:
         return i.height() < j.height()
@@ -119,10 +128,8 @@ class PlumpBackend:
     def sample_indices(
         self, rng: random.Random, count: int, max_height: int
     ) -> list:
-        return [
-            self.sample_tree(rng, rng.randint(0, max_height))
-            for _ in range(count)
-        ]
+        draw, sample_tree = rng.randint, self.sample_tree
+        return [sample_tree(rng, draw(0, max_height)) for _ in range(count)]
 
     def sample_tree(self, rng: random.Random, max_height: int) -> WTree:
         """A uniform-ish random tree of height at most max_height.
@@ -130,16 +137,24 @@ class PlumpBackend:
         Drawn in pre-order: a node at height budget 0 is a uniform nullary
         op, any other node a uniform op whose children are drawn left to
         right at one less.  The nodes still waiting for children sit on a
-        stack, so the depth of the tree costs no recursion.
+        stack, so the depth of the tree costs no recursion.  Drawing the
+        node past the backend's MAX_DRAWN raises BudgetExceeded.
         """
-        arities = [a.size for a in self.extended.arities]
+        arities, nullary = self.arity_sizes, self.nullary
+        draw_op, draw_leaf = rng.randrange, rng.choice
+        ops = len(arities)
+        left = MAX_DRAWN - self.drawn
         open_nodes: list = []  # (op, children drawn so far), root first
         while True:
             # draw one node with max_height left
+            if not left:
+                self.drawn = MAX_DRAWN
+                raise BudgetExceeded(f"tree nodes drawn exceed the cap {MAX_DRAWN}")
+            left -= 1
             if max_height == 0:
-                tree = WTree(rng.choice(self.nullary))
+                tree = WTree(draw_leaf(nullary))
             else:
-                op = rng.randrange(len(arities))
+                op = draw_op(ops)
                 if arities[op]:
                     open_nodes.append((op, []))
                     max_height -= 1
@@ -155,6 +170,7 @@ class PlumpBackend:
                 tree = WTree(op, kids)
                 max_height += 1
             else:
+                self.drawn = MAX_DRAWN - left
                 return tree
 
 
@@ -184,6 +200,7 @@ def filtered_sample_check(
     """
     witnesses = []
     ok = True
+    bottom = backend.bottom()
     for op, family in samples:
         family = tuple(family)
         if isinstance(backend, PlumpBackend) and op < backend.base.ops.size:
@@ -194,7 +211,7 @@ def filtered_sample_check(
                 )
             witness = WTree(op, family)
         else:
-            witness = backend.bottom()
+            witness = bottom
             for member in family:
                 witness = backend.join(witness, member)
         witnesses.append(witness)

@@ -31,7 +31,7 @@ from muiter.functors import (
 )
 from muiter.iteration import AlgebraSpec, catamorphism, inflationary_iterate
 from muiter.signature import Signature
-from muiter.size import nat_backend, successor_tower
+from muiter.size import MAX_DRAWN, nat_backend, successor_tower
 from launch import child_env, muiter_child, run_limited
 
 SCHEMA = json.loads(files("muiter").joinpath("schema.json").read_text())
@@ -618,6 +618,39 @@ def test_check_samples_deep_trees_in_bounded_time_and_memory(tmp_path):
     assert rss < 100 * 2**20
 
 
+def test_check_stops_at_the_node_cap_in_bounded_time_and_memory(tmp_path):
+    # each op of a:0 | b:6 | bot | join is drawn alike, so a node has two
+    # children on average and a tree of height 20 about 2**21 nodes
+    text = "sig S = a:0 | b:6\ncheck size plump:S samples 50 depth 20\n"
+    code, payload, wall, rss = run_limited(tmp_path, text)
+    assert code == 2
+    (report,) = payload["reports"]
+    assert report["error"] == {
+        "type": "budget-exceeded",
+        "message": f"tree nodes drawn exceed the cap {MAX_DRAWN}",
+    }
+    assert (report["size"], report["samples"], report["depth"]) == ("plump:S", 50, 20)
+    assert "checks" not in report and "stages" not in report
+    jsonschema.validate(payload, SCHEMA)
+    assert wall < 10
+    assert rss < 100 * 2**20
+
+
+def test_a_check_stopped_at_the_node_cap_ends_the_script(tmp_path, capsys, monkeypatch):
+    # each command's sampler counts from 0; the stop keeps the check's header
+    # and drops the commands after it, as a budget stop does
+    monkeypatch.setattr("muiter.size.MAX_DRAWN", 300)
+    text = "check size plump samples 8 depth 2\ncheck size plump samples 80\ncheck\n"
+    code, out, err = run_cli(tmp_path, capsys, text)
+    assert (code, err) == (2, "")
+    first, second = out.split("check  (")[1:]
+    assert "ok   order-laws" in first
+    assert second == (
+        "size=plump, samples=80, seed=0, depth=3)\n"
+        "  error[budget-exceeded]: tree nodes drawn exceed the cap 300\n"
+    )
+
+
 GUARDED = """\
 F = 1 + X*X
 G = 3
@@ -940,8 +973,8 @@ def test_digit_tables_of_any_length_render_as_their_list(length):
 
 
 def test_render_json_writes_profiles_like_the_stdlib_encoder():
-    # a flat dict of str and int values is written in one pass; a bool, a
-    # float or None among them takes the general path
+    # a list of flat dicts of str and int values is written in one pass; a
+    # bool, a float or None among them takes the general path
     rng = random.Random(16)
     for _ in range(200):
         stages = [
@@ -961,6 +994,35 @@ def test_render_json_writes_profiles_like_the_stdlib_encoder():
     for items in (stages, [stages[0], nested, stages[1]], [nested, {}], [{}, {"a": "b"}]):
         payload = {"reports": [{"stages": items, "line": 3}]}
         assert rendered(render_json, payload) == stdlib_json(payload)
+
+
+def test_render_json_writes_lists_of_flat_dicts_like_the_stdlib_encoder():
+    # a profile, a list of dicts under one set of str keys with str or int
+    # values, is one piece; every other list of dicts is written item by item
+    odd = ["caf\u00e9", "\u03bc(\u2200)", 'say "hi"', "back\\slash", "%s", "100%", ""]
+    profile = [{"index": text, "size": n} for n, text in enumerate(odd)]
+    cases = [
+        profile,
+        [{"size": n, "index": str(n)} for n in range(3)],  # keys in either order
+        [{"%s": "%d", "%%": 1, "\u00e9": "\\"}],
+        [{"index": "a", "size": 1}, {"index": "b"}],  # different key sets
+        [{"index": "a"}, {"size": 1}],
+        [{}],
+        [{}, {"a": "b"}],
+        [{"index": "a", "size": 1}, {}],
+        [{"index": "a", "size": True}, {"index": "b", "size": 2}],  # a bool
+        [{"index": "a", "size": 1}, {"index": "b", "size": "2"}],  # mixed column
+        [{"index": "a", "size": {"x": 1}}],  # a nested dict
+    ]
+    for items in cases:
+        payload = {"reports": [{"stages": items}], "flat": items[0], "empty": {}}
+        assert rendered(render_json, payload) == stdlib_json(payload)
+    pieces: list = []
+    _write_json(profile, "\n", pieces.append)
+    assert pieces == [json.dumps(profile, sort_keys=True, indent=2)]
+    for items in ([{"index": "a", 2: "b"}], [{"index": "a"}, {1: 1}]):
+        with pytest.raises(TypeError, match=r"^JSON keys must be str, not int$"):
+            rendered(render_json, {"stages": items})
 
 
 def test_render_json_rejects_values_outside_the_payload_types():

@@ -3,6 +3,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from muiter.colimit import Cocone, Diagram, subdiagram_colimit
 from muiter.errors import (
@@ -619,6 +621,37 @@ def test_triangles_commute_whether_tables_are_ranges_or_tuples():
     arrows[(0, 2)] = FiniteFn(sizes[0], sizes[2], (1, 3))
     with pytest.raises(NonFunctorialDiagram):
         Diagram(sizes, arrows)
+
+
+def brute_force_directed(indices, edges) -> bool:
+    """Every pair of indices has a common index each reaches by one arrow or none."""
+    reach = set(edges) | {(i, i) for i in indices}
+    return all(
+        any((a, m) in reach and (b, m) in reach for m in indices)
+        for a in indices
+        for b in indices
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_is_directed_agrees_with_its_definition_on_random_arrow_sets(data):
+    # one-point objects, so every arrow is the one map and every triangle
+    # commutes; cutting the last index off its arrows leaves it reaching no
+    # other index, which makes a diagram of two or more indices undirected
+    n = data.draw(st.integers(0, 7))
+    pairs = [(j, i) for j in range(n) for i in range(n) if j != i]
+    edges = data.draw(
+        st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([])
+    )
+    cut = [(j, i) for j, i in edges if n - 1 not in (j, i)]
+    objects = {k: FiniteSet(1) for k in range(n)}
+    verdicts = []
+    for arrows in (edges, cut):
+        diagram = Diagram(objects, {edge: fn(1, 1, (0,)) for edge in arrows})
+        verdicts.append(diagram.is_directed())
+        assert verdicts[-1] == brute_force_directed(range(n), arrows)
+    assert verdicts[1] == (n < 2)
 
 
 def test_not_directed_is_rejected():

@@ -85,6 +85,47 @@ def test_eval_needs_enough_arguments():
         eval_functor(Projection(1), (FiniteSet(2),))
 
 
+def test_eval_hands_back_the_argument_and_constant_sets_themselves():
+    x, y, c = FiniteSet(2, labels=["p", "q"]), FiniteSet(3), FiniteSet(4)
+    assert eval_functor(Identity(), (x, y)) is x
+    assert eval_functor(Projection(1), (x, y)) is y
+    assert eval_functor(Constant(c), (x,)) is c
+    assert eval_functor(Compose(Identity(), (Projection(1),)), (x, y)) is y
+    assert eval_functor(MuParam(Projection(0)), (x,)) is x
+    assert eval_functor(Sum((Constant(c), Identity())), (x,)) == FiniteSet(6)
+
+
+@pytest.mark.parametrize(
+    "expr, env, message",
+    [
+        (Identity(), (), "Identity needs 1 arguments, got 0"),
+        (Projection(2), (FiniteSet(1),), "Projection needs 3 arguments, got 1"),
+        (
+            Sum((Constant(FiniteSet(1)), Product((Identity(), Projection(1))))),
+            (FiniteSet(2),),
+            "Projection needs 2 arguments, got 1",
+        ),
+        (Power(Container(BIN), 2), (), "Container needs 1 arguments, got 0"),
+        (
+            Compose(Projection(1), (Identity(),)),
+            (FiniteSet(2),),
+            "Projection needs 2 arguments, got 1",
+        ),
+        ("X", (FiniteSet(2),), "unknown expression node str"),
+        (Sum((Identity(), 3)), (FiniteSet(2),), "unknown expression node int"),
+        (Compose(Identity(), ("X",)), (FiniteSet(2),), "unknown expression node str"),
+    ],
+    ids=[
+        "identity", "projection", "nested", "container", "compose",
+        "top", "part", "inner",
+    ],
+)
+def test_eval_keeps_its_shape_mismatch_messages(expr, env, message):
+    with pytest.raises(ShapeMismatch) as raised:
+        eval_functor(expr, env)
+    assert str(raised.value) == message
+
+
 # -- morphism parts: functor laws ---------------------------------------------
 
 

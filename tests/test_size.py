@@ -4,8 +4,9 @@ import time
 
 import pytest
 
+from muiter import size
 from muiter.checks import check_filtered, check_join_bounds, check_order_laws
-from muiter.errors import ShapeMismatch
+from muiter.errors import BudgetExceeded, ShapeMismatch
 
 from muiter.signature import Signature, WTree
 from muiter.size import (
@@ -281,21 +282,91 @@ def test_sample_tree_draws_the_trees_of_the_recursive_reference(sig):
         assert rng.getstate() == ref.getstate()
 
 
+# several nullary ops and a unary one besides the fresh bottom and join
+MIXED = Signature.of(0, 0, 1, 3, labels=["a", "c", "u", "b"])
+
+
 @pytest.mark.parametrize(
-    "check, after",
+    "sig, check, after",
     [
-        (check_order_laws, 2978523055816782699),
-        (check_join_bounds, 3678339887190049727),
-        (check_filtered, 18171578477455850508),
+        (Signature.of(), check_order_laws, 2978523055816782699),
+        (Signature.of(), check_join_bounds, 3678339887190049727),
+        (Signature.of(), check_filtered, 18171578477455850508),
+        (MIXED, check_order_laws, 15034963992056846430),
+        (MIXED, check_join_bounds, 2930376959912077250),
+        (MIXED, check_filtered, 14087405458177654092),
     ],
-    ids=["order-laws", "join-bounds", "filtered-bounds"],
+    ids=[
+        "order-laws", "join-bounds", "filtered-bounds",
+        "mixed-order-laws", "mixed-join-bounds", "mixed-filtered-bounds",
+    ],
 )
-def test_check_suites_draw_the_same_samples(check, after):
+def test_check_suites_draw_the_same_samples(sig, check, after):
     # a suite's report only counts its samples; the generator's next word
     # pins every draw the suite made before it
     rng = random.Random(7)
-    assert check(kappa_sigma(Signature.of()), rng, 60, 4)["ok"]
+    assert check(kappa_sigma(sig), rng, 60, 4)["ok"]
     assert rng.getrandbits(64) == after
+
+
+class CountingOrder:
+    """A backend that counts the comparisons lt and leq make."""
+
+    def __init__(self, backend):
+        self.backend = backend
+        self.comparisons = 0
+
+    def __getattr__(self, name):
+        return getattr(self.backend, name)
+
+    def lt(self, i, j):
+        self.comparisons += 1
+        return self.backend.lt(i, j)
+
+    def leq(self, i, j):
+        self.comparisons += 1
+        return self.backend.leq(i, j)
+
+
+@pytest.mark.parametrize(
+    "backend", [nat_backend(), kappa_sigma(MIXED)], ids=["nat", "plump-mixed"]
+)
+def test_order_laws_compare_each_pair_of_a_triple_once(backend):
+    # four comparisons per sampled index, then lt and leq on each of a
+    # triple's three pairs
+    for samples in (3, 60, 500):
+        counting = CountingOrder(backend)
+        report = check_order_laws(counting, random.Random(samples), samples, 4)
+        assert report["ok"]
+        assert counting.comparisons == 4 * samples + 6 * samples
+
+
+def test_the_sampler_keeps_every_draw_up_to_its_cap(monkeypatch):
+    # a backend's sampler draws at most MAX_DRAWN nodes over its life: the
+    # draws up to the cap are the uncapped ones, and the next node stops
+    sig = Signature.of(0, 2)
+    uncapped, rng = kappa_sigma(sig), random.Random(3)
+    drawn = [uncapped.sample_tree(rng, 6) for _ in range(40)]
+    sizes = [tree_nodes(t) for t in drawn]
+    assert uncapped.drawn == sum(sizes)
+    # a cap at the last draw, and one a node into a tree of several
+    inside = next(k for k, n in enumerate(sizes) if n > 1)
+    for cap, kept in ((sum(sizes), 40), (sum(sizes[:inside]) + 1, inside)):
+        monkeypatch.setattr(size, "MAX_DRAWN", cap)
+        capped, rng = kappa_sigma(sig), random.Random(3)
+        assert [capped.sample_tree(rng, 6) for _ in range(kept)] == drawn[:kept]
+        with pytest.raises(BudgetExceeded, match=rf"exceed the cap {cap}$"):
+            capped.sample_tree(rng, 6)
+        assert capped.drawn == cap  # and it stays stopped
+
+
+def tree_nodes(tree) -> int:
+    """The nodes of a tree written out, shared subtrees counted each time."""
+    count, stack = 0, [tree]
+    while stack:
+        count += 1
+        stack.extend(stack.pop().children)
+    return count
 
 
 class AlwaysFirst:
