@@ -266,10 +266,10 @@ class Runner:
         report = self.base_report(cmd, size, budget)
         stage = cmd.option("stage")
         length = None if stage is None else stage + 1
-        stages, profile = tower(expr, backend, budget, length=length)
+        sizes, profile = tower(expr, backend, budget, length=length)
         if stage is None:
             # the sized chain stops at its first repeated size: fold below it
-            report["stage"], stage = len(stages) - 1, len(stages) - 2
+            report["stage"], stage = len(sizes) - 1, len(sizes) - 2
         report["stages"] = profile
         report["fold"] = tower_fold(expr, alg, stage).to_json()
         return report
@@ -451,8 +451,9 @@ def _write_table(table, sep: str, write) -> None:
     piece of values 0..9, as a fold into a small algebra holds, every item
     is sep and one digit, so one buffer of at most _CHUNK copies of
     sep + "0" serves the whole table: one strided slice assignment puts a
-    piece's digits in their slots, and the piece's items are written from
-    its start.  Any other piece is one sep.join of its ints' reprs."""
+    piece's digits in their slots, and the piece's items are decoded from
+    its start through a memoryview, with no copy of the bytes.  Any other
+    piece is one sep.join of its ints' reprs."""
     write(int.__repr__(table[0]))
     step = len(sep) + 1
     buf = bytearray((sep + "0").encode() * min(_CHUNK, len(table) - 1))
@@ -467,7 +468,7 @@ def _write_table(table, sep: str, write) -> None:
         else:
             end = len(digits) * step
             buf[step - 1:end:step] = digits
-            write(buf[:end].decode())
+            write(str(memoryview(buf)[:end], "ascii"))
 
 
 # -- entry point -------------------------------------------------------------

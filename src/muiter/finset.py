@@ -10,7 +10,7 @@ first component least significant, so (v_0, v_1, ...) is
 v_0 + n_0 * (v_1 + n_1 * (...)).  A power X**n is the product of n
 copies of X, and a container, the sum over its operations of
 X**|arity|, is laid out by the two together.  Maps are built as whole
-tables in these layouts (sum_slices, product_table), each followed by a
+tables in these layouts (sum_slices, product_rows), each followed by a
 post table, so a map and what it is composed with come out as one table.
 
 A table is one of three things: a step-1 range inside its codomain, bytes
@@ -300,10 +300,12 @@ def sum_slices(post: Sequence[int], sizes: Iterable[int]) -> Iterator[Sequence[i
         offset += n
 
 
-def product_table(
+def product_rows(
     fns: Sequence[FiniteFn], post: Optional[Sequence[int]] = None
-) -> Sequence[int]:
-    """Table of the product of maps in the mixed-radix layout, then post.
+) -> list:
+    """Table of the product of maps in the mixed-radix layout, then post,
+    as pieces to lay end to end, so a caller that lays it after other
+    tables copies it once.
 
     Factor k is digit k, the first least significant: the entry at digits
     (d_0, d_1, ...) is post at the sum of W_k * fns[k](d_k), W_k the
@@ -317,7 +319,8 @@ def product_table(
     values at W_k * v, the shift by W_k * v for every factor but the last
     and post's slice for the last, so post is read once per entry of a
     row.  The rows are built once per codomain value when the factor's
-    table is longer than its codomain.
+    table is longer than its codomain; the last factor's rows are the
+    pieces.
     """
     if post is None:
         post = range(prod(f.cod.size for f in fns))
@@ -329,23 +332,26 @@ def product_table(
     else:
         last = fns[-1].table if fns else range(1)
         if isinstance(last, range) and last.step == 1:
-            return post[weight * last.start : weight * last.stop]
-    table = fns[0].table if len(fns) > 1 else then_table(fns[0].table, post)
-    weight = fns[0].cod.size
+            return [post[weight * last.start : weight * last.stop]]
+    if len(fns) == 1:
+        return [then_table(fns[0].table, post)]
+    table, weight = fns[0].table, fns[0].cod.size
     for k in range(1, len(fns)):
+        if k > 1:
+            table = concat_tables(rows)
         values, n = fns[k].table, fns[k].cod.size
         out = post if k == len(fns) - 1 else range(weight * n)
         if len(values) > n:
             # values repeat: build each row once per value
-            rows = [
+            built = [
                 then_table(table, out[weight * v : weight * (v + 1)])
                 for v in range(n)
             ]
-            table = concat_tables(list(map(rows.__getitem__, values)))
+            rows = list(map(built.__getitem__, values))
         else:
-            table = concat_tables([
+            rows = [
                 then_table(table, out[weight * v : weight * (v + 1)])
                 for v in values
-            ])
+            ]
         weight *= n
-    return table
+    return rows

@@ -2,7 +2,9 @@
 
 Expressions form a small AST.  eval_functor computes the object part on a
 tuple of argument sets, eval_functor_mor the morphism part on a tuple of
-functions.
+functions.  How big F(X_1, ..., X_n) is depends only on |X_1|, ...,
+|X_n|, so sizes come from one recursion over ints, _size; the successor
+tower (iteration.tower) sizes its stages with it and builds no set.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from .finset import (
     FiniteFn,
     FiniteSet,
     concat_tables,
-    product_table,
+    product_rows,
     sum_slices,
     then_table,
 )
@@ -207,7 +209,7 @@ def eval_functor(e: FunctorExpr, env: Tuple[FiniteSet, ...]):
 
     An argument or a constant is that set itself, and so is what a
     composite or a fixpoint makes of one; any other node is a set of the
-    size _size gives.
+    size _size gives for the arguments' sizes.
     """
     env = tuple(env)
     kind = type(e)
@@ -220,19 +222,20 @@ def eval_functor(e: FunctorExpr, env: Tuple[FiniteSet, ...]):
     if kind is Compose:
         return eval_functor(e.outer, tuple([eval_functor(g, env) for g in e.inner]))
     if kind is MuParam:
+        # the fixpoint Y is body(X, Y) at the chain's stationary size
         _need(env, 1, e)
-        from . import iteration
-
-        fixed = Compose(e.body, (Constant(env[0]), Identity()))
-        return iteration.tower(fixed, nat_backend(), e.budget)[0][-1]
-    return FiniteSet(_size(e, env))
+        fixed = _mu_sizes(e, env[0].size)[-1]
+        return eval_functor(e.body, (env[0], FiniteSet(fixed)))
+    return FiniteSet(_size(e, tuple([x.size for x in env])))
 
 
 def _size(e: FunctorExpr, env: tuple) -> int:
-    """The size of e applied to the argument sets in env.
+    """The size of e applied to sets of the sizes in env.
 
-    Nodes are told apart by their exact type; a sum or a product adds up
-    or multiplies out its parts one at a time.
+    How big F(X_1, ..., X_n) is depends only on |X_1|, ..., |X_n|, so
+    this is one recursion over ints.  Nodes are told apart by their exact
+    type; a sum or a product adds up or multiplies out its parts one at a
+    time.
     """
     kind = type(e)
     if kind is Sum:
@@ -242,7 +245,7 @@ def _size(e: FunctorExpr, env: tuple) -> int:
         return total
     if kind is Identity:
         _need(env, 1, e)
-        return env[0].size
+        return env[0]
     if kind is Constant:
         return e.value.size
     if kind is Product:
@@ -252,18 +255,30 @@ def _size(e: FunctorExpr, env: tuple) -> int:
         return total
     if kind is Projection:
         _need(env, e.slot + 1, e)
-        return env[e.slot].size
+        return env[e.slot]
     if kind is Power:
         return _size(e.base, env) ** e.exponent if e.exponent else 1
     if kind is Container:
         _need(env, 1, e)
-        return sum(env[0].size ** a.size for a in e.sig.arities)
+        return sum(env[0] ** a.size for a in e.sig.arities)
     if kind is SymContainer:
         _need(env, 1, e)
-        return _multisets(env[0].size, e.arity)
-    if kind is Compose or kind is MuParam:
-        return eval_functor(e, env).size
+        return _multisets(env[0], e.arity)
+    if kind is Compose:
+        return _size(e.outer, tuple([_size(g, env) for g in e.inner]))
+    if kind is MuParam:
+        _need(env, 1, e)
+        return _mu_sizes(e, env[0])[-1]
     raise ShapeMismatch(f"unknown expression node {kind.__name__}")
+
+
+def _mu_sizes(e: MuParam, x: int) -> list:
+    """The sizes of the chain of Y |-> body(X, Y) for |X| = x, up to its
+    first repeated size, under the node's budget."""
+    from . import iteration
+
+    fixed = Compose(e.body, (Constant(FiniteSet(x)), Identity()))
+    return iteration.tower(fixed, nat_backend(), e.budget)[0]
 
 
 def eval_functor_mor(e: FunctorExpr, fns: Tuple[FiniteFn, ...], then=None):
@@ -276,82 +291,90 @@ def eval_functor_mor(e: FunctorExpr, fns: Tuple[FiniteFn, ...], then=None):
     """
     fns = tuple(fns)
     if then is None:
-        out = _mor(e, fns, None)
+        out = _fn(e, fns)
         return FiniteFn(out.dom, out.cod, out.table)
-    cod = eval_functor(e, tuple(f.cod for f in fns))
-    if then.dom != cod:
+    size = _size(e, tuple([f.cod.size for f in fns]))
+    if then.dom.size != size:
         raise ShapeMismatch(
-            f"cannot compose: codomain {cod.size} vs domain {then.dom.size}"
+            f"cannot compose: codomain {size} vs domain {then.dom.size}"
         )
-    out = _mor(e, fns, then)
-    return FiniteFn.unchecked(out.dom, out.cod, out.table)
+    pieces: list = []
+    dom = _mor(e, fns, then.table, pieces)[0]
+    return FiniteFn.unchecked(FiniteSet(dom), then.cod, concat_tables(pieces))
 
 
-def _mor(e: FunctorExpr, fns: tuple, post):
-    """e's morphism part on fns followed by post, as an unchecked FiniteFn.
+def _fn(e: FunctorExpr, fns: tuple) -> FiniteFn:
+    """e's morphism part on fns, as an unchecked FiniteFn."""
+    pieces: list = []
+    dom, cod = _mor(e, fns, None, pieces)
+    return FiniteFn.unchecked(FiniteSet(dom), FiniteSet(cod), concat_tables(pieces))
 
-    post is a map out of e applied to the codomains; None stands for the
-    identity.  A sum hands each part its slice of post, the identity's
-    slices being the ranges of the parts' offsets; a product or power maps
-    the rows of its last factor through post; a container is the sum over
-    its operations of the powers of X; every other node is built and then
-    composed with post.  The table is a step-1 range, bytes or a tuple,
-    bytes whenever post's is.
+
+def _mor(e: FunctorExpr, fns: tuple, post, pieces: list) -> tuple:
+    """Append the table of e's morphism part on fns, followed by post, to
+    pieces, and return the sizes of its domain and of e applied to the
+    codomains.
+
+    post is a table out of e applied to the codomains; None stands for
+    the identity.  The pieces are laid end to end once, by the caller, so
+    a table is copied once however deep the sums that hold it.  A sum
+    hands each part its slice of post, the identity's slices being the
+    ranges of the parts' offsets; a product or power maps the rows of its
+    last factor through post, each row a piece; a container is the sum
+    over its operations of the powers of X; every other node is built and
+    then composed with post.  A piece is a step-1 range, bytes or a tuple,
+    bytes whenever post is.
     """
-    if isinstance(e, Identity):
-        _need(fns, 1, e)
-        return _then(fns[0], post)
-    if isinstance(e, Projection):
-        _need(fns, e.slot + 1, e)
-        return _then(fns[e.slot], post)
-    if isinstance(e, Constant):
-        return _then(FiniteFn.identity(e.value), post)
-    if isinstance(e, Sum):
-        cods = tuple(f.cod for f in fns)
-        parts = [eval_functor(p, cods) for p in e.parts]
-        sizes = [part.size for part in parts]
+    kind = type(e)
+    if kind is Identity or kind is Projection:
+        slot = e.slot if kind is Projection else 0
+        _need(fns, slot + 1, e)
+        return _write(fns[slot], post, pieces)
+    if kind is Constant:
+        n = e.value.size
+        pieces.append(range(n) if post is None else then_table(range(n), post))
+        return n, n
+    if kind is Sum:
+        cods = tuple([f.cod.size for f in fns])
+        sizes = [_size(p, cods) for p in e.parts]
+        cod = sum(sizes)
         if post is None:
-            post = FiniteFn.identity(FiniteSet(sum(sizes)))
-        dom, tables = 0, []
-        for p, part, out in zip(e.parts, parts, sum_slices(post.table, sizes)):
-            m = _mor(p, fns, FiniteFn.unchecked(part, post.cod, out))
-            dom += m.dom.size
-            tables.append(m.table)
-        return FiniteFn.unchecked(FiniteSet(dom), post.cod, concat_tables(tables))
-    if isinstance(e, (Product, Power)):
-        if isinstance(e, Product):
-            mors = [_mor(p, fns, None) for p in e.parts]
+            post = range(cod)
+        dom = 0
+        for p, part in zip(e.parts, sum_slices(post, sizes)):
+            dom += _mor(p, fns, part, pieces)[0]
+        return dom, cod
+    if kind is Product or kind is Power:
+        if kind is Product:
+            mors = [_fn(p, fns) for p in e.parts]
         else:
             # the base's map once, repeated; a zeroth power never reads it
-            mors = [_mor(e.base, fns, None)] * e.exponent if e.exponent else []
-        dom = FiniteSet(prod(m.dom.size for m in mors))
-        if post is None:
-            cod = FiniteSet(prod(m.cod.size for m in mors))
-            return FiniteFn.unchecked(dom, cod, product_table(mors))
-        return FiniteFn.unchecked(dom, post.cod, product_table(mors, post.table))
-    if isinstance(e, Compose):
-        vals = tuple(eval_functor_mor(g, fns) for g in e.inner)
-        return _mor(e.outer, vals, post)
-    if isinstance(e, Container):
+            mors = [_fn(e.base, fns)] * e.exponent if e.exponent else []
+        pieces += product_rows(mors, post)
+        return prod(m.dom.size for m in mors), prod(m.cod.size for m in mors)
+    if kind is Compose:
+        vals = tuple([eval_functor_mor(g, fns) for g in e.inner])
+        return _mor(e.outer, vals, post, pieces)
+    if kind is Container:
         _need(fns, 1, e)
         powers = tuple(Power(Identity(), a.size) for a in e.sig.arities)
-        return _mor(Sum(powers), fns, post)
-    if isinstance(e, SymContainer):
+        return _mor(Sum(powers), fns, post, pieces)
+    if kind is SymContainer:
         _need(fns, 1, e)
-        return _then(_sym_map(e.arity, fns[0]), post)
-    if isinstance(e, MuParam):
+        return _write(_sym_map(e.arity, fns[0]), post, pieces)
+    if kind is MuParam:
         _need(fns, 1, e)
         from . import iteration
 
-        return _then(iteration.mu_parameterized_map(e, fns[0]), post)
-    raise ShapeMismatch(f"unknown expression node {type(e).__name__}")
+        return _write(iteration.mu_parameterized_map(e, fns[0]), post, pieces)
+    raise ShapeMismatch(f"unknown expression node {kind.__name__}")
 
 
-def _then(f, post):
-    """f followed by post, None standing for the identity."""
-    if post is None:
-        return f
-    return FiniteFn.unchecked(f.dom, post.cod, then_table(f.table, post.table))
+def _write(f: FiniteFn, post, pieces: list) -> tuple:
+    """Append f's table followed by post, None standing for the identity,
+    to pieces; return the sizes of f's domain and codomain."""
+    pieces.append(f.table if post is None else then_table(f.table, post))
+    return f.dom.size, f.cod.size
 
 
 def _multisets(n: int, k: int) -> int:

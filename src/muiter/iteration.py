@@ -9,8 +9,9 @@ laxly into some basis member, so the colimit over the basis (with
 connecting maps synthesized from the lax order) agrees with the full one.
 
 On the successor tower each stage is F of the one before (Adamek's chain),
-sized by tower() alone; mu and nu build one chain map where a size repeats,
-and a fold there is a loop.  IterationState is the general construction,
+and tower() carries each stage as its size, by the integer size recursion
+functors._size; mu and nu build one chain map where a size repeats, and a
+fold there is a loop.  IterationState is the general construction,
 and the tests' oracle for the tower.
 """
 
@@ -35,6 +36,7 @@ from .functors import (
     MuParam,
     Record,
     Sum,
+    _size,
     eval_functor,
     eval_functor_mor,
     expr_arity,
@@ -259,29 +261,31 @@ def tower(
     budget: int = DEFAULT_BUDGET,
     max_carrier: int = DEFAULT_MAX_CARRIER,
     length=None,
-    first: FiniteSet = FiniteSet(0),
+    first: int = 0,
 ) -> Tuple[list, list]:
-    """The stages first, F(first), ... and their profile, by eval_functor alone:
-    length of them or, without one, up to the first repeated size.  The budget
-    and then the cap are checked before each stage; the profile's indices are
-    the backend's bottom and its successors, rendered."""
+    """The sizes of the stages first, F(first), ... and their profile: length
+    of them or, without one, up to the first repeated size.  A stage's size
+    is the functor's size on the size before it (functors._size), so no
+    stage is built.  The budget and then the cap are checked before each
+    stage; the profile's indices are the backend's bottom and its
+    successors, rendered."""
     if expr_arity(functor) > 1:
         raise ShapeMismatch("iteration needs an endofunctor of one argument")
-    stages, profile = [], []
-    index, stage = backend.bottom(), first
-    while len(stages) != length:
-        if len(stages) >= budget:
+    sizes, profile = [], []
+    index, size = backend.bottom(), first
+    while len(sizes) != length:
+        if len(sizes) >= budget:
             raise BudgetExceeded(f"stage budget {budget} exhausted", profile)
-        if stages:
-            stage = eval_functor(functor, (stage,))
-            if stage.size > max_carrier:
-                raise _over_cap(stage.size, max_carrier, profile)
+        if sizes:
+            size = _size(functor, (size,))
+            if size > max_carrier:
+                raise _over_cap(size, max_carrier, profile)
             index = backend.succ(index)
-        stages.append(stage)
-        profile.append({"index": backend.render(index), "size": stage.size})
-        if length is None and len(stages) > 1 and stages[-2].size == stage.size:
+        sizes.append(size)
+        profile.append({"index": backend.render(index), "size": size})
+        if length is None and len(sizes) > 1 and sizes[-2] == size:
             break
-    return stages, profile
+    return sizes, profile
 
 
 def _iterate_map(functor: FunctorExpr, f: FiniteFn, times: int, then=None) -> FiniteFn:
@@ -291,11 +295,11 @@ def _iterate_map(functor: FunctorExpr, f: FiniteFn, times: int, then=None) -> Fi
     return f
 
 
-def _chain_map(functor: FunctorExpr, unique: FiniteFn, stages: list, name: str):
+def _chain_map(functor: FunctorExpr, unique: FiniteFn, sizes: list, name: str):
     """F^(n-1)(unique) for stages 0..n whose last size repeats, checked bijective."""
-    out = _iterate_map(functor, unique, len(stages) - 2)
+    out = _iterate_map(functor, unique, len(sizes) - 2)
     if not out.is_bijection():
-        raise IntegrityError(f"{name} at stage {len(stages) - 1} is not a bijection")
+        raise IntegrityError(f"{name} at stage {len(sizes) - 1} is not a bijection")
     return out
 
 
@@ -326,9 +330,11 @@ def mu_initial_algebra(
     sizes agree.  Only at the first repeated size is that map built, and
     checked; its inverse is the structure map.  A stop builds no table.
     """
-    stages, profile = tower(functor, backend, budget, max_carrier)
-    c = _chain_map(functor, FiniteFn(stages[0], stages[1], ()), stages, "chain map")
-    return MuResult(AlgebraSpec(stages[-2], c.inverse()), len(stages) - 1, profile)
+    sizes, profile = tower(functor, backend, budget, max_carrier)
+    empty = FiniteFn(FiniteSet(0), FiniteSet(sizes[1]), ())
+    c = _chain_map(functor, empty, sizes, "chain map")
+    carrier = FiniteSet(sizes[-2])
+    return MuResult(AlgebraSpec(carrier, c.inverse()), len(sizes) - 1, profile)
 
 
 def _check_algebra(functor: FunctorExpr, alg: AlgebraSpec) -> None:
@@ -424,12 +430,12 @@ def mu_parameterized_map(node: MuParam, f: FiniteFn) -> FiniteFn:
     """Morphism part: the mediating fold between the two fixpoints, taken
     at the domain's stationary stage, which its sized chain gives."""
     fixed = Compose(node.body, (Constant(f.dom), Identity()))
-    stages = tower(fixed, nat_backend(), node.budget)[0]
+    sizes = tower(fixed, nat_backend(), node.budget)[0]
     mu_y = mu_parameterized(node.body, f.cod, nat_backend(), node.budget)
     step = eval_functor_mor(
         node.body, (f, FiniteFn.identity(mu_y.carrier)), then=mu_y.structure
     )
-    return tower_fold(fixed, AlgebraSpec(mu_y.carrier, step), len(stages) - 2)
+    return tower_fold(fixed, AlgebraSpec(mu_y.carrier, step), len(sizes) - 2)
 
 
 class NuResult(Record):
@@ -450,13 +456,11 @@ def deflationary_nu(
     stage 1 is not empty, ! splits and functors keep split epis; when it
     is empty, so is F of the empty set, which maps into it.  So c_n is a
     bijection exactly when stage n+1 has the size of stage n, and the
-    chain is sized by eval_functor alone, under the budget and the cap.
+    chain is sized by tower() alone, under the budget and the cap.
     Only a stationary chain builds its comparison, and checks that it is
     a bijection; a budget or cap stop builds no table.
     """
-    stages, profile = tower(
-        functor, nat_backend(), budget, max_carrier, first=FiniteSet(1)
-    )
-    unique = FiniteFn.constant(stages[1], stages[0], 0)
-    comparison = _chain_map(functor, unique, stages, "dual chain comparison")
-    return NuResult(stages[-2], comparison, len(stages) - 1, profile)
+    sizes, profile = tower(functor, nat_backend(), budget, max_carrier, first=1)
+    unique = FiniteFn.constant(FiniteSet(sizes[1]), FiniteSet(1), 0)
+    comparison = _chain_map(functor, unique, sizes, "dual chain comparison")
+    return NuResult(FiniteSet(sizes[-2]), comparison, len(sizes) - 1, profile)

@@ -61,7 +61,8 @@ class Signature:
 
 
 # every tree ever built, keyed by (op, children); children are interned
-# first, so one lookup per node makes structural equality identity
+# first, so one lookup per node makes structural equality identity (the
+# tree sampler, size.PlumpBackend.sample_tree, looks its nodes up here)
 _INTERNED: dict = {}
 _set = object.__setattr__  # a WTree's slots are written once, here
 

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence, Tuple
 
 from .errors import BudgetExceeded, ShapeMismatch
 from .finset import FiniteSet
-from .signature import Signature, WTree
+from .signature import _INTERNED, Signature, WTree
 
 # the most tree nodes the sampler of one PlumpBackend draws
 MAX_DRAWN = 1_000_000
@@ -48,7 +48,7 @@ class NatBackend:
         return max(i, j) + 1
 
     def succ(self, i: int) -> int:
-        return self.join(i, i)
+        return i + 1  # join(i, i)
 
     def predecessor_basis(self, i: int) -> tuple:
         if i == 0:
@@ -78,7 +78,8 @@ class PlumpBackend:
     name = "plump"
 
     __slots__ = (
-        "base", "extended", "bottom_op", "join_op", "arity_sizes", "nullary", "drawn"
+        "base", "extended", "bottom_op", "join_op", "arity_sizes", "leaf_of",
+        "leaves", "drawn",
     )
 
     def __init__(self, base: Signature):
@@ -91,7 +92,11 @@ class PlumpBackend:
         self.bottom_op = base.ops.size
         self.join_op = base.ops.size + 1
         self.arity_sizes = tuple(a.size for a in arities)
-        self.nullary = tuple(op for op, a in enumerate(self.arity_sizes) if a == 0)
+        # each op's leaf, None for an op with arguments; and the leaves alone
+        self.leaf_of = tuple(
+            None if a else WTree(op) for op, a in enumerate(self.arity_sizes)
+        )
+        self.leaves = tuple(leaf for leaf in self.leaf_of if leaf is not None)
         self.drawn = 0
 
     def lt(self, i: WTree, j: WTree) -> bool:
@@ -137,11 +142,14 @@ class PlumpBackend:
         Drawn in pre-order: a node at height budget 0 is a uniform nullary
         op, any other node a uniform op whose children are drawn left to
         right at one less.  The nodes still waiting for children sit on a
-        stack, so the depth of the tree costs no recursion.  Drawing the
+        stack, so the depth of the tree costs no recursion.  A leaf is the
+        backend's own, and a finished node is looked up among the interned
+        trees, so WTree builds only a node not seen before.  Drawing the
         node past the backend's MAX_DRAWN raises BudgetExceeded.
         """
-        arities, nullary = self.arity_sizes, self.nullary
+        arities, leaf_of, leaves = self.arity_sizes, self.leaf_of, self.leaves
         draw_op, draw_leaf = rng.randrange, rng.choice
+        interned = _INTERNED.get
         ops = len(arities)
         left = MAX_DRAWN - self.drawn
         open_nodes: list = []  # (op, children drawn so far), root first
@@ -152,14 +160,14 @@ class PlumpBackend:
                 raise BudgetExceeded(f"tree nodes drawn exceed the cap {MAX_DRAWN}")
             left -= 1
             if max_height == 0:
-                tree = WTree(draw_leaf(nullary))
+                tree = draw_leaf(leaves)
             else:
                 op = draw_op(ops)
                 if arities[op]:
                     open_nodes.append((op, []))
                     max_height -= 1
                     continue
-                tree = WTree(op)
+                tree = leaf_of[op]
             # hand it to its parent, closing every node it completes
             while open_nodes:
                 op, kids = open_nodes[-1]
@@ -167,7 +175,8 @@ class PlumpBackend:
                 if len(kids) < arities[op]:
                     break
                 open_nodes.pop()
-                tree = WTree(op, kids)
+                key = (op, tuple(kids))
+                tree = interned(key) or WTree(*key)
                 max_height += 1
             else:
                 self.drawn = MAX_DRAWN - left

@@ -11,7 +11,7 @@ from muiter.finset import (
     FiniteFn,
     FiniteSet,
     concat_tables,
-    product_table,
+    product_rows,
     then_table,
 )
 from muiter.functors import Product, Projection, Sum, eval_functor_mor
@@ -24,6 +24,11 @@ from reference import (
     sum_decode,
     sum_encode,
 )
+
+
+def product_table(fns, post=None):
+    """The product map's table: its rows laid end to end."""
+    return concat_tables(product_rows(fns, post))
 
 
 def all_functions(dom: FiniteSet, cod: FiniteSet):

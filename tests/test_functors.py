@@ -4,7 +4,7 @@ import random
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from muiter.checks import check_cocone_laws, check_functor_laws
@@ -24,6 +24,7 @@ from muiter.functors import (
     Projection,
     Sum,
     SymContainer,
+    _size,
     apply_diagram,
     eval_functor,
     eval_functor_mor,
@@ -124,6 +125,113 @@ def test_eval_keeps_its_shape_mismatch_messages(expr, env, message):
     with pytest.raises(ShapeMismatch) as raised:
         eval_functor(expr, env)
     assert str(raised.value) == message
+
+
+
+class TooMany(Exception):
+    """An enumeration past ENUMERATED elements, left unchecked."""
+
+
+ENUMERATED = 3000
+
+
+def _bounded(elements) -> list:
+    out = list(itertools.islice(elements, ENUMERATED + 1))
+    if len(out) > ENUMERATED:
+        raise TooMany
+    return out
+
+
+def elements(e, env: tuple) -> list:
+    """The elements of e applied to the lists in env, one by one: tagged
+    for a sum, tuples for a product, power or container, sorted tuples of
+    positions for sym, and the stationary stage of a fixpoint's chain."""
+    kind = type(e)
+    if kind is Identity:
+        return env[0]
+    if kind is Projection:
+        return env[e.slot]
+    if kind is Constant:
+        return list(range(e.value.size))
+    if kind is Sum:
+        return _bounded((k, x) for k, p in enumerate(e.parts) for x in elements(p, env))
+    if kind is Product:
+        return _bounded(itertools.product(*[elements(p, env) for p in e.parts]))
+    if kind is Power:
+        return _bounded(itertools.product(elements(e.base, env), repeat=e.exponent))
+    if kind is Container:
+        sig = e.sig
+        return _bounded(
+            (op, t)
+            for op in sig.ops
+            for t in itertools.product(env[0], repeat=sig.arities[op].size)
+        )
+    if kind is SymContainer:
+        positions = range(len(env[0]))
+        return _bounded(itertools.combinations_with_replacement(positions, e.arity))
+    if kind is Compose:
+        return elements(e.outer, tuple(elements(g, env) for g in e.inner))
+    if kind is MuParam:
+        stage: list = []
+        for _ in range(e.budget):
+            after = elements(e.body, (env[0], stage))
+            if len(after) == len(stage):
+                return after
+            stage = after
+        raise AssertionError("the chain outran the budget the size kept to")
+    raise AssertionError(f"no enumeration of {kind.__name__}")
+
+
+# expressions in two arguments over every node kind; a fixpoint's body reads
+# its argument as slot 0 and the fixpoint as slot 1
+EXPRS = st.recursive(
+    st.sampled_from([
+        Identity(),
+        Projection(1),
+        Constant(FiniteSet(0)),
+        Constant(FiniteSet(2)),
+        Container(Signature.of()),
+        Container(BIN),
+        Container(Signature.of(0, 0, 1, 3)),
+        SymContainer(0),
+        SymContainer(2),
+        SymContainer(3),
+    ]),
+    lambda parts: st.one_of(
+        st.lists(parts, max_size=3).map(lambda ps: Sum(tuple(ps))),
+        st.lists(parts, max_size=3).map(lambda ps: Product(tuple(ps))),
+        st.builds(Power, parts, st.integers(0, 2)),
+        st.builds(lambda o, a, b: Compose(o, (a, b)), parts, parts, parts),
+        st.builds(MuParam, parts, st.just(6)),
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(EXPRS, st.tuples(st.integers(0, 3), st.integers(0, 3)))
+@example(Compose(SymContainer(2), (Projection(1), Identity())), (2, 3))
+@example(MuParam(Sum((Constant(FiniteSet(1)), Product((Projection(0), Projection(1)))))), (0, 2))
+@example(MuParam(Sum((Projection(0), Product((Projection(1), Constant(FiniteSet(0))))))), (3, 1))
+@example(MuParam(Sum((Projection(0), Product((Projection(1), Identity()))))), (3, 1))
+@example(Container(Signature.of(0, 0, 1, 3)), (2, 0))
+@example(SymContainer(3), (3, 1))
+@example(Power(Projection(1), 0), (2, 0))
+@example(Power(Container(BIN), 0), (0, 0))
+def test_size_counts_the_elements_of_every_node_kind(e, sizes):
+    sets = tuple(FiniteSet(n) for n in sizes)
+    try:
+        size = _size(e, sizes)
+    except BudgetExceeded:  # a fixpoint past its budget or the cap
+        with pytest.raises(BudgetExceeded):
+            eval_functor(e, sets)
+        return
+    assert eval_functor(e, sets).size == size
+    try:
+        listed = elements(e, tuple(list(range(n)) for n in sizes))
+    except TooMany:
+        return
+    assert len(listed) == size
 
 
 # -- morphism parts: functor laws ---------------------------------------------

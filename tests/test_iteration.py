@@ -369,8 +369,8 @@ def test_tower_stops_where_the_colimit_chain_stops(size, length, budget, cap):
         return inflationary_iterate(POLY, backend, indices, budget, cap).profile()
 
     def by_sizes():
-        stages, profile = tower(POLY, backend, budget, cap, length=length)
-        assert [s.size for s in stages] == sizes_of(profile)
+        sizes, profile = tower(POLY, backend, budget, cap, length=length)
+        assert sizes == sizes_of(profile)
         return profile
 
     assert tower_outcome(by_sizes) == tower_outcome(by_colimits)
@@ -378,7 +378,7 @@ def test_tower_stops_where_the_colimit_chain_stops(size, length, budget, cap):
 
 def test_tower_without_a_length_stops_at_the_first_repeated_size():
     assert sizes_of(tower(Constant(FiniteSet(3)), nat_backend())[1]) == [0, 3, 3]
-    assert sizes_of(tower(Identity(), nat_backend(), first=FiniteSet(1))[1]) == [1, 1]
+    assert sizes_of(tower(Identity(), nat_backend(), first=1)[1]) == [1, 1]
     # with a length, a repeated size does not stop it
     long = tower(Constant(FiniteSet(3)), nat_backend(), length=4)[1]
     assert sizes_of(long) == [0, 3, 3, 3]

@@ -287,25 +287,35 @@ MIXED = Signature.of(0, 0, 1, 3, labels=["a", "c", "u", "b"])
 
 
 @pytest.mark.parametrize(
-    "sig, check, after",
+    "sig, check, samples, depth, after",
     [
-        (Signature.of(), check_order_laws, 2978523055816782699),
-        (Signature.of(), check_join_bounds, 3678339887190049727),
-        (Signature.of(), check_filtered, 18171578477455850508),
-        (MIXED, check_order_laws, 15034963992056846430),
-        (MIXED, check_join_bounds, 2930376959912077250),
-        (MIXED, check_filtered, 14087405458177654092),
+        (Signature.of(), check_order_laws, 60, 4, 2978523055816782699),
+        (Signature.of(), check_join_bounds, 60, 4, 3678339887190049727),
+        (Signature.of(), check_filtered, 60, 4, 18171578477455850508),
+        (MIXED, check_order_laws, 60, 4, 15034963992056846430),
+        (MIXED, check_join_bounds, 60, 4, 2930376959912077250),
+        (MIXED, check_filtered, 60, 4, 14087405458177654092),
+        # the chain workload's check: 2,000 samples at depth 5
+        (Signature.of(), check_order_laws, 2000, 5, 9789239820177955647),
+        (Signature.of(), check_join_bounds, 2000, 5, 13121600293426983576),
+        (Signature.of(), check_filtered, 2000, 5, 2433347135569471647),
+        (MIXED, check_order_laws, 2000, 5, 5534458545316100056),
+        (MIXED, check_join_bounds, 2000, 5, 10276163330720092485),
+        (MIXED, check_filtered, 2000, 5, 17753513234414555462),
     ],
     ids=[
         "order-laws", "join-bounds", "filtered-bounds",
         "mixed-order-laws", "mixed-join-bounds", "mixed-filtered-bounds",
+        "chain-order-laws", "chain-join-bounds", "chain-filtered-bounds",
+        "chain-mixed-order-laws", "chain-mixed-join-bounds",
+        "chain-mixed-filtered-bounds",
     ],
 )
-def test_check_suites_draw_the_same_samples(sig, check, after):
+def test_check_suites_draw_the_same_samples(sig, check, samples, depth, after):
     # a suite's report only counts its samples; the generator's next word
     # pins every draw the suite made before it
     rng = random.Random(7)
-    assert check(kappa_sigma(sig), rng, 60, 4)["ok"]
+    assert check(kappa_sigma(sig), rng, samples, depth)["ok"]
     assert rng.getrandbits(64) == after
 
 
