@@ -4,6 +4,10 @@ The package computes least fixpoints of functor expressions by iterating
 stage colimits over a well-founded directed index order, with numeric and
 tree-order backends, plus the dual chain, free algebras, parameterized
 fixpoints, and a small script language driving it all.
+
+The package loads what the command line runs; the check suites and the
+colimit engine load on first use, by a `check` command, by
+IterationState.stage, or by reading a name such as muiter.Diagram.
 """
 
 from .errors import (
@@ -26,11 +30,6 @@ from .size import (
     height,
     kappa_sigma,
     nat_backend,
-)
-from .colimit import (
-    Cocone,
-    Diagram,
-    subdiagram_colimit,
 )
 from .functors import (
     Compose,
@@ -61,10 +60,31 @@ from .iteration import (
     mu_parameterized,
 )
 from .dsl import parse_script
-from .checks import run_checks
 from .size import successor_tower
 
 __version__ = "0.1.0"
+
+# names whose modules load on first use, by module
+_LAZY = {
+    "Cocone": "colimit",
+    "Diagram": "colimit",
+    "subdiagram_colimit": "colimit",
+    "run_checks": "checks",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    module = import_module(f".{_LAZY[name]}", __name__)
+    globals()[name] = value = getattr(module, name)
+    return value
+
+
+def __dir__():
+    return sorted(globals().keys() | _LAZY.keys())
 
 __all__ = [
     "__version__",

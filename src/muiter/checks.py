@@ -12,9 +12,9 @@ import random
 from typing import Dict, List, Optional
 
 from .colimit import Diagram, subdiagram_colimit
-from .errors import BudgetExceeded, NonFunctorialDiagram
+from .errors import BudgetExceeded, IntegrityError, NonFunctorialDiagram
 from .finset import FiniteFn, FiniteSet
-from .functors import FunctorExpr, eval_functor_mor, expr_arity, preserves_chain_colimit
+from .functors import FunctorExpr, eval_functor, eval_functor_mor, expr_arity
 from .size import PlumpBackend, filtered_sample_check, height
 
 
@@ -148,6 +148,29 @@ def check_functor_laws(
     if trials == 0:
         return _pass(name, "skipped: no finitely evaluable sample sizes")
     return _pass(name, f"{trials} random composites")
+
+
+def apply_diagram(e: FunctorExpr, d: Diagram) -> Diagram:
+    """Apply a unary functor expression to every object and arrow."""
+    objects = {i: eval_functor(e, (d.objects[i],)) for i in d.indices}
+    arrows = {
+        edge: eval_functor_mor(e, (f,)) for edge, f in d.arrows.items()
+    }
+    return Diagram(objects, arrows)
+
+
+def preserves_chain_colimit(e: FunctorExpr, d: Diagram) -> bool:
+    """Smoke test: the canonical map colim F(D) -> F(colim D) is bijective."""
+    mapped = apply_diagram(e, d)
+    lhs = subdiagram_colimit(mapped)
+    base = subdiagram_colimit(d)
+    rhs = eval_functor(e, (base.apex,))
+    table = lhs.induce(
+        lambda i: eval_functor_mor(e, (base.legs[i],)).table,
+        lambda cls: IntegrityError("canonical comparison map ill defined"),
+    )
+    fn = FiniteFn(lhs.apex, rhs, table)
+    return fn.is_bijection()
 
 
 def check_chain_preservation(

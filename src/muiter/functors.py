@@ -13,8 +13,7 @@ from itertools import combinations_with_replacement
 from math import comb, prod
 from typing import Tuple
 
-from .colimit import Diagram, subdiagram_colimit
-from .errors import IntegrityError, ShapeMismatch
+from .errors import ShapeMismatch
 from .finset import (
     FiniteFn,
     FiniteSet,
@@ -320,10 +319,11 @@ def _mor(e: FunctorExpr, fns: tuple, post, pieces: list) -> tuple:
     a table is copied once however deep the sums that hold it.  A sum
     hands each part its slice of post, the identity's slices being the
     ranges of the parts' offsets; a product or power maps the rows of its
-    last factor through post, each row a piece; a container is the sum
-    over its operations of the powers of X; every other node is built and
-    then composed with post.  A piece is a step-1 range, bytes or a tuple,
-    bytes whenever post is.
+    last factor through post, each row a piece; a container is laid out
+    the same way, one block per operation, each the power of X's map to
+    that operation's arity; every other node is built and then composed
+    with post.  A piece is a step-1 range, bytes or a tuple, bytes
+    whenever post is.
     """
     kind = type(e)
     if kind is Identity or kind is Projection:
@@ -357,8 +357,15 @@ def _mor(e: FunctorExpr, fns: tuple, post, pieces: list) -> tuple:
         return _mor(e.outer, vals, post, pieces)
     if kind is Container:
         _need(fns, 1, e)
-        powers = tuple(Power(Identity(), a.size) for a in e.sig.arities)
-        return _mor(Sum(powers), fns, post, pieces)
+        f = fns[0]
+        arities = [a.size for a in e.sig.arities]
+        sizes = [f.cod.size ** k for k in arities]
+        cod = sum(sizes)
+        if post is None:
+            post = range(cod)
+        for k, block in zip(arities, sum_slices(post, sizes)):
+            pieces += product_rows([f] * k, block)
+        return sum(f.dom.size ** k for k in arities), cod
     if kind is SymContainer:
         _need(fns, 1, e)
         return _write(_sym_map(e.arity, fns[0]), post, pieces)
@@ -400,26 +407,3 @@ def _sym_map(k: int, f: FiniteFn) -> FiniteFn:
         for ms in combinations_with_replacement(range(f.dom.size), k)
     ]
     return FiniteFn(FiniteSet(len(table)), FiniteSet(last + 1), table)
-
-
-def apply_diagram(e: FunctorExpr, d: Diagram) -> Diagram:
-    """Apply a unary functor expression to every object and arrow."""
-    objects = {i: eval_functor(e, (d.objects[i],)) for i in d.indices}
-    arrows = {
-        edge: eval_functor_mor(e, (f,)) for edge, f in d.arrows.items()
-    }
-    return Diagram(objects, arrows)
-
-
-def preserves_chain_colimit(e: FunctorExpr, d: Diagram) -> bool:
-    """Smoke test: the canonical map colim F(D) -> F(colim D) is bijective."""
-    mapped = apply_diagram(e, d)
-    lhs = subdiagram_colimit(mapped)
-    base = subdiagram_colimit(d)
-    rhs = eval_functor(e, (base.apex,))
-    table = lhs.induce(
-        lambda i: eval_functor_mor(e, (base.legs[i],)).table,
-        lambda cls: IntegrityError("canonical comparison map ill defined"),
-    )
-    fn = FiniteFn(lhs.apex, rhs, table)
-    return fn.is_bijection()

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import Dict, Sequence, Tuple
 
-from .colimit import Diagram, subdiagram_colimit
 from .errors import (
     BudgetExceeded,
     IntegrityError,
@@ -141,6 +140,10 @@ class IterationState:
     # -- stage computation ----------------------------------------------
 
     def stage(self, i) -> StageRecord:
+        # the colimit engine loads here, on first use: the successor tower
+        # the fixpoint commands run on never reaches it
+        from .colimit import Diagram, subdiagram_colimit
+
         def basis_of(idx) -> tuple:
             return tuple(dict.fromkeys(self.backend.predecessor_basis(idx)))
 

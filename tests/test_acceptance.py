@@ -10,6 +10,7 @@ import itertools
 import random
 import subprocess
 
+from muiter.checks import preserves_chain_colimit
 from muiter.colimit import Diagram, subdiagram_colimit
 from muiter.errors import BudgetExceeded
 from muiter.finset import FiniteFn, FiniteSet
@@ -21,7 +22,6 @@ from muiter.functors import (
     Sum,
     SymContainer,
     eval_functor,
-    preserves_chain_colimit,
 )
 from muiter.iteration import (
     AlgebraSpec,

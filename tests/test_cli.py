@@ -675,7 +675,6 @@ def test_no_fixpoint_command_reaches_the_colimit_engine(tmp_path, capsys, monkey
         raise AssertionError("a fixpoint command reached the colimit engine")
 
     monkeypatch.setattr("muiter.colimit.subdiagram_colimit", unreachable)
-    monkeypatch.setattr("muiter.iteration.subdiagram_colimit", unreachable)
     monkeypatch.setattr("muiter.iteration.IterationState.stage", unreachable)
     code, payload, err = run_json(tmp_path, capsys, GUARDED)
     assert (code, err) == (0, "")
@@ -1192,7 +1191,7 @@ def test_nu_rejects_plump_sizes(tmp_path, capsys):
 
 def test_failed_checks_exit_three(tmp_path, capsys, monkeypatch):
     forced = [{"name": "forced", "ok": False, "detail": "induced for the test"}]
-    monkeypatch.setattr("muiter.cli.run_checks", lambda *a, **k: forced)
+    monkeypatch.setattr("muiter.checks.run_checks", lambda *a, **k: forced)
     code, out, err = run_cli(tmp_path, capsys, "check samples 1\n")
     assert code == 3
     assert "FAIL forced" in out
@@ -1217,7 +1216,7 @@ def test_check_samples_above_the_cap_exit_one_before_sampling(tmp_path):
 def test_check_samples_at_the_cap_run(tmp_path, capsys, monkeypatch):
     asked = []
     monkeypatch.setattr(
-        "muiter.cli.run_checks", lambda *a, samples, **k: asked.append(samples) or []
+        "muiter.checks.run_checks", lambda *a, samples, **k: asked.append(samples) or []
     )
     code, _, _ = run_cli(tmp_path, capsys, f"check samples {MAX_SAMPLES}\n")
     assert code == 0
@@ -1364,6 +1363,51 @@ def test_the_command_line_loads_neither_argparse_nor_gettext(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == ARGV_JSON + "0 [] []\n"
+
+
+def test_the_command_line_loads_neither_the_checks_nor_the_colimit_engine(tmp_path):
+    # they load on first use: every fixpoint command, --help and --version
+    # run without them, and a check command loads both
+    guarded, check = tmp_path / "guarded.mi", tmp_path / "check.mi"
+    guarded.write_text(GUARDED)
+    check.write_text("check samples 1\n")
+    code = (
+        "import contextlib, io, sys, muiter.cli\n"
+        "loaded = lambda: sorted({'muiter.checks', 'muiter.colimit'} & set(sys.modules))\n"
+        "seen = [loaded()]\n"
+        "for argv in (['--version'], ['--help'], [sys.argv[1]],\n"
+        "             [sys.argv[1], '--format', 'json'], [sys.argv[2]]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        seen.append((muiter.cli.main(argv), loaded()))\n"
+        "print(seen)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(guarded), str(check)],
+        env=child_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    both = ["muiter.checks", "muiter.colimit"]
+    assert done.stdout == f"{[[]] + [(0, [])] * 4 + [(0, both)]}\n"
+
+
+def test_the_lazy_names_resolve_in_a_fresh_process():
+    code = (
+        "from muiter import Diagram, run_checks\n"
+        "print(Diagram.__module__, run_checks.__module__)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=child_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, "muiter.colimit muiter.checks\n", ""
+    )
 
 
 @pytest.mark.parametrize(

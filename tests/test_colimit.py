@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from muiter.checks import preserves_chain_colimit
 from muiter.colimit import Cocone, Diagram, subdiagram_colimit
 from muiter.errors import (
     IllTypedArrow,
@@ -14,7 +15,7 @@ from muiter.errors import (
     ShapeMismatch,
 )
 from muiter.finset import FiniteFn, FiniteSet
-from muiter.functors import Identity, Product, preserves_chain_colimit
+from muiter.functors import Identity, Product
 from reference import Relation, finite_cat_colimit, quotient, sum_encode
 
 

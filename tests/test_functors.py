@@ -7,7 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from muiter.checks import check_cocone_laws, check_functor_laws
+from muiter.checks import (
+    apply_diagram,
+    check_cocone_laws,
+    check_functor_laws,
+    preserves_chain_colimit,
+)
 from muiter.colimit import Diagram, subdiagram_colimit
 from muiter.errors import BudgetExceeded, ShapeMismatch
 from muiter.finset import FiniteFn, FiniteSet
@@ -25,11 +30,9 @@ from muiter.functors import (
     Sum,
     SymContainer,
     _size,
-    apply_diagram,
     eval_functor,
     eval_functor_mor,
     expr_arity,
-    preserves_chain_colimit,
 )
 from muiter.signature import Signature
 from reference import (
@@ -536,6 +539,33 @@ def test_container_sizes_follow_signature():
     for n in range(4):
         x = FiniteSet(n)
         assert eval_functor(Container(BIN), (x,)).size == sum(container_blocks(BIN, n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_a_container_maps_like_its_sum_of_powers(data):
+    # a container over arities a_1, ..., a_n is X^|a_1| + ... + X^|a_n|:
+    # the same table, of the same type, with and without a map after it
+    arities = data.draw(st.lists(st.integers(0, 3), max_size=4), label="arities")
+    a = data.draw(st.integers(0, 3), label="dom")
+    b = data.draw(st.integers(1 if a else 0, 3), label="cod")
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    if a <= b and data.draw(st.booleans(), label="range"):
+        start = rng.randrange(b - a + 1)
+        table = range(start, start + a)
+    else:
+        table = [rng.randrange(b) for _ in range(a)]
+    f = FiniteFn(FiniteSet(a), FiniteSet(b), table)
+    container = Container(Signature.of(*arities))
+    expansion = Sum(tuple(Power(Identity(), k) for k in arities))
+    got, want = eval_functor_mor(container, (f,)), eval_functor_mor(expansion, (f,))
+    assert (got, type(got.table)) == (want, type(want.table))
+    # codomains past 256 values take tables out of bytes
+    c = data.draw(st.sampled_from([1, 3, 300]), label="post")
+    post = FiniteFn(got.cod, FiniteSet(c), [rng.randrange(c) for _ in range(got.cod.size)])
+    got = eval_functor_mor(container, (f,), then=post)
+    want = eval_functor_mor(expansion, (f,), then=post)
+    assert (got, type(got.table)) == (want, type(want.table))
 
 
 # -- chains and preservation ---------------------------------------------------------

@@ -91,6 +91,13 @@ def test_public_names_are_pinned_and_resolve():
         getattr(muiter, name)
 
 
+def test_a_star_import_and_dir_give_every_public_name():
+    namespace = {}
+    exec("from muiter import *", namespace)
+    assert sorted(namespace.keys() - {"__builtins__"}) == PUBLIC
+    assert set(PUBLIC) <= set(dir(muiter))
+
+
 @pytest.mark.parametrize("path", REMOVED)
 def test_removed_names_are_gone(path):
     module, *owner, name = path.split(".")
