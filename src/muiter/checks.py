@@ -15,7 +15,7 @@ from .colimit import Diagram, subdiagram_colimit
 from .errors import BudgetExceeded, IntegrityError, NonFunctorialDiagram
 from .finset import FiniteFn, FiniteSet
 from .functors import FunctorExpr, eval_functor, eval_functor_mor, expr_arity
-from .size import PlumpBackend, filtered_sample_check, height
+from .size import filtered_sample_check, height
 
 
 def _fail(name: str, detail: str) -> Dict:
@@ -83,7 +83,7 @@ def check_filtered(backend, rng: random.Random, samples: int, depth: int) -> Dic
     indices = backend.sample_indices(rng, max(samples, 4), depth)
     # a family is indexed by the arity of an operation of the base
     # signature; without operations (nat, bare plump) its width is free
-    ops = backend.base.ops.size if isinstance(backend, PlumpBackend) else 0
+    ops = backend.base.ops.size
     drawn = []
     for _ in range(samples):
         if ops:

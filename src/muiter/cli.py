@@ -126,10 +126,16 @@ class Runner:
             if not isinstance(stmt, Command):
                 self.env.declare(stmt)
                 continue
+            # each command writes its header into report before anything
+            # that can stop it, and its results once it has them all
+            report: dict = {}
+            reports.append(report)
             try:
-                reports.append(self.dispatch(stmt))
+                getattr(self, "cmd_" + stmt.kind)(stmt, report)
             except BudgetExceeded as e:
-                reports.append(self.budget_report(stmt, e))
+                if stmt.kind != "check":  # a check's sampler drew too many nodes
+                    report["stages"] = e.profile
+                report["error"] = {"type": "budget-exceeded", "message": str(e)}
                 return 2, payload
         for report in reports:
             if report["command"] == "check" and not all(
@@ -137,10 +143,6 @@ class Runner:
             ):
                 return 3, payload
         return 0, payload
-
-    def dispatch(self, cmd: Command) -> dict:
-        handler = getattr(self, "cmd_" + cmd.kind)
-        return handler(cmd)
 
     # -- option plumbing --------------------------------------------------
 
@@ -172,10 +174,12 @@ class Runner:
         backend = _backend_for(self.env, size, cmd.line)
         return expr, size, budget, backend
 
-    def base_report(self, cmd: Command, size: Optional[str], budget: Optional[int]) -> dict:
+    def header(
+        self, report: dict, cmd: Command, size: Optional[str], budget: Optional[int]
+    ) -> None:
         # the header of a finished or stopped run; a finished cata without an
         # inline stage adds its stationary index, which a stop never reaches
-        report: dict = {"command": cmd.kind, "line": cmd.line}
+        report["command"], report["line"] = cmd.kind, cmd.line
         if cmd.functor is not None:
             report["functor"] = cmd.functor
         if cmd.algebra is not None:
@@ -188,65 +192,37 @@ class Runner:
             report["size"] = size
         if budget is not None:
             report["budget"] = budget
-        return report
-
-    def budget_report(self, cmd: Command, e: BudgetExceeded) -> dict:
-        if cmd.kind == "check":  # its sampler drew too many tree nodes
-            report = self.check_header(cmd)
-        else:
-            # the dual chain runs on nat only
-            size = "nat" if cmd.kind == "nu" else self.opt_size(cmd)
-            report = self.base_report(cmd, size, self.opt_budget(cmd))
-            report["stages"] = e.profile
-        report["error"] = {"type": "budget-exceeded", "message": str(e)}
-        return report
-
-    def check_header(self, cmd: Command) -> dict:
-        """A check command's report before its checks: size, samples, seed
-        and depth.  Samples over MAX_SAMPLES are a usage error."""
-        samples = cmd.option("samples", self.defaults.get("samples", 200))
-        if samples > MAX_SAMPLES:
-            raise UsageError(
-                f"line {cmd.line}: samples {samples} exceeds the cap {MAX_SAMPLES}"
-            )
-        report = self.base_report(cmd, self.opt_size(cmd), None)
-        report["samples"] = samples
-        report["seed"] = cmd.option("seed", self.defaults.get("seed", 0))
-        report["depth"] = cmd.option("depth", self.defaults.get("depth", 3))
-        return report
 
     # -- commands ----------------------------------------------------------
 
-    def cmd_iterate(self, cmd: Command) -> dict:
+    def cmd_iterate(self, cmd: Command, report: dict) -> None:
         expr, size, budget, backend = self.setup(cmd)
+        self.header(report, cmd, size, budget)
         depth = cmd.option("depth", self.defaults.get("depth", budget))
-        report = self.base_report(cmd, size, budget)
         report["stages"] = tower(expr, backend, budget, length=depth)[1]
-        return report
 
-    def cmd_mu(self, cmd: Command) -> dict:
+    def cmd_mu(self, cmd: Command, report: dict) -> None:
         expr, size, budget, backend = self.setup(cmd)
+        self.header(report, cmd, size, budget)
         result = mu_initial_algebra(expr, backend, budget)
-        report = self.base_report(cmd, size, budget)
         report["stages"] = result.profile
         report["stationaryAt"] = result.stationary_at
         report["mu"] = {"size": result.carrier.size}
         report["iota"] = result.structure.to_json()
-        return report
 
-    def cmd_free(self, cmd: Command) -> dict:
+    def cmd_free(self, cmd: Command, report: dict) -> None:
         expr, size, budget, backend = self.setup(cmd)
+        self.header(report, cmd, size, budget)
         result = free_algebra(expr, FiniteSet(cmd.generators), backend, budget)
-        report = self.base_report(cmd, size, budget)
         report["stages"] = result.mu.profile
         report["stationaryAt"] = result.mu.stationary_at
         report["mu"] = {"size": result.mu.carrier.size}
         report["unit"] = result.unit.to_json()
         report["iota"] = result.structure.to_json()
-        return report
 
-    def cmd_cata(self, cmd: Command) -> dict:
+    def cmd_cata(self, cmd: Command, report: dict) -> None:
         expr, size, budget, backend = self.setup(cmd)
+        self.header(report, cmd, size, budget)
         decl = self.env.algebras[cmd.algebra]
         carrier = FiniteSet(decl.carrier)
         for v in decl.table:
@@ -262,18 +238,17 @@ class Runner:
                 f"entries, functor applied to the carrier has {fa.size}"
             )
         alg = AlgebraSpec(carrier, FiniteFn(fa, carrier, decl.table))
-        report = self.base_report(cmd, size, budget)
         stage = cmd.option("stage")
         length = None if stage is None else stage + 1
         sizes, profile = tower(expr, backend, budget, length=length)
+        # the sized chain stops at its first repeated size: fold below it
+        fold = tower_fold(expr, alg, len(sizes) - 2 if stage is None else stage)
         if stage is None:
-            # the sized chain stops at its first repeated size: fold below it
-            report["stage"], stage = len(sizes) - 1, len(sizes) - 2
+            report["stage"] = len(sizes) - 1
         report["stages"] = profile
-        report["fold"] = tower_fold(expr, alg, stage).to_json()
-        return report
+        report["fold"] = fold.to_json()
 
-    def cmd_nu(self, cmd: Command) -> dict:
+    def cmd_nu(self, cmd: Command, report: dict) -> None:
         expr = self.env.endofunctor(cmd.functor, cmd.line)
         size = cmd.option("size")
         if size not in (None, "nat"):
@@ -281,19 +256,28 @@ class Runner:
                 f"line {cmd.line}: the dual chain runs on numeric stages only"
             )
         budget = self.opt_budget(cmd)
+        self.header(report, cmd, "nat", budget)
         result = deflationary_nu(expr, budget)
-        report = self.base_report(cmd, "nat", budget)
         report["stages"] = result.profile
         report["stationaryAt"] = result.stationary_at
         report["nu"] = {"size": result.carrier.size}
-        return report
 
-    def cmd_check(self, cmd: Command) -> dict:
+    def cmd_check(self, cmd: Command, report: dict) -> None:
+        """Samples over MAX_SAMPLES are a usage error, raised before any
+        sampling."""
         # only check runs the suites, so they and the colimit engine they
         # test load here, not at start-up
         from .checks import run_checks
 
-        report = self.check_header(cmd)
+        samples = cmd.option("samples", self.defaults.get("samples", 200))
+        if samples > MAX_SAMPLES:
+            raise UsageError(
+                f"line {cmd.line}: samples {samples} exceeds the cap {MAX_SAMPLES}"
+            )
+        self.header(report, cmd, self.opt_size(cmd), None)
+        report["samples"] = samples
+        report["seed"] = cmd.option("seed", self.defaults.get("seed", 0))
+        report["depth"] = cmd.option("depth", self.defaults.get("depth", 3))
         backend = _backend_for(self.env, report["size"], cmd.line)
         report["checks"] = run_checks(
             backend,
@@ -302,7 +286,6 @@ class Runner:
             depth=report["depth"],
             seed=report["seed"],
         )
-        return report
 
 
 # -- rendering -------------------------------------------------------------

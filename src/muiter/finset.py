@@ -24,7 +24,6 @@ by index, slice, len and iteration; only this module tells them apart.
 from __future__ import annotations
 
 from itertools import chain
-from math import prod
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ShapeMismatch
@@ -300,16 +299,15 @@ def sum_slices(post: Sequence[int], sizes: Iterable[int]) -> Iterator[Sequence[i
         offset += n
 
 
-def product_rows(
-    fns: Sequence[FiniteFn], post: Optional[Sequence[int]] = None
-) -> list:
+def product_rows(fns: Sequence[FiniteFn], post: Sequence[int]) -> list:
     """Table of the product of maps in the mixed-radix layout, then post,
     as pieces to lay end to end, so a caller that lays it after other
     tables copies it once.
 
     Factor k is digit k, the first least significant: the entry at digits
     (d_0, d_1, ...) is post at the sum of W_k * fns[k](d_k), W_k the
-    product of the codomain sizes before k.  post defaults to the identity.
+    product of the codomain sizes before k.  The plain product map is the
+    case where post is the identity range.
 
     When every factor but the last is an identity, the leading digits run
     through all W values (W the product of their sizes) under each value of
@@ -322,8 +320,6 @@ def product_rows(
     table is longer than its codomain; the last factor's rows are the
     pieces.
     """
-    if post is None:
-        post = range(prod(f.cod.size for f in fns))
     weight = 1
     for f in fns[:-1]:
         if not (isinstance(f.table, range) and f.table == range(f.cod.size)):

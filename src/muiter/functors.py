@@ -3,8 +3,11 @@
 Expressions form a small AST.  eval_functor computes the object part on a
 tuple of argument sets, eval_functor_mor the morphism part on a tuple of
 functions.  How big F(X_1, ..., X_n) is depends only on |X_1|, ...,
-|X_n|, so sizes come from one recursion over ints, _size; the successor
-tower (iteration.tower) sizes its stages with it and builds no set.
+|X_n|, so the object part is one recursion over ints, _size; the
+successor tower (iteration.tower) sizes its stages with it and builds no
+set.  The morphism part is one recursion too, _mor, and a map always
+carries a post table out of its codomain, the identity range when the
+caller gives none.
 """
 
 from __future__ import annotations
@@ -203,28 +206,9 @@ def _need(env: tuple, n: int, e: FunctorExpr):
         )
 
 
-def eval_functor(e: FunctorExpr, env: Tuple[FiniteSet, ...]):
-    """Object part: the FiniteSet e makes of the argument sets.
-
-    An argument or a constant is that set itself, and so is what a
-    composite or a fixpoint makes of one; any other node is a set of the
-    size _size gives for the arguments' sizes.
-    """
-    env = tuple(env)
-    kind = type(e)
-    if kind is Identity or kind is Projection:
-        slot = e.slot if kind is Projection else 0
-        _need(env, slot + 1, e)
-        return env[slot]
-    if kind is Constant:
-        return e.value
-    if kind is Compose:
-        return eval_functor(e.outer, tuple([eval_functor(g, env) for g in e.inner]))
-    if kind is MuParam:
-        # the fixpoint Y is body(X, Y) at the chain's stationary size
-        _need(env, 1, e)
-        fixed = _mu_sizes(e, env[0].size)[-1]
-        return eval_functor(e.body, (env[0], FiniteSet(fixed)))
+def eval_functor(e: FunctorExpr, env: Tuple[FiniteSet, ...]) -> FiniteSet:
+    """Object part: the set e makes of the argument sets, of the size
+    _size gives for the arguments' sizes."""
     return FiniteSet(_size(e, tuple([x.size for x in env])))
 
 
@@ -286,7 +270,8 @@ def eval_functor_mor(e: FunctorExpr, fns: Tuple[FiniteFn, ...], then=None):
     With then, a map out of e applied to the codomains, the result is that
     morphism part followed by then, built as one table: every value comes
     from then's table, so like FiniteFn.then it needs no check.  Without
-    it, the table is checked once, as a whole.
+    it, the post table is the identity range, and the table is checked
+    once, as a whole.
     """
     fns = tuple(fns)
     if then is None:
@@ -298,32 +283,33 @@ def eval_functor_mor(e: FunctorExpr, fns: Tuple[FiniteFn, ...], then=None):
             f"cannot compose: codomain {size} vs domain {then.dom.size}"
         )
     pieces: list = []
-    dom = _mor(e, fns, then.table, pieces)[0]
+    dom = _mor(e, fns, then.table, pieces)
     return FiniteFn.unchecked(FiniteSet(dom), then.cod, concat_tables(pieces))
 
 
 def _fn(e: FunctorExpr, fns: tuple) -> FiniteFn:
-    """e's morphism part on fns, as an unchecked FiniteFn."""
+    """e's morphism part on fns, as an unchecked FiniteFn: its codomain
+    is sized by _size, and its post table is that codomain's identity."""
+    cod = _size(e, tuple([f.cod.size for f in fns]))
     pieces: list = []
-    dom, cod = _mor(e, fns, None, pieces)
+    dom = _mor(e, fns, range(cod), pieces)
     return FiniteFn.unchecked(FiniteSet(dom), FiniteSet(cod), concat_tables(pieces))
 
 
-def _mor(e: FunctorExpr, fns: tuple, post, pieces: list) -> tuple:
+def _mor(e: FunctorExpr, fns: tuple, post, pieces: list) -> int:
     """Append the table of e's morphism part on fns, followed by post, to
-    pieces, and return the sizes of its domain and of e applied to the
-    codomains.
+    pieces, and return the size of its domain.
 
-    post is a table out of e applied to the codomains; None stands for
-    the identity.  The pieces are laid end to end once, by the caller, so
-    a table is copied once however deep the sums that hold it.  A sum
-    hands each part its slice of post, the identity's slices being the
-    ranges of the parts' offsets; a product or power maps the rows of its
-    last factor through post, each row a piece; a container is laid out
-    the same way, one block per operation, each the power of X's map to
-    that operation's arity; every other node is built and then composed
-    with post.  A piece is a step-1 range, bytes or a tuple, bytes
-    whenever post is.
+    post is a table out of e applied to the codomains, the identity range
+    when the caller composes with nothing.  The pieces are laid end to
+    end once, by the caller, so a table is copied once however deep the
+    sums that hold it.  A sum hands each part its slice of post, the
+    identity's slices being the ranges of the parts' offsets; a product
+    or power maps the rows of its last factor through post, each row a
+    piece; a container is laid out the same way, one block per
+    operation, each the power of X's map to that operation's arity;
+    every other node is built and then composed with post.  A piece is a
+    step-1 range, bytes or a tuple, bytes whenever post is.
     """
     kind = type(e)
     if kind is Identity or kind is Projection:
@@ -332,18 +318,15 @@ def _mor(e: FunctorExpr, fns: tuple, post, pieces: list) -> tuple:
         return _write(fns[slot], post, pieces)
     if kind is Constant:
         n = e.value.size
-        pieces.append(range(n) if post is None else then_table(range(n), post))
-        return n, n
+        pieces.append(then_table(range(n), post))
+        return n
     if kind is Sum:
         cods = tuple([f.cod.size for f in fns])
         sizes = [_size(p, cods) for p in e.parts]
-        cod = sum(sizes)
-        if post is None:
-            post = range(cod)
         dom = 0
         for p, part in zip(e.parts, sum_slices(post, sizes)):
-            dom += _mor(p, fns, part, pieces)[0]
-        return dom, cod
+            dom += _mor(p, fns, part, pieces)
+        return dom
     if kind is Product or kind is Power:
         if kind is Product:
             mors = [_fn(p, fns) for p in e.parts]
@@ -351,7 +334,7 @@ def _mor(e: FunctorExpr, fns: tuple, post, pieces: list) -> tuple:
             # the base's map once, repeated; a zeroth power never reads it
             mors = [_fn(e.base, fns)] * e.exponent if e.exponent else []
         pieces += product_rows(mors, post)
-        return prod(m.dom.size for m in mors), prod(m.cod.size for m in mors)
+        return prod(m.dom.size for m in mors)
     if kind is Compose:
         vals = tuple([eval_functor_mor(g, fns) for g in e.inner])
         return _mor(e.outer, vals, post, pieces)
@@ -360,12 +343,9 @@ def _mor(e: FunctorExpr, fns: tuple, post, pieces: list) -> tuple:
         f = fns[0]
         arities = [a.size for a in e.sig.arities]
         sizes = [f.cod.size ** k for k in arities]
-        cod = sum(sizes)
-        if post is None:
-            post = range(cod)
         for k, block in zip(arities, sum_slices(post, sizes)):
             pieces += product_rows([f] * k, block)
-        return sum(f.dom.size ** k for k in arities), cod
+        return sum(f.dom.size ** k for k in arities)
     if kind is SymContainer:
         _need(fns, 1, e)
         return _write(_sym_map(e.arity, fns[0]), post, pieces)
@@ -377,11 +357,11 @@ def _mor(e: FunctorExpr, fns: tuple, post, pieces: list) -> tuple:
     raise ShapeMismatch(f"unknown expression node {kind.__name__}")
 
 
-def _write(f: FiniteFn, post, pieces: list) -> tuple:
-    """Append f's table followed by post, None standing for the identity,
-    to pieces; return the sizes of f's domain and codomain."""
-    pieces.append(f.table if post is None else then_table(f.table, post))
-    return f.dom.size, f.cod.size
+def _write(f: FiniteFn, post, pieces: list) -> int:
+    """Append f's table followed by post to pieces; return the size of
+    f's domain."""
+    pieces.append(then_table(f.table, post))
+    return f.dom.size
 
 
 def _multisets(n: int, k: int) -> int:

@@ -31,9 +31,14 @@ MAX_DRAWN = 1_000_000
 
 
 class NatBackend:
-    """Natural numbers: lt is <, join is max plus one."""
+    """Natural numbers: lt is <, join is max plus one.
+
+    These are the heights of the tree order over no operations, so the
+    base signature is the empty one.
+    """
 
     name = "nat"
+    base = Signature.of()
 
     def lt(self, i: int, j: int) -> bool:
         return i < j
@@ -203,8 +208,9 @@ def filtered_sample_check(
     Each sample is (op, family) where op indexes an operation of the
     backend's base signature and family is a tuple of indices.  A family
     of an operation is bounded by that operation's node over it; one with
-    no base operation (any family under nat, or a tree backend's op past
-    its base signature) by the backend's join folded from bottom.
+    no base operation (any family under nat, whose base signature is
+    empty, or a tree backend's op past its base signature) by the
+    backend's join folded from bottom.
     Returns (all_bounded, witnesses) with one witness bound per sample.
     """
     witnesses = []
@@ -212,7 +218,7 @@ def filtered_sample_check(
     bottom = backend.bottom()
     for op, family in samples:
         family = tuple(family)
-        if isinstance(backend, PlumpBackend) and op < backend.base.ops.size:
+        if op < backend.base.ops.size:
             want = backend.base.arities[op].size
             if want != len(family):
                 raise ShapeMismatch(

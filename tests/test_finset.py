@@ -27,7 +27,10 @@ from reference import (
 
 
 def product_table(fns, post=None):
-    """The product map's table: its rows laid end to end."""
+    """The product map's table: its rows laid end to end, followed by post,
+    the identity range of the product when none is given."""
+    if post is None:
+        post = range(math.prod(f.cod.size for f in fns))
     return concat_tables(product_rows(fns, post))
 
 

@@ -23,7 +23,8 @@ PUBLIC = [
 
 # what no command-line path reaches, the groupoid colimits that closed-form
 # multisets replaced, the element codecs that size arithmetic replaced, and
-# the colimit engine's state that a sized chain no longer returns, as paths
+# the colimit engine's state that a sized chain no longer returns, and the
+# runner's dispatch and stop report that Runner.run took over, as paths
 # under muiter; the test oracles among these live in tests/reference.py
 REMOVED = [
     "colimit.connecting_map",
@@ -82,6 +83,8 @@ REMOVED = [
     "dsl.lower_expr",
     "dsl.SurfaceExpr",
     "dsl.Script",
+    "cli.Runner.budget_report",
+    "cli.Runner.dispatch",
 ]
 
 
