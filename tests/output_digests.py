@@ -13,6 +13,14 @@ exit codes, so a diff of two runs is the byte-identity check:
     python tests/output_digests.py /path/to/other > other.txt
     python tests/output_digests.py > this.txt
     diff other.txt this.txt
+
+tests/output_digests.txt holds this checkout's lines, and
+tests/test_output_digests.py builds the same lines in process, through
+`cli.main`, and compares them with it.  A change that alters output on
+purpose regenerates the file and names the labels whose lines changed:
+
+    python tests/output_digests.py > tests/output_digests.txt
+    git diff tests/output_digests.txt
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from test_acceptance import DEMO  # noqa: E402
 from test_cli import ALL_KINDS, GOLDEN, PINNED_JSON  # noqa: E402
 
 SEEDS = range(1, 6)
+FORMATS = ("text", "json")
 
 
 def scripts():
@@ -47,18 +56,23 @@ def scripts():
         yield f"PINNED_JSON/{name}", text
 
 
+def digest_line(label: str, fmt: str, code: int, out: bytes, err: bytes) -> str:
+    out_sha = hashlib.sha256(out).hexdigest()
+    err_sha = hashlib.sha256(err).hexdigest()
+    return f"{label}:{fmt} {code} {out_sha} {err_sha}"
+
+
 def main(argv) -> int:
     root = Path(argv[0] if argv else CHECKOUT).resolve()
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     for label, text in scripts():
-        for fmt in ("text", "json"):
+        for fmt in FORMATS:
             run = subprocess.run(
                 [sys.executable, "-m", "muiter", "--format", fmt],
                 input=text.encode(), capture_output=True, env=env, cwd=root,
             )
-            out = hashlib.sha256(run.stdout).hexdigest()
-            err = hashlib.sha256(run.stderr).hexdigest()
-            print(f"{label}:{fmt} {run.returncode} {out} {err}", flush=True)
+            line = digest_line(label, fmt, run.returncode, run.stdout, run.stderr)
+            print(line, flush=True)
     return 0
 
 

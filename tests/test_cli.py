@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -30,8 +31,14 @@ from muiter.functors import (
     SymContainer,
 )
 from muiter.iteration import AlgebraSpec, catamorphism, inflationary_iterate
-from muiter.signature import Signature
-from muiter.size import MAX_DRAWN, nat_backend, successor_tower
+from muiter.signature import Signature, WTree
+from muiter.size import (
+    MAX_DRAWN,
+    NatBackend,
+    PlumpBackend,
+    nat_backend,
+    successor_tower,
+)
 from launch import child_env, muiter_child, run_limited
 
 SCHEMA = json.loads(files("muiter").joinpath("schema.json").read_text())
@@ -1195,6 +1202,110 @@ def test_failed_checks_exit_three(tmp_path, capsys, monkeypatch):
     code, out, err = run_cli(tmp_path, capsys, "check samples 1\n")
     assert code == 3
     assert "FAIL forced" in out
+
+
+# -- planted faults: each law line of check can fail -----------------------------
+
+
+def failed_checks(tmp_path, capsys, text):
+    """Run a check script that must fail; its failing (name, detail) pairs."""
+    code, payload, err = run_json(tmp_path, capsys, text)
+    assert (code, err) == (3, "")
+    (report,) = payload["reports"]
+    return [(c["name"], c["detail"]) for c in report["checks"] if not c["ok"]]
+
+
+# A wrong order on nat shows in the first sampled triple that meets the
+# wrong pair.  Whichever law that triple breaks first is the line that
+# reports, so each seed below is one whose first such triple breaks the
+# named line; other seeds report another triple line or a rank line.
+NAT_LT = NatBackend.lt
+NAT_LEQ = NatBackend.leq
+
+
+@pytest.mark.parametrize(
+    "extra_lt, extra_leq, depth, seed, detail",
+    [
+        ({(1, 0)}, set(), 1, 0, "strict without lax"),
+        (set(), {(1, 0)}, 1, 3, "lt;leq not strict"),
+        (set(), {(1, 0)}, 1, 1, "leq;lt not strict"),
+        (set(), {(2, 1), (1, 0)}, 2, 6, "lax order not transitive"),
+    ],
+    ids=["strict-without-lax", "lt-leq", "leq-lt", "lax-transitive"],
+)
+def test_a_planted_order_fault_fails_its_triple_line(
+    tmp_path, capsys, monkeypatch, extra_lt, extra_leq, depth, seed, detail
+):
+    # the faults only add pairs below the diagonal, which no other suite asks
+    monkeypatch.setattr(
+        NatBackend, "lt", lambda s, i, j: NAT_LT(s, i, j) or (i, j) in extra_lt
+    )
+    monkeypatch.setattr(
+        NatBackend, "leq", lambda s, i, j: NAT_LEQ(s, i, j) or (i, j) in extra_leq
+    )
+    text = f"check samples 20 depth {depth} seed {seed}\n"
+    assert failed_checks(tmp_path, capsys, text) == [("order-laws", detail)]
+
+
+def test_a_join_below_its_right_argument_fails_the_join_bounds(
+    tmp_path, capsys, monkeypatch
+):
+    # join(i, j) as succ(i): the successor stays, the join of a shallow and a
+    # deep tree is not above the deep one.  Under a signature with operations
+    # the filtered families are bounded by those operations, not by join.
+    monkeypatch.setattr(PlumpBackend, "join", lambda s, i, j: WTree(s.join_op, (i, i)))
+    text = "sig S = a:0 | b:2\ncheck size plump:S samples 60 depth 4 seed 0\n"
+    assert failed_checks(tmp_path, capsys, text) == [
+        (
+            "join-bounds",
+            "join of bot and b(bot, b(join(bot, succ(a)), a)) not an upper bound",
+        )
+    ]
+
+
+def test_a_basis_member_not_below_its_index_fails_the_basis(
+    tmp_path, capsys, monkeypatch
+):
+    # an off-by-one basis: i itself instead of i - 1
+    monkeypatch.setattr(NatBackend, "predecessor_basis", lambda s, i: (i,))
+    ((name, detail),) = failed_checks(tmp_path, capsys, "check samples 20 depth 3\n")
+    assert name == "predecessor-basis"
+    assert re.fullmatch(r"basis member (\d+) not below \1", detail)
+
+
+def test_a_join_without_its_step_fails_the_filtered_bounds(
+    tmp_path, capsys, monkeypatch
+):
+    # join as max bounds a nat family laxly, not strictly; nat's successor
+    # and the join-bounds suite's upper bounds stay
+    monkeypatch.setattr(NatBackend, "join", lambda s, i, j: max(i, j))
+    assert failed_checks(tmp_path, capsys, "check samples 20 depth 3\n") == [
+        ("filtered-bounds", "some sampled family had no strict upper bound")
+    ]
+
+
+def test_an_apex_class_no_leg_reaches_fails_the_cocone_laws(
+    tmp_path, capsys, monkeypatch
+):
+    # the colimit with one more class in its apex: the legs still commute
+    from muiter import checks
+    from muiter.colimit import Cocone, subdiagram_colimit
+
+    def spare_class(d):
+        cocone = subdiagram_colimit(d)
+        return Cocone(d, FiniteSet(cocone.apex.size + 1), cocone._quotient)
+
+    monkeypatch.setattr(checks, "subdiagram_colimit", spare_class)
+    assert failed_checks(tmp_path, capsys, "check samples 20 depth 3\n") == [
+        ("cocone-laws", "legs not jointly surjective in trial 0")
+    ]
+
+
+def test_an_algebra_entry_equal_to_the_carrier_is_outside_it(tmp_path, capsys):
+    text = "F = 1 + X\nalg A : F 2 = 0 2 1\ncata F A\n"
+    assert run_cli(tmp_path, capsys, text) == (
+        1, "", "error: line 2: algebra table entry 2 outside carrier of size 2\n"
+    )
 
 
 def test_check_samples_above_the_cap_exit_one_before_sampling(tmp_path):

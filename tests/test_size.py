@@ -5,8 +5,17 @@ import time
 import pytest
 
 from muiter import size
-from muiter.checks import check_filtered, check_join_bounds, check_order_laws
+from muiter.checks import (
+    check_basis,
+    check_cocone_laws,
+    check_filtered,
+    check_functor_laws,
+    check_join_bounds,
+    check_order_laws,
+)
 from muiter.errors import BudgetExceeded, ShapeMismatch
+from muiter.finset import FiniteSet
+from muiter.functors import Constant, Identity, Product, Sum
 
 from muiter.signature import Signature, WTree
 from muiter.size import (
@@ -284,6 +293,18 @@ def test_sample_tree_draws_the_trees_of_the_recursive_reference(sig):
 
 # several nullary ops and a unary one besides the fresh bottom and join
 MIXED = Signature.of(0, 0, 1, 3, labels=["a", "c", "u", "b"])
+# the row's suite runs on the nat backend
+NAT = None
+SQUARE_PLUS_ONE = Sum((Constant(FiniteSet(1)), Product((Identity(), Identity()))))
+
+
+def cocone_laws(backend, rng, samples, depth):
+    # draws diagrams of finite sets, so the backend goes unused
+    return check_cocone_laws(rng, samples, depth)
+
+
+def functor_laws(backend, rng, samples, depth):
+    return check_functor_laws("F", SQUARE_PLUS_ONE, rng, samples, depth)
 
 
 @pytest.mark.parametrize(
@@ -302,6 +323,20 @@ MIXED = Signature.of(0, 0, 1, 3, labels=["a", "c", "u", "b"])
         (MIXED, check_order_laws, 2000, 5, 5534458545316100056),
         (MIXED, check_join_bounds, 2000, 5, 10276163330720092485),
         (MIXED, check_filtered, 2000, 5, 17753513234414555462),
+        (Signature.of(), check_basis, 60, 4, 2343444335464062095),
+        (MIXED, check_basis, 60, 4, 6320515648865345877),
+        (Signature.of(), check_basis, 500, 5, 5254001303576247984),
+        (MIXED, check_basis, 500, 5, 11326343154833432095),
+        (NAT, check_order_laws, 60, 4, 16128585671278343069),
+        (NAT, check_join_bounds, 60, 4, 222524240882821610),
+        (NAT, check_filtered, 60, 4, 2266039225740819858),
+        (NAT, check_order_laws, 2000, 5, 3547980676644882425),
+        (NAT, check_join_bounds, 2000, 5, 3964201410761691272),
+        (NAT, check_filtered, 2000, 5, 1718658026033309635),
+        (NAT, cocone_laws, 60, 4, 16944222547655682649),
+        (NAT, cocone_laws, 250, 5, 14129909130429911554),
+        (NAT, functor_laws, 20, 3, 4304291062942567561),
+        (NAT, functor_laws, 100, 5, 12310527734866755958),
     ],
     ids=[
         "order-laws", "join-bounds", "filtered-bounds",
@@ -309,13 +344,19 @@ MIXED = Signature.of(0, 0, 1, 3, labels=["a", "c", "u", "b"])
         "chain-order-laws", "chain-join-bounds", "chain-filtered-bounds",
         "chain-mixed-order-laws", "chain-mixed-join-bounds",
         "chain-mixed-filtered-bounds",
+        "basis", "mixed-basis", "chain-basis", "chain-mixed-basis",
+        "nat-order-laws", "nat-join-bounds", "nat-filtered-bounds",
+        "chain-nat-order-laws", "chain-nat-join-bounds",
+        "chain-nat-filtered-bounds",
+        "cocone-laws", "chain-cocone-laws", "functor-laws", "deep-functor-laws",
     ],
 )
 def test_check_suites_draw_the_same_samples(sig, check, samples, depth, after):
     # a suite's report only counts its samples; the generator's next word
     # pins every draw the suite made before it
     rng = random.Random(7)
-    assert check(kappa_sigma(sig), rng, samples, depth)["ok"]
+    backend = nat_backend() if sig is NAT else kappa_sigma(sig)
+    assert check(backend, rng, samples, depth)["ok"]
     assert rng.getrandbits(64) == after
 
 
