@@ -3,7 +3,9 @@
 Each check draws its own samples from a seeded generator and reports
 {"name", "ok", "detail"}.  These are sanity sweeps over laws the library
 relies on, meant to be cheap enough to run interactively; the heavier
-exhaustive arguments live in the test suite.
+exhaustive arguments live in the test suite.  Draws go through size.draws,
+trial by trial, so a suite reads the same generator words whether it
+passes or fails.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from .colimit import Diagram, subdiagram_colimit
 from .errors import BudgetExceeded, IntegrityError, NonFunctorialDiagram
 from .finset import FiniteFn, FiniteSet
 from .functors import FunctorExpr, eval_functor, eval_functor_mor, expr_arity
-from .size import filtered_sample_check, height
+from .size import draws, filtered_sample_check, height
 
 
 def _fail(name: str, detail: str) -> Dict:
@@ -39,9 +41,10 @@ def check_order_laws(backend, rng: random.Random, samples: int, depth: int) -> D
             return _fail(name, f"bottom above {backend.render(i)}")
         if not lt(i, backend.succ(i)):
             return _fail(name, f"successor not above {backend.render(i)}")
-    choice = rng.choice
+    n = len(indices)
     for _ in range(samples):
-        a, b, c = choice(indices), choice(indices), choice(indices)
+        x, y, z = draws(rng, n, 3)
+        a, b, c = indices[x], indices[y], indices[z]
         # each order on each of the three pairs, once
         lt_ab, leq_ab = lt(a, b), leq(a, b)
         lt_bc, leq_bc = lt(b, c), leq(b, c)
@@ -65,10 +68,10 @@ def check_order_laws(backend, rng: random.Random, samples: int, depth: int) -> D
 def check_join_bounds(backend, rng: random.Random, samples: int, depth: int) -> Dict:
     name = "join-bounds"
     indices = backend.sample_indices(rng, max(samples, 2), depth)
-    choice, leq = rng.choice, backend.leq
+    n, leq = len(indices), backend.leq
     for _ in range(samples):
-        a = choice(indices)
-        b = choice(indices)
+        x, y = draws(rng, n, 2)
+        a, b = indices[x], indices[y]
         j = backend.join(a, b)
         if not (leq(a, j) and leq(b, j)):
             return _fail(
@@ -83,15 +86,15 @@ def check_filtered(backend, rng: random.Random, samples: int, depth: int) -> Dic
     indices = backend.sample_indices(rng, max(samples, 4), depth)
     # a family is indexed by the arity of an operation of the base
     # signature; without operations (nat, bare plump) its width is free
-    ops = backend.base.ops.size
+    ops, n = backend.base.ops.size, len(indices)
     drawn = []
     for _ in range(samples):
         if ops:
-            op = rng.randrange(ops)
+            (op,) = draws(rng, ops, 1)
             width = backend.base.arities[op].size
         else:
-            op, width = 0, rng.randrange(0, 4)
-        family = tuple(rng.choice(indices) for _ in range(width))
+            op, (width,) = 0, draws(rng, 4, 1)
+        family = tuple(indices[k] for k in draws(rng, n, width))
         drawn.append((op, family))
     ok, _ = filtered_sample_check(backend, drawn)
     if not ok:
@@ -113,7 +116,7 @@ def check_basis(backend, rng: random.Random, samples: int, depth: int) -> Dict:
 
 
 def _random_fn(rng: random.Random, dom: FiniteSet, cod: FiniteSet) -> FiniteFn:
-    table = tuple(rng.randrange(cod.size) for _ in range(dom.size))
+    table = tuple(draws(rng, cod.size, dom.size))
     return FiniteFn(dom, cod, table)
 
 
@@ -124,9 +127,9 @@ def check_functor_laws(
     arity = expr_arity(expr)
     trials = 0
     for _ in range(samples):
-        sizes_a = tuple(rng.randrange(0, depth + 1) for _ in range(arity))
-        sizes_b = tuple(rng.randrange(1, max(depth, 1) + 1) for _ in range(arity))
-        sizes_c = tuple(rng.randrange(1, max(depth, 1) + 1) for _ in range(arity))
+        sizes_a = tuple(draws(rng, depth + 1, arity))
+        sizes_b = tuple(n + 1 for n in draws(rng, max(depth, 1), arity))
+        sizes_c = tuple(n + 1 for n in draws(rng, max(depth, 1), arity))
         xs = tuple(FiniteSet(n) for n in sizes_a)
         ys = tuple(FiniteSet(n) for n in sizes_b)
         zs = tuple(FiniteSet(n) for n in sizes_c)
@@ -179,7 +182,7 @@ def check_chain_preservation(
     name = f"chain-colimits[{label}]"
     if expr_arity(expr) > 1:
         return _pass(name, "skipped: not an endofunctor")
-    sizes = sorted(rng.randrange(0, depth + 2) for _ in range(3))
+    sizes = sorted(draws(rng, depth + 2, 3))
     objects = {k: FiniteSet(n) for k, n in enumerate(sizes)}
     arrows = {}
     for k in range(2):
@@ -200,7 +203,7 @@ def check_chain_preservation(
 def check_cocone_laws(rng: random.Random, samples: int, depth: int) -> Dict:
     name = "cocone-laws"
     for trial in range(samples):
-        n0, n1, n2 = (rng.randrange(0, depth + 2) for _ in range(3))
+        n0, n1, n2 = draws(rng, depth + 2, 3)
         objects = {0: FiniteSet(n0), 1: FiniteSet(n1), 2: FiniteSet(n2)}
         arrows = {}
         if n1:

@@ -15,6 +15,11 @@ at construction.  predecessor_basis is the finiteness
 interface: a finite family of indices such that anything strictly below i
 is laxly below some family member, which is what lets colimits over the
 unbounded down-set of i be computed over finitely many stages.
+
+Samples are drawn below n the way random.Random draws them: getrandbits of
+n's bit length, again until the value is below n.  So draws read the same
+generator words as randrange, choice and randint, and a seed keeps its
+samples.
 """
 
 from __future__ import annotations
@@ -28,6 +33,24 @@ from .signature import _INTERNED, Signature, WTree
 
 # the most tree nodes the sampler of one PlumpBackend draws
 MAX_DRAWN = 1_000_000
+
+
+def draws(rng: random.Random, n: int, count: int) -> list:
+    """count values below n, reading the words count calls of
+    rng.randrange(n) read; like randrange, n <= 0 is a ValueError unless
+    nothing is drawn."""
+    if not count:
+        return []
+    if n <= 0:
+        raise ValueError(f"empty range for draws below {n}")
+    getrandbits, bits = rng.getrandbits, n.bit_length()
+    out = []
+    for _ in range(count):
+        r = getrandbits(bits)
+        while r >= n:
+            r = getrandbits(bits)
+        out.append(r)
+    return out
 
 
 class NatBackend:
@@ -64,8 +87,7 @@ class NatBackend:
         return str(i)
 
     def sample_indices(self, rng: random.Random, count: int, max_height: int) -> list:
-        draw = rng.randint
-        return [draw(0, max_height) for _ in range(count)]
+        return draws(rng, max_height + 1, count)
 
 
 def nat_backend() -> NatBackend:
@@ -105,10 +127,10 @@ class PlumpBackend:
         self.drawn = 0
 
     def lt(self, i: WTree, j: WTree) -> bool:
-        return i.height() < j.height()
+        return i._height < j._height
 
     def leq(self, i: WTree, j: WTree) -> bool:
-        return i.height() <= j.height()
+        return i._height <= j._height
 
     def bottom(self) -> WTree:
         return WTree(self.bottom_op)
@@ -117,7 +139,7 @@ class PlumpBackend:
         return WTree(self.join_op, (i, j))
 
     def succ(self, i: WTree) -> WTree:
-        return self.join(i, i)
+        return WTree(self.join_op, (i, i))
 
     def predecessor_basis(self, i: WTree) -> tuple:
         return i.children
@@ -138,8 +160,21 @@ class PlumpBackend:
     def sample_indices(
         self, rng: random.Random, count: int, max_height: int
     ) -> list:
-        draw, sample_tree = rng.randint, self.sample_tree
-        return [sample_tree(rng, draw(0, max_height)) for _ in range(count)]
+        """count trees from sample_tree; each one's max_height is drawn
+        below max_height + 1, as draws does it, just before the tree."""
+        if count and max_height < 0:
+            raise ValueError(f"empty range for heights up to {max_height}")
+        getrandbits, heights = rng.getrandbits, max_height + 1
+        bits = heights.bit_length()
+
+        def drawn_heights():
+            for _ in range(count):
+                height = getrandbits(bits)
+                while height >= heights:
+                    height = getrandbits(bits)
+                yield height
+
+        return self._trees(rng, drawn_heights())
 
     def sample_tree(self, rng: random.Random, max_height: int) -> WTree:
         """A uniform-ish random tree of height at most max_height.
@@ -151,41 +186,63 @@ class PlumpBackend:
         backend's own, and a finished node is looked up among the interned
         trees, so WTree builds only a node not seen before.  Drawing the
         node past the backend's MAX_DRAWN raises BudgetExceeded.
+
+        Only rng.getrandbits is called: the op and leaf draws inline
+        draws, so they read the words rng.randrange(ops) and
+        rng.choice(leaves) would.
         """
+        (tree,) = self._trees(rng, (max_height,))
+        return tree
+
+    def _trees(self, rng: random.Random, max_heights) -> list:
+        # sample_tree at each of max_heights in turn, in one frame; the
+        # heights may be drawn lazily, between the trees
         arities, leaf_of, leaves = self.arity_sizes, self.leaf_of, self.leaves
-        draw_op, draw_leaf = rng.randrange, rng.choice
+        getrandbits = rng.getrandbits
         interned = _INTERNED.get
-        ops = len(arities)
+        ops, nleaves = len(arities), len(leaves)
+        op_bits, leaf_bits = ops.bit_length(), nleaves.bit_length()
         left = MAX_DRAWN - self.drawn
-        open_nodes: list = []  # (op, children drawn so far), root first
-        while True:
-            # draw one node with max_height left
-            if not left:
-                self.drawn = MAX_DRAWN
-                raise BudgetExceeded(f"tree nodes drawn exceed the cap {MAX_DRAWN}")
-            left -= 1
-            if max_height == 0:
-                tree = draw_leaf(leaves)
-            else:
-                op = draw_op(ops)
-                if arities[op]:
-                    open_nodes.append((op, []))
-                    max_height -= 1
-                    continue
-                tree = leaf_of[op]
-            # hand it to its parent, closing every node it completes
-            while open_nodes:
-                op, kids = open_nodes[-1]
-                kids.append(tree)
-                if len(kids) < arities[op]:
+        out = []
+        for max_height in max_heights:
+            open_nodes: list = []  # (op, children drawn so far), root first
+            while True:
+                # draw one node with max_height left
+                if not left:
+                    self.drawn = MAX_DRAWN
+                    raise BudgetExceeded(
+                        f"tree nodes drawn exceed the cap {MAX_DRAWN}"
+                    )
+                left -= 1
+                if max_height == 0:
+                    r = getrandbits(leaf_bits)
+                    while r >= nleaves:
+                        r = getrandbits(leaf_bits)
+                    tree = leaves[r]
+                else:
+                    op = getrandbits(op_bits)
+                    while op >= ops:
+                        op = getrandbits(op_bits)
+                    if arities[op]:
+                        open_nodes.append((op, []))
+                        max_height -= 1
+                        continue
+                    tree = leaf_of[op]
+                # hand it to its parent, closing every node it completes
+                while open_nodes:
+                    op, kids = open_nodes[-1]
+                    kids.append(tree)
+                    if len(kids) < arities[op]:
+                        break
+                    open_nodes.pop()
+                    key = (op, tuple(kids))
+                    tree = interned(key) or WTree(*key)
+                    max_height += 1
+                else:
                     break
-                open_nodes.pop()
-                key = (op, tuple(kids))
-                tree = interned(key) or WTree(*key)
-                max_height += 1
-            else:
-                self.drawn = MAX_DRAWN - left
-                return tree
+            out.append(tree)
+        self.drawn = MAX_DRAWN - left
+        return out
 
 
 def kappa_sigma(sig: Signature) -> PlumpBackend:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 import time
 
 import pytest
@@ -291,9 +292,43 @@ def test_sample_tree_draws_the_trees_of_the_recursive_reference(sig):
         assert rng.getstate() == ref.getstate()
 
 
+@pytest.mark.parametrize(
+    "n", [1, 2, 3, 5, 7, 8, 9, 255, 256, 257, 2**32 - 1, 2**32 + 1, 10**20]
+)
+def test_draws_read_the_words_of_randrange_choice_and_randint(n):
+    ways = [lambda rng: rng.randrange(n), lambda rng: rng.randint(0, n - 1)]
+    if n <= sys.maxsize:  # no sequence is longer
+        ways.append(lambda rng: rng.choice(range(n)))
+    for seed in range(50):
+        rng = random.Random(seed)
+        got = size.draws(rng, n, 20)
+        after = rng.getrandbits(64)
+        for way in ways:
+            ref = random.Random(seed)
+            assert got == [way(ref) for _ in range(20)]
+            assert ref.getrandbits(64) == after
+
+
+def test_no_draws_below_zero():
+    rng = random.Random(5)
+    state = rng.getstate()
+    assert size.draws(rng, 0, 0) == []
+    assert rng.getstate() == state
+    with pytest.raises(ValueError):
+        size.draws(rng, 0, 1)
+    with pytest.raises(ValueError):
+        size.draws(rng, -3, 2)
+    # a height below 0 has nothing to draw from, as randint(0, -1) has not
+    for backend in (nat_backend(), kappa_sigma(MIXED)):
+        assert backend.sample_indices(rng, 0, -1) == []
+        with pytest.raises(ValueError):
+            backend.sample_indices(rng, 1, -1)
+    assert rng.getstate() == state
+
+
 # several nullary ops and a unary one besides the fresh bottom and join
 MIXED = Signature.of(0, 0, 1, 3, labels=["a", "c", "u", "b"])
-# the row's suite runs on the nat backend
+# in the sig column: the row's suite runs on the nat backend
 NAT = None
 SQUARE_PLUS_ONE = Sum((Constant(FiniteSet(1)), Product((Identity(), Identity()))))
 
@@ -421,13 +456,14 @@ def tree_nodes(tree) -> int:
 
 
 class AlwaysFirst:
-    """An rng stub that draws op 0, and the first nullary op at height 0."""
+    """An rng stub that draws op 0, and the first nullary op at height 0.
 
-    def randrange(self, n):
+    Every word it gives is 0, the first value of any draw; the sampler
+    reads nothing of a generator but getrandbits.
+    """
+
+    def getrandbits(self, k):
         return 0
-
-    def choice(self, seq):
-        return seq[0]
 
 
 def test_sample_tree_builds_a_deep_path_without_recursion():
