@@ -618,7 +618,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args["script"] == "-":
             text = sys.stdin.read()
         else:
-            with open(args["script"], "r", encoding="utf-8") as handle:
+            # a byte that is not UTF-8 reaches the tokenizer, as on stdin
+            with open(args["script"], errors="surrogateescape", encoding="utf-8") as handle:
                 text = handle.read()
     except OSError as e:
         sys.stderr.write(f"error: {e}\n")

@@ -1,7 +1,7 @@
 """Finite sets and functions with canonical integer elements.
 
-Elements of a set of size n are the indices 0..n-1.  Labels are display
-metadata only and never take part in equality.
+Elements of a set of size n are the indices 0..n-1, so a set is its size
+alone.
 
 Sums and products of sets have one layout each, fixed by their sizes
 alone.  A sum lays its parts out block by block: part k starts at the sum
@@ -24,33 +24,25 @@ by index, slice, len and iteration; only this module tells them apart.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ShapeMismatch
 
 
 class FiniteSet:
-    """A finite set presented as {0, ..., size-1} with optional labels."""
+    """A finite set presented as {0, ..., size-1}."""
 
-    __slots__ = ("size", "labels")
+    __slots__ = ("size",)
 
-    def __init__(self, size: int, labels: Optional[Sequence[str]] = None):
+    def __init__(self, size: int):
         if size < 0:
             raise ShapeMismatch(f"negative set size {size}")
-        if labels is not None:
-            labels = tuple(labels)
-            if len(labels) != size:
-                raise ShapeMismatch(
-                    f"{len(labels)} labels for a set of size {size}"
-                )
         object.__setattr__(self, "size", size)
-        object.__setattr__(self, "labels", labels)
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteSet is immutable")
 
     def __eq__(self, other):
-        # labels are display-only
         return isinstance(other, FiniteSet) and self.size == other.size
 
     def __hash__(self):
@@ -65,14 +57,7 @@ class FiniteSet:
     def __contains__(self, x) -> bool:
         return isinstance(x, int) and 0 <= x < self.size
 
-    def label(self, x: int) -> str:
-        if self.labels is not None:
-            return self.labels[x]
-        return str(x)
-
     def __repr__(self):
-        if self.labels is not None:
-            return f"FiniteSet({self.size}, labels={list(self.labels)!r})"
         return f"FiniteSet({self.size})"
 
 

@@ -29,10 +29,12 @@ from typing import Iterable, Sequence, Tuple
 
 from .errors import BudgetExceeded, ShapeMismatch
 from .finset import FiniteSet
-from .signature import _INTERNED, Signature, WTree
+from .signature import Signature, WTree
 
 # the most tree nodes the sampler of one PlumpBackend draws
 MAX_DRAWN = 1_000_000
+
+_new, _set = object.__new__, object.__setattr__  # for PlumpBackend.node
 
 
 def draws(rng: random.Random, n: int, count: int) -> list:
@@ -99,32 +101,49 @@ class PlumpBackend:
 
     The original operations keep their indices; the two fresh ops sit at
     the end: a nullary one (the bottom index) and a binary one (the join).
-    drawn counts the tree nodes the sampler has drawn, at most MAX_DRAWN.
+    The backend owns its trees: node builds each one once and keeps it in
+    the backend's table, which lives as long as the backend does.  drawn
+    counts the tree nodes the sampler has drawn, at most MAX_DRAWN.
     """
 
     name = "plump"
 
     __slots__ = (
         "base", "extended", "bottom_op", "join_op", "arity_sizes", "leaf_of",
-        "leaves", "drawn",
+        "leaves", "drawn", "_table",
     )
 
     def __init__(self, base: Signature):
-        labels = [base.op_label(op) for op in base.ops]
-        labels += ["bot", "join"]
-        ops = FiniteSet(base.ops.size + 2, labels=labels)
+        labels = [base.op_label(op) for op in base.ops] + ["bot", "join"]
         arities = list(base.arities) + [FiniteSet(0), FiniteSet(2)]
         self.base = base
-        self.extended = Signature(ops, arities)
+        self.extended = Signature(FiniteSet(len(arities)), arities, labels)
         self.bottom_op = base.ops.size
         self.join_op = base.ops.size + 1
         self.arity_sizes = tuple(a.size for a in arities)
+        # (op, children) -> its one tree; one lookup per node, equality is identity
+        self._table = {}
         # each op's leaf, None for an op with arguments; and the leaves alone
         self.leaf_of = tuple(
-            None if a else WTree(op) for op, a in enumerate(self.arity_sizes)
+            None if a else self.node(op) for op, a in enumerate(self.arity_sizes)
         )
         self.leaves = tuple(leaf for leaf in self.leaf_of if leaf is not None)
         self.drawn = 0
+
+    def node(self, op: int, children: Sequence[WTree] = ()) -> WTree:
+        """The tree op(children), from this backend's table or built into it."""
+        key = (op, tuple(children))
+        tree = self._table.get(key)
+        if tree is None:
+            height = 0
+            for child in key[1]:
+                if child._height >= height:
+                    height = child._height + 1
+            tree = self._table[key] = _new(WTree)
+            _set(tree, "op", op)
+            _set(tree, "children", key[1])
+            _set(tree, "_height", height)
+        return tree
 
     def lt(self, i: WTree, j: WTree) -> bool:
         return i._height < j._height
@@ -133,13 +152,13 @@ class PlumpBackend:
         return i._height <= j._height
 
     def bottom(self) -> WTree:
-        return WTree(self.bottom_op)
+        return self.node(self.bottom_op)
 
     def join(self, i: WTree, j: WTree) -> WTree:
-        return WTree(self.join_op, (i, j))
+        return self.node(self.join_op, (i, j))
 
     def succ(self, i: WTree) -> WTree:
-        return WTree(self.join_op, (i, i))
+        return self.node(self.join_op, (i, i))
 
     def predecessor_basis(self, i: WTree) -> tuple:
         return i.children
@@ -149,10 +168,10 @@ class PlumpBackend:
         # keeps tower indices readable (and linear instead of doubling).
         # The tower is peeled in a loop, so its depth costs no recursion.
         depth = 0
-        while i.op == self.join_op and i.children[0] == i.children[1]:
+        while i.op == self.join_op and i.children[0] is i.children[1]:
             i = i.children[0]
             depth += 1
-        base = self.extended.ops.labels[i.op]
+        base = self.extended.op_label(i.op)
         if i.children:
             base += "(" + ", ".join(self.render(c) for c in i.children) + ")"
         return "succ(" * depth + base + ")" * depth
@@ -183,8 +202,8 @@ class PlumpBackend:
         op, any other node a uniform op whose children are drawn left to
         right at one less.  The nodes still waiting for children sit on a
         stack, so the depth of the tree costs no recursion.  A leaf is the
-        backend's own, and a finished node is looked up among the interned
-        trees, so WTree builds only a node not seen before.  Drawing the
+        backend's own, and a finished node is looked up in the backend's
+        table, so node builds only a tree not seen before.  Drawing the
         node past the backend's MAX_DRAWN raises BudgetExceeded.
 
         Only rng.getrandbits is called: the op and leaf draws inline
@@ -199,7 +218,7 @@ class PlumpBackend:
         # heights may be drawn lazily, between the trees
         arities, leaf_of, leaves = self.arity_sizes, self.leaf_of, self.leaves
         getrandbits = rng.getrandbits
-        interned = _INTERNED.get
+        known, node = self._table.get, self.node
         ops, nleaves = len(arities), len(leaves)
         op_bits, leaf_bits = ops.bit_length(), nleaves.bit_length()
         left = MAX_DRAWN - self.drawn
@@ -236,7 +255,7 @@ class PlumpBackend:
                         break
                     open_nodes.pop()
                     key = (op, tuple(kids))
-                    tree = interned(key) or WTree(*key)
+                    tree = known(key) or node(*key)
                     max_height += 1
                 else:
                     break
@@ -281,7 +300,7 @@ def filtered_sample_check(
                 raise ShapeMismatch(
                     f"family of size {len(family)} for op of arity {want}"
                 )
-            witness = WTree(op, family)
+            witness = backend.node(op, family)
         else:
             witness = bottom
             for member in family:

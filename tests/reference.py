@@ -278,12 +278,14 @@ def reference_cata(state, alg: AlgebraSpec, i) -> FiniteFn:
     return fold(i)
 
 
-def wtype_enumerate(sig: Signature, depth: int) -> list:
-    """All trees of height < depth, in canonical order.
+def wtype_enumerate(sig: Signature, depth: int, node) -> list:
+    """All trees over sig of height < depth, in canonical order.
 
-    Canonical order sorts by op index, then children positions left to
-    right in the order of the previous layer.  The count at each depth
-    equals iterating the signature's container from the empty set.
+    node builds them: the node method of a tree-order backend over sig or
+    over a signature that extends it.  Canonical order sorts by op index,
+    then children positions left to right in the order of the previous
+    layer.  The count at each depth equals iterating the signature's
+    container from the empty set.
     """
     if depth < 0:
         raise ShapeMismatch(f"negative depth {depth}")
@@ -293,7 +295,7 @@ def wtype_enumerate(sig: Signature, depth: int) -> list:
         layer = []
         for op in sig.ops:
             layer.extend(
-                WTree(op, combo)
+                node(op, combo)
                 for combo in _tuples(prev, sig.arities[op].size)
             )
         trees = layer
@@ -310,19 +312,25 @@ def _tuples(pool: Sequence, n: int) -> Iterable[tuple]:
             yield (head,) + rest
 
 
+def tree_key(tree: WTree) -> tuple:
+    """Orders trees by op, then by their children in turn; trees of two
+    backends have equal keys exactly when they have the same shape."""
+    return (tree.op, tuple(tree_key(c) for c in tree.children))
+
+
 def reference_sample_tree(backend, rng, max_height: int) -> WTree:
     """PlumpBackend.sample_tree by recursion: the same rng calls in the same
-    order, one frame per level of the tree."""
+    order, one frame per level of the tree, each node built by the backend."""
     ext = backend.extended
     nullary = [op for op in ext.ops if ext.arities[op].size == 0]
     if max_height == 0:
-        return WTree(rng.choice(nullary))
+        return backend.node(rng.choice(nullary))
     op = rng.randrange(ext.ops.size)
     kids = tuple(
         reference_sample_tree(backend, rng, max_height - 1)
         for _ in range(ext.arities[op].size)
     )
-    return WTree(op, kids)
+    return backend.node(op, kids)
 
 
 def reference_nu(

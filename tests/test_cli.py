@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import json
@@ -227,6 +228,18 @@ def test_declaration_only_script_prints_nothing(tmp_path, capsys):
     assert out == ""
     code, payload, _ = run_json(tmp_path, capsys, "G = 3\n")
     assert payload["reports"] == []
+
+
+def test_a_script_file_that_is_not_utf8_is_a_syntax_error(tmp_path):
+    # the byte reaches the tokenizer as a lone surrogate, as it does on stdin
+    path = tmp_path / "bad.mi"
+    path.write_bytes(b"F = 1 + X\xff\n")
+    for source in ({}, {"input": path.read_bytes()}):
+        args = muiter_child(path if not source else "-")
+        done = subprocess.run(**args, **source, capture_output=True, timeout=30)
+        assert done.returncode == 1
+        assert done.stdout == b""
+        assert done.stderr == b"error: 1:10: unexpected character '\\udcff'\n"
 
 
 def test_stdin_is_the_default_source(monkeypatch, capsys):
@@ -640,6 +653,36 @@ def test_check_stops_at_the_node_cap_in_bounded_time_and_memory(tmp_path):
     jsonschema.validate(payload, SCHEMA)
     assert wall < 10
     assert rss < 100 * 2**20
+
+
+def repeated_checks(n: int) -> str:
+    """n plump checks over a:0 | b:6 at different seeds; each one draws
+    tens of thousands of distinct trees."""
+    return "sig S = a:0 | b:6\n" + "".join(
+        f"check size plump:S samples 400 depth 11 seed {k}\n" for k in range(n)
+    )
+
+
+def test_the_trees_of_a_check_are_freed_when_the_command_ends(tmp_path):
+    # each command's backend owns its trees, so four checks peak where one does
+    peaks = []
+    for n in (1, 4):
+        code, payload, wall, rss = run_limited(tmp_path, repeated_checks(n))
+        assert code == 0 and len(payload["reports"]) == n
+        assert wall < 10
+        peaks.append(rss)
+    assert peaks[1] - peaks[0] < 8 * 2**20
+
+
+def test_no_tree_outlives_the_script_that_built_it(tmp_path, capsys):
+    def trees():
+        gc.collect()
+        return sum(type(o) is WTree for o in gc.get_objects())
+
+    before = trees()
+    code, out, err = run_cli(tmp_path, capsys, repeated_checks(4))
+    assert (code, err) == (0, "") and out.count("ok   order-laws") == 4
+    assert trees() == before
 
 
 def test_a_check_stopped_at_the_node_cap_ends_the_script(tmp_path, capsys, monkeypatch):
@@ -1252,7 +1295,7 @@ def test_a_join_below_its_right_argument_fails_the_join_bounds(
     # join(i, j) as succ(i): the successor stays, the join of a shallow and a
     # deep tree is not above the deep one.  Under a signature with operations
     # the filtered families are bounded by those operations, not by join.
-    monkeypatch.setattr(PlumpBackend, "join", lambda s, i, j: WTree(s.join_op, (i, i)))
+    monkeypatch.setattr(PlumpBackend, "join", lambda s, i, j: s.node(s.join_op, (i, i)))
     text = "sig S = a:0 | b:2\ncheck size plump:S samples 60 depth 4 seed 0\n"
     assert failed_checks(tmp_path, capsys, text) == [
         (
@@ -1297,6 +1340,51 @@ def test_an_apex_class_no_leg_reaches_fails_the_cocone_laws(
     monkeypatch.setattr(checks, "subdiagram_colimit", spare_class)
     assert failed_checks(tmp_path, capsys, "check samples 20 depth 3\n") == [
         ("cocone-laws", "legs not jointly surjective in trial 0")
+    ]
+
+
+def test_a_functor_that_moves_identities_fails_the_identity_law(
+    tmp_path, capsys, monkeypatch
+):
+    # F(id) lands in a codomain one element larger.  The chain suite reads
+    # only the tables of its maps, so it passes at this seed; at seed 0 a
+    # chain arrow is an identity, and the moved map makes an ill-typed diagram.
+    from muiter import checks
+
+    real = checks.eval_functor_mor
+
+    def moved(e, fns, then=None):
+        fn = real(e, fns, then)
+        if all(f == FiniteFn.identity(f.dom) for f in fns):
+            return FiniteFn(fn.dom, FiniteSet(fn.cod.size + 1), fn.table)
+        return fn
+
+    monkeypatch.setattr(checks, "eval_functor_mor", moved)
+    text = "F = 1 + X*X\ncheck samples 20 depth 3 seed 1\n"
+    assert failed_checks(tmp_path, capsys, text) == [
+        ("functor-laws[F]", "identity not preserved at sizes (2,)")
+    ]
+
+
+def test_a_functor_that_turns_merging_maps_fails_the_composition_law(
+    tmp_path, capsys, monkeypatch
+):
+    # F(f) of a map f that merges two points goes one step round F's
+    # codomain; identities and the chain suite's injections stay as they are
+    from muiter import checks
+
+    real = checks.eval_functor_mor
+
+    def turned(e, fns, then=None):
+        fn = real(e, fns, then)
+        if all(f.is_injective() for f in fns):
+            return fn
+        return FiniteFn(fn.dom, fn.cod, [(v + 1) % fn.cod.size for v in fn.table])
+
+    monkeypatch.setattr(checks, "eval_functor_mor", turned)
+    text = "F = 1 + X*X\ncheck samples 20 depth 3 seed 0\n"
+    assert failed_checks(tmp_path, capsys, text) == [
+        ("functor-laws[F]", "composition not preserved at sizes (3,)")
     ]
 
 

@@ -40,13 +40,11 @@ def all_functions(dom: FiniteSet, cod: FiniteSet):
 
 
 def test_finite_set_basics():
-    a = FiniteSet(3, labels=["x", "y", "z"])
+    a = FiniteSet(3)
     assert list(a) == [0, 1, 2]
     assert len(a) == 3
     assert 2 in a and 3 not in a
-    assert a.label(1) == "y"
-    assert FiniteSet(3).label(1) == "1"
-    # labels are presentation only
+    assert FiniteSet.__slots__ == ("size",)  # a set is its size alone
     assert a == FiniteSet(3)
     assert hash(a) == hash(FiniteSet(3))
     assert a != FiniteSet(4)

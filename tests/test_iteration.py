@@ -195,8 +195,9 @@ def leaf_parity_algebra(carrier=FiniteSet(2)):
 def test_stages_enumerate_trees_of_bounded_height():
     backend = nat_backend()
     state = inflationary_iterate(TREES, backend, successor_tower(backend, 5))
+    node = kappa_sigma(BIN).node
     for n in range(1, 5):
-        trees = wtype_enumerate(BIN, n)
+        trees = wtype_enumerate(BIN, n, node)
         images = [nat_embed(state, t, n) for t in trees]
         assert len(set(images)) == len(trees)
         assert set(images) == set(range(state.stage(n).carrier.size))
@@ -205,8 +206,9 @@ def test_stages_enumerate_trees_of_bounded_height():
 def test_connecting_maps_preserve_tree_identity():
     backend = nat_backend()
     state = inflationary_iterate(TREES, backend, successor_tower(backend, 5))
+    node = kappa_sigma(BIN).node
     for n in range(1, 4):
-        for t in wtype_enumerate(BIN, n):
+        for t in wtype_enumerate(BIN, n, node):
             lo = nat_embed(state, t, n)
             hi = nat_embed(state, t, n + 1)
             assert state.connect(n, n + 1).table[lo] == hi
@@ -215,10 +217,10 @@ def test_connecting_maps_preserve_tree_identity():
 def test_catamorphism_agrees_with_direct_tree_fold():
     backend = nat_backend()
     state = inflationary_iterate(TREES, backend, successor_tower(backend, 5))
-    alg = leaf_parity_algebra()
+    alg, node = leaf_parity_algebra(), kappa_sigma(BIN).node
     for n in range(1, 5):
         h = catamorphism(state, alg, n)
-        for t in wtype_enumerate(BIN, n):
+        for t in wtype_enumerate(BIN, n, node):
             assert h.table[nat_embed(state, t, n)] == brute_leaf_parity(t)
 
 

@@ -23,9 +23,10 @@ PUBLIC = [
 
 # what no command-line path reaches, the groupoid colimits that closed-form
 # multisets replaced, the element codecs that size arithmetic replaced, and
-# the colimit engine's state that a sized chain no longer returns, and the
-# runner's dispatch and stop report that Runner.run took over, as paths
-# under muiter; the test oracles among these live in tests/reference.py
+# the colimit engine's state that a sized chain no longer returns, the
+# runner's dispatch and stop report that Runner.run took over, and the
+# process-wide tree table and set labels that backends and signatures took
+# over, as paths under muiter; the test oracles among these live in tests/reference.py
 REMOVED = [
     "colimit.connecting_map",
     "colimit.canonical_product_map",
@@ -54,12 +55,15 @@ REMOVED = [
     "finset.tagged_sum",
     "finset.FiniteFn.is_surjective",
     "finset.FiniteSet.to_json",
+    "finset.FiniteSet.labels",
+    "finset.FiniteSet.label",
     "finset.Exponential",
     "finset.Cartesian",
     "finset.TaggedSum",
     "finset.radix_table",
     "finset.Block",
     "signature.Signature.arity",
+    "signature._INTERNED",
     "signature.WTree.sort_key",
     "signature.WTree.node_count",
     "signature.WTree.render",

@@ -45,10 +45,6 @@ def node_reprs():
         (Projection(1), "Projection(slot=1)"),
         (Constant(FiniteSet(3)), "Constant(value=FiniteSet(3))"),
         (
-            Constant(FiniteSet(2, labels=["a", "b"])),
-            "Constant(value=FiniteSet(2, labels=['a', 'b']))",
-        ),
-        (
             Sum((Identity(), Constant(FiniteSet(1)))),
             "Sum(parts=(Identity(), Constant(value=FiniteSet(1))))",
         ),

@@ -10,8 +10,9 @@ from muiter.errors import ShapeMismatch
 from muiter.finset import FiniteFn, FiniteSet
 from muiter.functors import Container, eval_functor, eval_functor_mor
 from muiter.signature import Signature, WTree
+from muiter.size import kappa_sigma
 from launch import child_env
-from reference import container_decode, container_encode, wtype_enumerate
+from reference import container_decode, container_encode, tree_key, wtype_enumerate
 
 BIN = Signature.of(0, 2, labels=["leaf", "node"])
 
@@ -24,6 +25,8 @@ def test_signature_of():
     assert Signature.of().ops.size == 0
     with pytest.raises(ShapeMismatch):
         Signature(FiniteSet(2), [FiniteSet(0)])
+    with pytest.raises(ShapeMismatch, match="^1 labels for 2 operations$"):
+        Signature.of(0, 2, labels=["leaf"])
 
 
 def test_signature_equality_is_structural():
@@ -33,13 +36,19 @@ def test_signature_equality_is_structural():
 
 
 def test_wtree_basics():
-    leaf = WTree(0)
-    t = WTree(1, (leaf, WTree(1, (leaf, leaf))))
+    node = kappa_sigma(BIN).node
+    leaf = node(0)
+    t = node(1, (leaf, node(1, (leaf, leaf))))
     assert leaf.height() == 0
     assert t.height() == 2
-    assert t == WTree(1, (leaf, WTree(1, (leaf, leaf))))
-    assert hash(t) == hash(WTree(1, (leaf, WTree(1, (leaf, leaf)))))
+    assert t == node(1, (leaf, node(1, (leaf, leaf))))
+    assert hash(t) == hash(node(1, (leaf, node(1, (leaf, leaf)))))
     assert t != leaf
+    # a tree is built by a backend's node only, and is not changed after
+    with pytest.raises(TypeError):
+        WTree(0)
+    with pytest.raises(AttributeError):
+        t.op = 0
 
 
 def test_the_repr_of_a_deep_shared_tree_costs_nothing_per_level():
@@ -49,10 +58,12 @@ def test_the_repr_of_a_deep_shared_tree_costs_nothing_per_level():
     code = (
         "import resource, time\n"
         "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
-        "from muiter.signature import WTree\n"
-        "t = WTree(0)\n"
+        "from muiter.signature import Signature\n"
+        "from muiter.size import kappa_sigma\n"
+        "node = kappa_sigma(Signature.of()).node\n"
+        "t = node(0)\n"
         "for _ in range(60):\n"
-        "    t = WTree(1, (t, t))\n"
+        "    t = node(1, (t, t))\n"
         "start = time.perf_counter()\n"
         "text = repr(t)\n"
         "print(text, time.perf_counter() - start)\n"
@@ -148,12 +159,7 @@ def test_container_map_functorial(data):
 # -- tree enumeration --------------------------------------------------------
 
 
-def tree_key(tree: WTree) -> tuple:
-    """Orders trees by op, then by their children in turn."""
-    return (tree.op, tuple(tree_key(c) for c in tree.children))
-
-
-def brute_trees(sig: Signature, depth: int) -> set:
+def brute_trees(sig: Signature, depth: int, node) -> set:
     """All well-formed trees of height < depth, grown level by level."""
     levels = set()
     for _ in range(depth):
@@ -161,16 +167,17 @@ def brute_trees(sig: Signature, depth: int) -> set:
         for op in range(sig.ops.size):
             k = sig.arities[op].size
             for kids in itertools.product(levels, repeat=k):
-                grown.add(WTree(op, kids))
+                grown.add(node(op, kids))
         levels |= grown
     return levels
 
 
 def test_wtype_enumerate_matches_brute_force():
     for sig in (BIN, Signature.of(0, 1), Signature.of(0, 0, 2)):
+        node = kappa_sigma(sig).node
         for depth in range(4):
-            got = wtype_enumerate(sig, depth)
-            expected = brute_trees(sig, depth)
+            got = wtype_enumerate(sig, depth, node)
+            expected = brute_trees(sig, depth, node)
             assert set(got) == expected
             # canonical order: sorted by key, no duplicates
             keys = [tree_key(t) for t in got]
@@ -186,9 +193,10 @@ def test_wtype_enumerate_counts_iterated_application():
         sizes.append(current.size)
         current = eval_functor(Container(BIN), (current,))
     for depth in range(5):
-        assert len(wtype_enumerate(BIN, depth)) == sizes[depth]
+        assert len(wtype_enumerate(BIN, depth, kappa_sigma(BIN).node)) == sizes[depth]
     assert sizes == [0, 1, 2, 5, 26]
 
 
 def test_wtype_enumerate_empty_signature():
-    assert wtype_enumerate(Signature.of(), 3) == []
+    empty = Signature.of()
+    assert wtype_enumerate(empty, 3, kappa_sigma(empty).node) == []

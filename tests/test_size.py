@@ -18,7 +18,7 @@ from muiter.errors import BudgetExceeded, ShapeMismatch
 from muiter.finset import FiniteSet
 from muiter.functors import Constant, Identity, Product, Sum
 
-from muiter.signature import Signature, WTree
+from muiter.signature import Signature
 from muiter.size import (
     NatBackend,
     filtered_sample_check,
@@ -27,7 +27,7 @@ from muiter.size import (
     nat_backend,
     successor_tower,
 )
-from reference import reference_sample_tree, wtype_enumerate
+from reference import reference_sample_tree, tree_key, wtype_enumerate
 
 BIN = Signature.of(0, 2, labels=["leaf", "node"])
 
@@ -61,7 +61,7 @@ def assert_order_agrees(backend, rule, s, t):
 
 
 def all_extended_trees(backend, depth):
-    return wtype_enumerate(backend.extended, depth)
+    return wtype_enumerate(backend.extended, depth, backend.node)
 
 
 # -- the order agrees with the rule and with tree height, exhaustively -------
@@ -196,10 +196,10 @@ def test_height_helper():
 
 
 def test_plump_compare_shared_arena():
-    # trees built by hand and by the backend come from one intern table
+    # trees built through node and by bottom and succ come from one table
     backend = kappa_sigma(Signature.of())
-    bot = WTree(0)
-    one = WTree(1, (bot, bot))
+    bot = backend.node(0)
+    one = backend.node(1, (bot, bot))
     assert bot is backend.bottom() and one is backend.succ(bot)
     assert (backend.lt(bot, one), backend.leq(bot, one)) == (True, True)
     assert (backend.lt(one, bot), backend.leq(one, bot)) == (False, False)
@@ -440,7 +440,8 @@ def test_the_sampler_keeps_every_draw_up_to_its_cap(monkeypatch):
     for cap, kept in ((sum(sizes), 40), (sum(sizes[:inside]) + 1, inside)):
         monkeypatch.setattr(size, "MAX_DRAWN", cap)
         capped, rng = kappa_sigma(sig), random.Random(3)
-        assert [capped.sample_tree(rng, 6) for _ in range(kept)] == drawn[:kept]
+        again = [capped.sample_tree(rng, 6) for _ in range(kept)]
+        assert list(map(tree_key, again)) == list(map(tree_key, drawn[:kept]))
         with pytest.raises(BudgetExceeded, match=rf"exceed the cap {cap}$"):
             capped.sample_tree(rng, 6)
         assert capped.drawn == cap  # and it stays stopped
@@ -481,11 +482,17 @@ def test_sample_tree_builds_a_deep_path_without_recursion():
 
 
 def test_wtree_interns_equal_trees():
-    b = WTree(0)
-    assert WTree(0) is b
-    assert WTree(1, (b, b)) is WTree(1, (b, b))
-    assert WTree(1, [b, b]) is WTree(1, (b, b))
-    assert WTree(1, (b, b)) is not WTree(2, (b, b))
+    # within one backend; a second backend keeps trees of its own
+    backend = kappa_sigma(BIN)
+    node = backend.node
+    b = node(0)
+    assert node(0) is b is backend.leaf_of[0]
+    assert node(1, (b, b)) is node(1, (b, b))
+    assert node(1, [b, b]) is node(1, (b, b))
+    assert node(1, (b, b)) is not node(3, (b, b))
+    assert backend.succ(b) is node(3, (b, b))
+    other = kappa_sigma(BIN).node
+    assert other(0) is not b and tree_key(other(0)) == tree_key(b)
 
 
 def test_deep_successor_towers_are_shared_and_compare_at_once():
