@@ -57,7 +57,6 @@ from .iteration import (
     free_algebra,
     inflationary_iterate,
     mu_initial_algebra,
-    mu_parameterized,
 )
 from .dsl import parse_script
 from .size import successor_tower
@@ -129,7 +128,6 @@ __all__ = [
     "mu_initial_algebra",
     "catamorphism",
     "free_algebra",
-    "mu_parameterized",
     "deflationary_nu",
     "MuResult",
     "FreeResult",

@@ -11,10 +11,15 @@ passes or fails.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .colimit import Diagram, subdiagram_colimit
-from .errors import BudgetExceeded, IntegrityError, NonFunctorialDiagram
+from .errors import (
+    BudgetExceeded,
+    IllTypedArrow,
+    IntegrityError,
+    NonFunctorialDiagram,
+)
 from .finset import FiniteFn, FiniteSet
 from .functors import FunctorExpr, eval_functor, eval_functor_mor, expr_arity
 from .size import draws, filtered_sample_check, height
@@ -195,6 +200,8 @@ def check_chain_preservation(
         preserved = preserves_chain_colimit(expr, chain)
     except BudgetExceeded:
         return _pass(name, "skipped: fixpoint infinite on sampled chain")
+    except (IllTypedArrow, NonFunctorialDiagram) as e:  # F's maps are no diagram
+        return _fail(name, f"image of chain {sizes} is not a diagram: {e}")
     if not preserved:
         return _fail(name, f"comparison map not a bijection on chain {sizes}")
     return _pass(name, f"chain with carriers {sizes}")
@@ -229,14 +236,10 @@ def check_cocone_laws(rng: random.Random, samples: int, depth: int) -> Dict:
 
 
 def run_checks(
-    backend,
-    functors: Optional[Dict[str, FunctorExpr]] = None,
-    samples: int = 200,
-    depth: int = 3,
-    seed: int = 0,
+    backend, functors: Dict[str, FunctorExpr], samples: int, depth: int, seed: int
 ) -> List[Dict]:
-    """Run every suite; returns one report dict per check."""
-    functors = functors or {}
+    """Run every suite over the declared functors; returns one report dict
+    per check."""
     rng = random.Random(seed)
     reports = [
         check_order_laws(backend, rng, samples, depth),

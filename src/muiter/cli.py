@@ -147,10 +147,10 @@ class Runner:
     # -- option plumbing --------------------------------------------------
 
     def opt_size(self, cmd: Command) -> str:
-        return cmd.option("size", self.defaults.get("size", "nat"))
+        return cmd.option("size", self.defaults["size"])
 
     def opt_budget(self, cmd: Command) -> int:
-        budget = cmd.option("budget", self.defaults.get("budget", DEFAULT_BUDGET))
+        budget = cmd.option("budget", self.defaults["budget"])
         if budget < 1:
             raise UsageError(f"line {cmd.line}: budget must be at least 1")
         return budget
@@ -269,14 +269,14 @@ class Runner:
         # test load here, not at start-up
         from .checks import run_checks
 
-        samples = cmd.option("samples", self.defaults.get("samples", 200))
+        samples = cmd.option("samples", 200)
         if samples > MAX_SAMPLES:
             raise UsageError(
                 f"line {cmd.line}: samples {samples} exceeds the cap {MAX_SAMPLES}"
             )
         self.header(report, cmd, self.opt_size(cmd), None)
         report["samples"] = samples
-        report["seed"] = cmd.option("seed", self.defaults.get("seed", 0))
+        report["seed"] = cmd.option("seed", self.defaults["seed"])
         report["depth"] = cmd.option("depth", self.defaults.get("depth", 3))
         backend = _backend_for(self.env, report["size"], cmd.line)
         report["checks"] = run_checks(
@@ -615,10 +615,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args is None:  # help or version
         return 0
     try:
+        # a byte that is not UTF-8 reaches the tokenizer as a lone surrogate,
+        # from a file or from stdin, whatever encoding Python gave sys.stdin
         if args["script"] == "-":
-            text = sys.stdin.read()
+            text = sys.stdin.buffer.read().decode("utf-8", "surrogateescape")
         else:
-            # a byte that is not UTF-8 reaches the tokenizer, as on stdin
             with open(args["script"], errors="surrogateescape", encoding="utf-8") as handle:
                 text = handle.read()
     except OSError as e:

@@ -25,7 +25,6 @@ from .finset import (
     sum_slices,
     then_table,
 )
-from .size import nat_backend
 
 
 class Record:
@@ -158,12 +157,12 @@ class SymContainer(FunctorExpr):
 class MuParam(FunctorExpr):
     """Least fixpoint of a binary expression in its second slot.
 
-    Evaluates X to the stationary carrier of Y |-> body(X, Y); the
-    morphism part is the mediating fold between the two fixpoints.
+    Evaluates X to the stationary carrier of Y |-> body(X, Y), which
+    iteration.nested_chain sizes; the morphism part is the mediating fold
+    between the two fixpoints.
     """
 
-    __slots__ = ("body", "budget")
-    _defaults = {"budget": 32}
+    __slots__ = ("body",)
 
 
 # the symmetry groups a script can name, by arity: swapk permutes all k
@@ -251,17 +250,10 @@ def _size(e: FunctorExpr, env: tuple) -> int:
         return _size(e.outer, tuple([_size(g, env) for g in e.inner]))
     if kind is MuParam:
         _need(env, 1, e)
-        return _mu_sizes(e, env[0])[-1]
+        from . import iteration
+
+        return iteration.nested_chain(e, env[0])[1][-1]
     raise ShapeMismatch(f"unknown expression node {kind.__name__}")
-
-
-def _mu_sizes(e: MuParam, x: int) -> list:
-    """The sizes of the chain of Y |-> body(X, Y) for |X| = x, up to its
-    first repeated size, under the node's budget."""
-    from . import iteration
-
-    fixed = Compose(e.body, (Constant(FiniteSet(x)), Identity()))
-    return iteration.tower(fixed, nat_backend(), e.budget)[0]
 
 
 def eval_functor_mor(e: FunctorExpr, fns: Tuple[FiniteFn, ...], then=None):

@@ -11,7 +11,9 @@ connecting maps synthesized from the lax order) agrees with the full one.
 On the successor tower each stage is F of the one before (Adamek's chain),
 and tower() carries each stage as its size, by the integer size recursion
 functors._size; mu and nu build one chain map where a size repeats, and a
-fold there is a loop.  IterationState is the general construction,
+fold there is a loop.  A mu nested in a functor is one more such chain,
+on numeric stages under NESTED_BUDGET (nested_chain), and no stage of any
+chain passes MAX_CARRIER.  IterationState is the general construction,
 and the tests' oracle for the tower.
 """
 
@@ -43,7 +45,10 @@ from .functors import (
 from .size import nat_backend
 
 DEFAULT_BUDGET = 8
-DEFAULT_MAX_CARRIER = 500_000
+# the largest stage any fixpoint builds or sizes, and the stage budget of a
+# fixpoint nested in a functor; both are read at call time
+MAX_CARRIER = 500_000
+NESTED_BUDGET = 32
 _LONG_SIZE = 10**1000  # the least size of more than 1,000 digits
 
 
@@ -75,11 +80,13 @@ def _unrepresented(cls: int) -> Exception:
     return IntegrityError("stage has a class with no layer representative")
 
 
-def _over_cap(size: int, cap: int, profile) -> BudgetExceeded:
-    """The stop for a carrier over the cap; a size of more than 1,000 digits
-    is written by its bit length, as str() refuses an int past 4,300."""
+def _over_cap(size: int, profile) -> BudgetExceeded:
+    """The stop for a carrier over MAX_CARRIER; a size of more than 1,000
+    digits is written by its bit length, as str() refuses an int past 4,300."""
     shown = f"at least 2**{size.bit_length() - 1}" if size >= _LONG_SIZE else size
-    return BudgetExceeded(f"carrier of size {shown} exceeds the cap {cap}", profile)
+    return BudgetExceeded(
+        f"carrier of size {shown} exceeds the cap {MAX_CARRIER}", profile
+    )
 
 
 def _post_order(root, basis_of, done):
@@ -111,19 +118,12 @@ class IterationState:
     The two read each other, and are resolved in post-order too.
     """
 
-    def __init__(
-        self,
-        functor: FunctorExpr,
-        backend,
-        budget: int = DEFAULT_BUDGET,
-        max_carrier: int = DEFAULT_MAX_CARRIER,
-    ):
+    def __init__(self, functor: FunctorExpr, backend, budget: int = DEFAULT_BUDGET):
         if expr_arity(functor) > 1:
             raise ShapeMismatch("iteration needs an endofunctor of one argument")
         self.functor = functor
         self.backend = backend
         self.budget = budget
-        self.max_carrier = max_carrier
         self.stages: Dict = {}
         self._connects: Dict = {}
         self._legs: Dict = {}
@@ -165,8 +165,8 @@ class IterationState:
 
     def _apply_object(self, x: FiniteSet) -> FiniteSet:
         out = eval_functor(self.functor, (x,))
-        if out.size > self.max_carrier:
-            raise _over_cap(out.size, self.max_carrier, self.profile())
+        if out.size > MAX_CARRIER:
+            raise _over_cap(out.size, self.profile())
         return out
 
     # -- canonical maps between stages -----------------------------------
@@ -249,10 +249,9 @@ def inflationary_iterate(
     backend,
     targets: Sequence,
     budget: int = DEFAULT_BUDGET,
-    max_carrier: int = DEFAULT_MAX_CARRIER,
 ) -> IterationState:
     """Compute the stages at the target indices (and their recursive bases)."""
-    state = IterationState(functor, backend, budget, max_carrier)
+    state = IterationState(functor, backend, budget)
     for t in targets:
         state.stage(t)
     return state
@@ -262,7 +261,6 @@ def tower(
     functor: FunctorExpr,
     backend,
     budget: int = DEFAULT_BUDGET,
-    max_carrier: int = DEFAULT_MAX_CARRIER,
     length=None,
     first: int = 0,
 ) -> Tuple[list, list]:
@@ -281,8 +279,8 @@ def tower(
             raise BudgetExceeded(f"stage budget {budget} exhausted", profile)
         if sizes:
             size = _size(functor, (size,))
-            if size > max_carrier:
-                raise _over_cap(size, max_carrier, profile)
+            if size > MAX_CARRIER:
+                raise _over_cap(size, profile)
             index = backend.succ(index)
         sizes.append(size)
         profile.append({"index": backend.render(index), "size": size})
@@ -321,10 +319,7 @@ class MuResult(Record):
 
 
 def mu_initial_algebra(
-    functor: FunctorExpr,
-    backend,
-    budget: int = DEFAULT_BUDGET,
-    max_carrier: int = DEFAULT_MAX_CARRIER,
+    functor: FunctorExpr, backend, budget: int = DEFAULT_BUDGET
 ) -> MuResult:
     """Iterate along the successor tower until the chain goes stationary.
 
@@ -333,11 +328,16 @@ def mu_initial_algebra(
     sizes agree.  Only at the first repeated size is that map built, and
     checked; its inverse is the structure map.  A stop builds no table.
     """
-    sizes, profile = tower(functor, backend, budget, max_carrier)
+    sizes, profile = tower(functor, backend, budget)
+    return MuResult(_initial_algebra(functor, sizes), len(sizes) - 1, profile)
+
+
+def _initial_algebra(functor: FunctorExpr, sizes: list) -> AlgebraSpec:
+    """The stationary stage of a sized initial chain, whose last size
+    repeats, with the inverse of its chain map as the structure map."""
     empty = FiniteFn(FiniteSet(0), FiniteSet(sizes[1]), ())
     c = _chain_map(functor, empty, sizes, "chain map")
-    carrier = FiniteSet(sizes[-2])
-    return MuResult(AlgebraSpec(carrier, c.inverse()), len(sizes) - 1, profile)
+    return AlgebraSpec(FiniteSet(sizes[-2]), c.inverse())
 
 
 def _check_algebra(functor: FunctorExpr, alg: AlgebraSpec) -> None:
@@ -399,7 +399,6 @@ def free_algebra(
     generators: FiniteSet,
     backend,
     budget: int = DEFAULT_BUDGET,
-    max_carrier: int = DEFAULT_MAX_CARRIER,
 ) -> FreeResult:
     """Initial algebra of F(-) + generators.
 
@@ -409,7 +408,7 @@ def free_algebra(
     structure map's table after and before |F(carrier)|.
     """
     expr = Sum((functor, Constant(generators)))
-    mu = mu_initial_algebra(expr, backend, budget, max_carrier)
+    mu = mu_initial_algebra(expr, backend, budget)
     f_mu = eval_functor(functor, (mu.carrier,))
     iota = mu.structure.table
     unit = FiniteFn(generators, mu.carrier, iota[f_mu.size :])
@@ -417,24 +416,22 @@ def free_algebra(
     return FreeResult(mu, generators, unit, structure)
 
 
-def mu_parameterized(
-    body: FunctorExpr,
-    value: FiniteSet,
-    backend,
-    budget: int = DEFAULT_BUDGET,
-    max_carrier: int = DEFAULT_MAX_CARRIER,
-) -> MuResult:
-    """Object part of the parameterized fixpoint: mu of body(value, -)."""
-    fixed = Compose(body, (Constant(value), Identity()))
-    return mu_initial_algebra(fixed, backend, budget, max_carrier)
+def nested_chain(node: MuParam, x: int) -> Tuple[FunctorExpr, list]:
+    """The fixpoint a nested mu Y. body(X, Y) names at |X| = x: the
+    endofunctor body(X, -) and the sizes of its chain on numeric stages,
+    up to the first repeated size, under NESTED_BUDGET and the cap.  The
+    object part (functors._size) reads the last size, the morphism part
+    (mu_parameterized_map) the functor and the stationary stage."""
+    fixed = Compose(node.body, (Constant(FiniteSet(x)), Identity()))
+    return fixed, tower(fixed, nat_backend(), NESTED_BUDGET)[0]
 
 
 def mu_parameterized_map(node: MuParam, f: FiniteFn) -> FiniteFn:
-    """Morphism part: the mediating fold between the two fixpoints, taken
-    at the domain's stationary stage, which its sized chain gives."""
-    fixed = Compose(node.body, (Constant(f.dom), Identity()))
-    sizes = tower(fixed, nat_backend(), node.budget)[0]
-    mu_y = mu_parameterized(node.body, f.cod, nat_backend(), node.budget)
+    """Morphism part: the mediating fold from the domain's fixpoint into
+    the codomain's, taken at the domain's stationary stage; nested_chain
+    gives each side's chain."""
+    fixed, sizes = nested_chain(node, f.dom.size)
+    mu_y = _initial_algebra(*nested_chain(node, f.cod.size))
     step = eval_functor_mor(
         node.body, (f, FiniteFn.identity(mu_y.carrier)), then=mu_y.structure
     )
@@ -447,11 +444,7 @@ class NuResult(Record):
     __slots__ = ("carrier", "comparison", "stationary_at", "profile")
 
 
-def deflationary_nu(
-    functor: FunctorExpr,
-    budget: int = DEFAULT_BUDGET,
-    max_carrier: int = DEFAULT_MAX_CARRIER,
-) -> NuResult:
+def deflationary_nu(functor: FunctorExpr, budget: int = DEFAULT_BUDGET) -> NuResult:
     """Dual chain on numeric stages: start at a point, repeatedly apply F.
 
     Stage n+1 maps to stage n by the comparison c_n = F^n(!), where ! is
@@ -463,7 +456,7 @@ def deflationary_nu(
     Only a stationary chain builds its comparison, and checks that it is
     a bijection; a budget or cap stop builds no table.
     """
-    sizes, profile = tower(functor, nat_backend(), budget, max_carrier, first=1)
+    sizes, profile = tower(functor, nat_backend(), budget, first=1)
     unique = FiniteFn.constant(FiniteSet(sizes[1]), FiniteSet(1), 0)
     comparison = _chain_map(functor, unique, sizes, "dual chain comparison")
     return NuResult(FiniteSet(sizes[-2]), comparison, len(sizes) - 1, profile)

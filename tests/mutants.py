@@ -63,6 +63,11 @@ MUTANTS = [
      "if v >= decl.carrier:", "if v > decl.carrier:", None),
     ("nu-size-check", CLI,
      'if size not in (None, "nat"):', 'if size not in (None, "nat", "plump"):', None),
+    ("chain-suite-lets-a-non-diagram-through", CHECKS,
+     "except (IllTypedArrow, NonFunctorialDiagram) as e:", "except () as e:", None),
+    ("stdin-decoded-strictly", CLI,
+     'sys.stdin.buffer.read().decode("utf-8", "surrogateescape")',
+     'sys.stdin.buffer.read().decode("utf-8")', None),
     # fast paths and invariants
     ("then-table-identity-shortcut", FINSET,
      "if isinstance(post, range) and post.start == 0 and post.step == 1:",
@@ -87,6 +92,11 @@ MUTANTS = [
      "if length is None and len(sizes) > 1 and sizes[-2] == size:",
      "if length is None and len(sizes) > 2 and sizes[-2] == size:", None),
     ("chain-map-bijection", ITERATION, "if not out.is_bijection():", "if False:", None),
+    # the carrier cap admits a stage of exactly MAX_CARRIER elements
+    ("tower-cap-boundary", ITERATION,
+     "if size > MAX_CARRIER:", "if size >= MAX_CARRIER:", None),
+    ("stage-cap-boundary", ITERATION,
+     "if out.size > MAX_CARRIER:", "if out.size >= MAX_CARRIER:", None),
     ("plump-lt", SIZE,
      "return i._height < j._height", "return i._height <= j._height", None),
     ("plump-render-successor", SIZE,

@@ -28,7 +28,7 @@ from muiter.finset import FiniteFn, FiniteSet, quotient_pairs
 from muiter.functors import FunctorExpr, eval_functor, eval_functor_mor, expr_arity
 from muiter.iteration import (
     DEFAULT_BUDGET,
-    DEFAULT_MAX_CARRIER,
+    MAX_CARRIER,
     AlgebraSpec,
     IterationState,
     MuResult,
@@ -333,11 +333,7 @@ def reference_sample_tree(backend, rng, max_height: int) -> WTree:
     return backend.node(op, kids)
 
 
-def reference_nu(
-    functor: FunctorExpr,
-    budget: int = DEFAULT_BUDGET,
-    max_carrier: int = DEFAULT_MAX_CARRIER,
-) -> NuResult:
+def reference_nu(functor: FunctorExpr, budget: int = DEFAULT_BUDGET) -> NuResult:
     """Dual chain on numeric stages: start at a point, repeatedly apply F.
 
     Stage n+1 maps onto stage n by the image of the previous comparison
@@ -353,9 +349,9 @@ def reference_nu(
         if len(stages) >= budget:
             raise BudgetExceeded(f"stage budget {budget} exhausted", profile)
         nxt = eval_functor(functor, (stages[-1],))
-        if nxt.size > max_carrier:
+        if nxt.size > MAX_CARRIER:
             raise BudgetExceeded(
-                f"carrier of size {nxt.size} exceeds the cap {max_carrier}",
+                f"carrier of size {nxt.size} exceeds the cap {MAX_CARRIER}",
                 profile,
             )
         if comparison is None:
@@ -373,12 +369,7 @@ def reference_nu(
             )
 
 
-def reference_mu(
-    functor: FunctorExpr,
-    backend,
-    budget: int = DEFAULT_BUDGET,
-    max_carrier: int = DEFAULT_MAX_CARRIER,
-) -> MuResult:
+def reference_mu(functor: FunctorExpr, backend, budget: int = DEFAULT_BUDGET) -> MuResult:
     """Iterate along the successor tower until the chain goes stationary.
 
     Stationarity needs both comparisons at once: the fresh layer
@@ -386,7 +377,7 @@ def reference_mu(
     stage i -> stage succ(i) must be bijections.  The structure map is then
     the fresh-layer leg composed with the inverted connecting map.
     """
-    state = IterationState(functor, backend, budget, max_carrier)
+    state = IterationState(functor, backend, budget)
     i = backend.bottom()
     state.stage(i)
     steps = 0

@@ -231,11 +231,13 @@ def test_declaration_only_script_prints_nothing(tmp_path, capsys):
 
 
 def test_a_script_file_that_is_not_utf8_is_a_syntax_error(tmp_path):
-    # the byte reaches the tokenizer as a lone surrogate, as it does on stdin
+    # the byte reaches the tokenizer as a lone surrogate, from the file and
+    # from stdin, also where Python would decode stdin strictly
     path = tmp_path / "bad.mi"
     path.write_bytes(b"F = 1 + X\xff\n")
-    for source in ({}, {"input": path.read_bytes()}):
-        args = muiter_child(path if not source else "-")
+    stdin = {"input": path.read_bytes()}
+    for source, env in [({}, {}), (stdin, {}), (stdin, {"PYTHONIOENCODING": "utf-8"})]:
+        args = muiter_child(path if not source else "-", **env)
         done = subprocess.run(**args, **source, capture_output=True, timeout=30)
         assert done.returncode == 1
         assert done.stdout == b""
@@ -243,7 +245,8 @@ def test_a_script_file_that_is_not_utf8_is_a_syntax_error(tmp_path):
 
 
 def test_stdin_is_the_default_source(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO("G = 3\nmu G\n"))
+    stdin = io.TextIOWrapper(io.BytesIO(b"G = 3\nmu G\n"), encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", stdin)
     code = main(["--format", "json"])
     payload = json.loads(capsys.readouterr().out)
     jsonschema.validate(payload, SCHEMA)
@@ -484,6 +487,27 @@ def test_sym_chains_stop_at_the_carrier_cap_in_bounded_time_and_memory(
     }
     assert wall < 5
     assert rss < 100_000_000
+
+
+@pytest.mark.parametrize(
+    "const, code, report",
+    [
+        (500_000, 0, "  D[0] size=0\n  D[1] size=500000\n  D[2] size=500000\n"),
+        (
+            500_001,
+            2,
+            "  error[budget-exceeded]: carrier of size 500001 exceeds the cap 500000\n"
+            "  D[0] size=0\n",
+        ),
+    ],
+    ids=["at-the-cap", "past-the-cap"],
+)
+def test_a_stage_of_exactly_the_cap_runs_and_one_more_element_stops(
+    tmp_path, capsys, const, code, report
+):
+    text = f"F = {const}\niterate F depth 3\n"
+    header = "iterate F  (size=nat, budget=8)\n"
+    assert run_cli(tmp_path, capsys, text) == (code, header + report, "")
 
 
 def test_a_stopped_dual_chain_stops_before_building_a_map(tmp_path):
@@ -1386,6 +1410,65 @@ def test_a_functor_that_turns_merging_maps_fails_the_composition_law(
     assert failed_checks(tmp_path, capsys, text) == [
         ("functor-laws[F]", "composition not preserved at sizes (3,)")
     ]
+
+
+def _moves_identities(fn, fns):
+    # F(id) lands in a codomain one element larger
+    if all(f == FiniteFn.identity(f.dom) for f in fns):
+        return FiniteFn(fn.dom, FiniteSet(fn.cod.size + 1), fn.table)
+    return fn
+
+
+def _turns_every_other_map(fn, fns):
+    # F(f) of a map f that is no identity goes one step round F's codomain
+    if all(f == FiniteFn.identity(f.dom) for f in fns) or fn.cod.size < 2:
+        return fn
+    return FiniteFn(fn.dom, fn.cod, [(v + 1) % fn.cod.size for v in fn.table])
+
+
+@pytest.mark.parametrize(
+    "fault, seed, failed",
+    [
+        (
+            _moves_identities,
+            0,
+            [
+                ("functor-laws[F]", "identity not preserved at sizes (2,)"),
+                (
+                    "chain-colimits[F]",
+                    "image of chain [3, 3, 4] is not a diagram: "
+                    "arrow (0, 1) is 10->11, objects are 10->10",
+                ),
+            ],
+        ),
+        (
+            _turns_every_other_map,
+            3,
+            [
+                ("functor-laws[F]", "composition not preserved at sizes (1,)"),
+                (
+                    "chain-colimits[F]",
+                    "image of chain [0, 1, 4] is not a diagram: "
+                    "triangle 0 -> 1 -> 2 does not commute",
+                ),
+            ],
+        ),
+    ],
+    ids=["ill-typed", "not-functorial"],
+)
+def test_a_functor_whose_maps_make_no_diagram_fails_the_chain_suite(
+    tmp_path, capsys, monkeypatch, fault, seed, failed
+):
+    # the chain suite applies F to a chain of three sets; maps that are no
+    # diagram fail its line, and the report goes on
+    from muiter import checks
+
+    real = checks.eval_functor_mor
+    monkeypatch.setattr(
+        checks, "eval_functor_mor", lambda e, fns, then=None: fault(real(e, fns, then), fns)
+    )
+    text = f"F = 1 + X*X\ncheck samples 20 depth 3 seed {seed}\n"
+    assert failed_checks(tmp_path, capsys, text) == failed
 
 
 def test_an_algebra_entry_equal_to_the_carrier_is_outside_it(tmp_path, capsys):

@@ -34,6 +34,7 @@ from muiter.functors import (
     eval_functor_mor,
     expr_arity,
 )
+from muiter.iteration import NESTED_BUDGET
 from muiter.signature import Signature
 from reference import (
     Relation,
@@ -168,7 +169,7 @@ def elements(e, env: tuple) -> list:
         return elements(e.outer, tuple(elements(g, env) for g in e.inner))
     if kind is MuParam:
         stage: list = []
-        for _ in range(e.budget):
+        for _ in range(NESTED_BUDGET):
             after = elements(e.body, (env[0], stage))
             if len(after) == len(stage):
                 return after
@@ -197,7 +198,7 @@ EXPRS = st.recursive(
         st.lists(parts, max_size=3).map(lambda ps: Product(tuple(ps))),
         st.builds(Power, parts, st.integers(0, 2)),
         st.builds(lambda o, a, b: Compose(o, (a, b)), parts, parts, parts),
-        st.builds(MuParam, parts, st.just(6)),
+        st.builds(MuParam, parts),
     ),
     max_leaves=6,
 )
@@ -652,11 +653,8 @@ def test_mu_param_lists_over_empty_is_nil_only():
 
 
 def test_mu_param_infinite_fixpoint_exceeds_budget():
-    lists = MuParam(
-        Sum((Constant(FiniteSet(1)), Product((Projection(0), Projection(1))))),
-        budget=6,
-    )
-    with pytest.raises(BudgetExceeded):
+    lists = MuParam(Sum((Constant(FiniteSet(1)), Product((Projection(0), Projection(1))))))
+    with pytest.raises(BudgetExceeded, match=f"^stage budget {NESTED_BUDGET} exhausted$"):
         eval_functor(lists, (FiniteSet(1),))
 
 

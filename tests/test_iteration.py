@@ -24,6 +24,8 @@ from muiter.functors import (
     eval_functor_mor,
 )
 from muiter.iteration import (
+    MAX_CARRIER,
+    NESTED_BUDGET,
     AlgebraSpec,
     IterationState,
     catamorphism,
@@ -31,8 +33,8 @@ from muiter.iteration import (
     free_algebra,
     inflationary_iterate,
     mu_initial_algebra,
-    mu_parameterized,
     mu_parameterized_map,
+    nested_chain,
     tower,
     tower_fold,
 )
@@ -92,12 +94,22 @@ def test_budget_counts_distinct_stages_not_requests():
 
 
 def test_carrier_cap_guards_explosions():
+    # 2 + X^3 grows 0, 2, 10, 1002, 1006012010: the cap stops stage 4
     backend = nat_backend()
     wide = Sum((Constant(FiniteSet(2)), Product((Identity(),) * 3)))
-    with pytest.raises(BudgetExceeded):
-        inflationary_iterate(
-            wide, backend, successor_tower(backend, 8), max_carrier=10_000
-        )
+    with pytest.raises(BudgetExceeded) as info:
+        inflationary_iterate(wide, backend, successor_tower(backend, 8))
+    assert str(info.value) == "carrier of size 1006012010 exceeds the cap 500000"
+    assert sizes_of(info.value.profile) == [0, 2, 10, 1002]
+
+
+def test_a_stage_of_exactly_the_cap_is_built_by_both_engines():
+    # one element more stops both, as the one-past-the-cap case of
+    # test_a_cap_stop_writes_a_long_size_by_its_bit_length shows
+    at_cap = Constant(FiniteSet(MAX_CARRIER))
+    assert sizes_of(tower(at_cap, nat_backend(), length=2)[1]) == [0, 500_000]
+    state = inflationary_iterate(at_cap, nat_backend(), [0, 1])
+    assert sizes_of(state.profile()) == [0, 500_000]
 
 
 def test_sym_pair_profile():
@@ -363,15 +375,20 @@ def tower_outcome(run):
     "length, budget, cap",
     [(0, 8, 500_000), (5, 8, 500_000), (7, 5, 600), (7, 6, 600), (9, 8, 500_000)],
 )
-def test_tower_stops_where_the_colimit_chain_stops(size, length, budget, cap):
+def test_tower_stops_where_the_colimit_chain_stops(
+    size, length, budget, cap, monkeypatch
+):
+    # both engines read the cap when they run, so a smaller one stops POLY
+    # at 677, stage 5, under a budget of 6
+    monkeypatch.setattr("muiter.iteration.MAX_CARRIER", cap)
     backend = nat_backend() if size == "nat" else kappa_sigma(Signature.of())
 
     def by_colimits():
         indices = successor_tower(backend, length)
-        return inflationary_iterate(POLY, backend, indices, budget, cap).profile()
+        return inflationary_iterate(POLY, backend, indices, budget).profile()
 
     def by_sizes():
-        sizes, profile = tower(POLY, backend, budget, cap, length=length)
+        sizes, profile = tower(POLY, backend, budget, length=length)
         assert sizes == sizes_of(profile)
         return profile
 
@@ -389,11 +406,12 @@ def test_tower_without_a_length_stops_at_the_first_repeated_size():
 @pytest.mark.parametrize(
     "size, shown",
     [
+        (MAX_CARRIER + 1, "500001"),
         (10**1000 - 1, str(10**1000 - 1)),
         (10**1000, "at least 2**3321"),
         (2**20000 + 1, "at least 2**20000"),
     ],
-    ids=["1000-digits", "1001-digits", "2**20000+1"],
+    ids=["one-past-the-cap", "1000-digits", "1001-digits", "2**20000+1"],
 )
 def test_a_cap_stop_writes_a_long_size_by_its_bit_length(size, shown):
     # str() refuses an int of more than 4,300 digits
@@ -672,21 +690,27 @@ def test_free_algebra_unit_is_mono_into_terms():
 # -- parameterized fixpoints -------------------------------------------------------
 
 
+def lists_over(n: int):
+    """Lists over n letters: LISTS_BODY with its first slot fixed at n."""
+    return Compose(LISTS_BODY, (Constant(FiniteSet(n)), Identity()))
+
+
 def test_partial_application_fixes_first_slot():
     # lists over 2 letters: stage n + 1 is 1 + 2 * stage n
     with pytest.raises(BudgetExceeded) as info:
-        mu_parameterized(LISTS_BODY, FiniteSet(2), nat_backend(), budget=5)
+        mu_initial_algebra(lists_over(2), nat_backend(), budget=5)
     assert sizes_of(info.value.profile) == [0, 1, 3, 7, 15]
 
 
 def test_lists_over_empty_set():
-    result = mu_parameterized(LISTS_BODY, FiniteSet(0), nat_backend())
+    result = mu_initial_algebra(lists_over(0), nat_backend())
     assert result.carrier.size == 1
+    assert nested_chain(MuParam(LISTS_BODY), 0) == (lists_over(0), [0, 1, 1])
 
 
 def test_lists_over_point_grow_one_per_stage():
     with pytest.raises(BudgetExceeded) as info:
-        mu_parameterized(LISTS_BODY, FiniteSet(1), nat_backend(), budget=6)
+        mu_initial_algebra(lists_over(1), nat_backend(), budget=6)
     assert sizes_of(info.value.profile) == [0, 1, 2, 3, 4, 5]
 
 
@@ -719,7 +743,7 @@ MU_CASES = [(e, {}) for e in BATTERY] + [
     (Product((Identity(), Identity())), {}),
     (SUCC, {"budget": 5}),
     (POLY, {"budget": 5}),
-    (POLY, {"budget": 7, "max_carrier": 600}),
+    (POLY, {}),
     (PAIRS_UP_TO_SWAP, {}),
     # mu Y. 2 + 0*Y: the inner chain is stationary at size 2 for every X
     (
@@ -770,9 +794,13 @@ def nested_outcome(run):
         return type(stop), str(stop), stop.profile
 
 
-# the nested fixpoints of the batteries, and lists over 0..4 letters, which
-# stop at the budget or the cap from one letter on
-NESTED_MU = [MuParam(LISTS_BODY), MuParam(LISTS_BODY, budget=6)] + list(
+# the nested fixpoints of the batteries, lists over 0..4 letters, which
+# stop at the budget or the cap from one letter on, and mu Y. 1 + Y, which
+# stops at the budget over every X
+NESTED_MU = [
+    MuParam(LISTS_BODY),
+    MuParam(Sum((Constant(FiniteSet(1)), Projection(1)))),
+] + list(
     dict.fromkeys(
         node
         for e in FUSED + FOLD_FUNCTORS + [e for e, _ in MU_CASES]
@@ -789,10 +817,10 @@ def test_a_nested_mu_is_sized_as_its_table_built_chain(node):
 
         def by_sizes():
             carrier = eval_functor(node, (x,))
-            return carrier, len(tower(fixed, nat_backend(), node.budget)[0]) - 1
+            return carrier, len(nested_chain(node, n)[1]) - 1
 
         def by_tables():
-            mu = mu_parameterized(node.body, x, nat_backend(), node.budget)
+            mu = mu_initial_algebra(fixed, nat_backend(), NESTED_BUDGET)
             return mu.carrier, mu.stationary_at
 
         assert nested_outcome(by_sizes) == nested_outcome(by_tables)

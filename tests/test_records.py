@@ -59,9 +59,9 @@ def node_reprs():
         (
             MuParam(Sum((Constant(FiniteSet(1)), Product((Identity(), Projection(1)))))),
             "MuParam(body=Sum(parts=(Constant(value=FiniteSet(1)), "
-            "Product(parts=(Identity(), Projection(slot=1))))), budget=32)",
+            "Product(parts=(Identity(), Projection(slot=1))))))",
         ),
-        (MuParam(Projection(1), budget=5), "MuParam(body=Projection(slot=1), budget=5)"),
+        (MuParam(Projection(1)), "MuParam(body=Projection(slot=1))"),
     ]
 
 
@@ -168,8 +168,8 @@ def test_compose_keeps_its_inner_expressions_as_a_tuple():
 
 
 def test_fields_come_by_position_by_name_or_from_defaults():
-    assert MuParam(Identity()).budget == 32
-    assert MuParam(body=Identity(), budget=3) == MuParam(Identity(), 3)
+    assert MuParam.__slots__ == ("body",)
+    assert MuParam(body=Identity()) == MuParam(Identity())
     assert Command("mu", "F").options == ()
     with pytest.raises(TypeError):
         Projection()
@@ -179,6 +179,8 @@ def test_fields_come_by_position_by_name_or_from_defaults():
         Projection(1, slot=2)
     with pytest.raises(TypeError):
         SigDecl("S", SIG, colour="red")
+    with pytest.raises(TypeError):
+        MuParam(Identity(), budget=5)
 
 
 def test_importing_the_command_line_loads_no_dataclasses():
