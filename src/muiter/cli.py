@@ -615,16 +615,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args is None:  # help or version
         return 0
     try:
-        # a byte that is not UTF-8 reaches the tokenizer as a lone surrogate,
-        # from a file or from stdin, whatever encoding Python gave sys.stdin
         if args["script"] == "-":
-            text = sys.stdin.buffer.read().decode("utf-8", "surrogateescape")
+            data = sys.stdin.buffer.read()
         else:
-            with open(args["script"], errors="surrogateescape", encoding="utf-8") as handle:
-                text = handle.read()
+            with open(args["script"], "rb") as handle:
+                data = handle.read()
     except OSError as e:
         sys.stderr.write(f"error: {e}\n")
         return 1
+    # one reading for a file and for stdin, whatever encoding Python gave
+    # sys.stdin: a byte that is not UTF-8 reaches the tokenizer as a lone
+    # surrogate, and a line ends at \r\n or a lone \r as at \n, as under
+    # universal newlines
+    text = data.decode("utf-8", "surrogateescape")
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         statements = parse_script(text)
     except DslError as e:

@@ -66,16 +66,6 @@ class AlgebraSpec(FrozenRecord):
         super().__init__(carrier, structure)
 
 
-class StageRecord(Record):
-    """One computed stage: its index, carrier, basis, and colimit data."""
-
-    __slots__ = ("index", "basis", "cocone")
-
-    @property
-    def carrier(self) -> FiniteSet:
-        return self.cocone.apex
-
-
 def _unrepresented(cls: int) -> Exception:
     return IntegrityError("stage has a class with no layer representative")
 
@@ -111,11 +101,13 @@ def _post_order(root, basis_of, done):
 class IterationState:
     """Memoized stages of one functor over one size backend.
 
-    stage(i) computes the colimit at index i, and the stages it needs,
-    in post-order over the predecessor bases.  connect(j, i) is the canonical map between
-    stages for laxly ordered indices; leg(j, i) is the canonical injection
-    of the fresh layer F(stage j) into stage i for strictly ordered ones.
-    The two read each other, and are resolved in post-order too.
+    stage(i) is the colimit cocone at index i: its apex is the stage, its
+    diagram's indices are i's predecessor basis, and its legs inject the
+    fresh layers F(stage b) for b in that basis.  The stages it needs are
+    computed first, in post-order over the bases.  connect(j, i) is the
+    canonical map between stages for laxly ordered indices, resolved in
+    post-order too; leg(j, i), the injection of the fresh layer F(stage j)
+    into stage i for strictly ordered ones, is derived from it.
     """
 
     def __init__(self, functor: FunctorExpr, backend, budget: int = DEFAULT_BUDGET):
@@ -133,13 +125,14 @@ class IterationState:
     def profile(self) -> list:
         """Stage sizes in computation order, for reports and errors."""
         return [
-            {"index": self.backend.render(rec.index), "size": rec.carrier.size}
-            for rec in self.stages.values()
+            {"index": self.backend.render(idx), "size": cocone.apex.size}
+            for idx, cocone in self.stages.items()
         ]
 
     # -- stage computation ----------------------------------------------
 
-    def stage(self, i) -> StageRecord:
+    def stage(self, i):
+        """The Cocone whose apex is the stage at i."""
         # the colimit engine loads here, on first use: the successor tower
         # the fixpoint commands run on never reaches it
         from .colimit import Diagram, subdiagram_colimit
@@ -152,15 +145,14 @@ class IterationState:
                 raise BudgetExceeded(
                     f"stage budget {self.budget} exhausted", self.profile()
                 )
-            objects = {j: self._apply_object(self.stages[j].carrier) for j in basis}
+            objects = {j: self._apply_object(self.stages[j].apex) for j in basis}
             arrows = {
                 (a, b): eval_functor_mor(self.functor, (self.connect(a, b),))
                 for a in basis
                 for b in basis
                 if a != b and self.backend.leq(a, b)
             }
-            cocone = subdiagram_colimit(Diagram(objects, arrows))
-            self.stages[idx] = StageRecord(idx, basis, cocone)
+            self.stages[idx] = subdiagram_colimit(Diagram(objects, arrows))
         return self.stages[i]
 
     def _apply_object(self, x: FiniteSet) -> FiniteSet:
@@ -172,76 +164,63 @@ class IterationState:
     # -- canonical maps between stages -----------------------------------
 
     def connect(self, j, i) -> FiniteFn:
-        """Stage map for laxly ordered indices j and i."""
+        """Stage map for laxly ordered indices j and i: the map out of stage
+        j that composes with each of its legs, at m, to leg(m, i).
+
+        Each connect is built after the connects its legs read, in
+        post-order with an explicit stack, so indices far apart are no
+        deeper call.
+        """
         if j == i:
-            return FiniteFn.identity(self.stage(j).carrier)
-        return self._resolve(("connect", j, i))
+            return FiniteFn.identity(self.stage(j).apex)
+        for (m, n), _ in _post_order((j, i), self._reads, self._connects):
+            src, dst = self.stages[m], self.stages[n]
+            table = src.induce(
+                lambda k: self.leg(k, n).table,
+                lambda cls: IntegrityError(
+                    f"stage map {self.backend.render(m)} -> "
+                    f"{self.backend.render(n)} ill defined at class {cls}"
+                ),
+                _unrepresented,
+            )
+            self._connects[(m, n)] = FiniteFn(src.apex, dst.apex, table)
+        return self._connects[(j, i)]
 
-    def leg(self, j, i) -> FiniteFn:
-        """Fresh-layer injection F(stage j) -> stage i for j strictly below i."""
-        return self._resolve(("leg", j, i))
+    def _reads(self, pair: tuple) -> tuple:
+        """The connects the legs of connect(j, i) read: connect(m, b) for
+        each m in j's basis outside i's, b the first of i's basis above m.
+        The stages are computed in the order the maps read them: j, then i."""
+        j, i = pair
+        src, dst = self.stage(j), self.stage(i)
+        return tuple(
+            (m, self._bound(m, i)) for m in src.diagram.indices if m not in dst.legs
+        )
 
-    def _resolve(self, root: tuple) -> FiniteFn:
-        """The map that root, ("connect", j, i) or ("leg", j, i), names.
-
-        connect(j, i) reads leg(m, i) for every m in j's basis, and leg(j, i)
-        reads connect(j, b) for the first b in i's basis above j.  Each map
-        is built after those it reads, in post-order with an explicit stack
-        (_post_order), so indices far apart are no deeper call.
-        """
-        memos = {"connect": self._connects, "leg": self._legs}
-        built: Dict = {}
-        for task, needs in _post_order(root, self._needs, built):
-            kind, j, i = task
-            got = memos[kind].get((j, i))
-            if got is None:
-                got = memos[kind][(j, i)] = self._build(kind, j, i, needs)
-            built[task] = got
-        return built[root]
-
-    def _needs(self, task: tuple) -> tuple:
-        """The connects and legs that task reads; none once it is built.
-
-        The stages are computed in the order the maps read them: j, then i.
-        """
-        kind, j, i = task
-        if (j, i) in (self._connects if kind == "connect" else self._legs):
-            return ()
-        if kind == "connect":
-            src = self.stage(j)
-            self.stage(i)
-            return tuple(("leg", m, i) for m in src.basis)
-        dst = self.stage(i)
-        if j in dst.cocone.legs:
-            return ()
-        for b in dst.basis:
+    def _bound(self, j, i):
+        """The first member of i's basis above j."""
+        for b in self.stages[i].diagram.indices:
             if self.backend.leq(j, b):
-                return (("connect", j, b),)
+                return b
         raise IntegrityError(
             f"predecessor basis of {self.backend.render(i)} has no bound "
             f"for {self.backend.render(j)}"
         )
 
-    def _build(self, kind: str, j, i, needs: tuple) -> FiniteFn:
-        """connect(j, i) or leg(j, i) from the maps in needs, all built."""
-        dst = self.stages[i]
-        if kind == "connect":
-            src = self.stages[j]
-            table = src.cocone.induce(
-                lambda m: self._legs[(m, i)].table,
-                lambda cls: IntegrityError(
-                    f"stage map {self.backend.render(j)} -> "
-                    f"{self.backend.render(i)} ill defined at class {cls}"
-                ),
-                _unrepresented,
-            )
-            return FiniteFn(src.carrier, dst.carrier, table)
-        if not needs:
-            return dst.cocone.legs[j]
-        b = needs[0][2]  # the one connect(j, b) a leg through b reads
-        return eval_functor_mor(
-            self.functor, (self._connects[(j, b)],), then=dst.cocone.legs[b]
-        )
+    def leg(self, j, i) -> FiniteFn:
+        """Fresh-layer injection F(stage j) -> stage i for j strictly below
+        i: stage i's own leg at a member j of its basis, or else
+        F(connect(j, b)) followed by b's leg, b the first of i's basis above j."""
+        got = self._legs.get((j, i))
+        if got is None:
+            dst = self.stage(i)
+            got = dst.legs.get(j)
+            if got is None:
+                b = self._bound(j, i)
+                got = eval_functor_mor(
+                    self.functor, (self.connect(j, b),), then=dst.legs[b]
+                )
+            self._legs[(j, i)] = got
+        return got
 
 
 def inflationary_iterate(
@@ -363,9 +342,9 @@ def catamorphism(state: IterationState, alg: AlgebraSpec, i) -> FiniteFn:
     def layer(j) -> Sequence[int]:
         return eval_functor_mor(state.functor, (done[j],), then=alg.structure).table
 
-    for idx, _ in _post_order(i, lambda idx: state.stages[idx].basis, done):
-        rec = state.stages[idx]
-        table = rec.cocone.induce(
+    for idx, _ in _post_order(i, lambda idx: state.stages[idx].diagram.indices, done):
+        cocone = state.stages[idx]
+        table = cocone.induce(
             layer,
             lambda cls: IntegrityError(
                 f"fold at {state.backend.render(idx)} ill defined at class {cls}"
@@ -376,7 +355,7 @@ def catamorphism(state: IterationState, alg: AlgebraSpec, i) -> FiniteFn:
         # structure table: a table laid end to end from the layers, or a
         # list where classes were identified, which the constructor turns
         # into a table
-        done[idx] = FiniteFn(rec.carrier, alg.carrier, table)
+        done[idx] = FiniteFn(cocone.apex, alg.carrier, table)
     return done[i]
 
 

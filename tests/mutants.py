@@ -65,9 +65,13 @@ MUTANTS = [
      'if size not in (None, "nat"):', 'if size not in (None, "nat", "plump"):', None),
     ("chain-suite-lets-a-non-diagram-through", CHECKS,
      "except (IllTypedArrow, NonFunctorialDiagram) as e:", "except () as e:", None),
-    ("stdin-decoded-strictly", CLI,
-     'sys.stdin.buffer.read().decode("utf-8", "surrogateescape")',
-     'sys.stdin.buffer.read().decode("utf-8")', None),
+    ("chain-suite-lets-an-ill-defined-map-through", CHECKS,
+     "except IntegrityError as e:", "except () as e:", None),
+    ("script-decoded-strictly", CLI,
+     'text = data.decode("utf-8", "surrogateescape")',
+     'text = data.decode("utf-8")', None),
+    ("script-keeps-a-lone-cr", CLI,
+     '.replace("\\r", "\\n")', "", None),
     # fast paths and invariants
     ("then-table-identity-shortcut", FINSET,
      "if isinstance(post, range) and post.start == 0 and post.step == 1:",
@@ -92,6 +96,28 @@ MUTANTS = [
      "if length is None and len(sizes) > 1 and sizes[-2] == size:",
      "if length is None and len(sizes) > 2 and sizes[-2] == size:", None),
     ("chain-map-bijection", ITERATION, "if not out.is_bijection():", "if False:", None),
+    # the stage maps: connect is the one memoised kind, legs derive from it
+    ("leg-skips-the-stage-map", ITERATION,
+     """got = eval_functor_mor(
+                    self.functor, (self.connect(j, b),), then=dst.legs[b]
+                )""",
+     "got = dst.legs[b]", None),
+    ("connect-reads-legs-into-its-source", ITERATION,
+     "lambda k: self.leg(k, n).table", "lambda k: self.leg(k, m).table", None),
+    ("bound-is-the-last-basis-member", ITERATION,
+     "for b in self.stages[i].diagram.indices:",
+     "for b in reversed(self.stages[i].diagram.indices):", None),
+    ("connect-reads-no-stage-maps", ITERATION,
+     """return tuple(
+            (m, self._bound(m, i)) for m in src.diagram.indices if m not in dst.legs
+        )""",
+     "return ()", None),
+    ("fold-over-the-wrong-basis", ITERATION,
+     "lambda idx: state.stages[idx].diagram.indices, done",
+     "lambda idx: state.stages[idx].diagram.indices[:1], done", None),
+    ("leg-cache-unread", ITERATION,
+     "got = self._legs.get((j, i))", "got = None",
+     "a leg rebuilt equals the cached one; the cache only saves the work"),
     # the carrier cap admits a stage of exactly MAX_CARRIER elements
     ("tower-cap-boundary", ITERATION,
      "if size > MAX_CARRIER:", "if size >= MAX_CARRIER:", None),

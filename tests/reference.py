@@ -194,13 +194,13 @@ class RecursiveIterationState(IterationState):
     def connect(self, j, i) -> FiniteFn:
         """Stage map for laxly ordered indices j and i."""
         if j == i:
-            return FiniteFn.identity(self.stage(j).carrier)
+            return FiniteFn.identity(self.stage(j).apex)
         got = self._connects.get((j, i))
         if got is not None:
             return got
         src = self.stage(j)
         dst = self.stage(i)
-        table = src.cocone.induce(
+        table = src.induce(
             lambda m: self.leg(m, i).table,
             lambda cls: IntegrityError(
                 f"stage map {self.backend.render(j)} -> "
@@ -208,7 +208,7 @@ class RecursiveIterationState(IterationState):
             ),
             _unrepresented,
         )
-        out = FiniteFn(src.carrier, dst.carrier, table)
+        out = FiniteFn(src.apex, dst.apex, table)
         self._connects[(j, i)] = out
         return out
 
@@ -218,14 +218,14 @@ class RecursiveIterationState(IterationState):
         if got is not None:
             return got
         dst = self.stage(i)
-        direct = dst.cocone.legs.get(j)
+        direct = dst.legs.get(j)
         if direct is not None:
             self._legs[(j, i)] = direct
             return direct
-        for b in dst.basis:
+        for b in dst.diagram.indices:
             if self.backend.leq(j, b):
                 out = eval_functor_mor(
-                    self.functor, (self.connect(j, b),), then=dst.cocone.legs[b]
+                    self.functor, (self.connect(j, b),), then=dst.legs[b]
                 )
                 self._legs[(j, i)] = out
                 return out
@@ -255,13 +255,13 @@ def reference_cata(state, alg: AlgebraSpec, i) -> FiniteFn:
         got = done.get(idx)
         if got is not None:
             return got
-        rec = state.stage(idx)
+        cocone = state.stage(idx)
 
         def layer(j) -> list:
             inner = eval_functor_mor(state.functor, (fold(j),))
             return [structure[v] for v in inner.table]
 
-        table = rec.cocone.induce(
+        table = cocone.induce(
             layer,
             lambda cls: IntegrityError(
                 f"fold at {state.backend.render(idx)} ill defined at class {cls}"
@@ -271,7 +271,7 @@ def reference_cata(state, alg: AlgebraSpec, i) -> FiniteFn:
         # induce gives one value per class, and each is structure[v] for v
         # in a checked table into F(carrier), so like FiniteFn.then the fold
         # needs no check
-        out = FiniteFn.unchecked(rec.carrier, alg.carrier, tuple(table))
+        out = FiniteFn.unchecked(cocone.apex, alg.carrier, tuple(table))
         done[idx] = out
         return out
 
@@ -389,6 +389,6 @@ def reference_mu(functor: FunctorExpr, backend, budget: int = DEFAULT_BUDGET) ->
         conn = state.connect(i, nxt)
         if fresh.is_bijection() and conn.is_bijection():
             iota = fresh.then(conn.inverse())
-            alg = AlgebraSpec(state.stage(i).carrier, iota)
+            alg = AlgebraSpec(state.stage(i).apex, iota)
             return MuResult(alg, steps, state.profile())
         i = nxt

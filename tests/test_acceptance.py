@@ -275,7 +275,7 @@ def test_folds_are_unique_by_exhaustive_search():
             for table in itertools.product(range(a), repeat=fa.size):
                 alg = AlgebraSpec(carrier, FiniteFn(fa, carrier, table))
                 for i in range(4):
-                    d = state.stage(i).carrier
+                    d = state.stage(i).apex
                     if d.size > 3:
                         continue
                     cases += 1
@@ -345,8 +345,8 @@ def test_tree_indexed_stages_match_numeric_ranks():
                 if height(i) > 3:
                     continue
                 compared += 1
-                got = state.stage(i).carrier.size
-                want = nat_state.stage(height(i)).carrier.size
+                got = state.stage(i).apex.size
+                want = nat_state.stage(height(i)).apex.size
                 if got != want:
                     failures.append((type(expr).__name__, backend.render(i), got, want))
     verdict(

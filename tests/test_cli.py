@@ -36,6 +36,7 @@ from muiter.size import (
     MAX_DRAWN,
     NatBackend,
     PlumpBackend,
+    height,
     nat_backend,
     successor_tower,
 )
@@ -242,6 +243,25 @@ def test_a_script_file_that_is_not_utf8_is_a_syntax_error(tmp_path):
         assert done.returncode == 1
         assert done.stdout == b""
         assert done.stderr == b"error: 1:10: unexpected character '\\udcff'\n"
+
+
+def test_a_lone_carriage_return_ends_a_line_from_a_file_and_from_stdin(tmp_path):
+    # universal newlines for both sources: \r\n and a lone \r end a line
+    # as \n does, so both runs give the report of the \n script
+    path = tmp_path / "cr.mi"
+    path.write_bytes(b"G = 3\r\nF = 1 + X\rmu G\r")
+    (tmp_path / "lf.mi").write_bytes(b"G = 3\nF = 1 + X\nmu G\n")
+    runs = [
+        subprocess.run(**muiter_child(script), **source, capture_output=True, timeout=30)
+        for script, source in [
+            (path, {}),
+            ("-", {"input": path.read_bytes()}),
+            (tmp_path / "lf.mi", {}),
+        ]
+    ]
+    assert [(done.returncode, done.stderr) for done in runs] == [(0, b"")] * 3
+    assert runs[0].stdout == runs[1].stdout == runs[2].stdout
+    assert json.loads(runs[0].stdout)["reports"][0]["mu"]["size"] == 3
 
 
 def test_stdin_is_the_default_source(monkeypatch, capsys):
@@ -1313,6 +1333,30 @@ def test_a_planted_order_fault_fails_its_triple_line(
     assert failed_checks(tmp_path, capsys, text) == [("order-laws", detail)]
 
 
+# Two plump orders whose lax half is the strict one or identity: one
+# ranks trees of a height by their rendering as well, which only the strict
+# rank line sees; the other ranks by height alone, so trees of one height
+# are lax-incomparable, which only the lax rank line sees.
+@pytest.mark.parametrize(
+    "strict, detail",
+    [
+        (
+            lambda s, i, j: (height(i), s.render(i)) < (height(j), s.render(j)),
+            "strict order disagrees with rank",
+        ),
+        (lambda s, i, j: height(i) < height(j), "lax order disagrees with rank"),
+    ],
+    ids=["strict-rank", "lax-rank"],
+)
+def test_a_planted_order_fault_fails_its_rank_line(
+    tmp_path, capsys, monkeypatch, strict, detail
+):
+    monkeypatch.setattr(PlumpBackend, "lt", strict)
+    monkeypatch.setattr(PlumpBackend, "leq", lambda s, i, j: i is j or strict(s, i, j))
+    text = "check size plump samples 200 depth 3 seed 0\n"
+    assert failed_checks(tmp_path, capsys, text) == [("order-laws", detail)]
+
+
 def test_a_join_below_its_right_argument_fails_the_join_bounds(
     tmp_path, capsys, monkeypatch
 ):
@@ -1453,14 +1497,37 @@ def _turns_every_other_map(fn, fns):
                 ),
             ],
         ),
+        (
+            _turns_every_other_map,
+            1,
+            [
+                ("functor-laws[F]", "composition not preserved at sizes (2,)"),
+                (
+                    "chain-colimits[F]",
+                    "canonical comparison map ill defined on chain [1, 1, 2]",
+                ),
+            ],
+        ),
+        (
+            _turns_every_other_map,
+            5,
+            [
+                ("functor-laws[F]", "composition not preserved at sizes (3,)"),
+                (
+                    "chain-colimits[F]",
+                    "canonical comparison map ill defined on chain [2, 2, 3]",
+                ),
+            ],
+        ),
     ],
-    ids=["ill-typed", "not-functorial"],
+    ids=["ill-typed", "not-functorial", "ill-defined-seed-1", "ill-defined-seed-5"],
 )
 def test_a_functor_whose_maps_make_no_diagram_fails_the_chain_suite(
     tmp_path, capsys, monkeypatch, fault, seed, failed
 ):
     # the chain suite applies F to a chain of three sets; maps that are no
-    # diagram fail its line, and the report goes on
+    # diagram, or whose images of the legs induce no map out of the
+    # colimit, fail its line, and the report goes on
     from muiter import checks
 
     real = checks.eval_functor_mor

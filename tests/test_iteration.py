@@ -130,7 +130,7 @@ def test_profiles_are_deterministic():
     runs = []
     for _ in range(2):
         state = inflationary_iterate(POLY, backend, successor_tower(backend, 4))
-        runs.append((state.profile(), state.stage(backend.bottom()).carrier.size))
+        runs.append((state.profile(), state.stage(backend.bottom()).apex.size))
     assert runs[0] == runs[1]
 
 
@@ -145,9 +145,9 @@ def test_plump_stage_depends_only_on_height():
     mirrored = backend.join(one, bot)
     tower2 = backend.succ(one)
     state = inflationary_iterate(POLY, backend, [lopsided, mirrored, tower2])
-    assert state.stage(lopsided).carrier.size == 2
-    assert state.stage(mirrored).carrier.size == 2
-    assert state.stage(tower2).carrier.size == 2
+    assert state.stage(lopsided).apex.size == 2
+    assert state.stage(mirrored).apex.size == 2
+    assert state.stage(tower2).apex.size == 2
 
 
 def test_equal_height_stages_connect_by_mutually_inverse_bijections():
@@ -168,7 +168,7 @@ def test_connect_to_duplicate_key_is_identity():
     backend = nat_backend()
     state = inflationary_iterate(POLY, backend, [3])
     conn = state.connect(2, 2)
-    assert conn == FiniteFn.identity(state.stage(2).carrier)
+    assert conn == FiniteFn.identity(state.stage(2).apex)
 
 
 # -- the stages are the sets of trees ------------------------------------------
@@ -181,7 +181,7 @@ def nat_embed(state, tree, n):
     fresh layer's leg.  Uses only the engine's published legs and the
     container layout.
     """
-    below = state.stage(n - 1).carrier.size
+    below = state.stage(n - 1).apex.size
     args = tuple(nat_embed(state, c, n - 1) for c in tree.children)
     return state.leg(n - 1, n).table[container_encode(BIN, below, tree.op, args)]
 
@@ -212,7 +212,7 @@ def test_stages_enumerate_trees_of_bounded_height():
         trees = wtype_enumerate(BIN, n, node)
         images = [nat_embed(state, t, n) for t in trees]
         assert len(set(images)) == len(trees)
-        assert set(images) == set(range(state.stage(n).carrier.size))
+        assert set(images) == set(range(state.stage(n).apex.size))
 
 
 def test_connecting_maps_preserve_tree_identity():
@@ -252,7 +252,7 @@ def test_fold_equation_holds_on_every_memoized_pair():
     backend = nat_backend()
     state = inflationary_iterate(TREES, backend, successor_tower(backend, 5))
     alg = leaf_parity_algebra()
-    indices = [rec.index for rec in state.stages.values()]
+    indices = list(state.stages)
     for j, i in itertools.product(indices, repeat=2):
         if not backend.lt(j, i):
             continue
@@ -313,12 +313,15 @@ FOLD_FUNCTORS = [
     "functor", FOLD_FUNCTORS, ids=[f"f{k}" for k in range(len(FOLD_FUNCTORS))]
 )
 def test_catamorphism_matches_the_two_step_reference(functor, size):
-    # the reference builds F(fold_j) and then maps it through the structure
+    # the reference builds F(fold_j) and then maps it through the structure;
+    # under plump also at joins of two stages, whose folds read both
     backend = (
         nat_backend() if size == "nat" else kappa_sigma(Signature.of())
     )
     tower = successor_tower(backend, 6)
-    state = inflationary_iterate(functor, backend, tower)
+    if size == "plump":
+        tower += [backend.join(a, b) for a, b in itertools.combinations(tower[:4], 2)]
+    state = inflationary_iterate(functor, backend, tower, budget=16)
     rng = random.Random(f"{size}:{functor}")
     for n in (1, 3, 10, 11):
         carrier = FiniteSet(n)
@@ -435,7 +438,7 @@ def test_arrow_free_stages_build_no_leg_tables():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert state.stage(6).carrier.size == 458_330
+    assert state.stage(6).apex.size == 458_330
     # a 458,330-entry leg table alone would take over 3.5 MB
     assert peak < 1_000_000
 
@@ -479,7 +482,7 @@ def test_a_deep_plump_stage_needs_no_recursion():
         index = backend.succ(index)
     start = time.perf_counter()
     state = inflationary_iterate(SUCC, backend, [index], budget=3000)
-    assert state.stage(index).carrier.size == 1200
+    assert state.stage(index).apex.size == 1200
     assert time.perf_counter() - start < 10
 
 
@@ -531,6 +534,24 @@ def test_stage_maps_and_legs_match_the_recursive_reference(functor, size):
     assert loops._legs.keys() == recursive._legs.keys()
 
 
+def test_one_stage_map_memoises_what_the_recursive_reference_memoises():
+    # from the stages at j and i alone, connect(j, i) reads, for each member
+    # m of j's basis outside i's, the stage map into the first member of i's
+    # basis above m, as the recursion does; joins give bases of two members
+    backend = kappa_sigma(Signature.of())
+    tower = successor_tower(backend, 5)
+    indices = tower + [backend.join(a, b) for a, b in itertools.combinations(tower[:4], 2)]
+    pairs = [(j, i) for j in indices for i in indices if backend.lt(j, i)]
+    for j, i in pairs:
+        loops = inflationary_iterate(SUCC, backend, [j, i], budget=64)
+        recursive = RecursiveIterationState(SUCC, backend, budget=64)
+        recursive.stage(j)
+        recursive.stage(i)
+        assert loops.connect(j, i) == recursive.connect(j, i)
+        assert loops._connects.keys() == recursive._connects.keys()
+        assert loops._legs.keys() == recursive._legs.keys()
+
+
 def test_long_chain_stops_at_the_budget_in_bounded_time_and_memory(tmp_path):
     # started from a small launcher, so the RSS is the script's, not pytest's
     code, payload, wall, rss = run_limited(
@@ -562,14 +583,13 @@ def corrupted_nat_stages(corruption: str):
     backend = nat_backend()
     state = inflationary_iterate(POLY, backend, successor_tower(backend, 4))
     state.leg(1, 3)  # memoised while stage 2 is sound; connect(2, 3) reads it
-    rec = state.stage(2)
-    sound = rec.cocone
+    sound = state.stage(2)
     apex, quotient = sound.apex, sound._quotient
     if corruption == "merge":
         quotient = [0] * len(quotient)
     else:
         apex = FiniteSet(apex.size + 1)
-    rec.cocone = Cocone(sound.diagram, apex, quotient)
+    state.stages[2] = Cocone(sound.diagram, apex, quotient)
     return state
 
 

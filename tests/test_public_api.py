@@ -87,6 +87,10 @@ REMOVED = [
     "iteration.IterationState._apply_mor",
     "iteration.DEFAULT_MAX_CARRIER",
     "iteration.mu_parameterized",
+    "iteration.StageRecord",
+    "iteration.IterationState._resolve",
+    "iteration.IterationState._build",
+    "iteration.IterationState._needs",
     "dsl.format_script",
     "dsl.format_statement",
     "dsl.lower_expr",
