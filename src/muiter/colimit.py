@@ -114,6 +114,7 @@ class Cocone:
         """
         objects = self.diagram.objects
         quotient = self._quotient
+        # not the size alone: a sum-sized apex over merged classes is still checked
         if isinstance(quotient, range) and self.apex.size == len(quotient):
             return concat_tables(
                 [_values_on(values, i, objects[i]) for i in self.diagram.indices]

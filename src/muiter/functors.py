@@ -139,10 +139,10 @@ class Compose(FunctorExpr):
         super().__init__(outer, tuple(inner))
 
 
-class Container(FunctorExpr):
-    """X maps to the sum over ops of tables arity(op) -> X."""
-
-    __slots__ = ("sig",)
+def Container(sig) -> Sum:
+    """A signature's functor: X maps to the sum over ops of the tables
+    arity(op) -> X, the powers X**|arity(op)|, laid out as that sum."""
+    return Sum(tuple([Power(Identity(), a.size) for a in sig.arities]))
 
 
 class SymContainer(FunctorExpr):
@@ -189,7 +189,7 @@ def expr_arity(e: FunctorExpr) -> int:
                 f"inner supplies {len(e.inner)}"
             )
         return max((expr_arity(g) for g in e.inner), default=0)
-    if isinstance(e, (Container, SymContainer)):
+    if isinstance(e, SymContainer):
         return 1
     if isinstance(e, MuParam):
         if expr_arity(e.body) > 2:
@@ -240,9 +240,6 @@ def _size(e: FunctorExpr, env: tuple) -> int:
         return env[e.slot]
     if kind is Power:
         return _size(e.base, env) ** e.exponent if e.exponent else 1
-    if kind is Container:
-        _need(env, 1, e)
-        return sum(env[0] ** a.size for a in e.sig.arities)
     if kind is SymContainer:
         _need(env, 1, e)
         return _multisets(env[0], e.arity)
@@ -298,10 +295,8 @@ def _mor(e: FunctorExpr, fns: tuple, post, pieces: list) -> int:
     sums that hold it.  A sum hands each part its slice of post, the
     identity's slices being the ranges of the parts' offsets; a product
     or power maps the rows of its last factor through post, each row a
-    piece; a container is laid out the same way, one block per
-    operation, each the power of X's map to that operation's arity;
-    every other node is built and then composed with post.  A piece is a
-    step-1 range, bytes or a tuple, bytes whenever post is.
+    piece; every other node is built and then composed with post.  A
+    piece is a step-1 range, bytes or a tuple, bytes whenever post is.
     """
     kind = type(e)
     if kind is Identity or kind is Projection:
@@ -330,14 +325,6 @@ def _mor(e: FunctorExpr, fns: tuple, post, pieces: list) -> int:
     if kind is Compose:
         vals = tuple([eval_functor_mor(g, fns) for g in e.inner])
         return _mor(e.outer, vals, post, pieces)
-    if kind is Container:
-        _need(fns, 1, e)
-        f = fns[0]
-        arities = [a.size for a in e.sig.arities]
-        sizes = [f.cod.size ** k for k in arities]
-        for k, block in zip(arities, sum_slices(post, sizes)):
-            pieces += product_rows([f] * k, block)
-        return sum(f.dom.size ** k for k in arities)
     if kind is SymContainer:
         _need(fns, 1, e)
         return _write(_sym_map(e.arity, fns[0]), post, pieces)

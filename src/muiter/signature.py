@@ -1,10 +1,10 @@
 """Operation signatures and the well-founded trees they generate.
 
 A signature is a finite set of operation symbols, each with a finite arity
-set and a name.  Applying a signature to a set X (functors.Container)
-yields the tagged sum over operations of the tables arity(op) -> X, the
-powers X**|arity(op)|; iterating that from the empty set enumerates trees
-of bounded height.  A signature also indexes the tree order
+set and a name.  Applied to a set X, a signature yields the tagged sum
+over operations of the tables arity(op) -> X, the powers X**|arity(op)|:
+functors.Container(sig) builds that sum of powers, and iterating it from
+the empty set enumerates trees of bounded height.  A signature also indexes the tree order
 (size.kappa_sigma): Signature.of() for bare plump, a declared one for
 plump:<sig>.  It is chosen with the order, never read off a functor, and
 the order's backend builds and owns the trees (size.PlumpBackend.node).

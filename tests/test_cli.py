@@ -340,6 +340,18 @@ def test_check_under_a_declared_signature_draws_families_of_each_arity(
     assert all(c["ok"] for c in checks), checks
 
 
+def test_a_signature_of_nullary_operations_is_checked_as_its_constant(
+    tmp_path, capsys
+):
+    # sig S = a:0 | b:0 is the sum of two zeroth powers, the constant 2,
+    # which takes no arguments: check draws the same samples as for F = 2
+    check = "check samples 40 seed 3\n"
+    by_sig = run_cli(tmp_path, capsys, "sig S = a:0 | b:0\nF = S\n" + check)
+    by_constant = run_cli(tmp_path, capsys, "F = 2\n" + check)
+    assert by_sig == by_constant
+    assert by_sig[0] == 0 and "chain with carriers [0, 2, 3]" in by_sig[1]
+
+
 # -- failure exits ----------------------------------------------------------------
 
 
@@ -1333,6 +1345,26 @@ def test_a_planted_order_fault_fails_its_triple_line(
     assert failed_checks(tmp_path, capsys, text) == [("order-laws", detail)]
 
 
+# Faults each index meets on its own, seen by the first sampled index:
+# join, the filtered bounds and the basis ask nothing they break.
+@pytest.mark.parametrize(
+    "attr, fault, detail",
+    [
+        ("lt", lambda s, i, j: i <= j, "strict order is reflexive at 3"),
+        ("leq", lambda s, i, j: i < j, "lax order is irreflexive at 3"),
+        ("bottom", lambda s: 4, "bottom above 3"),
+        ("succ", lambda s, i: i, "successor not above 3"),
+    ],
+    ids=["strict-reflexive", "lax-irreflexive", "bottom-above", "successor-above"],
+)
+def test_a_planted_order_fault_fails_its_index_line(
+    tmp_path, capsys, monkeypatch, attr, fault, detail
+):
+    monkeypatch.setattr(NatBackend, attr, fault)
+    text = "check samples 20 depth 3 seed 0\n"
+    assert failed_checks(tmp_path, capsys, text) == [("order-laws", detail)]
+
+
 # Two plump orders whose lax half is the strict one or identity: one
 # ranks trees of a height by their rendering as well, which only the strict
 # rank line sees; the other ranks by height alone, so trees of one height
@@ -1408,6 +1440,25 @@ def test_an_apex_class_no_leg_reaches_fails_the_cocone_laws(
     monkeypatch.setattr(checks, "subdiagram_colimit", spare_class)
     assert failed_checks(tmp_path, capsys, "check samples 20 depth 3\n") == [
         ("cocone-laws", "legs not jointly surjective in trial 0")
+    ]
+
+
+def test_legs_that_ignore_the_arrows_fail_the_cocone_laws(
+    tmp_path, capsys, monkeypatch
+):
+    # the sum of the objects with no class merged: the legs still reach
+    # every class, but an arrow followed by its target's leg moves a point
+    from muiter import checks
+    from muiter.colimit import Cocone, subdiagram_colimit
+
+    def unglued(d):
+        subdiagram_colimit(d)  # a diagram that is not directed still raises
+        size = sum(part.size for part in d.objects.values())
+        return Cocone(d, FiniteSet(size), range(size))
+
+    monkeypatch.setattr(checks, "subdiagram_colimit", unglued)
+    assert failed_checks(tmp_path, capsys, "check samples 20 depth 3\n") == [
+        ("cocone-laws", "leg mismatch on arrow (0, 1) in trial 0")
     ]
 
 
@@ -1536,6 +1587,37 @@ def test_a_functor_whose_maps_make_no_diagram_fails_the_chain_suite(
     )
     text = f"F = 1 + X*X\ncheck samples 20 depth 3 seed {seed}\n"
     assert failed_checks(tmp_path, capsys, text) == failed
+
+
+def test_a_chain_colimit_with_a_spare_class_fails_the_chain_suite(
+    tmp_path, capsys, monkeypatch
+):
+    # the colimit of the sampled chain gets one class no leg reaches, so F
+    # of it is larger than the colimit of F's image: the comparison map is
+    # well defined but misses a point.  The image's colimit and those of
+    # the cocone suite stay as they are.
+    from muiter import checks
+    from muiter.colimit import Cocone
+
+    chains = []
+    real_apply, real_colimit = checks.apply_diagram, checks.subdiagram_colimit
+
+    def applied(e, d):
+        chains.append(d)
+        return real_apply(e, d)
+
+    def spare_class(d):
+        cocone = real_colimit(d)
+        if not any(d is chain for chain in chains):
+            return cocone
+        return Cocone(d, FiniteSet(cocone.apex.size + 1), cocone._quotient)
+
+    monkeypatch.setattr(checks, "apply_diagram", applied)
+    monkeypatch.setattr(checks, "subdiagram_colimit", spare_class)
+    text = "F = 1 + X*X\ncheck samples 20 depth 3 seed 0\n"
+    assert failed_checks(tmp_path, capsys, text) == [
+        ("chain-colimits[F]", "comparison map not a bijection on chain [0, 4, 4]")
+    ]
 
 
 def test_an_algebra_entry_equal_to_the_carrier_is_outside_it(tmp_path, capsys):

@@ -26,8 +26,9 @@ PUBLIC = [
 # the colimit engine's state that a sized chain no longer returns, the
 # runner's dispatch and stop report that Runner.run took over, and the
 # process-wide tree table and set labels that backends and signatures took
-# over, and the fixpoint limits that iteration's constants took over, as
-# paths under muiter; the test oracles among these live in tests/reference.py
+# over, the fixpoint limits that iteration's constants took over, and the
+# container node that a signature's sum of powers replaced, as paths under
+# muiter; the test oracles among these live in tests/reference.py
 REMOVED = [
     "colimit.connecting_map",
     "colimit.canonical_product_map",
@@ -50,6 +51,7 @@ REMOVED = [
     "functors.swap_groupoid",
     "functors._sym_cocone",
     "functors.infer_signature",
+    "functors.Container.sig",
     "finset.Relation",
     "finset.quotient",
     "finset.kernel",

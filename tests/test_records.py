@@ -13,9 +13,9 @@ from muiter.finset import FiniteFn, FiniteSet
 from muiter.functors import (
     Compose,
     Constant,
-    Container,
     Identity,
     MuParam,
+    Power,
     Product,
     Projection,
     Sum,
@@ -52,7 +52,7 @@ def node_reprs():
             Compose(SymContainer(2), Identity()),
             "Compose(outer=SymContainer(arity=2), inner=(Identity(),))",
         ),
-        (Container(SIG), "Container(sig=Signature(lf:0, nd:2))"),
+        (Power(Identity(), 2), "Power(base=Identity(), exponent=2)"),
         (SymContainer(3), "SymContainer(arity=3)"),
         (
             MuParam(Sum((Constant(FiniteSet(1)), Product((Identity(), Projection(1)))))),
