@@ -45,6 +45,7 @@ from .functors import eval_functor, expr_arity
 from .iteration import (
     DEFAULT_BUDGET,
     AlgebraSpec,
+    Profile,
     deflationary_nu,
     free_algebra,
     mu_initial_algebra,
@@ -199,7 +200,7 @@ class Runner:
         expr, size, budget, backend = self.setup(cmd)
         self.header(report, cmd, size, budget)
         depth = cmd.option("depth", self.defaults.get("depth", budget))
-        report["stages"] = tower(expr, backend, budget, length=depth)[1]
+        report["stages"] = tower(expr, backend, budget, length=depth)
 
     def cmd_mu(self, cmd: Command, report: dict) -> None:
         expr, size, budget, backend = self.setup(cmd)
@@ -240,11 +241,11 @@ class Runner:
         alg = AlgebraSpec(carrier, FiniteFn(fa, carrier, decl.table))
         stage = cmd.option("stage")
         length = None if stage is None else stage + 1
-        sizes, profile = tower(expr, backend, budget, length=length)
+        profile = tower(expr, backend, budget, length=length)
         # the sized chain stops at its first repeated size: fold below it
-        fold = tower_fold(expr, alg, len(sizes) - 2 if stage is None else stage)
+        fold = tower_fold(expr, alg, len(profile) - 2 if stage is None else stage)
         if stage is None:
-            report["stage"] = len(sizes) - 1
+            report["stage"] = len(profile) - 1
         report["stages"] = profile
         report["fold"] = fold.to_json()
 
@@ -292,8 +293,8 @@ class Runner:
 
 
 def render_text(payload: dict, write) -> None:
-    """Hand payload's text report to write in pieces.  A table is written
-    as its list."""
+    """Hand payload's text report to write in pieces.  A profile is one
+    line per stage, and a table is written as its list."""
     for report in payload["reports"]:
         header = report["command"]
         for k in ("functor", "algebra"):
@@ -311,8 +312,12 @@ def render_text(payload: dict, write) -> None:
         write(header + "\n")
         if "error" in report:
             write(f"  error[{report['error']['type']}]: {report['error']['message']}\n")
-        stages = report.get("stages", ())
-        write("".join([f"  D[{s['index']}] size={s['size']}\n" for s in stages]))
+        if report.get("stages"):
+            _write_rows(
+                (f"  D[{index}] size={size}\n" for index, size in _stages(report["stages"])),
+                "",
+                write,
+            )
         if "stationaryAt" in report:
             write(f"  stationary at stage {report['stationaryAt']}\n")
         if "mu" in report:
@@ -333,13 +338,13 @@ def render_text(payload: dict, write) -> None:
 
 def render_json(payload: dict, write) -> None:
     """Hand ``json.dumps(payload, sort_keys=True, indent=2)`` and a newline
-    to write in pieces.
+    to write in pieces, a Profile read as the list of its rows.
 
     The stdlib's indenting encoder walks a table one entry at a time; here
     a list of plain ints, or ``bytes`` (the list of its ints), goes by
-    _write_table, and a list of dicts of plain strs and ints under one set
-    of keys (a profile) is one piece, by _rows_json.  Any other type
-    raises TypeError.
+    _write_table, and a profile is written from its sizes and its stages'
+    indices, one row at a time, by _write_rows.  Any other type raises
+    TypeError.
     """
     _write_json(payload, "\n", write)
     write("\n")
@@ -362,18 +367,26 @@ def _write_json(value, newline: str, write) -> None:
             _write_json(value[key], inner, write)
             sep = "," + inner
         write(newline + "}")
-    elif kind is list or kind is tuple or kind is bytes:
+    elif kind is list or kind is tuple or kind is bytes or kind is Profile:
         if not value:
             write("[]")
+        elif kind is Profile:
+            field = inner + "  "
+            write("[" + inner)
+            _write_rows(
+                (
+                    f'{{{field}"index": {_quote(index)},{field}"size": {size}{inner}}}'
+                    for index, size in _stages(value)
+                ),
+                "," + inner,
+                write,
+            )
+            write(newline + "]")
         elif kind is bytes or set(map(type, value)) == {int}:
             write("[" + inner)
             _write_table(value, "," + inner, write)
             write(newline + "]")
         else:
-            rows = _rows_json(value, newline)
-            if rows is not None:  # a profile
-                write(rows)
-                return
             sep = "[" + inner
             for item in value:
                 write(sep)
@@ -390,45 +403,33 @@ def _write_json(value, newline: str, write) -> None:
         raise TypeError(f"{kind.__name__} is not a JSON payload type")
 
 
-def _rows_json(rows, newline: str) -> Optional[str]:
-    """The JSON of a list of dicts that share one nonempty set of str keys
-    and hold plain str or int values, a column's values all of one of the
-    two types (a profile); else None.  Each key is quoted once, into the
-    rows' template, and each column goes through one map."""
-    first = rows[0]
-    if type(first) is not dict or not first:
-        return None
-    keys = first.keys()
-    if any(type(key) is not str for key in keys):
-        return None
+def _stages(profile: Profile):
+    """(index, size) of each stage of profile."""
+    return zip(map(profile.backend.stage_index, range(len(profile))), profile.sizes)
+
+
+def _write_rows(rows, sep: str, write) -> None:
+    """Write the strs of rows with sep between them, in pieces that each
+    end at the first row to take the piece's rows past _PIECE characters."""
+    piece: list = []
+    length, lead = 0, ""
     for row in rows:
-        if type(row) is not dict or row.keys() != keys:
-            return None
-    inner = newline + "  "
-    field_newline = inner + "  "
-    fields, columns = [], []
-    for key in sorted(keys):
-        column = [row[key] for row in rows]
-        kinds = set(map(type, column))
-        if kinds == {int}:
-            columns.append(map(int.__repr__, column))
-        elif kinds == {str}:
-            columns.append(map(_quote, column))
-        else:
-            return None
-        fields.append(_quote(key).replace("%", "%%") + ": %s")
-    template = "{" + field_newline + ("," + field_newline).join(fields) + inner + "}"
-    return "[" + inner + ("," + inner).join(
-        [template % cells for cells in zip(*columns)]
-    ) + newline + "]"
+        piece.append(row)
+        length += len(row)
+        if length >= _PIECE:
+            write(lead + sep.join(piece))
+            piece, length, lead = [], 0, sep
+    if piece:
+        write(lead + sep.join(piece))
 
 
 # json.dumps's writer of a str; the table that writes each value 0..9 as
-# its ASCII digit and every other byte as 0xff, which no digit is; and a
-# piece's item count
+# its ASCII digit and every other byte as 0xff, which no digit is; a
+# table piece's item count; and a profile piece's least character count
 _quote = json.encoder.encode_basestring_ascii
 _DIGITS = b"0123456789".ljust(256, b"\xff")
 _CHUNK = 4096
+_PIECE = 65536
 
 
 def _write_table(table, sep: str, write) -> None:

@@ -30,6 +30,13 @@ Grammar, with NAT a decimal numeral and NAME an identifier:
               | "sym" "<" NAME ">" atom
               | "mu" "Y" "." expr
               | "compose" "(" expr "," expr ")"
+
+An expression nests at most MAX_NESTING levels deep, a level being one
+pair of parentheses, sym, nested mu or compose around a part of it: the
+parser descends a few calls per level, and one level more is a syntax
+error that names the cap, so the parser stays far below the interpreter's
+recursion limit.  A declared name stands for its whole expression, so
+declarations that build on one another nest further than the cap.
 """
 
 from __future__ import annotations
@@ -60,6 +67,9 @@ OPTION_WORDS = ("size", "budget", "depth", "stage", "samples", "seed")
 KEYWORDS = {
     "sig", "alg", *COMMAND_WORDS, *OPTION_WORDS, "nat", "plump", "sym", "compose", "X", "Y"
 }
+# the most levels of parentheses, sym, nested mu and compose an expression
+# nests
+MAX_NESTING = 100
 
 
 # -- statements ----------------------------------------------------------
@@ -161,6 +171,7 @@ class Parser:
         # or ("alg", None)
         self.declared: dict = {}
         self.unknown_group: Optional[str] = None
+        self.depth = 0  # the levels of nesting around the expression parsed
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -344,6 +355,20 @@ class Parser:
 
     # expressions
 
+    def nested(self, tok: Token, parse, *args):
+        """parse(*args) one level of nesting below tok; a level past
+        MAX_NESTING is a syntax error at tok."""
+        if self.depth == MAX_NESTING:
+            raise DslSyntaxError(
+                f"expression nests deeper than the cap {MAX_NESTING}",
+                tok.line,
+                tok.column,
+            )
+        self.depth += 1
+        out = parse(*args)
+        self.depth -= 1
+        return out
+
     def parse_expr(self, in_mu: bool) -> FunctorExpr:
         parts = [self.parse_term(in_mu)]
         while self.peek().kind == "+":
@@ -376,7 +401,7 @@ class Parser:
             return Constant(FiniteSet(int(tok.text)))
         if tok.kind == "(":
             self.advance()
-            expr = self.parse_expr(in_mu)
+            expr = self.nested(tok, self.parse_expr, in_mu)
             self.expect(")")
             return expr
         if tok.kind != "NAME":
@@ -405,7 +430,7 @@ class Parser:
             arity = BUILTIN_GROUPOIDS.get(group)
             if arity is None:
                 self.unknown_group = self.unknown_group or group
-            arg = self.parse_atom(in_mu)
+            arg = self.nested(tok, self.parse_atom, in_mu)
             if arity is None:
                 return None
             sym = SymContainer(arity)
@@ -414,13 +439,13 @@ class Parser:
             self.advance()
             self.expect_word("Y")
             self.expect(".")
-            return MuParam(self.parse_expr(in_mu=True))
+            return MuParam(self.nested(tok, self.parse_expr, True))
         if tok.text == "compose":
             self.advance()
             self.expect("(")
-            outer = self.parse_expr(in_mu)
+            outer = self.nested(tok, self.parse_expr, in_mu)
             self.expect(",")
-            inner = self.parse_expr(in_mu)
+            inner = self.nested(tok, self.parse_expr, in_mu)
             self.expect(")")
             return Compose(outer, (inner,))
         if tok.text in KEYWORDS:

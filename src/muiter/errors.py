@@ -28,12 +28,13 @@ class NoAlgebra(MuiterError):
 class BudgetExceeded(MuiterError):
     """Iteration ran out of its stage or carrier budget.
 
-    Carries the partial stage profile so callers can report progress.
+    Carries the partial stage profile so callers can report progress: the
+    one the stopped run gave, not a copy, or an empty list.
     """
 
     def __init__(self, message, profile=None):
         super().__init__(message)
-        self.profile = list(profile or [])
+        self.profile = [] if profile is None else profile
 
 
 class IntegrityError(MuiterError):

@@ -7,7 +7,10 @@ functions.  How big F(X_1, ..., X_n) is depends only on |X_1|, ...,
 successor tower (iteration.tower) sizes its stages with it and builds no
 set.  The morphism part is one recursion too, _mor, and a map always
 carries a post table out of its codomain, the identity range when the
-caller gives none.
+caller gives none.  Both recurse once per level of the expression.  A
+script's expression nests at most dsl.MAX_NESTING levels within one
+declaration; one built deeper by hand, or through declarations that name
+earlier ones, is outside that cap.
 """
 
 from __future__ import annotations
@@ -217,13 +220,19 @@ def _size(e: FunctorExpr, env: tuple) -> int:
     How big F(X_1, ..., X_n) is depends only on |X_1|, ..., |X_n|, so
     this is one recursion over ints.  Nodes are told apart by their exact
     type; a sum or a product adds up or multiplies out its parts one at a
-    time.
+    time, a constant's size or the argument's in place, any other part
+    (an identity with no argument too) by the recursion.
     """
     kind = type(e)
     if kind is Sum:
         total = 0
         for part in e.parts:
-            total += _size(part, env)
+            if type(part) is Constant:
+                total += part.value.size
+            elif type(part) is Identity and env:
+                total += env[0]
+            else:
+                total += _size(part, env)
         return total
     if kind is Identity:
         _need(env, 1, e)
@@ -233,7 +242,12 @@ def _size(e: FunctorExpr, env: tuple) -> int:
     if kind is Product:
         total = 1
         for part in e.parts:
-            total *= _size(part, env)
+            if type(part) is Constant:
+                total *= part.value.size
+            elif type(part) is Identity and env:
+                total *= env[0]
+            else:
+                total *= _size(part, env)
         return total
     if kind is Projection:
         _need(env, e.slot + 1, e)

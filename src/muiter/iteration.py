@@ -11,15 +11,19 @@ connecting maps synthesized from the lax order) agrees with the full one.
 On the successor tower each stage is F of the one before (Adamek's chain),
 and tower() carries each stage as its size, by the integer size recursion
 functors._size; mu and nu build one chain map where a size repeats, and a
-fold there is a loop.  A mu nested in a functor is one more such chain,
-on numeric stages under NESTED_BUDGET (nested_chain), and no stage of any
-chain passes MAX_CARRIER.  IterationState is the general construction,
-and the tests' oracle for the tower.
+fold there is a loop.  A tower's profile is its sizes (Profile): stage
+k's index is the k-th successor of bottom, which the backend renders by
+arithmetic (stage_index), so no index tree and no row is built per stage.
+A mu nested in a functor is one more such chain, on numeric stages under
+NESTED_BUDGET (nested_chain), and no stage of any chain passes
+MAX_CARRIER.  IterationState is the general construction, and the tests'
+oracle for the tower.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from collections.abc import Sequence
+from typing import Dict, Tuple
 
 from .errors import (
     BudgetExceeded,
@@ -236,36 +240,62 @@ def inflationary_iterate(
     return state
 
 
+class Profile(FrozenRecord, Sequence):
+    """The sizes of a tower's stages, read as the rows {"index", "size"} of
+    a report: stage k's index is backend.stage_index(k).  A row is built
+    only when it is read, and a profile equals any sequence of its rows."""
+
+    __slots__ = ("sizes", "backend")
+
+    def __init__(self, sizes, backend):
+        super().__init__(tuple(sizes), backend)
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    def __getitem__(self, k: int) -> dict:
+        size = self.sizes[k]
+        return {"index": self.backend.stage_index(k % len(self.sizes)), "size": size}
+
+    def __iter__(self):
+        stage_index = self.backend.stage_index
+        for k, size in enumerate(self.sizes):
+            yield {"index": stage_index(k), "size": size}
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+
 def tower(
     functor: FunctorExpr,
     backend,
     budget: int = DEFAULT_BUDGET,
     length=None,
     first: int = 0,
-) -> Tuple[list, list]:
-    """The sizes of the stages first, F(first), ... and their profile: length
-    of them or, without one, up to the first repeated size.  A stage's size
-    is the functor's size on the size before it (functors._size), so no
-    stage is built.  The budget and then the cap are checked before each
-    stage; the profile's indices are the backend's bottom and its
-    successors, rendered."""
+) -> Profile:
+    """The profile of the stages first, F(first), ...: length of them or,
+    without one, up to the first repeated size.  A stage's size is the
+    functor's size on the size before it (functors._size), so no stage is
+    built.  The budget and then the cap are checked before each stage, and
+    a stop carries the profile of the stages before it."""
     if expr_arity(functor) > 1:
         raise ShapeMismatch("iteration needs an endofunctor of one argument")
-    sizes, profile = [], []
-    index, size = backend.bottom(), first
+    sizes, size = [], first
     while len(sizes) != length:
         if len(sizes) >= budget:
-            raise BudgetExceeded(f"stage budget {budget} exhausted", profile)
+            raise BudgetExceeded(
+                f"stage budget {budget} exhausted", Profile(sizes, backend)
+            )
         if sizes:
             size = _size(functor, (size,))
             if size > MAX_CARRIER:
-                raise _over_cap(size, profile)
-            index = backend.succ(index)
+                raise _over_cap(size, Profile(sizes, backend))
         sizes.append(size)
-        profile.append({"index": backend.render(index), "size": size})
         if length is None and len(sizes) > 1 and sizes[-2] == size:
             break
-    return sizes, profile
+    return Profile(sizes, backend)
 
 
 def _iterate_map(functor: FunctorExpr, f: FiniteFn, times: int, then=None) -> FiniteFn:
@@ -275,7 +305,7 @@ def _iterate_map(functor: FunctorExpr, f: FiniteFn, times: int, then=None) -> Fi
     return f
 
 
-def _chain_map(functor: FunctorExpr, unique: FiniteFn, sizes: list, name: str):
+def _chain_map(functor: FunctorExpr, unique: FiniteFn, sizes: tuple, name: str):
     """F^(n-1)(unique) for stages 0..n whose last size repeats, checked bijective."""
     out = _iterate_map(functor, unique, len(sizes) - 2)
     if not out.is_bijection():
@@ -307,11 +337,13 @@ def mu_initial_algebra(
     sizes agree.  Only at the first repeated size is that map built, and
     checked; its inverse is the structure map.  A stop builds no table.
     """
-    sizes, profile = tower(functor, backend, budget)
-    return MuResult(_initial_algebra(functor, sizes), len(sizes) - 1, profile)
+    profile = tower(functor, backend, budget)
+    return MuResult(
+        _initial_algebra(functor, profile.sizes), len(profile) - 1, profile
+    )
 
 
-def _initial_algebra(functor: FunctorExpr, sizes: list) -> AlgebraSpec:
+def _initial_algebra(functor: FunctorExpr, sizes: tuple) -> AlgebraSpec:
     """The stationary stage of a sized initial chain, whose last size
     repeats, with the inverse of its chain map as the structure map."""
     empty = FiniteFn(FiniteSet(0), FiniteSet(sizes[1]), ())
@@ -395,14 +427,14 @@ def free_algebra(
     return FreeResult(mu, generators, unit, structure)
 
 
-def nested_chain(node: MuParam, x: int) -> Tuple[FunctorExpr, list]:
+def nested_chain(node: MuParam, x: int) -> Tuple[FunctorExpr, tuple]:
     """The fixpoint a nested mu Y. body(X, Y) names at |X| = x: the
     endofunctor body(X, -) and the sizes of its chain on numeric stages,
     up to the first repeated size, under NESTED_BUDGET and the cap.  The
     object part (functors._size) reads the last size, the morphism part
     (mu_parameterized_map) the functor and the stationary stage."""
     fixed = Compose(node.body, (Constant(FiniteSet(x)), Identity()))
-    return fixed, tower(fixed, nat_backend(), NESTED_BUDGET)[0]
+    return fixed, tower(fixed, nat_backend(), NESTED_BUDGET).sizes
 
 
 def mu_parameterized_map(node: MuParam, f: FiniteFn) -> FiniteFn:
@@ -435,7 +467,8 @@ def deflationary_nu(functor: FunctorExpr, budget: int = DEFAULT_BUDGET) -> NuRes
     Only a stationary chain builds its comparison, and checks that it is
     a bijection; a budget or cap stop builds no table.
     """
-    sizes, profile = tower(functor, nat_backend(), budget, first=1)
+    profile = tower(functor, nat_backend(), budget, first=1)
+    sizes = profile.sizes
     unique = FiniteFn.constant(FiniteSet(sizes[1]), FiniteSet(1), 0)
     comparison = _chain_map(functor, unique, sizes, "dual chain comparison")
     return NuResult(FiniteSet(sizes[-2]), comparison, len(sizes) - 1, profile)

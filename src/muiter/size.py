@@ -88,6 +88,10 @@ class NatBackend:
     def render(self, i: int) -> str:
         return str(i)
 
+    def stage_index(self, k: int) -> str:
+        """render of the k-th successor of bottom, which is k."""
+        return str(k)
+
     def sample_indices(self, rng: random.Random, count: int, max_height: int) -> list:
         return draws(rng, max_height + 1, count)
 
@@ -175,6 +179,10 @@ class PlumpBackend:
         if i.children:
             base += "(" + ", ".join(self.render(c) for c in i.children) + ")"
         return "succ(" * depth + base + ")" * depth
+
+    def stage_index(self, k: int) -> str:
+        """render of the k-th successor of bottom, built by arithmetic."""
+        return "succ(" * k + self.extended.op_label(self.bottom_op) + ")" * k
 
     def sample_indices(
         self, rng: random.Random, count: int, max_height: int

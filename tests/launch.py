@@ -24,10 +24,10 @@ def child_env(**env) -> dict:
     return out
 
 
-def muiter_child(script, **env) -> dict:
-    """Arguments for subprocess.run or Popen that run `muiter script --format json`."""
+def muiter_child(script, fmt="json", **env) -> dict:
+    """Arguments for subprocess.run or Popen that run `muiter script --format fmt`."""
     return {
-        "args": [sys.executable, "-m", "muiter", str(script), "--format", "json"],
+        "args": [sys.executable, "-m", "muiter", str(script), "--format", fmt],
         "env": child_env(**env),
     }
 
@@ -46,16 +46,17 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 
-def run_limited(tmp_path, text):
+def run_limited(tmp_path, text, fmt="json"):
     """Run a script in a child limited to 1 GiB of address space.
 
-    Returns the exit code, the JSON payload, the wall time in seconds and
-    the child's peak RSS in bytes (ru_maxrss is in KiB on Linux).  A
-    traceback on the child's stderr fails the calling test.
+    Returns the exit code, the JSON payload (the text output when fmt is
+    "text"), the wall time in seconds and the child's peak RSS in bytes
+    (ru_maxrss is in KiB on Linux).  A traceback on the child's stderr
+    fails the calling test.
     """
     script, out = tmp_path / "script.mi", tmp_path / "out.json"
     script.write_text(text)
-    child = muiter_child(script)
+    child = muiter_child(script, fmt)
     start = time.perf_counter()
     done = subprocess.run(
         [sys.executable, "-c", _LAUNCHER, str(out), *child["args"]],
@@ -67,5 +68,7 @@ def run_limited(tmp_path, text):
     wall = time.perf_counter() - start
     assert "Traceback" not in done.stderr, done.stderr
     code, maxrss = map(int, done.stdout.split())
+    if fmt == "text":
+        return code, out.read_text(), wall, maxrss * 1024
     payload = json.loads(out.read_text()) if out.stat().st_size else None
     return code, payload, wall, maxrss * 1024

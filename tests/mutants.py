@@ -93,6 +93,15 @@ MUTANTS = [
      'outside = b""', None),
     ("multisets-of-nothing", FUNCTORS,
      "if n else int(k == 0)", "if n else 0", None),
+    ("size-sum-constant-read-as-zero", FUNCTORS,
+     "total += part.value.size", "total += 0", None),
+    ("size-product-constant-read-as-zero", FUNCTORS,
+     "total *= part.value.size", "total *= 0", None),
+    ("size-sum-identity-without-its-argument", FUNCTORS,
+     """elif type(part) is Identity and env:
+                total += env[0]""",
+     """elif type(part) is Identity:
+                total += env[0]""", None),
     ("power-exponent-zero", FUNCTORS,
      "** e.exponent if e.exponent else 1", "** e.exponent if e.exponent else 0", None),
     ("induce-fast-path", COLIMIT,
@@ -136,6 +145,13 @@ MUTANTS = [
      "return i._height < j._height", "return i._height <= j._height", None),
     ("plump-render-successor", SIZE,
      "i.children[0] is i.children[1]", "i.children[0] is i.children[0]", None),
+    # a tower's stage index, rendered by arithmetic, and its profile's pieces
+    ("stage-index-one-successor-more", SIZE,
+     'return "succ(" * k + self.extended.op_label(self.bottom_op) + ")" * k',
+     'return "succ(" * (k + 1) + self.extended.op_label(self.bottom_op) + ")" * (k + 1)',
+     None),
+    ("profile-piece-without-its-separator", CLI,
+     "piece, length, lead = [], 0, sep", 'piece, length, lead = [], 0, ""', None),
     # the tree table of a backend
     ("node-skips-its-lookup", SIZE,
      "tree = self._table.get(key)", "tree = None", None),

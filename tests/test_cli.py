@@ -16,7 +16,7 @@ import pytest
 import muiter
 from muiter import cli
 from muiter.cli import MAX_SAMPLES, _write_json, main, render_json, render_text
-from muiter.dsl import AlgDecl, Command, FuncDecl, SigDecl, parse_script
+from muiter.dsl import MAX_NESTING, AlgDecl, Command, FuncDecl, SigDecl, parse_script
 from muiter.finset import FiniteFn, FiniteSet
 from muiter.functors import (
     Compose,
@@ -30,7 +30,7 @@ from muiter.functors import (
     Sum,
     SymContainer,
 )
-from muiter.iteration import AlgebraSpec, catamorphism, inflationary_iterate
+from muiter.iteration import AlgebraSpec, Profile, catamorphism, inflationary_iterate
 from muiter.signature import Signature, WTree
 from muiter.size import (
     MAX_DRAWN,
@@ -488,6 +488,42 @@ def test_plump_chain_deeper_than_the_recursion_limit_stops_at_the_budget(tmp_pat
     assert report["error"]["type"] == "budget-exceeded"
     assert len(report["stages"]) == 1000
     assert report["stages"][-1]["index"] == "succ(" * 999 + "bot" + ")" * 999
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_a_long_plump_profile_is_written_in_bounded_memory(tmp_path, fmt):
+    # stage k's index is k nested succ( around bot, so the 2,000 stages'
+    # report is about 12 MB; it is written in pieces, not built whole
+    text = "F = 1 + X\niterate F size plump budget 2000\n"
+    code, out, wall, rss = run_limited(tmp_path, text, fmt)
+    assert code == 0
+    last = "succ(" * 1999 + "bot" + ")" * 1999
+    if fmt == "json":
+        stages = out["reports"][0]["stages"]
+        assert stages[-1] == {"index": last, "size": 1999} and len(stages) == 2000
+    else:
+        assert out.endswith(f"  D[{last}] size=1999\n") and out.count("\n") == 2001
+    assert wall < 2
+    assert rss < 30 * 2**20
+
+
+def test_a_plump_tower_builds_no_tree_node(tmp_path, capsys, monkeypatch):
+    # a stage's index is rendered by arithmetic, in the report as in a row
+    backends = []
+
+    def kept(sig):
+        backend = PlumpBackend(sig)
+        backends.append((backend, len(backend._table)))
+        return backend
+
+    monkeypatch.setattr(cli, "kappa_sigma", kept)
+    text = "F = 1 + X\nmu F size plump budget 500\n"
+    code, out, _ = run_cli(tmp_path, capsys, text)
+    assert code == 2
+    assert out.endswith("  D[" + "succ(" * 499 + "bot" + ")" * 499 + "] size=499\n")
+    code, payload, _ = run_json(tmp_path, capsys, text)
+    assert code == 2 and len(payload["reports"][0]["stages"]) == 500
+    assert [(len(backend._table), built) for backend, built in backends] == [(1, 1)] * 2
 
 
 def sym_chain(const: int, k: int, n: int) -> list:
@@ -1077,8 +1113,8 @@ def test_digit_tables_of_any_length_render_as_their_list(length):
 
 
 def test_render_json_writes_profiles_like_the_stdlib_encoder():
-    # a list of flat dicts of str and int values is written in one pass; a
-    # bool, a float or None among them takes the general path
+    # a list of flat dicts of str and int values, with a bool, a float or
+    # None among them too, is written item by item
     rng = random.Random(16)
     for _ in range(200):
         stages = [
@@ -1091,8 +1127,8 @@ def test_render_json_writes_profiles_like_the_stdlib_encoder():
         }
         payload = {"reports": [{"stages": stages, "flat": flat, "line": 3}]}
         assert rendered(render_json, payload) == stdlib_json(payload)
-    # a long profile is one piece, as is a list holding an empty dict; a
-    # list that mixes flat and nested dicts is written item by item
+    # so is a long list of rows, a list holding an empty dict, and a list
+    # that mixes flat and nested dicts
     stages = [{"index": "succ(" * (n % 7) + "bot" + ")" * (n % 7), "size": n} for n in range(1500)]
     nested = {"index": "x", "sizes": [1, 2], "deeper": {"a": 1}}
     for items in (stages, [stages[0], nested, stages[1]], [nested, {}], [{}, {"a": "b"}]):
@@ -1101,8 +1137,8 @@ def test_render_json_writes_profiles_like_the_stdlib_encoder():
 
 
 def test_render_json_writes_lists_of_flat_dicts_like_the_stdlib_encoder():
-    # a profile, a list of dicts under one set of str keys with str or int
-    # values, is one piece; every other list of dicts is written item by item
+    # a list of dicts under one set of str keys with str or int values, as
+    # a profile's rows are, is written item by item as any other list is
     odd = ["caf\u00e9", "\u03bc(\u2200)", 'say "hi"', "back\\slash", "%s", "100%", ""]
     profile = [{"index": text, "size": n} for n, text in enumerate(odd)]
     cases = [
@@ -1123,10 +1159,30 @@ def test_render_json_writes_lists_of_flat_dicts_like_the_stdlib_encoder():
         assert rendered(render_json, payload) == stdlib_json(payload)
     pieces: list = []
     _write_json(profile, "\n", pieces.append)
-    assert pieces == [json.dumps(profile, sort_keys=True, indent=2)]
+    assert "".join(pieces) == json.dumps(profile, sort_keys=True, indent=2)
     for items in ([{"index": "a", 2: "b"}], [{"index": "a"}, {1: 1}]):
         with pytest.raises(TypeError, match=r"^JSON keys must be str, not int$"):
             rendered(render_json, {"stages": items})
+
+
+@pytest.mark.parametrize("spec", ["nat", "plump"])
+@pytest.mark.parametrize("length", [0, 1, 2, 700])
+def test_a_profile_is_written_as_its_rows_in_bounded_pieces(spec, length):
+    backend = nat_backend() if spec == "nat" else PlumpBackend(Signature.of())
+    profile = Profile([(k * 7919) % 1000 for k in range(length)], backend)
+    report = {"command": "iterate", "stages": profile}
+    rows = {"command": "iterate", "stages": list(profile)}
+    pieces: list = []
+    render_json({"reports": [report]}, pieces.append)
+    assert "".join(pieces) == stdlib_json({"reports": [rows]})
+    longest = max(map(len, pieces))
+    pieces.clear()
+    render_text({"reports": [report]}, pieces.append)
+    lines = "".join(f"  D[{row['index']}] size={row['size']}\n" for row in rows["stages"])
+    assert "".join(pieces) == "iterate\n" + lines
+    # a piece ends at the row that takes it past the bound
+    row = 6 * length + 60
+    assert max(longest, *map(len, pieces)) < cli._PIECE + row
 
 
 def test_render_json_rejects_values_outside_the_payload_types():
@@ -1253,6 +1309,44 @@ def test_parse_error_exits_one(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "text, column",
+    [
+        ("F = " + "(" * 250 + "X" + ")" * 250 + "\nmu F\n", 5 + MAX_NESTING),
+        ("F = " + "mu Y. 1 + " * 300 + "X\nmu F\n", 5 + 10 * MAX_NESTING),
+    ],
+    ids=["250-parentheses", "300-nested-mu"],
+)
+def test_an_expression_nested_past_the_cap_is_a_syntax_error(tmp_path, text, column):
+    # the parser would otherwise reach the interpreter's recursion limit
+    path = tmp_path / "script.mi"
+    path.write_text(text)
+    done = subprocess.run(
+        **muiter_child(path), capture_output=True, text=True, timeout=30
+    )
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == (
+        f"error: 1:{column}: expression nests deeper than the cap {MAX_NESTING}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "expr, command, out",
+    [
+        ("(" * MAX_NESTING + "X" + ")" * MAX_NESTING, "mu F", "  D[0] size=0\n  D[1] size=0\n"),
+        ("sym<swap2> " * MAX_NESTING + "X", "iterate F depth 2", "  D[0] size=0\n  D[1] size=0\n"),
+        ("compose(" * MAX_NESTING + "X" + ", 1 + X)" * MAX_NESTING, "iterate F depth 3",
+         "  D[0] size=0\n  D[1] size=100\n  D[2] size=200\n"),
+        ("mu Y. 1 + " * MAX_NESTING + "X", "iterate F depth 1", "  D[0] size=0\n"),
+    ],
+    ids=["parentheses", "sym", "compose", "nested-mu"],
+)
+def test_an_expression_nested_to_the_cap_runs(tmp_path, capsys, expr, command, out):
+    code, got, err = run_cli(tmp_path, capsys, f"F = {expr}\n{command}\n")
+    assert (code, err) == (0, "")
+    assert got.split("\n", 1)[1].startswith(out)
 
 
 def test_unknown_functor_name_exits_one(tmp_path, capsys):

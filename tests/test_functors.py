@@ -108,13 +108,15 @@ def test_eval_needs_enough_arguments():
             (FiniteSet(2),),
             "Projection needs 2 arguments, got 1",
         ),
+        (Sum((Constant(FiniteSet(1)), Identity())), (), "Identity needs 1 arguments, got 0"),
+        (Product((Identity(), Constant(FiniteSet(1)))), (), "Identity needs 1 arguments, got 0"),
         ("X", (FiniteSet(2),), "unknown expression node str"),
         (Sum((Identity(), 3)), (FiniteSet(2),), "unknown expression node int"),
         (Compose(Identity(), ("X",)), (FiniteSet(2),), "unknown expression node str"),
     ],
     ids=[
         "identity", "projection", "nested", "container", "compose",
-        "top", "part", "inner",
+        "sum-identity", "product-identity", "top", "part", "inner",
     ],
 )
 def test_eval_keeps_its_shape_mismatch_messages(expr, env, message):

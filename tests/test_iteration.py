@@ -28,6 +28,7 @@ from muiter.iteration import (
     NESTED_BUDGET,
     AlgebraSpec,
     IterationState,
+    Profile,
     catamorphism,
     deflationary_nu,
     free_algebra,
@@ -107,7 +108,7 @@ def test_a_stage_of_exactly_the_cap_is_built_by_both_engines():
     # one element more stops both, as the one-past-the-cap case of
     # test_a_cap_stop_writes_a_long_size_by_its_bit_length shows
     at_cap = Constant(FiniteSet(MAX_CARRIER))
-    assert sizes_of(tower(at_cap, nat_backend(), length=2)[1]) == [0, 500_000]
+    assert sizes_of(tower(at_cap, nat_backend(), length=2)) == [0, 500_000]
     state = inflationary_iterate(at_cap, nat_backend(), [0, 1])
     assert sizes_of(state.profile()) == [0, 500_000]
 
@@ -391,19 +392,61 @@ def test_tower_stops_where_the_colimit_chain_stops(
         return inflationary_iterate(POLY, backend, indices, budget).profile()
 
     def by_sizes():
-        sizes, profile = tower(POLY, backend, budget, length=length)
-        assert sizes == sizes_of(profile)
+        profile = tower(POLY, backend, budget, length=length)
+        assert list(profile.sizes) == sizes_of(profile)
         return profile
 
     assert tower_outcome(by_sizes) == tower_outcome(by_colimits)
 
 
 def test_tower_without_a_length_stops_at_the_first_repeated_size():
-    assert sizes_of(tower(Constant(FiniteSet(3)), nat_backend())[1]) == [0, 3, 3]
-    assert sizes_of(tower(Identity(), nat_backend(), first=1)[1]) == [1, 1]
+    assert sizes_of(tower(Constant(FiniteSet(3)), nat_backend())) == [0, 3, 3]
+    assert sizes_of(tower(Identity(), nat_backend(), first=1)) == [1, 1]
     # with a length, a repeated size does not stop it
-    long = tower(Constant(FiniteSet(3)), nat_backend(), length=4)[1]
+    long = tower(Constant(FiniteSet(3)), nat_backend(), length=4)
     assert sizes_of(long) == [0, 3, 3, 3]
+
+
+def test_a_profile_reads_as_its_rows():
+    profile = tower(POLY, kappa_sigma(Signature.of()), length=4)
+    rows = [
+        {"index": "succ(" * k + "bot" + ")" * k, "size": size}
+        for k, size in enumerate([0, 1, 2, 5])
+    ]
+    assert profile.sizes == (0, 1, 2, 5)
+    assert len(profile) == 4
+    assert list(profile) == rows
+    assert [profile[k] for k in range(-4, 4)] == rows + rows
+    assert profile == rows and rows == profile and profile == tuple(rows)
+    assert profile != rows[:3] and profile != rows[:3] + [{"index": "bot", "size": 5}]
+    assert profile != {"index": "bot", "size": 0}
+    for k in (4, -5):
+        with pytest.raises(IndexError):
+            profile[k]
+    with pytest.raises(AttributeError):
+        profile.sizes = ()
+    empty = tower(POLY, nat_backend(), length=0)
+    assert (len(empty), list(empty), empty) == (0, [], [])
+
+
+def test_a_stop_carries_the_profile_its_tower_made(monkeypatch):
+    made = []
+
+    class Kept(Profile):
+        def __init__(self, sizes, backend):
+            super().__init__(sizes, backend)
+            made.append(self)
+
+    monkeypatch.setattr("muiter.iteration.Profile", Kept)
+    for run in (
+        lambda: tower(POLY, nat_backend(), budget=3),
+        lambda: tower(POLY, nat_backend(), budget=9, length=9),  # the cap
+        lambda: mu_initial_algebra(POLY, kappa_sigma(Signature.of()), budget=5),
+    ):
+        made.clear()
+        with pytest.raises(BudgetExceeded) as info:
+            run()
+        assert len(made) == 1 and info.value.profile is made[0]
 
 
 @pytest.mark.parametrize(
@@ -725,7 +768,7 @@ def test_partial_application_fixes_first_slot():
 def test_lists_over_empty_set():
     result = mu_initial_algebra(lists_over(0), nat_backend())
     assert result.carrier.size == 1
-    assert nested_chain(MuParam(LISTS_BODY), 0) == (lists_over(0), [0, 1, 1])
+    assert nested_chain(MuParam(LISTS_BODY), 0) == (lists_over(0), (0, 1, 1))
 
 
 def test_lists_over_point_grow_one_per_stage():

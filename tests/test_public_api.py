@@ -26,8 +26,9 @@ PUBLIC = [
 # the colimit engine's state that a sized chain no longer returns, the
 # runner's dispatch and stop report that Runner.run took over, and the
 # process-wide tree table and set labels that backends and signatures took
-# over, the fixpoint limits that iteration's constants took over, and the
-# container node that a signature's sum of powers replaced, as paths under
+# over, the fixpoint limits that iteration's constants took over, the
+# container node that a signature's sum of powers replaced, and the writer
+# of lists of flat dicts that a profile's own rows replaced, as paths under
 # muiter; the test oracles among these live in tests/reference.py
 REMOVED = [
     "colimit.connecting_map",
@@ -100,6 +101,7 @@ REMOVED = [
     "dsl.Script",
     "cli.Runner.budget_report",
     "cli.Runner.dispatch",
+    "cli._rows_json",
 ]
 
 

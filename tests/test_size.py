@@ -14,6 +14,7 @@ from muiter.checks import (
     check_join_bounds,
     check_order_laws,
 )
+from muiter.dsl import parse_script
 from muiter.errors import BudgetExceeded, ShapeMismatch
 from muiter.finset import FiniteSet
 from muiter.functors import Constant, Identity, Product, Sum
@@ -154,6 +155,19 @@ def test_render_folds_successors():
     assert backend.render(tower[3]) == "succ(succ(succ(bot)))"
     mixed = backend.join(backend.bottom(), tower[1])
     assert backend.render(mixed) == "join(bot, succ(bot))"
+
+
+@pytest.mark.parametrize("spec", ["nat", "plump", "plump:S"])
+def test_a_stage_index_is_the_render_of_that_many_successors_of_bottom(spec):
+    # stage k's index is written by arithmetic, with no tree built
+    (decl,) = parse_script("sig S = leaf:0 | node:2 | bot2:0\n")
+    backend = {
+        "nat": nat_backend(), "plump": kappa_sigma(Signature.of()), "plump:S": kappa_sigma(decl.sig)
+    }[spec]
+    index = backend.bottom()
+    for k in range(301):
+        assert backend.stage_index(k) == backend.render(index), k
+        index = backend.succ(index)
 
 
 def test_key_distinguishes_distinct_trees():
