@@ -83,9 +83,10 @@ class _Env:
 
     def endofunctor(self, name: str, line: int):
         expr = self.functors[name]
-        if expr_arity(expr) > 1:
+        arity = expr_arity(expr)
+        if arity > 1:
             raise UsageError(
-                f"line {line}: {name!r} takes {expr_arity(expr)} arguments, "
+                f"line {line}: {name!r} takes {arity} arguments, "
                 "commands need an endofunctor of one"
             )
         return expr

@@ -1,7 +1,8 @@
 """The script language: declarations plus commands, one per line.
 
-The parser is a hand-rolled recursive descent over a token list; every
-token keeps its line and column so errors point at the offending spot.
+The parser is a hand-rolled recursive descent over a list of tokens,
+each a (kind, text, line, column) tuple, so errors point at the
+offending spot.
 It builds functor expressions as it goes: X is the first argument
 slot and Y the second, so a fixpoint body is a functor in two arguments;
 a declared functor's name stands for its expression and a signature's
@@ -32,11 +33,13 @@ Grammar, with NAT a decimal numeral and NAME an identifier:
               | "compose" "(" expr "," expr ")"
 
 An expression nests at most MAX_NESTING levels deep, a level being one
-pair of parentheses, sym, nested mu or compose around a part of it: the
+pair of parentheses, sym, nested mu or compose around a part of it.  A
+declared name stands for its whole expression, so it counts one level
+plus the levels its declaration nests (none for a signature).  The
 parser descends a few calls per level, and one level more is a syntax
-error that names the cap, so the parser stays far below the interpreter's
-recursion limit.  A declared name stands for its whole expression, so
-declarations that build on one another nest further than the cap.
+error that names the cap, so the parser, and every evaluator that
+recurses on the expression, stays far below the interpreter's recursion
+limit.
 """
 
 from __future__ import annotations
@@ -67,8 +70,8 @@ OPTION_WORDS = ("size", "budget", "depth", "stage", "samples", "seed")
 KEYWORDS = {
     "sig", "alg", *COMMAND_WORDS, *OPTION_WORDS, "nat", "plump", "sym", "compose", "X", "Y"
 }
-# the most levels of parentheses, sym, nested mu and compose an expression
-# nests
+# the most levels of parentheses, sym, nested mu, compose and declared
+# names an expression nests
 MAX_NESTING = 100
 
 
@@ -114,146 +117,144 @@ class Token(FrozenRecord):
 _SYMBOLS = "=+*^|:.<>(),"
 
 
-def tokenize(text: str) -> list:
+def _lex(text: str) -> list:
+    """The tokens of text as (kind, text, line, column) tuples, the fields
+    of a Token.
+
+    A column counts the characters before it on its line, less those of
+    comments: a comment takes no columns, so the NEWLINE that ends one
+    stands where the comment began.
+    """
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
+    append = tokens.append
+    line = 1
+    start = 0  # the column of text[i] is i - start + 1
+    i, n = 0, len(text)
     while i < n:
         c = text[i]
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c == "\n":
-            tokens.append(Token("NEWLINE", "\n", line, col))
-            i += 1
-            line += 1
-            col = 1
-            continue
         if c in " \t\r":
             i += 1
-            col += 1
-            continue
-        if c.isdecimal():
-            start = i
-            while i < n and text[i].isdecimal():
-                i += 1
-            tokens.append(Token("NAT", text[start:i], line, col))
-            col += i - start
-            continue
-        if c.isalpha() or c == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            tokens.append(Token("NAME", text[start:i], line, col))
-            col += i - start
-            continue
-        if c in _SYMBOLS:
-            tokens.append(Token(c, c, line, col))
+        elif c == "\n":
+            append(("NEWLINE", "\n", line, i - start + 1))
             i += 1
-            col += 1
-            continue
-        raise DslSyntaxError(f"unexpected character {c!r}", line, col)
-    tokens.append(Token("NEWLINE", "\n", line, col))
-    tokens.append(Token("EOF", "", line + 1, 1))
+            line += 1
+            start = i
+        elif c in _SYMBOLS:
+            append((c, c, line, i - start + 1))
+            i += 1
+        elif c.isalpha() or c == "_":
+            j = i + 1
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            append(("NAME", text[i:j], line, i - start + 1))
+            i = j
+        elif c.isdecimal():
+            j = i + 1
+            while j < n and text[j].isdecimal():
+                j += 1
+            append(("NAT", text[i:j], line, i - start + 1))
+            i = j
+        elif c == "#":
+            j = text.find("\n", i)
+            if j < 0:
+                j = n
+            start += j - i
+            i = j
+        else:
+            raise DslSyntaxError(f"unexpected character {c!r}", line, i - start + 1)
+    append(("NEWLINE", "\n", line, n - start + 1))
+    append(("EOF", "", line + 1, 1))
     return tokens
+
+
+def tokenize(text: str) -> list:
+    """The tokens of text as Token records; the parser reads the tuples."""
+    return [Token(*tok) for tok in _lex(text)]
 
 
 # -- parser --------------------------------------------------------------
 
 
+def _syntax_error(tok: tuple, message: str) -> DslSyntaxError:
+    return DslSyntaxError(message, tok[2], tok[3])
+
+
 class Parser:
+    """Reads the tokens of _lex by index: kind, text, line, column."""
+
     def __init__(self, text: str):
-        self.tokens = tokenize(text)
+        self.tokens = _lex(text)
         self.i = 0
-        # name -> (role, value): ("sig", Signature), ("functor", expr)
-        # or ("alg", None)
+        # name -> (role, value, levels): ("sig", Signature, 0), ("functor",
+        # expr, the levels its declaration nests) or ("alg", None, 0)
         self.declared: dict = {}
         self.unknown_group: Optional[str] = None
         self.depth = 0  # the levels of nesting around the expression parsed
+        self.deepest = 0  # the most levels the declaration parsed reaches
 
-    def peek(self) -> Token:
-        return self.tokens[self.i]
-
-    def advance(self) -> Token:
+    def advance(self) -> tuple:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
 
-    def expect(self, kind: str, what: Optional[str] = None) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise DslSyntaxError(
-                f"expected {what or kind}, found {tok.text!r}",
-                tok.line,
-                tok.column,
-            )
-        return self.advance()
+    def expect(self, kind: str, what: Optional[str] = None) -> tuple:
+        tok = self.tokens[self.i]
+        if tok[0] != kind:
+            raise _syntax_error(tok, f"expected {what or kind}, found {tok[1]!r}")
+        self.i += 1
+        return tok
 
-    def expect_word(self, word: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "NAME" or tok.text != word:
-            raise DslSyntaxError(
-                f"expected {word!r}, found {tok.text!r}", tok.line, tok.column
-            )
-        return self.advance()
+    def expect_word(self, word: str) -> tuple:
+        tok = self.tokens[self.i]
+        if tok[0] != "NAME" or tok[1] != word:
+            raise _syntax_error(tok, f"expected {word!r}, found {tok[1]!r}")
+        self.i += 1
+        return tok
 
     def expect_nat(self) -> int:
-        return int(self.expect("NAT", "a number").text)
+        return int(self.expect("NAT", "a number")[1])
 
     def fresh_name(self) -> str:
         tok = self.expect("NAME", "a name")
-        if tok.text in KEYWORDS:
-            raise DslSyntaxError(
-                f"{tok.text!r} is reserved", tok.line, tok.column
-            )
-        if tok.text in self.declared:
-            raise DslSyntaxError(
-                f"{tok.text!r} is already declared", tok.line, tok.column
-            )
-        return tok.text
+        name = tok[1]
+        if name in KEYWORDS:
+            raise _syntax_error(tok, f"{name!r} is reserved")
+        if name in self.declared:
+            raise _syntax_error(tok, f"{name!r} is already declared")
+        return name
 
     def known_name(self, role: str) -> str:
-        tok = self.expect("NAME", f"a declared {role}")
-        if self.declared.get(tok.text, (None,))[0] != role:
-            raise DslNameError(
-                f"{tok.line}:{tok.column}: {tok.text!r} is not a declared {role}"
-            )
-        return tok.text
+        _, name, line, column = self.expect("NAME", f"a declared {role}")
+        if self.declared.get(name, (None,))[0] != role:
+            raise DslNameError(f"{line}:{column}: {name!r} is not a declared {role}")
+        return name
 
     # statements
 
     def parse_script(self) -> tuple:
         statements = []
-        while self.peek().kind != "EOF":
-            if self.peek().kind == "NEWLINE":
-                self.advance()
+        while True:
+            kind = self.tokens[self.i][0]
+            if kind == "EOF":
+                return tuple(statements)
+            if kind == "NEWLINE":
+                self.i += 1
                 continue
             statements.append(self.parse_statement())
-            tok = self.peek()
-            if tok.kind == "EOF":
-                break
-            if tok.kind != "NEWLINE":
-                raise DslSyntaxError(
-                    f"expected end of line, found {tok.text!r}",
-                    tok.line,
-                    tok.column,
-                )
-            self.advance()
-        return tuple(statements)
+            tok = self.tokens[self.i]
+            if tok[0] not in ("NEWLINE", "EOF"):
+                raise _syntax_error(tok, f"expected end of line, found {tok[1]!r}")
 
     def parse_statement(self):
-        tok = self.peek()
-        if tok.kind != "NAME":
-            raise DslSyntaxError(
-                f"expected a statement, found {tok.text!r}", tok.line, tok.column
-            )
-        if tok.text == "sig":
+        tok = self.tokens[self.i]
+        if tok[0] != "NAME":
+            raise _syntax_error(tok, f"expected a statement, found {tok[1]!r}")
+        word = tok[1]
+        if word == "sig":
             return self.parse_sig()
-        if tok.text == "alg":
+        if word == "alg":
             return self.parse_alg()
-        if tok.text in COMMAND_WORDS:
+        if word in COMMAND_WORDS:
             # "mu" is a command only when followed by a bare name and then
             # options or end of line; "mu Y. ..." never parses as a command
             # because command position requires a declared functor name
@@ -265,26 +266,22 @@ class Parser:
         name = self.fresh_name()
         self.expect("=")
         ops = [self.parse_opspec()]
-        while self.peek().kind == "|":
-            self.advance()
+        while self.tokens[self.i][0] == "|":
+            self.i += 1
             ops.append(self.parse_opspec())
         labels = [label for label, _ in ops]
         if len(set(labels)) != len(labels):
-            raise DslSyntaxError(
-                f"duplicate operation name in {name!r}", start.line, start.column
-            )
+            raise _syntax_error(start, f"duplicate operation name in {name!r}")
         sig = Signature.of(*(n for _, n in ops), labels=labels)
-        self.declared[name] = ("sig", sig)
-        return SigDecl(name, sig, start.line)
+        self.declared[name] = ("sig", sig, 0)
+        return SigDecl(name, sig, start[2])
 
     def parse_opspec(self) -> tuple:
         tok = self.expect("NAME", "an operation name")
-        if tok.text in KEYWORDS:
-            raise DslSyntaxError(
-                f"{tok.text!r} is reserved", tok.line, tok.column
-            )
+        if tok[1] in KEYWORDS:
+            raise _syntax_error(tok, f"{tok[1]!r} is reserved")
         self.expect(":")
-        return tok.text, self.expect_nat()
+        return tok[1], self.expect_nat()
 
     def parse_alg(self) -> AlgDecl:
         start = self.advance()
@@ -294,26 +291,27 @@ class Parser:
         carrier = self.expect_nat()
         self.expect("=")
         table = []
-        while self.peek().kind == "NAT":
+        while self.tokens[self.i][0] == "NAT":
             table.append(self.expect_nat())
-        self.declared[name] = ("alg", None)
-        return AlgDecl(name, functor, carrier, tuple(table), start.line)
+        self.declared[name] = ("alg", None, 0)
+        return AlgDecl(name, functor, carrier, tuple(table), start[2])
 
     def parse_funcdecl(self) -> FuncDecl:
-        start = self.peek()
+        line = self.tokens[self.i][2]
         name = self.fresh_name()
         self.expect("=")
         self.unknown_group = None
+        self.deepest = 0
         expr = self.parse_expr(in_mu=False)
         error = None
         if self.unknown_group is not None:
             expr, error = None, f"unknown symmetry group {self.unknown_group!r}"
-        self.declared[name] = ("functor", expr)
-        return FuncDecl(name, expr, start.line, error)
+        self.declared[name] = ("functor", expr, self.deepest)
+        return FuncDecl(name, expr, line, error)
 
     def parse_command(self) -> Command:
         start = self.advance()
-        kind = start.text
+        kind = start[1]
         functor = algebra = None
         generators = None
         if kind in ("iterate", "mu", "free", "cata", "nu"):
@@ -325,45 +323,45 @@ class Parser:
         options = []
         seen = set()
         while True:
-            tok = self.peek()
-            if tok.kind != "NAME" or tok.text not in OPTION_WORDS:
+            tok = self.tokens[self.i]
+            word = tok[1]
+            if tok[0] != "NAME" or word not in OPTION_WORDS:
                 break
-            self.advance()
-            if tok.text in seen:
-                raise DslSyntaxError(
-                    f"duplicate option {tok.text!r}", tok.line, tok.column
-                )
-            seen.add(tok.text)
-            if tok.text == "size":
+            self.i += 1
+            if word in seen:
+                raise _syntax_error(tok, f"duplicate option {word!r}")
+            seen.add(word)
+            if word == "size":
                 options.append(("size", self.parse_sizespec()))
             else:
-                options.append((tok.text, self.expect_nat()))
-        return Command(kind, functor, algebra, generators, tuple(options), start.line)
+                options.append((word, self.expect_nat()))
+        return Command(kind, functor, algebra, generators, tuple(options), start[2])
 
     def parse_sizespec(self) -> str:
         tok = self.expect("NAME", "'nat' or 'plump'")
-        if tok.text == "nat":
+        if tok[1] == "nat":
             return "nat"
-        if tok.text == "plump":
-            if self.peek().kind == ":":
-                self.advance()
+        if tok[1] == "plump":
+            if self.tokens[self.i][0] == ":":
+                self.i += 1
                 return "plump:" + self.known_name("sig")
             return "plump"
-        raise DslSyntaxError(
-            f"expected 'nat' or 'plump', found {tok.text!r}", tok.line, tok.column
-        )
+        raise _syntax_error(tok, f"expected 'nat' or 'plump', found {tok[1]!r}")
 
     # expressions
 
-    def nested(self, tok: Token, parse, *args):
-        """parse(*args) one level of nesting below tok; a level past
-        MAX_NESTING is a syntax error at tok."""
-        if self.depth == MAX_NESTING:
-            raise DslSyntaxError(
-                f"expression nests deeper than the cap {MAX_NESTING}",
-                tok.line,
-                tok.column,
-            )
+    def reach(self, tok: tuple, levels: int) -> None:
+        """Note that the expression parsed reaches levels below the current
+        one; a level past MAX_NESTING is a syntax error at tok."""
+        deepest = self.depth + levels
+        if deepest > MAX_NESTING:
+            raise _syntax_error(tok, f"expression nests deeper than the cap {MAX_NESTING}")
+        if deepest > self.deepest:
+            self.deepest = deepest
+
+    def nested(self, tok: tuple, parse, *args):
+        """parse(*args) one level of nesting below tok."""
+        self.reach(tok, 1)
         self.depth += 1
         out = parse(*args)
         self.depth -= 1
@@ -371,8 +369,8 @@ class Parser:
 
     def parse_expr(self, in_mu: bool) -> FunctorExpr:
         parts = [self.parse_term(in_mu)]
-        while self.peek().kind == "+":
-            self.advance()
+        while self.tokens[self.i][0] == "+":
+            self.i += 1
             parts.append(self.parse_term(in_mu))
         if len(parts) == 1:
             return parts[0]
@@ -380,8 +378,8 @@ class Parser:
 
     def parse_term(self, in_mu: bool) -> FunctorExpr:
         parts = [self.parse_factor(in_mu)]
-        while self.peek().kind == "*":
-            self.advance()
+        while self.tokens[self.i][0] == "*":
+            self.i += 1
             parts.append(self.parse_factor(in_mu))
         if len(parts) == 1:
             return parts[0]
@@ -389,43 +387,36 @@ class Parser:
 
     def parse_factor(self, in_mu: bool) -> FunctorExpr:
         atom = self.parse_atom(in_mu)
-        if self.peek().kind == "^":
-            self.advance()
+        if self.tokens[self.i][0] == "^":
+            self.i += 1
             return Power(atom, self.expect_nat())
         return atom
 
     def parse_atom(self, in_mu: bool) -> FunctorExpr:
-        tok = self.peek()
-        if tok.kind == "NAT":
-            self.advance()
-            return Constant(FiniteSet(int(tok.text)))
-        if tok.kind == "(":
-            self.advance()
+        tok = self.tokens[self.i]
+        kind, text = tok[0], tok[1]
+        if kind == "NAT":
+            self.i += 1
+            return Constant(FiniteSet(int(text)))
+        if kind == "(":
+            self.i += 1
             expr = self.nested(tok, self.parse_expr, in_mu)
             self.expect(")")
             return expr
-        if tok.kind != "NAME":
-            raise DslSyntaxError(
-                f"expected an expression, found {tok.text!r}",
-                tok.line,
-                tok.column,
-            )
-        if tok.text == "X":
-            self.advance()
+        if kind != "NAME":
+            raise _syntax_error(tok, f"expected an expression, found {text!r}")
+        if text == "X":
+            self.i += 1
             return Identity()
-        if tok.text == "Y":
+        if text == "Y":
             if not in_mu:
-                raise DslSyntaxError(
-                    "Y only makes sense inside a fixpoint body",
-                    tok.line,
-                    tok.column,
-                )
-            self.advance()
+                raise _syntax_error(tok, "Y only makes sense inside a fixpoint body")
+            self.i += 1
             return Projection(1)
-        if tok.text == "sym":
-            self.advance()
+        if text == "sym":
+            self.i += 1
             self.expect("<")
-            group = self.expect("NAME", "a symmetry group name").text
+            group = self.expect("NAME", "a symmetry group name")[1]
             self.expect(">")
             arity = BUILTIN_GROUPOIDS.get(group)
             if arity is None:
@@ -435,29 +426,26 @@ class Parser:
                 return None
             sym = SymContainer(arity)
             return sym if arg == Identity() else Compose(sym, (arg,))
-        if tok.text == "mu":
-            self.advance()
+        if text == "mu":
+            self.i += 1
             self.expect_word("Y")
             self.expect(".")
             return MuParam(self.nested(tok, self.parse_expr, True))
-        if tok.text == "compose":
-            self.advance()
+        if text == "compose":
+            self.i += 1
             self.expect("(")
             outer = self.nested(tok, self.parse_expr, in_mu)
             self.expect(",")
             inner = self.nested(tok, self.parse_expr, in_mu)
             self.expect(")")
             return Compose(outer, (inner,))
-        if tok.text in KEYWORDS:
-            raise DslSyntaxError(
-                f"{tok.text!r} is reserved", tok.line, tok.column
-            )
-        role, value = self.declared.get(tok.text, (None, None))
+        if text in KEYWORDS:
+            raise _syntax_error(tok, f"{text!r} is reserved")
+        role, value, levels = self.declared.get(text, (None, None, 0))
         if role not in ("functor", "sig"):
-            raise DslNameError(
-                f"{tok.line}:{tok.column}: {tok.text!r} is not declared"
-            )
-        self.advance()
+            raise DslNameError(f"{tok[2]}:{tok[3]}: {text!r} is not declared")
+        self.reach(tok, 1 + levels)
+        self.i += 1
         return Container(value) if role == "sig" else value
 
 

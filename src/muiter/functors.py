@@ -8,9 +8,9 @@ successor tower (iteration.tower) sizes its stages with it and builds no
 set.  The morphism part is one recursion too, _mor, and a map always
 carries a post table out of its codomain, the identity range when the
 caller gives none.  Both recurse once per level of the expression.  A
-script's expression nests at most dsl.MAX_NESTING levels within one
-declaration; one built deeper by hand, or through declarations that name
-earlier ones, is outside that cap.
+script's expression nests at most dsl.MAX_NESTING levels, counting the
+levels of the declarations it names; one built deeper by hand is outside
+that cap.
 """
 
 from __future__ import annotations

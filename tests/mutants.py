@@ -34,7 +34,7 @@ CHECKOUT = Path(__file__).resolve().parent.parent
 CHECKS, SIZE, CLI = "src/muiter/checks.py", "src/muiter/size.py", "src/muiter/cli.py"
 FINSET, FUNCTORS = "src/muiter/finset.py", "src/muiter/functors.py"
 COLIMIT, ITERATION = "src/muiter/colimit.py", "src/muiter/iteration.py"
-SIGNATURE = "src/muiter/signature.py"
+SIGNATURE, DSL = "src/muiter/signature.py", "src/muiter/dsl.py"
 
 MUTANTS = [
     # each law line of check, its failure condition never true
@@ -165,6 +165,24 @@ MUTANTS = [
      "node looks the key up itself; the sampler's lookup only saves a call"),
     ("op-label-ignores-labels", SIGNATURE,
      "return self.labels[op]", "return str(op)", None),
+    # the lexer's positions, and the levels a declared name counts
+    ("comment-takes-its-columns", DSL, "start += j - i", "start += 0", None),
+    ("numeral-runs-into-a-name", DSL,
+     "while j < n and text[j].isdecimal():",
+     "while j < n and text[j].isalnum():", None),
+    ("last-newline-one-column-left", DSL,
+     'append(("NEWLINE", "\\n", line, n - start + 1))',
+     'append(("NEWLINE", "\\n", line, n - start))', None),
+    ("eof-on-the-last-line", DSL,
+     'append(("EOF", "", line + 1, 1))', 'append(("EOF", "", line, 1))', None),
+    ("name-counts-one-level", DSL,
+     "self.reach(tok, 1 + levels)", "self.reach(tok, 1)", None),
+    ("declaration-depth-unrecorded", DSL,
+     '("functor", expr, self.deepest)', '("functor", expr, 0)', None),
+    ("declaration-depth-carried-over", DSL,
+     """self.deepest = 0
+        expr = self.parse_expr(in_mu=False)""",
+     "expr = self.parse_expr(in_mu=False)", None),
     # speed only
     ("table-writer-chunk", CLI, "_CHUNK = 4096", "_CHUNK = 4095",
      "the piece length of the table writer changes only how it is cut"),

@@ -6,9 +6,10 @@ kernels, colimits over arbitrary finite shapes by union-find, the fold
 equation at one pair of stages, the stage maps and legs by recursion
 through each other, the fold that maps each layer through the structure
 map after building it, the enumeration of well-founded trees by
-height, the dual chain with every comparison map built, and the initial
+height, the dual chain with every comparison map built, the initial
 chain through the colimit engine, with every stage's cocone, leg and
-connecting map.
+connecting map, and the script tokenizer that builds a Token record per
+token, one character at a time.
 """
 
 from __future__ import annotations
@@ -16,8 +17,10 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from muiter.colimit import Cocone, Diagram
+from muiter.dsl import Token
 from muiter.errors import (
     BudgetExceeded,
+    DslSyntaxError,
     IllTypedArrow,
     IntegrityError,
     NoAlgebra,
@@ -392,3 +395,51 @@ def reference_mu(functor: FunctorExpr, backend, budget: int = DEFAULT_BUDGET) ->
             alg = AlgebraSpec(state.stage(i).apex, iota)
             return MuResult(alg, steps, state.profile())
         i = nxt
+
+
+def reference_tokenize(text: str) -> list:
+    """The Token records of text, column by column; a comment's characters
+    advance no column."""
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if c == "\n":
+            tokens.append(Token("NEWLINE", "\n", line, col))
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if c.isdecimal():
+            start = i
+            while i < n and text[i].isdecimal():
+                i += 1
+            tokens.append(Token("NAT", text[start:i], line, col))
+            col += i - start
+            continue
+        if c.isalpha() or c == "_":
+            start = i
+            while i < n and (text[i].isalnum() or text[i] == "_"):
+                i += 1
+            tokens.append(Token("NAME", text[start:i], line, col))
+            col += i - start
+            continue
+        if c in "=+*^|:.<>(),":
+            tokens.append(Token(c, c, line, col))
+            i += 1
+            col += 1
+            continue
+        raise DslSyntaxError(f"unexpected character {c!r}", line, col)
+    tokens.append(Token("NEWLINE", "\n", line, col))
+    tokens.append(Token("EOF", "", line + 1, 1))
+    return tokens

@@ -6,7 +6,9 @@ script builds: numerals (constants), X (the identity), Y inside a nested
 mu (the second projection), sums, products, powers, sym<swapk>, nested
 mu, compose, parentheses and the container of a declared signature, the
 one PRELUDE declares.  The text parses after PRELUDE as the right-hand
-side of a functor declaration; parse_functor does that.
+side of a functor declaration; parse_functor does that.  script_text
+draws whole scripts: PRELUDE, then declarations of such expressions and
+commands on them, some lines blank or ending in a comment.
 """
 
 from __future__ import annotations
@@ -39,6 +41,20 @@ def functor_text(depth: int = 5, in_mu: bool = False) -> st.SearchStrategy:
         # the outer functor of a compose takes the one argument given it
         st.builds("compose({}, {})".format, functor_text(depth - 1), part),
     )
+
+
+@st.composite
+def script_text(draw, lines: int = 4) -> str:
+    """A script of up to lines declarations, each followed by a command on it."""
+    out = [PRELUDE.rstrip("\n")]
+    for k in range(draw(st.integers(1, lines))):
+        out.append(f"F{k} = {draw(functor_text(3))}")
+        out.append(draw(st.sampled_from((
+            f"iterate F{k} depth 2", f"mu F{k} size plump budget 9", f"nu F{k}", "",
+        ))))
+        if draw(st.booleans()):
+            out[-1] += "  # " + draw(st.text(st.characters(blacklist_characters="\n"), max_size=8))
+    return "\n".join(out) + draw(st.sampled_from(("\n", "", "\n\n")))
 
 
 def parse_functor(text: str):

@@ -1349,6 +1349,58 @@ def test_an_expression_nested_to_the_cap_runs(tmp_path, capsys, expr, command, o
     assert got.split("\n", 1)[1].startswith(out)
 
 
+def declaration_chain(step: str, length: int) -> str:
+    """F0 = X, then F1 to F<length>, each the step with {} its predecessor,
+    then a command on the last."""
+    lines = ["F0 = X"] + [f"F{k} = " + step.format(f"F{k - 1}") for k in range(1, length + 1)]
+    return "\n".join(lines) + f"\niterate F{length} depth 2\n"
+
+
+# each step's declaration nests levels below its predecessor's: the name
+# counts one, and the parentheses around it one more
+CHAINS = [("1 + {}", 1), ("({})*(X)", 2)]
+
+
+@pytest.mark.parametrize("step, levels", CHAINS, ids=["sum", "product"])
+def test_declarations_that_name_earlier_ones_nest_at_most_to_the_cap(
+    tmp_path, step, levels
+):
+    # F1499 of either chain once reached the interpreter's recursion limit;
+    # the first declaration past the cap is the error, at its name
+    path = tmp_path / "script.mi"
+    path.write_text(declaration_chain(step, 1499))
+    start = time.perf_counter()
+    done = subprocess.run(
+        **muiter_child(path), capture_output=True, text=True, timeout=30
+    )
+    wall = time.perf_counter() - start
+    first = MAX_NESTING // levels + 1
+    column = len(f"F{first} = ") + step.index("{}") + 1
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == (
+        f"error: {first + 1}:{column}: expression nests deeper than the cap {MAX_NESTING}\n"
+    )
+    assert wall < 2
+
+
+@pytest.mark.parametrize(
+    "text, out",
+    [
+        (declaration_chain("1 + {}", MAX_NESTING), "  D[0] size=0\n  D[1] size=100\n"),
+        (declaration_chain("({})*(X)", MAX_NESTING // 2), "  D[0] size=0\n  D[1] size=0\n"),
+        # a declaration counts the levels it nests itself, not those of the
+        # declarations before it
+        ("D = " + "(" * MAX_NESTING + "X" + ")" * MAX_NESTING + "\n"
+         + declaration_chain("1 + {}", MAX_NESTING), "  D[0] size=0\n  D[1] size=100\n"),
+    ],
+    ids=["sum", "product", "after-a-deeper-declaration"],
+)
+def test_declarations_that_name_earlier_ones_to_the_cap_run(tmp_path, capsys, text, out):
+    code, got, err = run_cli(tmp_path, capsys, text)
+    assert (code, err) == (0, "")
+    assert got.split("\n", 1)[1] == out
+
+
 def test_unknown_functor_name_exits_one(tmp_path, capsys):
     code, _, err = run_cli(tmp_path, capsys, "mu Missing\n")
     assert code == 1
